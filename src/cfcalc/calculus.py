@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import compress
+from typing import Mapping
 
 from .complexes import (
     Involution,
@@ -19,6 +20,7 @@ from .complexes import (
     SimplicialComplex,
     SimplicialMap,
     Subcomplex,
+    canonical_sorted,
     complement_open,
     quotient_by_involution,
 )
@@ -30,7 +32,7 @@ def _clean_items(
 ) -> tuple[tuple[Simplex, int], ...]:
     cleaned: dict[Simplex, int] = {}
     for key, raw in values.items():
-        s = Simplex(key)
+        s = key if type(key) is Simplex else Simplex(key)
         if s not in ambient.simplices:
             raise MissingSimplexError(f"{s} is not a simplex of the ambient complex")
         if not isinstance(raw, int):
@@ -38,7 +40,19 @@ def _clean_items(
         v = int(raw)
         if v:
             cleaned[s] = v
-    return tuple(sorted(cleaned.items()))
+    return tuple([(s, cleaned[s]) for s in canonical_sorted(cleaned)])
+
+
+def _nonzero_items(order, acc: list[int]) -> tuple[tuple[Simplex, int], ...]:
+    """The (simplex, value) pairs of a dense vector over a canonical order.
+
+    Item tuples are always built from lists in this module.  A tuple built
+    from an iterator of unknown length is allocated at a guessed size and
+    resized, so it bypasses CPython's per-size tuple free lists when it is
+    made but lands on them when it is freed; over many small functions
+    those lists fill up and pin memory.
+    """
+    return tuple(list(zip(compress(order, acc), filter(None, acc))))
 
 
 @dataclass(frozen=True, init=False)
@@ -56,6 +70,18 @@ class ConstructibleFunction:
     def __init__(self, ambient: SimplicialComplex, values: Mapping) -> None:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "items", _clean_items(ambient, values))
+
+    @classmethod
+    def _of(cls, ambient: SimplicialComplex, items: tuple) -> "ConstructibleFunction":
+        """The internal constructor, for items computed by the calculus.
+
+        The items must be nonzero values at simplices of the ambient, in
+        canonical order; nothing is checked.
+        """
+        phi = object.__new__(cls)
+        object.__setattr__(phi, "ambient", ambient)
+        object.__setattr__(phi, "items", items)
+        return phi
 
     def _lookup(self) -> dict[Simplex, int]:
         table = getattr(self, "_table", None)
@@ -82,10 +108,14 @@ class ConstructibleFunction:
         if not isinstance(other, ConstructibleFunction):
             return NotImplemented
         self._same_ambient(other)
-        acc = dict(self.items)
+        index = self.ambient.index()
+        position = index.position
+        acc = [0] * len(index.order)
+        for s, v in self.items:
+            acc[position[s.vertices]] = v
         for s, v in other.items:
-            acc[s] = acc.get(s, 0) + v
-        return ConstructibleFunction(self.ambient, acc)
+            acc[position[s.vertices]] += v
+        return ConstructibleFunction._of(self.ambient, _nonzero_items(index.order, acc))
 
     def __sub__(self, other):
         if not isinstance(other, ConstructibleFunction):
@@ -93,21 +123,20 @@ class ConstructibleFunction:
         return self + (-other)
 
     def __neg__(self):
-        return ConstructibleFunction(self.ambient, {s: -v for s, v in self.items})
+        return ConstructibleFunction._of(self.ambient, tuple([(s, -v) for s, v in self.items]))
 
     def __mul__(self, other):
         if isinstance(other, bool):
             return NotImplemented
         if isinstance(other, int):
-            return ConstructibleFunction(
-                self.ambient, {s: other * v for s, v in self.items}
-            )
+            items = tuple([(s, other * v) for s, v in self.items]) if other else ()
+            return ConstructibleFunction._of(self.ambient, items)
         if isinstance(other, ConstructibleFunction):
             self._same_ambient(other)
             table = other._lookup()
-            return ConstructibleFunction(
+            return ConstructibleFunction._of(
                 self.ambient,
-                {s: v * table[s] for s, v in self.items if s in table},
+                tuple([(s, v * table[s]) for s, v in self.items if s in table]),
             )
         return NotImplemented
 
@@ -125,10 +154,14 @@ def zero_function(ambient: SimplicialComplex) -> ConstructibleFunction:
 def indicator(region) -> ConstructibleFunction:
     """Value 1 on every simplex of a subcomplex, open subset, or whole complex."""
     if isinstance(region, SimplicialComplex):
-        return ConstructibleFunction(region, {s: 1 for s in region.simplices})
-    if isinstance(region, (Subcomplex, OpenSubset)):
-        return ConstructibleFunction(region.parent, {s: 1 for s in region.simplices})
-    raise ModelError(f"cannot take the indicator of {type(region).__name__}")
+        ambient = region
+    elif isinstance(region, (Subcomplex, OpenSubset)):
+        ambient = region.parent
+    else:
+        raise ModelError(f"cannot take the indicator of {type(region).__name__}")
+    return ConstructibleFunction._of(
+        ambient, tuple([(s, 1) for s in canonical_sorted(region.simplices)])
+    )
 
 
 def euler_integral(phi: ConstructibleFunction) -> int:
@@ -144,13 +177,14 @@ def pullback(f: SimplicialMap, psi: ConstructibleFunction) -> ConstructibleFunct
     """Composition with the map: value at a simplex is the value at its image."""
     if psi.ambient != f.target:
         raise ModelError("function does not live on the target of the map")
-    table = psi._lookup()
-    values = {}
-    for s in f.source.simplices:
-        v = table.get(f.image(s), 0)
+    table = {t.vertices: v for t, v in psi.items}
+    image = f.image_vertices
+    items = []
+    for s in f.source.index().order:
+        v = table.get(image(s.vertices))
         if v:
-            values[s] = v
-    return ConstructibleFunction(f.source, values)
+            items.append((s, v))
+    return ConstructibleFunction._of(f.source, tuple(items))
 
 
 def pushforward(f: SimplicialMap, phi: ConstructibleFunction) -> ConstructibleFunction:
@@ -160,11 +194,14 @@ def pushforward(f: SimplicialMap, phi: ConstructibleFunction) -> ConstructibleFu
     """
     if phi.ambient != f.source:
         raise ModelError("function does not live on the source of the map")
-    acc: dict[Simplex, int] = defaultdict(int)
+    index = f.target.index()
+    position = index.position
+    image = f.image_vertices
+    acc = [0] * len(index.order)
     for s, v in phi.items:
-        t = f.image(s)
-        acc[t] += -v if (s.dim - t.dim) % 2 else v
-    return ConstructibleFunction(f.target, acc)
+        t = image(s.vertices)
+        acc[position[t]] += -v if (len(s.vertices) - len(t)) % 2 else v
+    return ConstructibleFunction._of(f.target, _nonzero_items(index.order, acc))
 
 
 def dual(phi: ConstructibleFunction) -> ConstructibleFunction:
@@ -174,24 +211,28 @@ def dual(phi: ConstructibleFunction) -> ConstructibleFunction:
     Applying it twice is the identity, and it sends the indicator of a
     closed d-manifold subcomplex to (-1)^d times itself.  Implemented by
     scattering each support simplex onto its faces, which is the same sum
-    grouped the other way.
+    grouped the other way, through the face table of the ambient's index.
     """
-    acc: dict[Simplex, int] = defaultdict(int)
+    index = phi.ambient.index()
+    position, starts, faces, odd = index.position, index.starts, index.faces, index.odd
+    acc = [0] * len(index.order)
     for t, v in phi.items:
-        signed = -v if t.dim % 2 else v
-        for s in t.subsimplices():
-            acc[s] += signed
-    return ConstructibleFunction(phi.ambient, acc)
+        i = position[t.vertices]
+        if odd[i]:
+            v = -v
+        for j in faces[starts[i]:starts[i + 1]]:
+            acc[j] += v
+    return ConstructibleFunction._of(phi.ambient, _nonzero_items(index.order, acc))
 
 
 def restrict(phi: ConstructibleFunction, closed: Subcomplex) -> ConstructibleFunction:
     """Plain restriction of values to a subcomplex, viewed as its own complex."""
     if phi.ambient != closed.parent:
         raise ModelError("function does not live on the parent of the subcomplex")
-    table = phi._lookup()
-    return ConstructibleFunction(
-        closed.as_complex(),
-        {s: table[s] for s in closed.simplices if s in table},
+    space = closed.as_complex()
+    keep = space.index().position
+    return ConstructibleFunction._of(
+        space, tuple([item for item in phi.items if item[0].vertices in keep])
     )
 
 
@@ -213,18 +254,19 @@ def restrict_open(phi: ConstructibleFunction, opensub: OpenSubset) -> Constructi
     """
     if phi.ambient != opensub.parent:
         raise ModelError("function does not live on the parent of the open subset")
-    return ConstructibleFunction(
-        phi.ambient,
-        {s: v for s, v in phi.items if s in opensub.simplices},
+    keep = opensub.simplices
+    return ConstructibleFunction._of(
+        phi.ambient, tuple([item for item in phi.items if item[0] in keep])
     )
 
 
 def _require_supported_in(phi: ConstructibleFunction, opensub: OpenSubset) -> None:
     if phi.ambient != opensub.parent:
         raise ModelError("function does not live on the parent of the open subset")
-    stray = sorted(phi.support - opensub.simplices)
-    if stray:
-        raise ModelError(f"function is not supported in the open subset: {stray[0]}")
+    keep = opensub.simplices
+    for s, _ in phi.items:
+        if s not in keep:
+            raise ModelError(f"function is not supported in the open subset: {s}")
 
 
 def open_extend(opensub: OpenSubset, psi: ConstructibleFunction) -> ConstructibleFunction:
@@ -244,8 +286,9 @@ def open_pushforward(opensub: OpenSubset, psi: ConstructibleFunction) -> Constru
     whole complex.
     """
     _require_supported_in(psi, opensub)
-    inner = restrict_open(dual(psi), opensub)
-    return dual(open_extend(opensub, inner))
+    # restrict_open leaves the support inside the open subset, so the
+    # extension by zero is the function itself
+    return dual(restrict_open(dual(psi), opensub))
 
 
 def triangle_decompose(
@@ -273,7 +316,7 @@ def _clean_mod2(ambient: SimplicialComplex, values: Mapping):
             raise ModelError(f"mod-2 value at {s} must be 0 or 1, got {raw!r}")
         if raw:
             cleaned[s] = 1
-    return tuple(sorted(cleaned.items()))
+    return tuple([(s, 1) for s in canonical_sorted(cleaned)])
 
 
 @dataclass(frozen=True, init=False)
@@ -287,11 +330,13 @@ class Mod2Function:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "items", _clean_mod2(ambient, values))
 
+    _lookup = ConstructibleFunction._lookup
+
     def value(self, simplex_like) -> int:
         s = Simplex(simplex_like)
         if s not in self.ambient.simplices:
             raise MissingSimplexError(f"{s} is not a simplex of the ambient complex")
-        return 1 if (s, 1) in set(self.items) else 0
+        return self._lookup().get(s, 0)
 
     @property
     def support(self) -> frozenset[Simplex]:

@@ -17,7 +17,7 @@ import sys
 
 from .calculus import ConstructibleFunction, dual, euler_integral, indicator
 from .complexes import Simplex
-from .errors import ModelError, SceneError
+from .errors import ModelError, SceneError, SceneSyntaxError
 from .indices import hyperfunction_dimension, hyperfunction_index, parity_index, solution_index
 from .scenes import Scene, build_model, list_models, parse_scene
 
@@ -44,8 +44,12 @@ def _parse_params(raw: str, context: str) -> dict[str, int]:
 def load_scene(spec: str) -> Scene:
     """A scene file path, or a model spec such as name(k=v, ...)."""
     if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            return parse_scene(fh.read())
+        try:
+            with open(spec, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as err:
+            raise SceneSyntaxError(f"scene file is not UTF-8 text: {err.reason}") from None
+        return parse_scene(text)
     match = _MODEL_SPEC.match(spec)
     if match is None:
         raise ModelError(f"no scene file {spec!r}, and it does not look like a model spec")
@@ -67,7 +71,7 @@ def _json_out(obj) -> int:
 
 def _value_rows(phi, include_zeros: bool) -> list[tuple[Simplex, int]]:
     if include_zeros:
-        return [(s, phi.value(s)) for s in sorted(phi.ambient.simplices)]
+        return [(s, phi.value(s)) for s in phi.ambient.ordered()]
     return list(phi.items)
 
 

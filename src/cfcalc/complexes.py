@@ -16,6 +16,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import MissingSimplexError, ModelError
@@ -81,6 +82,48 @@ def simplex(*vertices) -> Simplex:
     return Simplex(vertices)
 
 
+_VERTICES = attrgetter("vertices")
+
+
+def canonical_sorted(simplices: Iterable[Simplex]) -> list[Simplex]:
+    """Simplices in the canonical order, compared as vertex tuples.
+
+    The same order as sorted(simplices), without a Python-level
+    comparison per pair.
+    """
+    return sorted(simplices, key=_VERTICES)
+
+
+class ComplexIndex:
+    """The canonical order of a complex and its face-incidence table.
+
+    order[i] is the i-th simplex in canonical order and position maps its
+    vertex tuple back to i.  The faces of simplex i, itself included, are
+    the indices faces[starts[i]:starts[i + 1]], and odd[i] tells whether
+    its dimension is odd.  Built by SimplicialComplex.index() on first
+    use and kept for the life of the complex.
+    """
+
+    __slots__ = ("order", "position", "starts", "faces", "odd")
+
+    def __init__(self, simplices: frozenset[Simplex]) -> None:
+        order = tuple(canonical_sorted(simplices))
+        position = {s.vertices: i for i, s in enumerate(order)}
+        starts = [0]
+        faces: list[int] = []
+        lookup = position.__getitem__
+        for s in order:
+            vs = s.vertices
+            for size in range(1, len(vs) + 1):
+                faces.extend(map(lookup, itertools.combinations(vs, size)))
+            starts.append(len(faces))
+        self.order = order
+        self.position = position
+        self.starts = starts
+        self.faces = faces
+        self.odd = [len(s.vertices) % 2 == 0 for s in order]
+
+
 @dataclass(frozen=True, init=False)
 class SimplicialComplex:
     """A finite set of simplices closed under taking faces (possibly empty)."""
@@ -97,6 +140,14 @@ class SimplicialComplex:
                     )
         object.__setattr__(self, "simplices", sset)
 
+    def index(self) -> ComplexIndex:
+        """The canonical order and face table, built on first use."""
+        index = self.__dict__.get("_index")
+        if index is None:
+            index = ComplexIndex(self.simplices)
+            object.__setattr__(self, "_index", index)
+        return index
+
     @property
     def dim(self) -> int:
         return max((s.dim for s in self.simplices), default=-1)
@@ -109,7 +160,7 @@ class SimplicialComplex:
         return Simplex(simplex_like) in self.simplices
 
     def ordered(self) -> tuple[Simplex, ...]:
-        return tuple(sorted(self.simplices))
+        return self.index().order
 
     def maximal_simplices(self) -> tuple[Simplex, ...]:
         proper_faces: set[Simplex] = set()
@@ -117,7 +168,7 @@ class SimplicialComplex:
             for f in s.subsimplices():
                 if f != s:
                     proper_faces.add(f)
-        return tuple(sorted(self.simplices - proper_faces))
+        return tuple(canonical_sorted(self.simplices - proper_faces))
 
     def euler_characteristic(self) -> int:
         return sum(-1 if s.dim % 2 else 1 for s in self.simplices)
@@ -184,7 +235,17 @@ class Subcomplex:
         return Simplex(simplex_like) in self.simplices
 
     def as_complex(self) -> SimplicialComplex:
-        return SimplicialComplex(self.simplices)
+        """The subcomplex as a complex of its own, built once and cached.
+
+        The constructor already checked face closure, so it is not checked
+        again; every call returns the same complex object.
+        """
+        space = self.__dict__.get("_complex")
+        if space is None:
+            space = object.__new__(SimplicialComplex)
+            object.__setattr__(space, "simplices", self.simplices)
+            object.__setattr__(self, "_complex", space)
+        return space
 
     def intersection(self, other: "Subcomplex") -> "Subcomplex":
         if self.parent != other.parent:
@@ -246,10 +307,20 @@ class OpenSubset:
 
 
 def complement_open(space: SimplicialComplex, closed: Subcomplex) -> OpenSubset:
-    """The open complement of a subcomplex."""
+    """The open complement of a subcomplex, built once and cached on it.
+
+    The complement of a face-closed set is coface-closed, so the
+    OpenSubset check is skipped.
+    """
     if closed.parent != space:
         raise ModelError("subcomplex does not live in the given complex")
-    return OpenSubset(space, space.simplices - closed.simplices)
+    opensub = closed.__dict__.get("_open")
+    if opensub is None:
+        opensub = object.__new__(OpenSubset)
+        object.__setattr__(opensub, "parent", closed.parent)
+        object.__setattr__(opensub, "simplices", closed.parent.simplices - closed.simplices)
+        object.__setattr__(closed, "_open", opensub)
+    return opensub
 
 
 def cone(base: SimplicialComplex, apex) -> SimplicialComplex:
@@ -387,18 +458,29 @@ class SimplicialMap:
     def vertex_map(self) -> dict[str, str]:
         return dict(self.vertex_pairs)
 
-    def vertex(self, v: str) -> str:
-        table = getattr(self, "_table", None)
+    def _vertex_table(self) -> dict[str, str]:
+        table = self.__dict__.get("_table")
         if table is None:
             table = dict(self.vertex_pairs)
             object.__setattr__(self, "_table", table)
+        return table
+
+    def vertex(self, v: str) -> str:
         try:
-            return table[v]
+            return self._vertex_table()[v]
         except KeyError:
             raise MissingSimplexError(f"{v!r} is not a vertex of the source") from None
 
     def image(self, s: Simplex) -> Simplex:
-        return Simplex({self.vertex(v) for v in s.vertices})
+        try:
+            return Simplex._raw(self.image_vertices(s.vertices))
+        except KeyError as err:
+            raise MissingSimplexError(f"{err.args[0]!r} is not a vertex of the source") from None
+
+    def image_vertices(self, vertices: tuple[str, ...]) -> tuple[str, ...]:
+        """The sorted vertex tuple of the image of a source simplex."""
+        table = self._vertex_table()
+        return tuple(sorted({table[v] for v in vertices}))
 
 
 def simplicial_map(source, target, vertex_map) -> SimplicialMap:

@@ -322,7 +322,7 @@ def _first_mismatch(
     left: ConstructibleFunction,
     right: ConstructibleFunction,
 ) -> str:
-    for s in sorted(space.simplices):
+    for s in space.ordered():
         lv, rv = left.value(s), right.value(s)
         if lv != rv:
             return f"mismatch at {s} ({lv} vs {rv})"
@@ -422,7 +422,7 @@ def verify_scene(
 
     triangle_entry("solution_index", sol)
     rng = random.Random(seed)
-    sims = sorted(ambient.simplices)
+    sims = ambient.ordered()
     for i in range(3):
         values = {s: rng.randint(-3, 3) for s in sims if rng.random() < 0.4}
         triangle_entry(f"random[{i}]", ConstructibleFunction(ambient, values), f"seed={seed}")

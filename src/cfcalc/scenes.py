@@ -20,6 +20,7 @@ from .complexes import (
     SimplicialComplex,
     Subcomplex,
     build_complex,
+    canonical_sorted,
     involution,
     point_complex,
     product,
@@ -130,6 +131,8 @@ def parse_scene(text: str) -> Scene:
         raise SceneSyntaxError(
             f"invalid scene JSON at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
+    except RecursionError:
+        raise SceneSyntaxError("invalid scene JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise SceneSemanticError("top level: expected an object")
     return _scene_from_doc(doc)
@@ -263,7 +266,7 @@ def _scene_from_doc(doc: dict) -> Scene:
                     f"of a complex {n}-fold should have dimension {expected_dim}",
                 )
         if conj is not None:
-            for s in sorted(support.simplices):
+            for s in canonical_sorted(support.simplices):
                 img = conj.image(s)
                 if not support.has(img):
                     _fail(f"{path}.support", f"conjugation moves {s} outside the support")
@@ -354,7 +357,7 @@ def _scene_from_doc(doc: dict) -> Scene:
 
 
 def _simplex_list(sims) -> list[list[str]]:
-    return [list(s.vertices) for s in sorted(sims)]
+    return [list(s.vertices) for s in canonical_sorted(sims)]
 
 
 def _canonical_doc(
@@ -377,7 +380,7 @@ def _canonical_doc(
         }
         overrides = [
             {"at": list(s.vertices), "value": st.eu.value(s)}
-            for s in sorted(st.support.simplices)
+            for s in canonical_sorted(st.support.simplices)
             if st.eu.value(s) != 1
         ]
         if overrides:

@@ -336,6 +336,13 @@ class TestMod2:
         a = mod2_reduce(indicator(full_subcomplex(c)))
         assert (a + a).support == frozenset()
 
+    def test_value(self):
+        c = polygon(3)
+        a = mod2_reduce(3 * indicator(subcomplex(c, [["b0", "b1"]])))
+        assert [a.value(s) for s in c.ordered()] == [1, 1, 0, 1, 0, 0]  # b0, b0 b1, b1
+        with pytest.raises(MissingSimplexError):
+            a.value("nowhere")
+
 
 class TestFreeInvolutions:
     def test_invariant_integral_is_even(self):

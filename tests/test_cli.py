@@ -59,6 +59,21 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: invalid scene JSON")
 
+    def test_file_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error: scene file is not UTF-8 text")
+        assert err.count("\n") == 1
+
+    def test_deeply_nested_file(self, capsys, tmp_path):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 200_000, encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 2 and out == ""
+        assert err == "error: invalid scene JSON: nested too deeply\n"
+
     def test_unknown_model(self, capsys):
         code, _, err = run(capsys, "check", "perverse_sheaf")
         assert code == 2

@@ -127,6 +127,26 @@ class TestComplexConstruction:
         )
 
 
+class TestComplexIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(complexes())
+    def test_order_faces_and_parity(self, space):
+        index = space.index()
+        assert index.order == tuple(sorted(space.simplices))
+        assert space.ordered() is index.order
+        assert len(index.starts) == len(space) + 1
+        for i, s in enumerate(index.order):
+            assert index.position[s.vertices] == i
+            faces = [index.order[j] for j in index.faces[index.starts[i]:index.starts[i + 1]]]
+            assert len(faces) == len(set(faces))
+            assert set(faces) == set(s.subsimplices())
+            assert index.odd[i] == (s.dim % 2 == 1)
+
+    def test_built_once(self):
+        d = disk(3)
+        assert d.index() is d.index()
+
+
 class TestStarAndSubcomplex:
     def test_star_of_disk_center(self):
         d = disk(3)
@@ -154,6 +174,12 @@ class TestStarAndSubcomplex:
         d = disk(3)
         assert full_subcomplex(d).as_complex() == d
 
+    def test_as_complex_is_cached(self):
+        axis = diameter(disk(3))
+        space = axis.as_complex()
+        assert space is axis.as_complex()
+        assert space == build_complex([["b0", "c"], ["b3", "c"]])
+
 
 class TestOpenSubset:
     def test_complement_is_coface_closed(self):
@@ -161,6 +187,13 @@ class TestOpenSubset:
         u = complement_open(d, diameter(d))
         assert not u.is_empty
         assert u.has(["c", "b1"]) and not u.has(["c", "b0"])
+
+    def test_complement_is_cached(self):
+        d = disk(3)
+        axis = diameter(d)
+        u = complement_open(d, axis)
+        assert u is complement_open(d, axis)
+        assert u == OpenSubset(d, d.simplices - axis.simplices)
 
     def test_rejects_non_coface_closed(self):
         interval = build_complex([["p", "q"]])

@@ -103,6 +103,17 @@ class TestRoundTrip:
         doc = json.loads(text)
         assert text == json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
+    def test_building_and_parsing_build_no_index(self):
+        # Scenes stay cached for the life of the process, so the per-complex
+        # index must wait for the first calculus call.
+        scene = parse_scene(emit_scene(build_model("node_curve", m=5)))
+        spaces = [scene.ambient] + [
+            sub.__dict__["_complex"] for _, sub in scene.subcomplexes if "_complex" in sub.__dict__
+        ]
+        assert all("_index" not in space.__dict__ for space in spaces)
+        scene.verify()
+        assert "_index" in scene.ambient.__dict__
+
 
 def reparse(doc: dict):
     return parse_scene(json.dumps(doc))
