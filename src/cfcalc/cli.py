@@ -4,7 +4,7 @@ Every subcommand takes a scene, given either as a path to a scene JSON
 file or as a model spec like ``kashiwara_point`` or
 ``kashiwara_point(d0=0, d1=4)``.  Output is byte deterministic; exit
 status is 0 for success, 1 for a failed verification, 2 for invalid
-input.
+input and 3 for an internal error, each failure with one line on stderr.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ def _parse_params(raw: str, context: str) -> dict[str, int]:
         key, value = key.strip(), value.strip()
         if not eq or not key:
             raise ModelError(f"cannot parse parameter {piece!r} in {context}")
+        if key in params:
+            raise ModelError(f"parameter {key!r} given twice in {context}")
         try:
             params[key] = int(value)
         except ValueError:
@@ -249,9 +251,7 @@ def _cmd_models(args) -> int:
     # emit
     if args.name is None:
         raise ModelError("models emit needs a model name")
-    params: dict[str, int] = {}
-    for piece in args.params:
-        params.update(_parse_params(piece, f"parameter {piece!r}"))
+    params = _parse_params(",".join(args.params), f"models emit {args.name}")
     scene = build_model(args.name, **params)
     sys.stdout.write(scene.canonical_text)
     return 0
@@ -318,6 +318,9 @@ def main(argv=None) -> int:
     except (SceneError, ModelError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -23,6 +23,10 @@ from .errors import MissingSimplexError, ModelError
 
 PRODUCT_SEPARATOR = "."
 
+# Most simplices a face closure may produce, bounded before any face is
+# listed: one n-vertex simplex alone has 2^n - 1 faces.
+MAX_SIMPLICES = 10**6
+
 
 def _canonical_vertices(vertices: Iterable) -> tuple[str, ...]:
     names = [v if isinstance(v, str) else str(v) for v in vertices]
@@ -94,6 +98,30 @@ def canonical_sorted(simplices: Iterable[Simplex]) -> list[Simplex]:
     return sorted(simplices, key=_VERTICES)
 
 
+def _require_face_closed(sset: frozenset[Simplex], what: str) -> None:
+    """Raise ModelError(what), filled with {face} and {simplex}, at a facet
+    missing from the set; every facet of each member gives every face, by
+    induction on dimension."""
+    present = {s.vertices for s in sset}
+    for vs in present:
+        for facet in itertools.combinations(vs, len(vs) - 1):
+            if facet and facet not in present:
+                raise ModelError(what.format(face=Simplex._raw(facet), simplex=Simplex._raw(vs)))
+
+
+def _face_closure(generators: Iterable[Simplex]) -> list[Simplex]:
+    """Every face of the generators once; refused before listing any face
+    when the closure could exceed MAX_SIMPLICES."""
+    gens = {s.vertices for s in generators}
+    bound = sum((1 << len(vs)) - 1 for vs in gens)
+    if bound > MAX_SIMPLICES:
+        raise ModelError(
+            f"face closure may hold up to {bound} simplices, more than the limit of {MAX_SIMPLICES}"
+        )
+    faces = {f for vs in gens for n in range(1, len(vs) + 1) for f in itertools.combinations(vs, n)}
+    return [Simplex._raw(vs) for vs in faces]
+
+
 class ComplexIndex:
     """The canonical order of a complex and its face-incidence table.
 
@@ -132,12 +160,7 @@ class SimplicialComplex:
 
     def __init__(self, simplices: Iterable) -> None:
         sset = frozenset(Simplex(s) for s in simplices)
-        for s in sset:
-            for f in s.subsimplices():
-                if f not in sset:
-                    raise ModelError(
-                        f"not face-closed: missing {f} (a face of {s})"
-                    )
+        _require_face_closed(sset, "not face-closed: missing {face} (a face of {simplex})")
         object.__setattr__(self, "simplices", sset)
 
     def index(self) -> ComplexIndex:
@@ -163,12 +186,9 @@ class SimplicialComplex:
         return self.index().order
 
     def maximal_simplices(self) -> tuple[Simplex, ...]:
-        proper_faces: set[Simplex] = set()
-        for s in self.simplices:
-            for f in s.subsimplices():
-                if f != s:
-                    proper_faces.add(f)
-        return tuple(canonical_sorted(self.simplices - proper_faces))
+        # in a face-closed set, a proper face of a member is a facet of one
+        facets = {f for s in self.simplices for f in itertools.combinations(s.vertices, s.dim)}
+        return tuple(canonical_sorted(s for s in self.simplices if s.vertices not in facets))
 
     def euler_characteristic(self) -> int:
         return sum(-1 if s.dim % 2 else 1 for s in self.simplices)
@@ -179,10 +199,7 @@ class SimplicialComplex:
 
 def build_complex(maximal_simplices: Iterable) -> SimplicialComplex:
     """Face closure of the given simplices.  An empty list gives the empty complex."""
-    closure: set[Simplex] = set()
-    for vs in maximal_simplices:
-        closure.update(Simplex(vs).subsimplices())
-    return SimplicialComplex(closure)
+    return SimplicialComplex(_face_closure(Simplex(vs) for vs in maximal_simplices))
 
 
 def point_complex(name: str = "pt") -> SimplicialComplex:
@@ -206,16 +223,12 @@ class Subcomplex:
 
     def __init__(self, parent: SimplicialComplex, simplices: Iterable) -> None:
         sset = frozenset(Simplex(s) for s in simplices)
-        for s in sset:
-            if s not in parent.simplices:
-                raise MissingSimplexError(
-                    f"{s} is not a simplex of the parent complex"
-                )
-            for f in s.subsimplices():
-                if f not in sset:
-                    raise ModelError(
-                        f"subcomplex is not face-closed: missing {f} (a face of {s})"
-                    )
+        stray = sset - parent.simplices
+        if stray:
+            raise MissingSimplexError(f"{min(stray)} is not a simplex of the parent complex")
+        _require_face_closed(
+            sset, "subcomplex is not face-closed: missing {face} (a face of {simplex})"
+        )
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "simplices", sset)
 
@@ -258,15 +271,13 @@ class Subcomplex:
 
 def subcomplex(space: SimplicialComplex, generators: Iterable) -> Subcomplex:
     """Face closure, inside the parent, of the given generating simplices."""
-    closure: set[Simplex] = set()
-    for g in generators:
-        s = Simplex(g)
+    gens = [Simplex(g) for g in generators]
+    for s in gens:
         if s not in space.simplices:
             raise MissingSimplexError(
                 f"generator {s} is not a simplex of the parent complex"
             )
-        closure.update(s.subsimplices())
-    return Subcomplex(space, closure)
+    return Subcomplex(space, _face_closure(gens))
 
 
 def full_subcomplex(space: SimplicialComplex) -> Subcomplex:
@@ -282,19 +293,14 @@ class OpenSubset:
 
     def __init__(self, parent: SimplicialComplex, simplices: Iterable) -> None:
         sset = frozenset(Simplex(s) for s in simplices)
-        for s in sset:
-            if s not in parent.simplices:
-                raise MissingSimplexError(
-                    f"{s} is not a simplex of the parent complex"
-                )
+        stray = sset - parent.simplices
+        if stray:
+            raise MissingSimplexError(f"{min(stray)} is not a simplex of the parent complex")
         # coface-closed is the same as: the complement is face-closed
-        complement = parent.simplices - sset
-        for s in complement:
-            for f in s.subsimplices():
-                if f not in complement:
-                    raise ModelError(
-                        f"subset is not coface-closed: contains {f} but not its coface {s}"
-                    )
+        _require_face_closed(
+            parent.simplices - sset,
+            "subset is not coface-closed: contains {face} but not its coface {simplex}",
+        )
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "simplices", sset)
 

@@ -10,12 +10,14 @@ parametrically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NoReturn
 
 from .calculus import ConstructibleFunction
 from .complexes import (
+    MAX_SIMPLICES,
     Simplex,
     SimplicialComplex,
     Subcomplex,
@@ -159,10 +161,13 @@ def _scene_from_doc(doc: dict) -> Scene:
     maximal = _as_list(complex_doc["maximal_simplices"], "complex.maximal_simplices")
     if not maximal:
         _fail("complex.maximal_simplices", "needs at least one simplex")
-    ambient = build_complex(
-        _as_simplex(entry, f"complex.maximal_simplices[{i}]")
-        for i, entry in enumerate(maximal)
-    )
+    simplices = [
+        _as_simplex(entry, f"complex.maximal_simplices[{i}]") for i, entry in enumerate(maximal)
+    ]
+    try:
+        ambient = build_complex(simplices)
+    except ModelError as err:
+        _fail("complex.maximal_simplices", str(err))
 
     subs: dict[str, Subcomplex] = {}
     for sub_name, gens_doc in _as_object(doc["subcomplexes"], "subcomplexes").items():
@@ -425,6 +430,7 @@ class ModelParam:
     default: int
     minimum: int
     meaning: str
+    maximum: int | None = None
 
 
 @dataclass(frozen=True)
@@ -649,7 +655,12 @@ def _antipodal_cover_doc(p: dict) -> dict:
     }
 
 
-_K = ModelParam("k", 3, 3, "half the number of rim vertices in each disk factor")
+# The plane models close 24k^2 maximal 4-simplices, counted as 744k^2 faces
+# against the closure budget, so k is bounded before anything is built.
+_K = ModelParam(
+    "k", 3, 3, "half the number of rim vertices in each disk factor",
+    maximum=math.isqrt(MAX_SIMPLICES // 744),
+)
 
 _MODELS: dict[str, tuple[ModelInfo, Callable[[dict], dict]]] = {
     "kashiwara_point": (
@@ -722,6 +733,8 @@ def build_model(name: str, **params: int) -> Scene:
             raise ModelError(f"parameter {key!r} must be an integer")
         if val < known[key].minimum:
             raise ModelError(f"parameter {key!r} must be at least {known[key].minimum}")
+        if known[key].maximum is not None and val > known[key].maximum:
+            raise ModelError(f"parameter {key!r} must be at most {known[key].maximum}")
         values[key] = val
     return _build_cached(name, tuple(sorted(values.items())))
 

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+import cfcalc.cli
 from cfcalc import build_model, emit_scene, parse_scene
 from cfcalc.cli import load_scene, main
 
@@ -12,6 +14,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def one_simplex_scene(tmp_path, n: int) -> str:
+    """A scene file whose complex is one simplex on n vertices."""
+    vertices = [f"v{i}" for i in range(n)]
+    doc = {
+        "name": f"simplex{n}", "complex": {"maximal_simplices": [vertices]},
+        "subcomplexes": {"M": [["v0"]]}, "real_form": {"M": "M", "complex_dim": 1},
+        "strata": [], "probes": [], "expect": {},
+    }
+    path = tmp_path / f"simplex{n}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
 
 
 @pytest.fixture
@@ -93,6 +108,51 @@ class TestExitCodes:
         code, _, err = run(capsys, "check", "pair_C_R(k=x)")
         assert code == 2
         assert "integer" in err
+
+    def test_parameter_given_twice_in_spec(self, capsys):
+        code, out, err = run(capsys, "check", "node_curve(k=3,k=4)")
+        assert code == 2 and out == ""
+        assert err == "error: parameter 'k' given twice in model spec 'node_curve(k=3,k=4)'\n"
+
+    def test_parameter_given_twice_to_emit(self, capsys):
+        code, out, err = run(capsys, "models", "emit", "node_curve", "k=3", "k=4")
+        assert code == 2 and out == ""
+        assert err == "error: parameter 'k' given twice in models emit node_curve\n"
+
+    def test_fourteen_vertex_simplex_checks_quickly(self, capsys, tmp_path):
+        path = one_simplex_scene(tmp_path, 14)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "check", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert "complex: 14 vertices, 16383 simplices, dimension 13" in out
+
+    def test_twenty_vertex_simplex_refused(self, capsys, tmp_path):
+        path = one_simplex_scene(tmp_path, 20)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == (
+            "error: complex.maximal_simplices: face closure may hold up to 1048575 "
+            "simplices, more than the limit of 1000000\n"
+        )
+
+    def test_huge_model_parameter_refused(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "node_curve(k=99999999999999999999)")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == "error: parameter 'k' must be at most 36\n"
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def broken(scene, args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cfcalc.cli, "_cmd_check", broken)
+        code, out, err = run(capsys, "check", "pair_C_R")
+        assert code == 3 and out == ""
+        assert err == "internal error: RuntimeError: boom\n"
 
 
 class TestValues:

@@ -1,4 +1,5 @@
 import json
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from cfcalc import (
     ModelError,
+    SceneError,
     SceneSemanticError,
     SceneSyntaxError,
     build_model,
@@ -60,6 +62,12 @@ class TestModels:
         with pytest.raises(ModelError, match="at least"):
             build_model("node_curve", m=0)
 
+    def test_parameter_above_maximum(self):
+        with pytest.raises(ModelError, match="at most 36"):
+            build_model("node_curve", k=37)
+        with pytest.raises(ModelError, match="at most 36"):
+            build_model("pair_C_R", k=99999999999999999999)
+
     def test_parameters_change_name(self):
         scene = build_model("kashiwara_point", d0=1, d1=4)
         assert scene.name == "kashiwara_point(d0=1, d1=4, k=3)"
@@ -75,11 +83,12 @@ class TestModels:
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ALL_MODELS)
     def test_emit_parse_fixed_point(self, name):
-        scene = build_model(name)
-        text = emit_scene(scene)
-        again = parse_scene(text)
-        assert again == scene
-        assert emit_scene(again) == text
+        for k in (3, 4):
+            scene = build_model(name, k=k)
+            text = emit_scene(scene)
+            again = parse_scene(text)
+            assert again == scene
+            assert emit_scene(again) == text
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -245,3 +254,89 @@ class TestSceneAccessors:
         scene = build_model("smooth_line_in_C2")
         assert scene.real_form_name == "real_plane"
         assert scene.pair.real_form == scene.subcomplex("real_plane")
+
+
+# --- fuzzing: any input parses to a Scene or raises a SceneError ---
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+SCENE_SHAPED = st.fixed_dictionaries(
+    {key: JSON for key in ("complex", "expect", "name", "probes", "real_form", "strata", "subcomplexes")}
+)
+
+
+def parse_or_refuse(text: str) -> None:
+    """Parse; an accepted scene must re-emit to the same canonical text."""
+    try:
+        scene = parse_scene(text)
+    except SceneError:
+        return
+    assert emit_scene(parse_scene(emit_scene(scene))) == emit_scene(scene)
+
+
+@lru_cache(maxsize=None)
+def emitted(name: str) -> str:
+    return emit_scene(build_model(name))
+
+
+def paths(node, prefix=()):
+    """Every position in a JSON document, as a tuple of keys and indices."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from paths(child, prefix + (key,))
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def renamed(node, old: str, new: str):
+    if isinstance(node, dict):
+        return {renamed(k, old, new): renamed(v, old, new) for k, v in node.items()}
+    if isinstance(node, list):
+        return [renamed(v, old, new) for v in node]
+    return new if node == old else node
+
+
+@st.composite
+def mutated_emissions(draw):
+    """A built-in model's emission with one key or entry dropped, one value
+    replaced, or one vertex renamed everywhere or at one place."""
+    doc = json.loads(emitted(draw(st.sampled_from(ALL_MODELS))))
+    kind = draw(st.sampled_from(("drop", "replace", "rename", "rename_once")))
+    if kind in ("rename", "rename_once"):
+        names = sorted({v for s in doc["complex"]["maximal_simplices"] for v in s})
+        old = draw(st.sampled_from(names))
+        value = draw(st.sampled_from(names) | st.text(max_size=4))
+        if kind == "rename":
+            return renamed(doc, old, value)
+        spots = [p for p in paths(doc) if p and at(doc, p) == old]
+    else:
+        value = draw(JSON)
+        spots = [p for p in paths(doc) if p]
+    path = draw(st.sampled_from(spots))
+    parent = at(doc, path[:-1])
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(JSON.map(json.dumps), SCENE_SHAPED.map(json.dumps), st.text(max_size=40)))
+    def test_arbitrary_input(self, text):
+        parse_or_refuse(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mutated_emissions())
+    def test_mutated_emissions(self, doc):
+        parse_or_refuse(json.dumps(doc))
