@@ -1,0 +1,45 @@
+"""The shared base of cfcalc's immutable value classes."""
+
+from __future__ import annotations
+
+
+class Frozen:
+    """A value with the fields named in _fields, set once by __init__.
+
+    __init__ stores the fields with _assign or object.__setattr__;
+    afterwards any assignment or deletion raises AttributeError.
+    Instances of the same class are equal when their fields are, hash
+    over their fields, and repr as ``Class(field=value, ...)``.
+    Comparing with another type returns NotImplemented.  A subclass that
+    defines __eq__ also defines __hash__, since Python drops an inherited
+    __hash__ otherwise.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, *values) -> None:
+        """Store one value per field, in _fields order."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

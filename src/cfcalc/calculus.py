@@ -9,10 +9,10 @@ arithmetic; there are no tolerances anywhere.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import compress
 from typing import Mapping
 
+from ._frozen import Frozen
 from .complexes import (
     Involution,
     OpenSubset,
@@ -55,8 +55,7 @@ def _nonzero_items(order, acc: list[int]) -> tuple[tuple[Simplex, int], ...]:
     return tuple(list(zip(compress(order, acc), filter(None, acc))))
 
 
-@dataclass(frozen=True, init=False)
-class ConstructibleFunction:
+class ConstructibleFunction(Frozen):
     """An integer value per open simplex of a fixed ambient complex.
 
     Only nonzero values are stored.  The support is an arbitrary subset of
@@ -64,12 +63,19 @@ class ConstructibleFunction:
     not face-closed.
     """
 
-    ambient: SimplicialComplex
-    items: tuple[tuple[Simplex, int], ...]
+    _fields = ("ambient", "items")
 
     def __init__(self, ambient: SimplicialComplex, values: Mapping) -> None:
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "items", _clean_items(ambient, values))
+        self._assign(ambient, _clean_items(ambient, values))
+
+    # defined here, not inherited, like every method perfbench/spans.py wraps
+    def __eq__(self, other):
+        if other.__class__ is not ConstructibleFunction:
+            return NotImplemented
+        return self.ambient == other.ambient and self.items == other.items
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.items))
 
     @classmethod
     def _of(cls, ambient: SimplicialComplex, items: tuple) -> "ConstructibleFunction":
@@ -319,16 +325,13 @@ def _clean_mod2(ambient: SimplicialComplex, values: Mapping):
     return tuple([(s, 1) for s in canonical_sorted(cleaned)])
 
 
-@dataclass(frozen=True, init=False)
-class Mod2Function:
+class Mod2Function(Frozen):
     """A value in {0, 1} per open simplex; addition is pointwise xor."""
 
-    ambient: SimplicialComplex
-    items: tuple[tuple[Simplex, int], ...]
+    _fields = ("ambient", "items")
 
     def __init__(self, ambient: SimplicialComplex, values: Mapping) -> None:
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "items", _clean_mod2(ambient, values))
+        self._assign(ambient, _clean_mod2(ambient, values))
 
     _lookup = ConstructibleFunction._lookup
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from ._frozen import Frozen
 from .errors import MissingSimplexError, ModelError
 
 PRODUCT_SEPARATOR = "."
@@ -37,19 +37,25 @@ def _canonical_vertices(vertices: Iterable) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-@dataclass(frozen=True, order=True, init=False)
-class Simplex:
-    """A nonempty set of vertex ids, stored sorted; dim is one less than size."""
+@total_ordering
+class Simplex(Frozen):
+    """A nonempty set of vertex ids, stored sorted; dim is one less than size.
 
-    vertices: tuple[str, ...]
+    Simplices compare, order and hash as their vertex tuples, but never
+    equal a plain tuple.
+    """
+
+    __slots__ = ("vertices",)
+    _fields = ("vertices",)
 
     def __init__(self, vertices: Iterable) -> None:
         if isinstance(vertices, Simplex):
-            object.__setattr__(self, "vertices", vertices.vertices)
+            vertices = vertices.vertices
         else:
             if isinstance(vertices, str):
                 vertices = [vertices]  # a bare string is one vertex name
-            object.__setattr__(self, "vertices", _canonical_vertices(vertices))
+            vertices = _canonical_vertices(vertices)
+        object.__setattr__(self, "vertices", vertices)
 
     @classmethod
     def _raw(cls, sorted_vertices: tuple[str, ...]) -> "Simplex":
@@ -57,6 +63,23 @@ class Simplex:
         s = object.__new__(cls)
         object.__setattr__(s, "vertices", sorted_vertices)
         return s
+
+    def __eq__(self, other):
+        if other.__class__ is not Simplex:
+            return NotImplemented
+        return self.vertices == other.vertices
+
+    def __hash__(self) -> int:
+        return hash(self.vertices)
+
+    def __lt__(self, other):
+        if other.__class__ is not Simplex:
+            return NotImplemented
+        return self.vertices < other.vertices
+
+    def __reduce__(self):
+        # pickle and copy would restore the slot by assignment, which is refused
+        return Simplex, (self.vertices,)
 
     @property
     def dim(self) -> int:
@@ -152,16 +175,25 @@ class ComplexIndex:
         self.odd = [len(s.vertices) % 2 == 0 for s in order]
 
 
-@dataclass(frozen=True, init=False)
-class SimplicialComplex:
+class SimplicialComplex(Frozen):
     """A finite set of simplices closed under taking faces (possibly empty)."""
 
-    simplices: frozenset[Simplex]
+    _fields = ("simplices",)
 
     def __init__(self, simplices: Iterable) -> None:
         sset = frozenset(Simplex(s) for s in simplices)
         _require_face_closed(sset, "not face-closed: missing {face} (a face of {simplex})")
         object.__setattr__(self, "simplices", sset)
+
+    def __eq__(self, other):
+        if self is other:  # the common case: every operator checks its ambient
+            return True
+        if other.__class__ is not SimplicialComplex:
+            return NotImplemented
+        return self.simplices == other.simplices
+
+    def __hash__(self) -> int:
+        return hash(self.simplices)
 
     def index(self) -> ComplexIndex:
         """The canonical order and face table, built on first use."""
@@ -214,12 +246,10 @@ def star(space: SimplicialComplex, simplex_like) -> frozenset[Simplex]:
     return frozenset(t for t in space.simplices if t.contains(s))
 
 
-@dataclass(frozen=True, init=False)
-class Subcomplex:
+class Subcomplex(Frozen):
     """A face-closed subset of a fixed parent complex."""
 
-    parent: SimplicialComplex
-    simplices: frozenset[Simplex]
+    _fields = ("parent", "simplices")
 
     def __init__(self, parent: SimplicialComplex, simplices: Iterable) -> None:
         sset = frozenset(Simplex(s) for s in simplices)
@@ -229,8 +259,7 @@ class Subcomplex:
         _require_face_closed(
             sset, "subcomplex is not face-closed: missing {face} (a face of {simplex})"
         )
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "simplices", sset)
+        self._assign(parent, sset)
 
     @property
     def is_empty(self) -> bool:
@@ -284,12 +313,10 @@ def full_subcomplex(space: SimplicialComplex) -> Subcomplex:
     return Subcomplex(space, space.simplices)
 
 
-@dataclass(frozen=True, init=False)
-class OpenSubset:
+class OpenSubset(Frozen):
     """A coface-closed subset of a parent complex, i.e. the complement of a subcomplex."""
 
-    parent: SimplicialComplex
-    simplices: frozenset[Simplex]
+    _fields = ("parent", "simplices")
 
     def __init__(self, parent: SimplicialComplex, simplices: Iterable) -> None:
         sset = frozenset(Simplex(s) for s in simplices)
@@ -301,8 +328,7 @@ class OpenSubset:
             parent.simplices - sset,
             "subset is not coface-closed: contains {face} but not its coface {simplex}",
         )
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "simplices", sset)
+        self._assign(parent, sset)
 
     @property
     def is_empty(self) -> bool:
@@ -421,13 +447,10 @@ def product(
     return space, proj_left, proj_right
 
 
-@dataclass(frozen=True, init=False)
-class SimplicialMap:
+class SimplicialMap(Frozen):
     """A vertex map under which the image of every simplex spans a target simplex."""
 
-    source: SimplicialComplex
-    target: SimplicialComplex
-    vertex_pairs: tuple[tuple[str, str], ...]
+    _fields = ("source", "target", "vertex_pairs")
 
     def __init__(
         self,
@@ -450,9 +473,7 @@ class SimplicialMap:
         bad_values = sorted(set(vm.values()) - set(target.vertices))
         if bad_values:
             raise ModelError(f"vertex map hits non-vertices of the target: {bad_values}")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "vertex_pairs", tuple(sorted(vm.items())))
+        self._assign(source, target, tuple(sorted(vm.items())))
         for s in source.simplices:
             img = self.image(s)
             if img not in target.simplices:
@@ -522,8 +543,7 @@ def compose(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
     )
 
 
-@dataclass(frozen=True, init=False)
-class Involution:
+class Involution(Frozen):
     """A self-inverse simplicial automorphism.
 
     Regularity is required: a simplex mapped onto itself as a set must have
@@ -531,7 +551,7 @@ class Involution:
     subcomplexes.
     """
 
-    underlying: SimplicialMap
+    _fields = ("underlying",)
 
     def __init__(self, underlying: SimplicialMap) -> None:
         if underlying.source != underlying.target:

@@ -11,9 +11,9 @@ structural identities behind them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ._frozen import Frozen
 from .calculus import (
     ConstructibleFunction,
     Mod2Function,
@@ -48,8 +48,7 @@ def _sign(k: int) -> int:
     return -1 if k % 2 else 1
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(Frozen):
     """One piece of a characteristic cycle.
 
     The support is a connected closed subcomplex of the ambient complex;
@@ -58,15 +57,21 @@ class Stratum:
     flagged smooth must have eu identically 1 on its support.
     """
 
-    name: str
-    support: Subcomplex
-    codim: int
-    multiplicity: int
-    eu: ConstructibleFunction
-    smooth: bool = True
-    allow_empty_trace: bool = False
+    _fields = (
+        "name", "support", "codim", "multiplicity", "eu", "smooth", "allow_empty_trace"
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        support: Subcomplex,
+        codim: int,
+        multiplicity: int,
+        eu: ConstructibleFunction,
+        smooth: bool = True,
+        allow_empty_trace: bool = False,
+    ) -> None:
+        self._assign(name, support, codim, multiplicity, eu, smooth, allow_empty_trace)
         if not self.name:
             raise ModelError("a stratum needs a nonempty name")
         if self.support.is_empty:
@@ -97,11 +102,10 @@ def smooth_stratum(name: str, support: Subcomplex, codim: int, multiplicity: int
     return Stratum(name, support, codim, multiplicity, indicator(support), smooth=True)
 
 
-@dataclass(frozen=True)
-class CharacteristicCycle:
+class CharacteristicCycle(Frozen):
     """A finite list of strata with distinct names and distinct supports."""
 
-    strata: tuple[Stratum, ...]
+    _fields = ("strata",)
 
     def __init__(self, strata: Iterable[Stratum]) -> None:
         st = tuple(strata)
@@ -123,8 +127,7 @@ class CharacteristicCycle:
         return len(self.strata)
 
 
-@dataclass(frozen=True)
-class RealComplexPair:
+class RealComplexPair(Frozen):
     """A complexification model: ambient complex, real form, and optional conjugation.
 
     complex_dim is the complex dimension being modeled, so the ambient
@@ -134,13 +137,17 @@ class RealComplexPair:
     values; they should be chosen away from the model's artificial boundary.
     """
 
-    ambient: SimplicialComplex
-    real_form: Subcomplex
-    complex_dim: int
-    conjugation: Involution | None = None
-    probes: tuple[Simplex, ...] = ()
+    _fields = ("ambient", "real_form", "complex_dim", "conjugation", "probes")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        ambient: SimplicialComplex,
+        real_form: Subcomplex,
+        complex_dim: int,
+        conjugation: Involution | None = None,
+        probes: tuple[Simplex, ...] = (),
+    ) -> None:
+        self._assign(ambient, real_form, complex_dim, conjugation, probes)
         if self.real_form.parent != self.ambient:
             raise ModelError("real form does not live in the ambient complex")
         if self.complex_dim < 1:
@@ -227,30 +234,41 @@ KNOWN_CHECKS: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class Expectations:
+class Expectations(Frozen):
     """Declared values at probes and the checks a scene claims are applicable."""
 
-    hyperfunction_index: tuple[tuple[Simplex, int], ...] = ()
-    hyperfunction_dimension: tuple[tuple[Simplex, int], ...] = ()
-    parity_index: tuple[tuple[Simplex, int], ...] = ()
-    checks: tuple[str, ...] = ()
+    _fields = ("hyperfunction_index", "hyperfunction_dimension", "parity_index", "checks")
+
+    def __init__(
+        self,
+        hyperfunction_index: tuple[tuple[Simplex, int], ...] = (),
+        hyperfunction_dimension: tuple[tuple[Simplex, int], ...] = (),
+        parity_index: tuple[tuple[Simplex, int], ...] = (),
+        checks: tuple[str, ...] = (),
+    ) -> None:
+        self._assign(hyperfunction_index, hyperfunction_dimension, parity_index, checks)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check: str
-    subject: str
-    expected: str
-    computed: str
-    status: str  # "pass" | "fail" | "not_applicable"
-    note: str = ""
+class CheckResult(Frozen):
+    _fields = ("check", "subject", "expected", "computed", "status", "note")
+
+    def __init__(
+        self,
+        check: str,
+        subject: str,
+        expected: str,
+        computed: str,
+        status: str,  # "pass" | "fail" | "not_applicable"
+        note: str = "",
+    ) -> None:
+        self._assign(check, subject, expected, computed, status, note)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    scene: str
-    entries: tuple[CheckResult, ...]
+class VerificationReport(Frozen):
+    _fields = ("scene", "entries")
+
+    def __init__(self, scene: str, entries: tuple[CheckResult, ...]) -> None:
+        self._assign(scene, entries)
 
     @property
     def passed(self) -> bool:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NoReturn
 
+from ._frozen import Frozen
 from .calculus import ConstructibleFunction
 from .complexes import (
     MAX_SIMPLICES,
@@ -40,19 +40,30 @@ from .indices import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class Scene:
+class Scene(Frozen):
     """A parsed, validated scenario.  Equality is by canonical emission."""
 
-    name: str
-    comment: str
-    ambient: SimplicialComplex
-    subcomplexes: tuple[tuple[str, Subcomplex], ...]
-    real_form_name: str
-    pair: RealComplexPair
-    cycle: CharacteristicCycle
-    expect: Expectations
-    canonical_text: str
+    _fields = (
+        "name", "comment", "ambient", "subcomplexes", "real_form_name", "pair", "cycle",
+        "expect", "canonical_text",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        comment: str,
+        ambient: SimplicialComplex,
+        subcomplexes: tuple[tuple[str, Subcomplex], ...],
+        real_form_name: str,
+        pair: RealComplexPair,
+        cycle: CharacteristicCycle,
+        expect: Expectations,
+        canonical_text: str,
+    ) -> None:
+        self._assign(
+            name, comment, ambient, subcomplexes, real_form_name, pair, cycle, expect,
+            canonical_text,
+        )
 
     def subcomplex(self, name: str) -> Subcomplex:
         for nm, sub in self.subcomplexes:
@@ -424,20 +435,20 @@ def _canonical_doc(
 # --- built-in models ---
 
 
-@dataclass(frozen=True)
-class ModelParam:
-    name: str
-    default: int
-    minimum: int
-    meaning: str
-    maximum: int | None = None
+class ModelParam(Frozen):
+    _fields = ("name", "default", "minimum", "meaning", "maximum")
+
+    def __init__(
+        self, name: str, default: int, minimum: int, meaning: str, maximum: int | None = None
+    ) -> None:
+        self._assign(name, default, minimum, meaning, maximum)
 
 
-@dataclass(frozen=True)
-class ModelInfo:
-    name: str
-    summary: str
-    params: tuple[ModelParam, ...]
+class ModelInfo(Frozen):
+    _fields = ("name", "summary", "params")
+
+    def __init__(self, name: str, summary: str, params: tuple[ModelParam, ...]) -> None:
+        self._assign(name, summary, params)
 
 
 def _disk_doc(k: int) -> list[list[str]]:
@@ -739,7 +750,9 @@ def build_model(name: str, **params: int) -> Scene:
     return _build_cached(name, tuple(sorted(values.items())))
 
 
-@lru_cache(maxsize=None)
+# Bounded: a scene holds its whole complex (about 1 MB at k = 3), and a
+# caller that sweeps a parameter would otherwise keep every one it built.
+@lru_cache(maxsize=8)
 def _build_cached(name: str, items: tuple[tuple[str, int], ...]) -> Scene:
     _, builder = _MODELS[name]
     doc = builder(dict(items))

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cfcalc.cli
-from cfcalc import build_model, emit_scene, parse_scene
+from cfcalc import build_model, emit_scene, list_models, parse_scene
 from cfcalc.cli import load_scene, main
 
 
@@ -288,3 +292,65 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "node_curve" in proc.stdout
+
+
+def test_cold_start_imports_no_code_generation():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and generates
+    # methods at every start; the CLI needs none of them
+    probe = (
+        "import sys; before = set(sys.modules); import cfcalc.cli; "
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'ast'} & (set(sys.modules) - before))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == ""
+    package = Path(cfcalc.cli.__file__).parent
+    assert [p.name for p in package.glob("*.py") if "dataclass" in p.read_text()] == []
+
+
+def verify_bytes(directory: Path, data: bytes) -> None:
+    """`cfcalc verify` on a file holding the bytes: exit 0, 1 or 2, and
+    exit 2 with exactly one line on stderr."""
+    path = directory / "scene.json"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)])
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+EMISSIONS = [emit_scene(build_model(info.name)).encode() for info in list_models()]
+
+
+@st.composite
+def damaged_emissions(draw):
+    """A built-in model's emitted bytes with a few bytes overwritten or inserted."""
+    data = bytearray(draw(st.sampled_from(EMISSIONS)))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(data) - 1))
+        byte = draw(st.integers(min_value=0, max_value=255))
+        if draw(st.booleans()):
+            data[at] = byte
+        else:
+            data.insert(at, byte)
+    return bytes(data)
+
+
+class TestByteFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes(self, fuzz_dir, data):
+        verify_bytes(fuzz_dir, data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(damaged_emissions())
+    def test_damaged_emissions(self, fuzz_dir, data):
+        verify_bytes(fuzz_dir, data)

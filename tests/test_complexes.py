@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +71,41 @@ class TestSimplex:
     def test_str_and_order(self):
         assert str(simplex("b", "a")) == "a b"
         assert simplex("a") < simplex("a", "b") < simplex("b")
+
+    @given(
+        st.sets(st.sampled_from("abcde"), min_size=1, max_size=4),
+        st.sets(st.sampled_from("abcde"), min_size=1, max_size=4),
+    )
+    def test_compares_and_hashes_as_vertex_tuples(self, a, b):
+        s, t = Simplex(a), Simplex(b)
+        u, v = tuple(sorted(a)), tuple(sorted(b))
+        assert (s == t, s != t) == (u == v, u != v)
+        assert (s < t, s <= t, s > t, s >= t) == (u < v, u <= v, u > v, u >= v)
+        assert hash(s) == hash(u)
+
+    def test_never_equals_a_tuple(self):
+        assert Simplex(["a"]) != ("a",)
+        assert ("a",) != Simplex(["a"])
+        assert Simplex(["a"]).__eq__(("a",)) is NotImplemented
+        with pytest.raises(TypeError):
+            Simplex(["a"]) < ("b",)
+
+    def test_slotted_and_frozen(self):
+        s = simplex("a", "b")
+        assert not hasattr(s, "__dict__")
+        with pytest.raises(AttributeError):
+            s.vertices = ("c",)
+        with pytest.raises(AttributeError):
+            s.label = "x"
+        with pytest.raises(AttributeError):
+            del s.vertices
+        assert s.vertices == ("a", "b")
+        assert repr(s) == "Simplex(vertices=('a', 'b'))"
+
+    def test_pickle_and_copy_round_trip(self):
+        s = simplex("a", "b")
+        for again in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+            assert again == s and type(again) is Simplex
 
     def test_subsimplices_count(self):
         s = simplex("x", "y", "z")

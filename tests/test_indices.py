@@ -4,12 +4,18 @@ import pytest
 
 from cfcalc import (
     CharacteristicCycle,
+    CheckResult,
     ConstructibleFunction,
     Expectations,
     ModelError,
+    ModelParam,
     RealComplexPair,
+    Scene,
     Stratum,
     build_model,
+    complement_open,
+    list_models,
+    mod2_reduce,
     full_subcomplex,
     hyperfunction_dimension,
     hyperfunction_index,
@@ -262,3 +268,87 @@ class TestVerifyScene:
         assert {e["check"] for e in blob["entries"]} >= {
             "triangle_identity", "parity_formula",
         }
+
+
+def value_objects():
+    """One instance of each immutable value class, with a field to assign."""
+    scene = build_model("pair_C_R")
+    pair, stratum = scene.pair, scene.cycle.strata[0]
+    report = scene.verify()
+    info = list_models()[0]
+    return [
+        (scene, "name"),
+        (scene.ambient, "simplices"),
+        (scene.ambient.ordered()[0], "vertices"),
+        (pair.real_form, "parent"),
+        (complement_open(scene.ambient, pair.real_form), "simplices"),
+        (pair.conjugation, "underlying"),
+        (pair.conjugation.underlying, "vertex_pairs"),
+        (stratum.eu, "items"),
+        (mod2_reduce(stratum.eu), "ambient"),
+        (stratum, "multiplicity"),
+        (scene.cycle, "strata"),
+        (pair, "probes"),
+        (scene.expect, "checks"),
+        (report.entries[0], "status"),
+        (report, "entries"),
+        (info, "params"),
+        (info.params[0], "maximum"),
+    ]
+
+
+class TestValueClasses:
+    def test_every_value_class_is_frozen(self):
+        objects = value_objects()
+        assert len({type(obj) for obj, _ in objects}) == 17
+        for obj, field in objects:
+            before = getattr(obj, field)
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, field)
+            with pytest.raises(AttributeError):
+                obj.extra = 1
+            assert getattr(obj, field) is before
+
+    def test_equal_fields_give_equal_values(self):
+        d = disk(3)
+        origin = subcomplex(d, [["c"]])
+        pairs = [
+            (smooth_stratum("o", origin, 1, 2), smooth_stratum("o", origin, 1, 2)),
+            (Expectations(checks=("parity_formula",)), Expectations(checks=("parity_formula",))),
+            (CheckResult("c", "s", "1", "1", "pass"), CheckResult("c", "s", "1", "1", "pass")),
+            (ModelParam("k", 3, 3, "size"), ModelParam("k", 3, 3, "size")),
+        ]
+        for a, b in pairs:
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert a.__eq__(object()) is NotImplemented
+        assert smooth_stratum("o", origin, 1, 2) != smooth_stratum("o", origin, 1, 3)
+        assert Expectations() != Expectations(checks=("parity_formula",))
+        assert CheckResult("c", "s", "1", "1", "pass") != CheckResult("c", "s", "1", "2", "fail")
+        assert ModelParam("k", 3, 3, "size") != ModelParam("k", 3, 3, "size", maximum=9)
+
+    def test_keyword_constructors_and_defaults(self):
+        d = disk(3)
+        origin = subcomplex(d, [["c"]])
+        st = Stratum(name="o", support=origin, codim=1, multiplicity=2, eu=indicator(origin))
+        assert (st.smooth, st.allow_empty_trace) == (True, False)
+        assert Expectations() == Expectations((), (), (), ())
+        assert Expectations().checks == ()
+        row = CheckResult(check="c", subject="s", expected="", computed="", status="pass")
+        assert row.note == ""
+        param = ModelParam(name="k", default=3, minimum=3, meaning="size")
+        assert param.maximum is None
+        assert repr(param) == (
+            "ModelParam(name='k', default=3, minimum=3, meaning='size', maximum=None)"
+        )
+        pair = RealComplexPair(ambient=d, real_form=diameter(d), complex_dim=1)
+        assert (pair.conjugation, pair.probes) == (None, ())
+        scene = build_model("pair_C_R")
+        again = Scene(
+            name=scene.name, comment=scene.comment, ambient=scene.ambient,
+            subcomplexes=scene.subcomplexes, real_form_name=scene.real_form_name,
+            pair=scene.pair, cycle=scene.cycle, expect=scene.expect,
+            canonical_text=scene.canonical_text,
+        )
+        assert again == scene and hash(again) == hash(scene)

@@ -15,6 +15,7 @@ from cfcalc import (
     list_models,
     parse_scene,
 )
+from cfcalc.scenes import _build_cached
 
 ALL_MODELS = (
     "antipodal_cover",
@@ -72,6 +73,11 @@ class TestModels:
         scene = build_model("kashiwara_point", d0=1, d1=4)
         assert scene.name == "kashiwara_point(d0=1, d1=4, k=3)"
 
+    def test_build_cache_is_bounded(self):
+        for d0 in range(12):
+            build_model("kashiwara_point", d0=d0, d1=1)
+        assert _build_cached.cache_info().currsize <= 8
+
     def test_zero_multiplicity_drops_stratum(self):
         scene = build_model("kashiwara_point", d0=0)
         assert [s.name for s in scene.cycle] == ["ambient"]
@@ -113,8 +119,8 @@ class TestRoundTrip:
         assert text == json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
     def test_building_and_parsing_build_no_index(self):
-        # Scenes stay cached for the life of the process, so the per-complex
-        # index must wait for the first calculus call.
+        # Built scenes are cached, so the per-complex index must wait for
+        # the first calculus call.
         scene = parse_scene(emit_scene(build_model("node_curve", m=5)))
         spaces = [scene.ambient] + [
             sub.__dict__["_complex"] for _, sub in scene.subcomplexes if "_complex" in sub.__dict__
