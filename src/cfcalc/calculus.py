@@ -149,10 +149,6 @@ class ConstructibleFunction(Frozen):
     __rmul__ = __mul__
 
 
-def constructible_function(ambient: SimplicialComplex, values: Mapping | None = None):
-    return ConstructibleFunction(ambient, values or {})
-
-
 def zero_function(ambient: SimplicialComplex) -> ConstructibleFunction:
     return ConstructibleFunction(ambient, {})
 
@@ -353,10 +349,6 @@ class Mod2Function(Frozen):
         return Mod2Function(
             self.ambient, {s: 1 for s in self.support ^ other.support}
         )
-
-
-def mod2_function(ambient: SimplicialComplex, values: Mapping | None = None) -> Mod2Function:
-    return Mod2Function(ambient, values or {})
 
 
 def mod2_reduce(phi: ConstructibleFunction) -> Mod2Function:

@@ -217,8 +217,16 @@ def _cmd_integrate(scene: Scene, args) -> int:
     return 0
 
 
+def _internal_error(err: Exception) -> int:
+    print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+    return 3
+
+
 def _cmd_verify(scene: Scene, args) -> int:
-    report = scene.verify(seed=args.seed)
+    try:
+        report = scene.verify(seed=args.seed)
+    except Exception as err:  # the scene parsed, so a failure here is the program's
+        return _internal_error(err)
     if args.json:
         _json_out(report.to_json_obj())
     else:
@@ -319,8 +327,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:
-        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
-        return 3
+        return _internal_error(err)
 
 
 if __name__ == "__main__":

@@ -13,8 +13,9 @@ sorted vertex tuple.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
-from functools import lru_cache, total_ordering
+import math
+from collections import Counter, defaultdict
+from functools import total_ordering
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -366,32 +367,40 @@ def cone(base: SimplicialComplex, apex) -> SimplicialComplex:
     return SimplicialComplex(sims)
 
 
-@lru_cache(maxsize=None)
-def _staircase_patterns(p: int, q: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Strictly increasing chains in the (p+1) x (q+1) grid poset that use
-    every row and every column.  Instantiating these per simplex pair
-    enumerates each product simplex exactly once."""
-    cells = [(i, j) for i in range(p + 1) for j in range(q + 1)]
-    cells.sort()
-    out: list[tuple[tuple[int, int], ...]] = []
+def _staircase(left_tops, right_tops, left_order, right_order) -> list[list[str]]:
+    """The top chains of the staircase triangulation of each product of a
+    left and a right top simplex (vertex-name lists or simplices), as
+    "a.b" name lists.
 
-    def spans(chain: tuple[tuple[int, int], ...]) -> bool:
-        return (
-            len({i for i, _ in chain}) == p + 1
-            and len({j for _, j in chain}) == q + 1
+    A top chain climbs one row or one column of the grid per step, so a
+    pair of sizes p + 1 and q + 1 has C(p + q, p) of them, one per choice
+    of the steps that climb a row.  Refused before any chain is listed
+    when their face closure could exceed MAX_SIMPLICES.
+    """
+    lpos = {v: i for i, v in enumerate(left_order)}
+    rpos = {v: i for i, v in enumerate(right_order)}
+    lefts = [sorted(t, key=lpos.__getitem__) for t in left_tops]
+    rights = [sorted(t, key=rpos.__getitem__) for t in right_tops]
+    bound = sum(
+        m * n * math.comb(a + b - 2, a - 1) * ((1 << (a + b - 1)) - 1)
+        for a, m in Counter(map(len, lefts)).items()
+        for b, n in Counter(map(len, rights)).items()
+    )
+    if bound > MAX_SIMPLICES:
+        raise ModelError(
+            f"product may hold up to {bound} simplices, more than the limit of {MAX_SIMPLICES}"
         )
-
-    def extend(chain: tuple[tuple[int, int], ...]) -> None:
-        if spans(chain):
-            out.append(chain)
-        li, lj = chain[-1]
-        for i, j in cells:
-            if (i, j) != (li, lj) and i >= li and j >= lj:
-                extend(chain + ((i, j),))
-
-    for c in cells:
-        extend((c,))
-    return tuple(out)
+    chains = []
+    for lv in lefts:
+        for rv in rights:
+            steps = len(lv) + len(rv) - 2
+            for rows in itertools.combinations(range(steps), len(lv) - 1):
+                i, chain = 0, []  # i counts the row steps among the first t
+                for t in range(steps + 1):
+                    chain.append(f"{lv[i]}{PRODUCT_SEPARATOR}{rv[t - i]}")
+                    i += t in rows
+                chains.append(chain)
+    return chains
 
 
 def _validate_order(space: SimplicialComplex, order, label: str) -> list[str]:
@@ -413,8 +422,10 @@ def product(
 
     Simplices are the strictly increasing chains of vertex pairs, in the
     coordinatewise partial order induced by total orders on the factor
-    vertices (sorted order unless supplied).  Product vertices are named
-    "a.b", so factor vertex names must not contain a dot.
+    vertices (sorted order unless supplied), whose projections are
+    simplices of the factors: the face closure of the top chains of each
+    pair of maximal simplices, under the MAX_SIMPLICES budget.  Product
+    vertices are named "a.b", so factor vertex names must not contain a dot.
     """
     lorder = _validate_order(left, left_order, "left_order")
     rorder = _validate_order(right, right_order, "right_order")
@@ -423,21 +434,9 @@ def product(
             raise ModelError(
                 f"vertex {v!r} contains {PRODUCT_SEPARATOR!r}, which is reserved for product names"
             )
-    lpos = {v: i for i, v in enumerate(lorder)}
-    rpos = {v: i for i, v in enumerate(rorder)}
-
-    sims: list[Simplex] = []
-    for ls in left.simplices:
-        lv = sorted(ls.vertices, key=lpos.__getitem__)
-        for rs in right.simplices:
-            rv = sorted(rs.vertices, key=rpos.__getitem__)
-            for pattern in _staircase_patterns(ls.dim, rs.dim):
-                sims.append(
-                    Simplex(
-                        f"{lv[i]}{PRODUCT_SEPARATOR}{rv[j]}" for i, j in pattern
-                    )
-                )
-    space = SimplicialComplex(sims)
+    space = build_complex(
+        _staircase(left.maximal_simplices(), right.maximal_simplices(), lorder, rorder)
+    )
 
     split = {
         v: tuple(v.split(PRODUCT_SEPARATOR, 1)) for v in space.vertices

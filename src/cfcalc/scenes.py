@@ -21,11 +21,10 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     Subcomplex,
+    _staircase,
     build_complex,
     canonical_sorted,
     involution,
-    point_complex,
-    product,
     subcomplex,
 )
 from .errors import ModelError, SceneSemanticError, SceneSyntaxError
@@ -38,6 +37,10 @@ from .indices import (
     VerificationReport,
     verify_scene,
 )
+
+# Largest magnitude of an integer a scene carries; every value the calculus
+# makes of such integers within MAX_SIMPLICES stays printable.
+MAX_VALUE = 2**62
 
 
 class Scene(Frozen):
@@ -109,6 +112,8 @@ def _as_str(value, path: str) -> str:
 def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, "expected an integer")
+    if abs(value) > MAX_VALUE:
+        _fail(path, f"must be at most 2^62 = {MAX_VALUE} in absolute value")
     return value
 
 
@@ -146,6 +151,8 @@ def parse_scene(text: str) -> Scene:
         ) from err
     except RecursionError:
         raise SceneSyntaxError("invalid scene JSON: nested too deeply") from None
+    except ValueError:  # Python's limit on the digits of an integer literal
+        raise SceneSyntaxError("invalid scene JSON: an integer literal is too long") from None
     if not isinstance(doc, dict):
         raise SceneSemanticError("top level: expected an object")
     return _scene_from_doc(doc)
@@ -542,26 +549,20 @@ def _pair_C_R_doc(p: dict) -> dict:
 
 
 def _plane_pair_doc(name, comment, k, extra_subs, strata, probes, expect) -> dict:
-    disk = build_complex(Simplex(t) for t in _disk_doc(k))
-    diam = build_complex(Simplex(e) for e in _axis_doc(k))
-    pt = point_complex("c")
-    ambient, _, _ = product(disk, disk)
-    plane, _, _ = product(diam, diam)
-    line, _, _ = product(disk, pt)
-    column, _, _ = product(pt, disk)
+    disk, axis, pt = _disk_doc(k), _axis_doc(k), [["c"]]
+    order = sorted({v for t in disk for v in t})  # the order product uses
+    ambient = _staircase(disk, disk, order, order)
     subs = {
-        "ambient": _simplex_list(ambient.maximal_simplices()),
-        "real_plane": _simplex_list(plane.maximal_simplices()),
-        "complex_line": _simplex_list(line.maximal_simplices()),
+        "ambient": ambient,
+        "real_plane": _staircase(axis, axis, order, order),
+        "complex_line": _staircase(disk, pt, order, order),
     }
     if "column" in extra_subs:
-        subs["node"] = _simplex_list(
-            line.maximal_simplices() + column.maximal_simplices()
-        )
+        subs["node"] = subs["complex_line"] + _staircase(pt, disk, order, order)
     return {
         "name": name,
         "comment": comment,
-        "complex": {"maximal_simplices": _simplex_list(ambient.maximal_simplices())},
+        "complex": {"maximal_simplices": ambient},
         "subcomplexes": subs,
         "real_form": {"M": "real_plane", "complex_dim": 2},
         "strata": strata,

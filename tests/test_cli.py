@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cfcalc.calculus
 import cfcalc.cli
+import cfcalc.indices
 from cfcalc import build_model, emit_scene, list_models, parse_scene
 from cfcalc.cli import load_scene, main
 
@@ -157,6 +159,49 @@ class TestExitCodes:
         code, out, err = run(capsys, "check", "pair_C_R")
         assert code == 3 and out == ""
         assert err == "internal error: RuntimeError: boom\n"
+
+    def test_kernel_fault_in_verify_exits_3(self, capsys, monkeypatch):
+        # a restrict_open that keeps everything breaks the kernel, not the scene
+        def keep_everything(phi, opensub):
+            return phi
+
+        monkeypatch.setattr(cfcalc.calculus, "restrict_open", keep_everything)
+        monkeypatch.setattr(cfcalc.indices, "restrict_open", keep_everything)
+        code, out, err = run(capsys, "verify", "pair_C_R")
+        assert code == 3 and out == ""
+        assert err == (
+            "internal error: ModelError: function is not supported in the open subset: b0\n"
+        )
+
+    def test_integer_literal_over_digit_limit(self, capsys, tmp_path):
+        bad = tmp_path / "long.json"
+        bad.write_text('{"name": ' + "9" * 5000 + "}", encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 2 and out == ""
+        assert err == "error: invalid scene JSON: an integer literal is too long\n"
+
+    @pytest.mark.parametrize(
+        "argv", [("verify",), ("hyperdim",), ("index", "--json")], ids=lambda a: "-".join(a)
+    )
+    def test_scene_integer_over_bound(self, capsys, tmp_path, argv):
+        doc = json.loads(emit_scene(build_model("node_curve")))
+        doc["strata"][0]["multiplicity"] = 10**4299 - 1
+        doc["strata"][0]["eu"]["overrides"][0]["value"] = 99
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2 and out == ""
+        assert err == (
+            "error: strata[0].multiplicity: must be at most 2^62 = 4611686018427387904 "
+            "in absolute value\n"
+        )
+
+    def test_scene_integer_bound_is_inclusive(self, capsys):
+        code, out, _ = run(capsys, "verify", f"pair_C_R(m={2**62})")
+        assert code == 0 and "result: PASS" in out
+        code, out, err = run(capsys, "hyperdim", f"pair_C_R(m={2**62 + 1})")
+        assert code == 2 and out == ""
+        assert err.startswith("error: strata[0].multiplicity: must be at most 2^62")
 
 
 class TestValues:

@@ -3,11 +3,14 @@
 The oracles below are written straight from the definitions, with no
 index, face table or shortcut: the dual as the signed sum over the star,
 the pushforward as the signed sum over each fibre, face closure and
-maximality by listing every face.  Values include +-2^70, so any
-arithmetic that wrapped at 64 bits would show.
+maximality by listing every face, the product by listing every chain.
+Values include +-2^70, so any arithmetic that wrapped at 64 bits would
+show.
 """
 
+import hashlib
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,10 +23,12 @@ from cfcalc import (
     Subcomplex,
     build_complex,
     dual,
+    product,
     pushforward,
     simplicial_map,
     star,
 )
+from cfcalc.cli import main
 
 BIG = 2**70
 
@@ -211,3 +216,65 @@ def test_one_sixteen_vertex_simplex():
     space = build_complex([vertices])
     assert len(space) == 2**16 - 1
     assert [s.vertices for s in space.maximal_simplices()] == [tuple(vertices)]
+
+
+def reference_product(left_sets, right_sets, lorder, rorder) -> set[frozenset]:
+    """Every chain of vertex pairs that strictly increases in the product of
+    the two orders and whose projections are simplices of the factors."""
+    lpos = {v: i for i, v in enumerate(lorder)}
+    rpos = {v: i for i, v in enumerate(rorder)}
+    # lexicographic, so a later pair at least as high in both orders is higher
+    pairs = [(a, b) for a in lorder for b in rorder]
+    chains = set()
+
+    def extend(chain, rest):
+        if frozenset(a for a, _ in chain) in left_sets and frozenset(b for _, b in chain) in right_sets:
+            chains.add(frozenset(f"{a}.{b}" for a, b in chain))
+        la, lb = chain[-1]
+        for n, (a, b) in enumerate(rest):
+            if lpos[a] >= lpos[la] and rpos[b] >= rpos[lb]:
+                extend(chain + [(a, b)], rest[n + 1:])
+
+    for n, pair in enumerate(pairs):
+        extend([pair], pairs[n + 1:])
+    return chains
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_product_is_the_set_of_increasing_chains(data):
+    left_sets = data.draw(closed_sets(max_vertices=5, max_dim=4))
+    right_sets = data.draw(closed_sets(max_vertices=5, max_dim=4))
+    left, right = SimplicialComplex(left_sets), SimplicialComplex(right_sets)
+    lorder = data.draw(st.permutations(sorted(left.vertices)))
+    rorder = data.draw(st.permutations(sorted(right.vertices)))
+    space, proj_left, proj_right = product(left, right, lorder, rorder)
+    assert vertex_sets(space.simplices) == reference_product(left_sets, right_sets, lorder, rorder)
+    assert (proj_left.source, proj_left.target) == (space, left)
+    assert (proj_right.source, proj_right.target) == (space, right)
+    assert proj_left.vertex_map == {v: v.split(".")[0] for v in space.vertices}
+    assert proj_right.vertex_map == {v: v.split(".")[1] for v in space.vertices}
+
+
+# sha256 of `cfcalc models emit NAME k=12` as the product over every pair of
+# factor simplices produced it, before the plane models were listed as chains
+EMIT_K12_SHA256 = {
+    "node_curve": "e896ee89888fabe10b5257fdfa25a99bf64f51b643725830be7f56b57b3cdcc1",
+    "smooth_line_in_C2": "65c5faab559b5b68f8289419f73ed7f19465c44f538a030befeaae1e9e0a2dd0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMIT_K12_SHA256))
+def test_plane_model_emission_at_k12_is_pinned(name, capsys):
+    assert main(["models", "emit", name, "k=12"]) == 0
+    emitted = capsys.readouterr().out.encode()
+    assert hashlib.sha256(emitted).hexdigest() == EMIT_K12_SHA256[name]
+
+
+def test_product_of_two_ten_vertex_simplices_is_refused_quickly():
+    left = build_complex([[f"a{i}" for i in range(10)]])
+    right = build_complex([[f"b{i}" for i in range(10)]])
+    start = time.perf_counter()
+    with pytest.raises(ModelError, match="product may hold up to 25490833940 simplices"):
+        product(left, right)
+    assert time.perf_counter() - start < 1.0

@@ -1,10 +1,13 @@
 import json
+import re
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cfcalc.complexes
+import cfcalc.scenes
 from cfcalc import (
     ModelError,
     SceneError,
@@ -77,6 +80,16 @@ class TestModels:
         for d0 in range(12):
             build_model("kashiwara_point", d0=d0, d1=1)
         assert _build_cached.cache_info().currsize <= 8
+
+    def test_plane_models_never_call_product(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_model called product")
+
+        monkeypatch.setattr(cfcalc.complexes, "product", refuse)
+        assert not hasattr(cfcalc.scenes, "product")
+        for name in ("node_curve", "smooth_line_in_C2"):
+            scene = _build_cached.__wrapped__(name, (("k", 3), ("m", 1)))  # past the cache
+            assert scene == build_model(name, m=1)
 
     def test_zero_multiplicity_drops_stratum(self):
         scene = build_model("kashiwara_point", d0=0)
@@ -216,6 +229,30 @@ class TestParseErrors:
         doc["expect"]["checks"].append("spectral_flow")
         with pytest.raises(SceneSemanticError, match="known checks"):
             reparse(doc)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("strata", 0, "multiplicity"),
+            ("strata", 0, "codim"),
+            ("strata", 0, "eu", "overrides", 0, "value"),
+            ("expect", "hyperfunction_index", 0, "value"),
+            ("real_form", "complex_dim"),
+        ],
+        ids=lambda p: ".".join(map(str, p)),
+    )
+    def test_int_fields_are_bounded(self, path):
+        doc = node_doc()
+        *parents, key = path
+        at(doc, parents)[key] = -(2**62) - 1
+        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+        with pytest.raises(SceneSemanticError, match=rf"^{re.escape(where)}: must be at most 2\^62"):
+            reparse(doc)
+        at(doc, parents)[key] = 2**62  # at the bound: refused, if at all, for another reason
+        try:
+            reparse(doc)
+        except SceneSemanticError as err:
+            assert "2^62" not in str(err)
 
     def test_int_fields_reject_bool(self):
         doc = node_doc()
