@@ -8,7 +8,6 @@ arithmetic; there are no tolerances anywhere.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import compress
 from typing import Mapping
 
@@ -308,65 +307,9 @@ def triangle_decompose(
     return costalk, boundary
 
 
-def _clean_mod2(ambient: SimplicialComplex, values: Mapping):
-    cleaned = {}
-    for key, raw in values.items():
-        s = Simplex(key)
-        if s not in ambient.simplices:
-            raise MissingSimplexError(f"{s} is not a simplex of the ambient complex")
-        if not isinstance(raw, int) or raw not in (0, 1):
-            raise ModelError(f"mod-2 value at {s} must be 0 or 1, got {raw!r}")
-        if raw:
-            cleaned[s] = 1
-    return tuple([(s, 1) for s in canonical_sorted(cleaned)])
-
-
-class Mod2Function(Frozen):
-    """A value in {0, 1} per open simplex; addition is pointwise xor."""
-
-    _fields = ("ambient", "items")
-
-    def __init__(self, ambient: SimplicialComplex, values: Mapping) -> None:
-        self._assign(ambient, _clean_mod2(ambient, values))
-
-    _lookup = ConstructibleFunction._lookup
-
-    def value(self, simplex_like) -> int:
-        s = Simplex(simplex_like)
-        if s not in self.ambient.simplices:
-            raise MissingSimplexError(f"{s} is not a simplex of the ambient complex")
-        return self._lookup().get(s, 0)
-
-    @property
-    def support(self) -> frozenset[Simplex]:
-        return frozenset(s for s, _ in self.items)
-
-    def __add__(self, other):
-        if not isinstance(other, Mod2Function):
-            return NotImplemented
-        if self.ambient != other.ambient:
-            raise ModelError("functions live on different ambient complexes")
-        return Mod2Function(
-            self.ambient, {s: 1 for s in self.support ^ other.support}
-        )
-
-
-def mod2_reduce(phi: ConstructibleFunction) -> Mod2Function:
-    return Mod2Function(phi.ambient, {s: v % 2 for s, v in phi.items})
-
-
-def mod2_euler_integral(alpha: Mod2Function) -> int:
-    # signs are invisible mod 2, so this is just the support count
-    return len(alpha.items) % 2
-
-
-def mod2_pushforward(f: SimplicialMap, alpha: Mod2Function) -> Mod2Function:
-    if alpha.ambient != f.source:
-        raise ModelError("function does not live on the source of the map")
-    acc: dict[Simplex, int] = defaultdict(int)
-    for s, _ in alpha.items:
-        acc[f.image(s)] ^= 1
-    return Mod2Function(f.target, acc)
+def mod2_reduce(phi: ConstructibleFunction) -> ConstructibleFunction:
+    """The parity of phi: 1 where its value is odd, 0 elsewhere."""
+    return ConstructibleFunction._of(phi.ambient, tuple([(s, 1) for s, v in phi.items if v % 2]))
 
 
 def orbit_pushforward(tau: Involution, alpha: ConstructibleFunction) -> ConstructibleFunction:

@@ -275,8 +275,16 @@ def _add_scene_command(sub, name: str, help_text: str, at: bool = True):
     return p
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one stderr line, like every other invalid input."""
+
+    def error(self, message):
+        print(f"error: {self.prog}: {message}", file=sys.stderr)
+        sys.exit(2)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cfcalc",
         description="exact local index calculations on finite simplicial complexes",
     )

@@ -16,16 +16,13 @@ from typing import Iterable, Iterator
 from ._frozen import Frozen
 from .calculus import (
     ConstructibleFunction,
-    Mod2Function,
     euler_integral,
     indicator,
     mod2_reduce,
-    open_pushforward,
     orbit_pushforward,
     pullback,
     pushforward,
     restrict,
-    restrict_open,
     shriek_restrict,
     triangle_decompose,
     zero_function,
@@ -35,7 +32,6 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     Subcomplex,
-    complement_open,
     fixed_point_set,
     inclusion_map,
     is_connected,
@@ -212,14 +208,10 @@ def hyperfunction_dimension(pair: RealComplexPair, cycle: CharacteristicCycle) -
     return total
 
 
-def parity_index(pair: RealComplexPair, cycle: CharacteristicCycle) -> Mod2Function:
-    """Mod-2 reduction on the real form of the multiplicity-weighted eu sum."""
-    total = zero_function(pair.ambient)
-    for st in cycle:
-        if st.support.parent != pair.ambient:
-            raise ModelError(f"stratum {st.name!r} lives on a different complex")
-        total = total + st.multiplicity * st.eu
-    return mod2_reduce(restrict(total, pair.real_form))
+def parity_index(pair: RealComplexPair, cycle: CharacteristicCycle) -> ConstructibleFunction:
+    """The solution index on the real form, reduced mod 2 (its codimension
+    signs vanish there), as a function with values 0 and 1."""
+    return mod2_reduce(restrict(solution_index(cycle, pair.ambient), pair.real_form))
 
 
 KNOWN_CHECKS: dict[str, str] = {
@@ -368,9 +360,13 @@ def verify_scene(
     probes = pair.probes
     strata = sorted(cycle, key=lambda st: st.name)
 
+    # the costalk and boundary of the solution index, computed once, give
+    # the hyperfunction index, the parity and their triangle and boundary rows
     sol = solution_index(cycle, ambient)
-    hyper = hyperfunction_index(pair, cycle)
-    parity = parity_index(pair, cycle)
+    restricted = restrict(sol, pair.real_form)
+    costalk, boundary = triangle_decompose(pair.real_form, sol)
+    hyper = _sign(pair.complex_dim) * costalk
+    parity = mod2_reduce(restricted)
     all_smooth = all(st.smooth for st in strata)
     singular = sorted(st.name for st in strata if not st.smooth)
 
@@ -430,20 +426,22 @@ def verify_scene(
             rows.compare(check, str(p), expected, shr.value(p))
 
     # restriction = costalk + boundary, exactly over the whole real form
-    def triangle_entry(subject: str, phi: ConstructibleFunction, note: str = "") -> None:
-        costalk, boundary = triangle_decompose(pair.real_form, phi)
+    def triangle_entry(subject: str, plain, terms, note: str = "") -> None:
         rows.compare(
             "triangle_identity", subject, "exact",
-            _first_mismatch(mc, restrict(phi, pair.real_form), costalk + boundary),
-            note,
+            _first_mismatch(mc, plain, terms[0] + terms[1]), note,
         )
 
-    triangle_entry("solution_index", sol)
+    triangle_entry("solution_index", restricted, (costalk, boundary))
     rng = random.Random(seed)
     sims = ambient.ordered()
     for i in range(3):
         values = {s: rng.randint(-3, 3) for s in sims if rng.random() < 0.4}
-        triangle_entry(f"random[{i}]", ConstructibleFunction(ambient, values), f"seed={seed}")
+        phi = ConstructibleFunction(ambient, values)
+        triangle_entry(
+            f"random[{i}]", restrict(phi, pair.real_form),
+            triangle_decompose(pair.real_form, phi), f"seed={seed}",
+        )
 
     # extension by zero from each stratum commutes with costalk restriction
     for st in strata:
@@ -474,10 +472,6 @@ def verify_scene(
         if not probes:
             rows.skip("boundary_parity", "", "no interior probes declared")
         else:
-            opensub = complement_open(ambient, pair.real_form)
-            boundary = restrict(
-                open_pushforward(opensub, restrict_open(sol, opensub)), pair.real_form
-            )
             for p in probes:
                 v = boundary.value(p)
                 rows.compare(

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import cfcalc.calculus
 import cfcalc.cli
-import cfcalc.indices
 from cfcalc import build_model, emit_scene, list_models, parse_scene
 from cfcalc.cli import load_scene, main
 
@@ -166,12 +165,30 @@ class TestExitCodes:
             return phi
 
         monkeypatch.setattr(cfcalc.calculus, "restrict_open", keep_everything)
-        monkeypatch.setattr(cfcalc.indices, "restrict_open", keep_everything)
         code, out, err = run(capsys, "verify", "pair_C_R")
         assert code == 3 and out == ""
         assert err == (
             "internal error: ModelError: function is not supported in the open subset: b0\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bogus"],
+            ["verify"],
+            ["verify", "pair_C_R", "--seed", "x"],
+            ["verify", "pair_C_R", "--bogus"],
+        ],
+        ids=["no_command", "unknown_command", "no_scene", "bad_seed", "unknown_option"],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exited.value.code == 2 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: cfcalc")
 
     def test_integer_literal_over_digit_limit(self, capsys, tmp_path):
         bad = tmp_path / "long.json"

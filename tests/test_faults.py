@@ -1,0 +1,178 @@
+"""Planted kernel faults, each caught by a named tier-1 check.
+
+Every entry of FAULTS swaps one kernel piece for a wrong version and names
+the check that must notice it: a failing verify row on a built-in model,
+an oracle of tests/test_oracles.py, a golden output of tests/test_golden.py,
+or exit status 3.  A fault on a function is planted in every cfcalc module
+that imported the name, so callers inside the package see it too.  Each
+catcher is also run on the healthy kernel, where it must stay quiet, so a
+catcher that fires on everything proves nothing.
+"""
+
+import pytest
+
+import cfcalc
+import cfcalc.calculus
+import cfcalc.cli
+from cfcalc import (
+    ConstructibleFunction,
+    build_complex,
+    build_model,
+    parse_scene,
+    simplicial_map,
+)
+from cfcalc.complexes import ComplexIndex
+from test_golden import CASES, GOLDEN, _run
+from test_oracles import reference_pushforward, values
+
+MODULES = (
+    cfcalc, cfcalc.calculus, cfcalc.complexes, cfcalc.indices, cfcalc.scenes, cfcalc.cli
+)
+
+
+def twist(phi):
+    """phi times (-1)^dim, simplex by simplex."""
+    return ConstructibleFunction(phi.ambient, {s: -v if s.dim % 2 else v for s, v in phi.items})
+
+
+def keep(phi, wanted):
+    """phi with the values at simplices failing `wanted` set to zero."""
+    return ConstructibleFunction(phi.ambient, {s: v for s, v in phi.items if wanted(s)})
+
+
+def function_fault(name, make):
+    """Replace calculus.<name> by make(original) wherever it was imported."""
+    def plant(monkeypatch):
+        original = getattr(cfcalc.calculus, name)
+        fake = make(original)
+        for module in MODULES:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, fake)
+    return plant
+
+
+def restrict_drops_top(restrict):
+    def faulty(phi, closed):
+        plain = restrict(phi, closed)
+        return keep(plain, lambda s: s.dim < plain.ambient.dim)
+    return faulty
+
+
+def face_table_without_self(monkeypatch):
+    """Face tables built from now on leave out each simplex itself."""
+    build = ComplexIndex.__init__
+
+    def faulty(index, simplices):
+        build(index, simplices)
+        faces, starts = [], [0]
+        for i in range(len(index.order)):
+            faces.extend(j for j in index.faces[index.starts[i]:index.starts[i + 1]] if j != i)
+            starts.append(len(faces))
+        index.faces, index.starts = faces, starts
+
+    monkeypatch.setattr(ComplexIndex, "__init__", faulty)
+
+
+# --- catchers: each takes a `plant` callback and reports whether it fired ---
+
+
+def verify_row(model, check):
+    def catch(plant):
+        # a freshly parsed scene has no face table yet, so a planted table
+        # fault reaches it
+        scene = parse_scene(build_model(model).canonical_text)
+        plant()
+        report = scene.verify()
+        return any(
+            e.status == "fail" and e.check.split("[")[0] == check for e in report.entries
+        )
+    return catch
+
+
+def pushforward_oracle(plant):
+    """test_pushforward_is_the_signed_fibre_sum, on a map that collapses edges."""
+    space = build_complex([["a", "b", "c"], ["c", "d"]])
+    f = simplicial_map(
+        space, build_complex([["p", "q"]]), {"a": "p", "b": "p", "c": "q", "d": "q"}
+    )
+    phi = ConstructibleFunction(space, {s: 1 for s in space.simplices})
+    plant()
+    return values(cfcalc.calculus.pushforward(f, phi)) != reference_pushforward(f, phi)
+
+
+def golden(name):
+    argv = dict(CASES)[name]
+
+    def catch(plant):
+        plant()
+        return _run(argv)[1] != (GOLDEN / f"{name}.txt").read_bytes()
+    return catch
+
+
+def exits_3(*argv):
+    def catch(plant):
+        plant()
+        return _run(list(argv))[0] == 3
+    return catch
+
+
+# fault -> (plant, catcher); the pushforward sign is invisible to verify,
+# which pushes only along maps that drop no dimension
+FAULTS = {
+    "dual_drops_own_term": (
+        function_fault("dual", lambda dual: lambda phi: dual(phi) - twist(phi)),
+        verify_row("pair_C_R", "triangle_identity"),
+    ),
+    "dual_drops_sign": (
+        function_fault("dual", lambda dual: lambda phi: dual(twist(phi))),
+        verify_row("pair_C_R", "shriek_indicator"),
+    ),
+    "pushforward_drops_sign": (
+        function_fault(
+            "pushforward", lambda push: lambda f, phi: twist(push(f, twist(phi)))
+        ),
+        pushforward_oracle,
+    ),
+    "pullback_drops_edges": (
+        function_fault(
+            "pullback", lambda pull: lambda f, psi: keep(pull(f, psi), lambda s: s.dim != 1)
+        ),
+        verify_row("pair_C_R", "conjugation_invariance"),
+    ),
+    "restrict_drops_top_simplices": (
+        function_fault("restrict", restrict_drops_top),
+        verify_row("node_curve", "base_change"),
+    ),
+    "restrict_open_keeps_everything": (
+        function_fault("restrict_open", lambda _: lambda phi, opensub: phi),
+        exits_3("verify", "pair_C_R"),
+    ),
+    "indicator_drops_vertices": (
+        function_fault(
+            "indicator", lambda indicator: lambda region: keep(
+                indicator(region), lambda s: s.dim > 0
+            )
+        ),
+        verify_row("smooth_line_in_C2", "shriek_indicator"),
+    ),
+    "face_table_without_self": (
+        face_table_without_self,
+        verify_row("node_curve", "triangle_identity"),
+    ),
+    "mod2_reduce_unreduced": (
+        function_fault("mod2_reduce", lambda _: lambda phi: phi),
+        golden("node_curve_k3.parity_all_json"),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_planted_fault_is_caught(fault, monkeypatch):
+    plant, catch = FAULTS[fault]
+    assert catch(lambda: plant(monkeypatch))
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_catcher_is_quiet_on_the_healthy_kernel(fault):
+    _, catch = FAULTS[fault]
+    assert not catch(lambda: None)

@@ -1,7 +1,8 @@
 """Golden CLI outputs: stdout and exit status, byte for byte.
 
 Every built-in model at k = 3 and k = 4 goes through `verify`,
-`verify --json`, `hyperdim --all --json` and `models emit`.  The files in
+`verify --json`, `hyperdim --all --json`, `parity`, `parity --all --json`
+and `models emit`.  The files in
 tests/golden/ hold the expected stdout of each case and exit_codes.json
 the expected status.  To rewrite them from the current code (only when a
 change of output is intended):
@@ -30,6 +31,8 @@ def _argv(command: str, model: str, k: int) -> list[str]:
         "verify": ["verify", spec],
         "verify_json": ["verify", spec, "--json"],
         "hyperdim_all_json": ["hyperdim", spec, "--all", "--json"],
+        "parity": ["parity", spec],
+        "parity_all_json": ["parity", spec, "--all", "--json"],
         "emit": ["models", "emit", model, f"k={k}"],
     }[command]
 
@@ -38,7 +41,9 @@ CASES = [
     (f"{model}_k{k}.{command}", _argv(command, model, k))
     for model in MODELS
     for k in KS
-    for command in ("verify", "verify_json", "hyperdim_all_json", "emit")
+    for command in (
+        "verify", "verify_json", "hyperdim_all_json", "parity", "parity_all_json", "emit"
+    )
 ]
 
 

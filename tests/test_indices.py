@@ -1,6 +1,10 @@
+import types
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import cfcalc
 
 from cfcalc import (
     CharacteristicCycle,
@@ -15,7 +19,6 @@ from cfcalc import (
     build_model,
     complement_open,
     list_models,
-    mod2_reduce,
     full_subcomplex,
     hyperfunction_dimension,
     hyperfunction_index,
@@ -285,7 +288,6 @@ def value_objects():
         (pair.conjugation, "underlying"),
         (pair.conjugation.underlying, "vertex_pairs"),
         (stratum.eu, "items"),
-        (mod2_reduce(stratum.eu), "ambient"),
         (stratum, "multiplicity"),
         (scene.cycle, "strata"),
         (pair, "probes"),
@@ -300,7 +302,7 @@ def value_objects():
 class TestValueClasses:
     def test_every_value_class_is_frozen(self):
         objects = value_objects()
-        assert len({type(obj) for obj, _ in objects}) == 17
+        assert len({type(obj) for obj, _ in objects}) == 16
         for obj, field in objects:
             before = getattr(obj, field)
             with pytest.raises(AttributeError):
@@ -352,3 +354,34 @@ class TestValueClasses:
             canonical_text=scene.canonical_text,
         )
         assert again == scene and hash(again) == hash(scene)
+
+
+PARITY_MODELS = sorted(info.name for info in list_models())
+
+
+@pytest.mark.parametrize("model", PARITY_MODELS)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_parity_index_matches_the_unsigned_stratum_sum(model, data):
+    """Parity from the definition: the unsigned sum of multiplicity times eu
+    over the strata, on the real form, each value taken mod 2."""
+    info = next(info for info in list_models() if info.name == model)
+    params = {
+        p.name: data.draw(st.integers(min_value=1, max_value=6), label=p.name)
+        for p in info.params
+        if p.name != "k"
+    }
+    scene = build_model(model, k=3, **params)
+    parity = parity_index(scene.pair, scene.cycle)
+    for s in scene.pair.real_form.simplices:
+        expected = sum(stratum.multiplicity * stratum.eu.value(s) for stratum in scene.cycle) % 2
+        assert parity.value(s) == expected
+
+
+def test_all_names_every_public_attribute():
+    public = {
+        name for name, value in vars(cfcalc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(set(cfcalc.__all__)) == len(cfcalc.__all__)
+    assert set(cfcalc.__all__) == public
