@@ -9,6 +9,8 @@ pair, scene files describing such scenarios, and a registry of built-in
 models.
 """
 
+from types import ModuleType as _ModuleType
+
 from .calculus import (
     ConstructibleFunction,
     dual,
@@ -36,11 +38,7 @@ from .complexes import (
     build_complex,
     complement_open,
     compose,
-    cone,
-    constant_map,
     fixed_point_set,
-    full_subcomplex,
-    identity_map,
     inclusion_map,
     involution,
     is_connected,
@@ -87,70 +85,8 @@ from .scenes import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CharacteristicCycle",
-    "CheckResult",
-    "ConstructibleFunction",
-    "Expectations",
-    "Involution",
-    "KNOWN_CHECKS",
-    "MissingSimplexError",
-    "ModelError",
-    "ModelInfo",
-    "ModelParam",
-    "OpenSubset",
-    "RealComplexPair",
-    "Scene",
-    "SceneError",
-    "SceneSemanticError",
-    "SceneSyntaxError",
-    "Simplex",
-    "SimplicialComplex",
-    "SimplicialMap",
-    "Stratum",
-    "Subcomplex",
-    "VerificationReport",
-    "build_complex",
-    "build_model",
-    "complement_open",
-    "compose",
-    "cone",
-    "constant_map",
-    "dual",
-    "emit_scene",
-    "euler_integral",
-    "fixed_point_set",
-    "full_subcomplex",
-    "hyperfunction_dimension",
-    "hyperfunction_index",
-    "identity_map",
-    "inclusion_map",
-    "indicator",
-    "involution",
-    "is_connected",
-    "is_strongly_free",
-    "list_models",
-    "mod2_reduce",
-    "open_extend",
-    "open_pushforward",
-    "orbit_pushforward",
-    "parity_index",
-    "parse_scene",
-    "point_complex",
-    "product",
-    "pullback",
-    "pushforward",
-    "quotient_by_involution",
-    "restrict",
-    "restrict_open",
-    "shriek_restrict",
-    "simplex",
-    "simplicial_map",
-    "smooth_stratum",
-    "solution_index",
-    "star",
-    "subcomplex",
-    "triangle_decompose",
-    "verify_scene",
-    "zero_function",
-]
+# every public name imported above, each written once
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -186,6 +186,13 @@ class SimplicialComplex(Frozen):
         _require_face_closed(sset, "not face-closed: missing {face} (a face of {simplex})")
         object.__setattr__(self, "simplices", sset)
 
+    @classmethod
+    def _closed(cls, simplices: Iterable[Simplex]) -> "SimplicialComplex":
+        # for sets the package closed under faces itself: nothing is checked
+        space = object.__new__(cls)
+        object.__setattr__(space, "simplices", frozenset(simplices))
+        return space
+
     def __eq__(self, other):
         if self is other:  # the common case: every operator checks its ambient
             return True
@@ -223,16 +230,13 @@ class SimplicialComplex(Frozen):
         facets = {f for s in self.simplices for f in itertools.combinations(s.vertices, s.dim)}
         return tuple(canonical_sorted(s for s in self.simplices if s.vertices not in facets))
 
-    def euler_characteristic(self) -> int:
-        return sum(-1 if s.dim % 2 else 1 for s in self.simplices)
-
     def __len__(self) -> int:
         return len(self.simplices)
 
 
 def build_complex(maximal_simplices: Iterable) -> SimplicialComplex:
     """Face closure of the given simplices.  An empty list gives the empty complex."""
-    return SimplicialComplex(_face_closure(Simplex(vs) for vs in maximal_simplices))
+    return SimplicialComplex._closed(_face_closure(Simplex(vs) for vs in maximal_simplices))
 
 
 def point_complex(name: str = "pt") -> SimplicialComplex:
@@ -262,6 +266,13 @@ class Subcomplex(Frozen):
         )
         self._assign(parent, sset)
 
+    @classmethod
+    def _closed(cls, parent: SimplicialComplex, simplices: Iterable[Simplex]) -> "Subcomplex":
+        # for face-closed sets of parent simplices the package built: nothing is checked
+        sub = object.__new__(cls)
+        sub._assign(parent, frozenset(simplices))
+        return sub
+
     @property
     def is_empty(self) -> bool:
         return not self.simplices
@@ -278,22 +289,17 @@ class Subcomplex(Frozen):
         return Simplex(simplex_like) in self.simplices
 
     def as_complex(self) -> SimplicialComplex:
-        """The subcomplex as a complex of its own, built once and cached.
-
-        The constructor already checked face closure, so it is not checked
-        again; every call returns the same complex object.
-        """
+        """The subcomplex as a complex of its own, the same object on every call."""
         space = self.__dict__.get("_complex")
         if space is None:
-            space = object.__new__(SimplicialComplex)
-            object.__setattr__(space, "simplices", self.simplices)
+            space = SimplicialComplex._closed(self.simplices)
             object.__setattr__(self, "_complex", space)
         return space
 
     def intersection(self, other: "Subcomplex") -> "Subcomplex":
         if self.parent != other.parent:
             raise ModelError("cannot intersect subcomplexes of different parents")
-        return Subcomplex(self.parent, self.simplices & other.simplices)
+        return Subcomplex._closed(self.parent, self.simplices & other.simplices)
 
     def maximal_simplices(self) -> tuple[Simplex, ...]:
         return self.as_complex().maximal_simplices()
@@ -307,11 +313,7 @@ def subcomplex(space: SimplicialComplex, generators: Iterable) -> Subcomplex:
             raise MissingSimplexError(
                 f"generator {s} is not a simplex of the parent complex"
             )
-    return Subcomplex(space, _face_closure(gens))
-
-
-def full_subcomplex(space: SimplicialComplex) -> Subcomplex:
-    return Subcomplex(space, space.simplices)
+    return Subcomplex._closed(space, _face_closure(gens))
 
 
 class OpenSubset(Frozen):
@@ -354,17 +356,6 @@ def complement_open(space: SimplicialComplex, closed: Subcomplex) -> OpenSubset:
         object.__setattr__(opensub, "simplices", closed.parent.simplices - closed.simplices)
         object.__setattr__(closed, "_open", opensub)
     return opensub
-
-
-def cone(base: SimplicialComplex, apex) -> SimplicialComplex:
-    """Join with a fresh apex vertex.  The cone over the empty complex is a point."""
-    a = apex if isinstance(apex, str) else str(apex)
-    if a in base.vertices:
-        raise ModelError(f"apex {a!r} is already a vertex of the base complex")
-    sims: set[Simplex] = set(base.simplices)
-    sims.add(Simplex([a]))
-    sims.update(Simplex(s.vertices + (a,)) for s in base.simplices)
-    return SimplicialComplex(sims)
 
 
 def _staircase(left_tops, right_tops, left_order, right_order) -> list[list[str]]:
@@ -513,22 +504,11 @@ def simplicial_map(source, target, vertex_map) -> SimplicialMap:
     return SimplicialMap(source, target, vertex_map)
 
 
-def identity_map(space: SimplicialComplex) -> SimplicialMap:
-    return SimplicialMap(space, space, {v: v for v in space.vertices})
-
-
 def inclusion_map(sub: Subcomplex) -> SimplicialMap:
     """The inclusion of a subcomplex, viewed as a complex, into its parent."""
     return SimplicialMap(
         sub.as_complex(), sub.parent, {v: v for v in sub.vertices}
     )
-
-
-def constant_map(source: SimplicialComplex, target: SimplicialComplex, at) -> SimplicialMap:
-    a = at if isinstance(at, str) else str(at)
-    if not target.has([a]):
-        raise MissingSimplexError(f"{a!r} is not a vertex of the target")
-    return SimplicialMap(source, target, {v: a for v in source.vertices})
 
 
 def compose(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
@@ -596,7 +576,7 @@ def fixed_point_set(tau: Involution) -> Subcomplex:
     fixed = frozenset(
         s for s in tau.space.simplices if all(vm[v] == v for v in s.vertices)
     )
-    return Subcomplex(tau.space, fixed)
+    return Subcomplex._closed(tau.space, fixed)
 
 
 def is_strongly_free(tau: Involution) -> bool:
@@ -632,7 +612,7 @@ def quotient_by_involution(
                 f"orbit map does not give a simplicial quotient at {img}: "
                 f"{len(grp)} simplices share one image; refine the model (e.g. subdivide)"
             )
-    quotient = SimplicialComplex(groups.keys())
+    quotient = SimplicialComplex._closed(groups.keys())
     projection = SimplicialMap(tau.space, quotient, orbit)
     return quotient, projection
 

@@ -204,7 +204,7 @@ def hyperfunction_dimension(pair: RealComplexPair, cycle: CharacteristicCycle) -
                 f"stratum {st.name!r} misses the real form; "
                 "flag allow_empty_trace to accept that"
             )
-        total = total + st.multiplicity * indicator(Subcomplex(mc, trace.simplices))
+        total = total + st.multiplicity * indicator(Subcomplex._closed(mc, trace.simplices))
     return total
 
 
@@ -449,9 +449,9 @@ def verify_scene(
         psi = restrict(st.eu, st.support)
         left = shriek_restrict(pair.real_form, pushforward(inclusion_map(st.support), psi))
         trace = st.support.intersection(pair.real_form)
-        trace_in_y = Subcomplex(yc, trace.simplices)
+        trace_in_y = Subcomplex._closed(yc, trace.simplices)
         inner = shriek_restrict(trace_in_y, psi)
-        trace_in_m = Subcomplex(mc, trace.simplices)
+        trace_in_m = Subcomplex._closed(mc, trace.simplices)
         right = pushforward(inclusion_map(trace_in_m), inner)
         rows.compare(
             f"base_change[{st.name}]", "", "exact", _first_mismatch(mc, left, right)

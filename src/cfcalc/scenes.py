@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from functools import lru_cache
 from typing import Callable, NoReturn
 
@@ -42,13 +43,17 @@ from .indices import (
 # makes of such integers within MAX_SIMPLICES stays printable.
 MAX_VALUE = 2**62
 
+# JSON can escape a UTF-16 surrogate without its pair, which no output encodes
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
 
 class Scene(Frozen):
-    """A parsed, validated scenario.  Equality is by canonical emission."""
+    """A parsed, validated scenario.  Equality is by canonical emission,
+    built on first use; support_names maps stratum to support names."""
 
     _fields = (
         "name", "comment", "ambient", "subcomplexes", "real_form_name", "pair", "cycle",
-        "expect", "canonical_text",
+        "expect", "support_names",
     )
 
     def __init__(
@@ -61,12 +66,21 @@ class Scene(Frozen):
         pair: RealComplexPair,
         cycle: CharacteristicCycle,
         expect: Expectations,
-        canonical_text: str,
+        support_names: tuple[tuple[str, str], ...],
     ) -> None:
         self._assign(
             name, comment, ambient, subcomplexes, real_form_name, pair, cycle, expect,
-            canonical_text,
+            support_names,
         )
+
+    @property
+    def canonical_text(self) -> str:
+        text = self.__dict__.get("_text")
+        if text is None:
+            doc = _canonical_doc(self)
+            text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+            object.__setattr__(self, "_text", text)
+        return text
 
     def subcomplex(self, name: str) -> Subcomplex:
         for nm, sub in self.subcomplexes:
@@ -103,10 +117,16 @@ def _as_list(value, path: str) -> list:
     return value
 
 
+def _as_text(value: str, path: str) -> str:
+    if not value.isascii() and _LONE_SURROGATE.search(value):
+        _fail(path, "holds a lone surrogate escape, which is not text")
+    return value
+
+
 def _as_str(value, path: str) -> str:
     if not isinstance(value, str) or not value:
         _fail(path, "expected a nonempty string")
-    return value
+    return _as_text(value, path)
 
 
 def _as_int(value, path: str) -> int:
@@ -173,6 +193,7 @@ def _scene_from_doc(doc: dict) -> Scene:
     comment = doc.get("comment", "")
     if not isinstance(comment, str):
         _fail("comment", "expected a string")
+    _as_text(comment, "comment")
 
     complex_doc = _as_object(doc["complex"], "complex")
     _check_keys(complex_doc, "complex", ("maximal_simplices",), ())
@@ -189,6 +210,7 @@ def _scene_from_doc(doc: dict) -> Scene:
 
     subs: dict[str, Subcomplex] = {}
     for sub_name, gens_doc in _as_object(doc["subcomplexes"], "subcomplexes").items():
+        _as_text(sub_name, f"subcomplexes key {sub_name!r}")
         path = f"subcomplexes.{sub_name}"
         gens = [
             _as_simplex(g, f"{path}[{i}]")
@@ -214,6 +236,7 @@ def _scene_from_doc(doc: dict) -> Scene:
         cmap_doc = _as_object(rf_doc["conjugation"], "real_form.conjugation")
         cmap = {}
         for v, w in cmap_doc.items():
+            _as_text(v, f"real_form.conjugation key {v!r}")
             w = _as_str(w, f"real_form.conjugation.{v}")
             for u in (v, w):
                 if u not in ambient.vertices:
@@ -362,10 +385,6 @@ def _scene_from_doc(doc: dict) -> Scene:
         checks=tuple(sorted(checks)),
     )
 
-    canonical = _canonical_doc(
-        name, comment, ambient, subs, rf_name, n, conj, strata, support_names, pair, expect
-    )
-    text = json.dumps(canonical, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     return Scene(
         name=name,
         comment=comment,
@@ -375,7 +394,7 @@ def _scene_from_doc(doc: dict) -> Scene:
         pair=pair,
         cycle=cycle,
         expect=expect,
-        canonical_text=text,
+        support_names=tuple(sorted(support_names.items())),
     )
 
 
@@ -383,17 +402,18 @@ def _simplex_list(sims) -> list[list[str]]:
     return [list(s.vertices) for s in canonical_sorted(sims)]
 
 
-def _canonical_doc(
-    name, comment, ambient, subs, rf_name, n, conj, strata, support_names, pair, expect
-) -> dict:
-    rf: dict = {"M": rf_name, "complex_dim": n}
+def _canonical_doc(scene: Scene) -> dict:
+    ambient, pair, expect = scene.ambient, scene.pair, scene.expect
+    conj = pair.conjugation
+    support_names = dict(scene.support_names)
+    rf: dict = {"M": scene.real_form_name, "complex_dim": pair.complex_dim}
     if conj is not None:
         rf["conjugation"] = {
             v: conj.vertex(v) for v in sorted(ambient.vertices) if conj.vertex(v) != v
         }
 
     strata_doc = []
-    for st in sorted(strata, key=lambda s: s.name):
+    for st in sorted(scene.cycle, key=lambda s: s.name):
         entry: dict = {
             "codim": st.codim,
             "multiplicity": st.multiplicity,
@@ -426,16 +446,16 @@ def _canonical_doc(
     doc = {
         "complex": {"maximal_simplices": _simplex_list(ambient.maximal_simplices())},
         "expect": exp_doc,
-        "name": name,
+        "name": scene.name,
         "probes": _simplex_list(pair.probes),
         "real_form": rf,
         "strata": strata_doc,
         "subcomplexes": {
-            nm: _simplex_list(sub.maximal_simplices()) for nm, sub in subs.items()
+            nm: _simplex_list(sub.maximal_simplices()) for nm, sub in scene.subcomplexes
         },
     }
-    if comment:
-        doc["comment"] = comment
+    if scene.comment:
+        doc["comment"] = scene.comment
     return doc
 
 

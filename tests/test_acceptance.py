@@ -17,11 +17,9 @@ from cfcalc import (
     build_model,
     complement_open,
     compose,
-    cone,
     dual,
     emit_scene,
     euler_integral,
-    full_subcomplex,
     hyperfunction_dimension,
     hyperfunction_index,
     indicator,
@@ -202,7 +200,7 @@ def test_8_calculus_sanity():
         edge = build_complex([["u", "w"]])
         for _ in range(110):
             base = random_complex(rng)
-            coned = cone(base, "apex")
+            coned = build_complex([s.vertices + ("apex",) for s in base.maximal_simplices()])
             f = simplicial_map(base, coned, {v: v for v in base.vertices})
             g = simplicial_map(coned, edge, {v: ("w" if v == "apex" else "u") for v in coned.vertices})
             phi = random_cf(rng, base)

@@ -7,13 +7,13 @@ from cfcalc import (
     ConstructibleFunction,
     MissingSimplexError,
     ModelError,
+    SimplicialMap,
+    Subcomplex,
     build_complex,
     complement_open,
     compose,
-    constant_map,
     dual,
     euler_integral,
-    full_subcomplex,
     indicator,
     inclusion_map,
     mod2_reduce,
@@ -80,41 +80,39 @@ class TestFunctionBasics:
 
     def test_ambient_mismatch(self):
         with pytest.raises(ModelError):
-            indicator(full_subcomplex(polygon(3))) + indicator(
-                full_subcomplex(polygon(4, prefix="r"))
-            )
+            indicator(polygon(3)) + indicator(polygon(4, prefix="r"))
 
     def test_arithmetic(self):
         c = polygon(3)
-        one = indicator(full_subcomplex(c))
+        one = indicator(c)
         assert 2 * one - one == one
         assert (one - one) == zero_function(c)
         assert (3 * one) * one == 3 * one  # pointwise product
 
     def test_integral_of_indicators(self):
-        assert euler_integral(indicator(full_subcomplex(polygon(7)))) == 0
+        assert euler_integral(indicator(polygon(7))) == 0
         tetra = build_complex(
             [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]]
         )
-        assert euler_integral(indicator(full_subcomplex(tetra))) == 2
+        assert euler_integral(indicator(tetra)) == 2
 
 
 class TestDuality:
     def test_interval(self):
         interval = build_complex([["p", "q"]])
-        d = dual(indicator(full_subcomplex(interval)))
+        d = dual(indicator(interval))
         assert d.value("p") == 0 and d.value("q") == 0
         assert d.value(["p", "q"]) == -1
 
     def test_closed_one_manifold(self):
-        one = indicator(full_subcomplex(polygon(6)))
+        one = indicator(polygon(6))
         assert dual(one) == -1 * one
 
     def test_closed_two_manifold(self):
         tetra = build_complex(
             [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]]
         )
-        one = indicator(full_subcomplex(tetra))
+        one = indicator(tetra)
         assert dual(one) == one
 
     def test_point_mass(self):
@@ -151,7 +149,7 @@ class TestPullbackPushforward:
         for _ in range(20):
             space = random_complex(rng)
             target = point_complex()
-            f = constant_map(space, target, "pt")
+            f = SimplicialMap(space, target, {v: "pt" for v in space.vertices})
             phi = random_cf(rng, space)
             assert pushforward(f, phi).value("pt") == euler_integral(phi)
 
@@ -160,11 +158,11 @@ class TestPullbackPushforward:
         axis = diameter(d)
         incl = inclusion_map(axis)
         one = indicator(axis)
-        assert pullback(incl, one) == indicator(full_subcomplex(axis.as_complex()))
+        assert pullback(incl, one) == indicator(axis.as_complex())
 
     def test_domain_checks(self):
         d = disk(3)
-        f = constant_map(d, point_complex(), "pt")
+        f = SimplicialMap(d, point_complex(), {v: "pt" for v in d.vertices})
         with pytest.raises(ModelError):
             pushforward(f, zero_function(point_complex()))
         with pytest.raises(ModelError):
@@ -206,8 +204,8 @@ class TestPullbackPushforward:
         f = simplicial_map(
             hexagon, triangle, {f"b{i}": f"b{i % 3}" for i in range(6)}
         )
-        folded = pushforward(f, indicator(full_subcomplex(hexagon)))
-        assert folded == 2 * indicator(full_subcomplex(triangle))
+        folded = pushforward(f, indicator(hexagon))
+        assert folded == 2 * indicator(triangle)
 
 
 class TestShriekRestrict:
@@ -215,7 +213,7 @@ class TestShriekRestrict:
         """Costalk of the constant 1 on the disk: -1 on the whole diameter."""
         d = disk(3)
         axis = diameter(d)
-        shr = shriek_restrict(axis, indicator(full_subcomplex(d)))
+        shr = shriek_restrict(axis, indicator(d))
         assert shr.ambient == axis.as_complex()
         for s in shr.ambient.simplices:
             assert shr.value(s) == -1
@@ -232,7 +230,7 @@ class TestShriekRestrict:
         for _ in range(10):
             space = random_complex(rng)
             phi = random_cf(rng, space)
-            shr = shriek_restrict(full_subcomplex(space), phi)
+            shr = shriek_restrict(Subcomplex(space, space.simplices), phi)
             assert shr.items == phi.items
 
 
@@ -242,12 +240,12 @@ class TestOpenOperators:
         interval = build_complex([["p", "q"]])
         u = complement_open(interval, subcomplex(interval, [["p"], ["q"]]))
         psi = ConstructibleFunction(interval, {simplex("p", "q"): 1})
-        assert open_pushforward(u, psi) == indicator(full_subcomplex(interval))
+        assert open_pushforward(u, psi) == indicator(interval)
 
     def test_support_validation(self):
         interval = build_complex([["p", "q"]])
         u = complement_open(interval, subcomplex(interval, [["p"], ["q"]]))
-        leaking = indicator(full_subcomplex(interval))
+        leaking = indicator(interval)
         with pytest.raises(ModelError):
             open_extend(u, leaking)
         with pytest.raises(ModelError):
@@ -256,7 +254,7 @@ class TestOpenOperators:
     def test_restrict_open_zeroes_closure(self):
         d = disk(3)
         u = complement_open(d, diameter(d))
-        chopped = restrict_open(indicator(full_subcomplex(d)), u)
+        chopped = restrict_open(indicator(d), u)
         assert chopped.value("c") == 0
         assert chopped.value(["b1", "c"]) == 1
 
@@ -265,7 +263,7 @@ class TestTriangle:
     def test_interval_at_endpoint(self):
         interval = build_complex([["p", "q"]])
         endpoint = subcomplex(interval, [["p"]])
-        phi = indicator(full_subcomplex(interval))
+        phi = indicator(interval)
         costalk, boundary = triangle_decompose(endpoint, phi)
         assert costalk.value("p") == 0
         assert boundary.value("p") == 1
@@ -273,7 +271,7 @@ class TestTriangle:
     def test_disk_solution(self):
         d = disk(3)
         axis = diameter(d)
-        phi = indicator(full_subcomplex(d))
+        phi = indicator(d)
         costalk, boundary = triangle_decompose(axis, phi)
         assert restrict(phi, axis) == costalk + boundary
 
@@ -331,7 +329,7 @@ class TestMod2:
 
     def test_addition_is_xor(self):
         c = polygon(3)
-        a = mod2_reduce(indicator(full_subcomplex(c)))
+        a = mod2_reduce(indicator(c))
         assert mod2_reduce(a + a).support == frozenset()
 
     def test_value(self):
@@ -354,9 +352,9 @@ class TestFreeInvolutions:
 
         hexagon = polygon(6)
         tau = antipodal(hexagon, 3)
-        one = indicator(full_subcomplex(hexagon))
+        one = indicator(hexagon)
         folded = orbit_pushforward(tau, one)
-        assert folded == 2 * indicator(full_subcomplex(polygon(3)))
+        assert folded == 2 * indicator(polygon(3))
 
     def test_orbit_pushforward_needs_matching_space(self):
         from conftest import antipodal

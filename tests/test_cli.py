@@ -213,6 +213,34 @@ class TestExitCodes:
             "in absolute value\n"
         )
 
+    @pytest.mark.parametrize(
+        "field, path",
+        [("name", "name"), ("vertex", "complex.maximal_simplices[0][0]")],
+    )
+    def test_lone_surrogate_refused(self, capsys, tmp_path, field, path):
+        doc = json.loads(emit_scene(build_model("pair_C_R")))
+        if field == "name":
+            doc["name"] = "bad\ud800name"
+        else:
+            doc["complex"]["maximal_simplices"][0][0] = "b\udc00"
+        scene = tmp_path / "surrogate.json"
+        scene.write_text(json.dumps(doc), encoding="utf-8")  # escaped as \ud800
+        for command in ("check", "verify"):
+            code, out, err = run(capsys, command, str(scene))
+            assert code == 2 and out == ""
+            assert err == f"error: {path}: holds a lone surrogate escape, which is not text\n"
+
+    def test_escaped_surrogate_pair_accepted(self, capsys, tmp_path):
+        doc = json.loads(emit_scene(build_model("pair_C_R")))
+        doc["name"] = "smile \ud83d\ude00"
+        scene = tmp_path / "pair.json"
+        scene.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run(capsys, "check", str(scene))
+        assert code == 0 and out.startswith("scene: smile \U0001f600\n")
+        out.encode("utf-8")
+        text = emit_scene(parse_scene(scene.read_text(encoding="utf-8")))
+        assert emit_scene(parse_scene(text)) == text
+
     def test_scene_integer_bound_is_inclusive(self, capsys):
         code, out, _ = run(capsys, "verify", f"pair_C_R(m={2**62})")
         assert code == 0 and "result: PASS" in out
@@ -416,3 +444,109 @@ class TestByteFuzz:
     @given(damaged_emissions())
     def test_damaged_emissions(self, fuzz_dir, data):
         verify_bytes(fuzz_dir, data)
+
+
+# --- every subcommand and option, fuzzed in process ---
+
+PLANE_MODELS = ("node_curve", "smooth_line_in_C2")
+PAIR_C_R_TEXT = emit_scene(build_model("pair_C_R"))
+AT_COMMANDS = ("index", "hyperdim", "parity", "dual")
+SCENE_COMMANDS = AT_COMMANDS + ("check", "integrate", "verify")
+VERTICES = ("c", "b0", "b1", "b3", "c.c", "b0.c", "c.b0", "b0.b0")
+FUNCTIONS = (
+    "solution_index", "hyperfunction_index",
+    "indicator:ambient", "indicator:real_line", "indicator:node", "indicator:origin",
+)
+
+
+@st.composite
+def model_params(draw, info):
+    """key=value pieces for a model, each value an unbounded integer or, half
+    the time, a small valid one; k stays at 3 or 4 on the two-variable
+    models so that each example stays fast."""
+    pieces = []
+    for p in info.params:
+        if p.name == "k" and info.name in PLANE_MODELS:
+            pieces.append(f"k={draw(st.integers(min_value=3, max_value=4))}")
+        elif draw(st.booleans()):
+            small = st.integers(min_value=p.minimum, max_value=p.minimum + 6)
+            pieces.append(f"{p.name}={draw(st.one_of(small, st.integers()))}")
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        pieces.append(f"bogus={draw(st.integers())}")
+    return pieces
+
+
+@st.composite
+def scene_args(draw, fuzz_dir):
+    """A model spec, or a pair_C_R scene file whose name is drawn text that
+    often holds a lone surrogate."""
+    if draw(st.integers(min_value=0, max_value=2)):
+        info = draw(st.sampled_from(list_models()))
+        return f"{info.name}({', '.join(draw(model_params(info)))})"
+    doc = json.loads(PAIR_C_R_TEXT)
+    chars = st.one_of(st.characters(exclude_categories=()), st.sampled_from("\ud800\udfff"))
+    doc["name"] = draw(st.text(chars, max_size=6))
+    path = fuzz_dir / "named.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@st.composite
+def scene_argvs(draw, fuzz_dir):
+    command = draw(st.sampled_from(SCENE_COMMANDS))
+    argv = [command, draw(scene_args(fuzz_dir))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    if command in AT_COMMANDS:
+        if draw(st.booleans()):
+            at = draw(st.one_of(
+                st.text(max_size=10),
+                st.lists(st.sampled_from(VERTICES), min_size=1, max_size=3).map(",".join),
+            ))
+            argv += draw(st.sampled_from([["--at", at], [f"--at={at}"]]))
+        if draw(st.booleans()):
+            argv.append("--all")
+    if command in ("dual", "integrate") and draw(st.booleans()):
+        function = draw(st.one_of(st.sampled_from(FUNCTIONS), st.text(max_size=10)))
+        argv.append(f"--function={function}")
+    if command == "verify" and draw(st.booleans()):
+        argv.append(f"--seed={draw(st.integers())}")
+    return argv
+
+
+@st.composite
+def models_argvs(draw):
+    if draw(st.booleans()):
+        return ["models", "list"] + draw(st.sampled_from([[], ["--json"]]))
+    info = draw(st.sampled_from(list_models()))
+    name = draw(st.one_of(st.just(info.name), st.text(min_size=1, max_size=8)))
+    return ["models", "emit", name] + draw(model_params(info))
+
+
+def assert_exit_contract(argv) -> None:
+    """Exit 0, 1 or 2, and 1 only from verify; exit 2 with empty stdout and
+    one stderr line; stdout that a real UTF-8 stream can write."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exited:  # usage errors, from argparse
+            code = exited.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert code != 1 or argv[0] == "verify", argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+    out.getvalue().encode("utf-8")  # StringIO accepts what a real stdout refuses
+
+
+class TestOptionFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_scene_commands(self, fuzz_dir, data):
+        assert_exit_contract(data.draw(scene_argvs(fuzz_dir)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(models_argvs())
+    def test_models_commands(self, argv):
+        assert_exit_contract(argv)

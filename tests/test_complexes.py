@@ -5,19 +5,21 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cfcalc.complexes
 from cfcalc import (
     MissingSimplexError,
     ModelError,
     OpenSubset,
     Simplex,
+    SimplicialMap,
+    Subcomplex,
     build_complex,
     complement_open,
     compose,
-    cone,
+    euler_integral,
     fixed_point_set,
-    full_subcomplex,
-    identity_map,
     inclusion_map,
+    indicator,
     involution,
     is_connected,
     is_strongly_free,
@@ -120,30 +122,13 @@ class TestComplexConstruction:
         t = build_complex([["a", "b", "c"]])
         assert len(t) == 7
         assert t.dim == 2
-        assert t.euler_characteristic() == 1
+        assert euler_integral(indicator(t)) == 1
 
     def test_circle_counts(self):
         c = polygon(3)
         assert len(c) == 6
         assert c.dim == 1
-        assert c.euler_characteristic() == 0
-
-    def test_cone_over_hexagon(self):
-        """Coning a 6-gon gives 7 vertices, 12 edges, 6 triangles."""
-        base = polygon(6)
-        d = cone(base, "c")
-        by_dim = {k: sum(1 for s in d.simplices if s.dim == k) for k in range(3)}
-        assert by_dim == {0: 7, 1: 12, 2: 6}
-        assert len(d) == 25
-        assert len(d) == face_closure_size(s.vertices for s in d.maximal_simplices())
-        assert d.euler_characteristic() == 1
-
-    def test_cone_apex_collision(self):
-        with pytest.raises(ModelError):
-            cone(polygon(3), "b0")
-
-    def test_cone_over_empty_is_point(self):
-        assert cone(build_complex([]), "pt") == point_complex("pt")
+        assert euler_integral(indicator(c)) == 0
 
     def test_empty_complex(self):
         e = build_complex([])
@@ -207,15 +192,24 @@ class TestStarAndSubcomplex:
         right = subcomplex(d, [[f"b{i}", "c"] for i in (0, 3)])
         assert left.intersection(right).simplices == left.simplices
 
-    def test_full_subcomplex_roundtrip(self):
-        d = disk(3)
-        assert full_subcomplex(d).as_complex() == d
-
     def test_as_complex_is_cached(self):
         axis = diameter(disk(3))
         space = axis.as_complex()
         assert space is axis.as_complex()
         assert space == build_complex([["b0", "c"], ["b3", "c"]])
+
+
+    def test_package_built_closures_are_not_checked_again(self, monkeypatch):
+        def refuse(sset, what):
+            raise AssertionError("a closure the package built was checked again")
+
+        d = disk(3)
+        monkeypatch.setattr(cfcalc.complexes, "_require_face_closed", refuse)
+        axis = subcomplex(d, [["b0", "c"], ["b3", "c"]])
+        assert axis.intersection(axis).as_complex() == build_complex([["b0", "c"], ["b3", "c"]])
+        assert fixed_point_set(reflection(d)).simplices == axis.simplices
+        with pytest.raises(AssertionError):
+            Subcomplex(d, axis.simplices)  # outside input is still checked
 
 
 class TestOpenSubset:
@@ -244,7 +238,7 @@ class TestProduct:
         square, _, _ = product(interval, interval)
         by_dim = {k: sum(1 for s in square.simplices if s.dim == k) for k in range(3)}
         assert by_dim == {0: 4, 1: 5, 2: 2}
-        assert square.euler_characteristic() == 1
+        assert euler_integral(indicator(square)) == 1
 
     def test_product_with_point_is_isomorphic(self):
         d = disk(3)
@@ -276,8 +270,8 @@ class TestProduct:
         rng.shuffle(rorder)
         space, _, _ = product(left, right, lorder, rorder)
         assert (
-            space.euler_characteristic()
-            == left.euler_characteristic() * right.euler_characteristic()
+            euler_integral(indicator(space))
+            == euler_integral(indicator(left)) * euler_integral(indicator(right))
         )
 
     def test_projections_are_simplicial(self):
@@ -306,7 +300,7 @@ class TestMaps:
 
     def test_compose_and_identity(self):
         d = disk(3)
-        ident = identity_map(d)
+        ident = SimplicialMap(d, d, {v: v for v in d.vertices})
         assert compose(ident, ident).vertex_map == ident.vertex_map
         axis = diameter(d)
         incl = inclusion_map(axis)
@@ -314,7 +308,11 @@ class TestMaps:
 
     def test_compose_mismatch(self):
         with pytest.raises(ModelError):
-            compose(identity_map(polygon(3)), identity_map(polygon(4, prefix="r")))
+            triangle, square = polygon(3), polygon(4, prefix="r")
+            compose(
+                SimplicialMap(triangle, triangle, {v: v for v in triangle.vertices}),
+                SimplicialMap(square, square, {v: v for v in square.vertices}),
+            )
 
 
 class TestInvolutions:

@@ -18,6 +18,7 @@ from cfcalc import (
     ConstructibleFunction,
     build_complex,
     build_model,
+    indicator,
     parse_scene,
     simplicial_map,
 )
@@ -41,9 +42,10 @@ def keep(phi, wanted):
 
 
 def function_fault(name, make):
-    """Replace calculus.<name> by make(original) wherever it was imported."""
+    """Replace the cfcalc function <name>, from calculus or complexes, by
+    make(original) wherever it was imported."""
     def plant(monkeypatch):
-        original = getattr(cfcalc.calculus, name)
+        original = getattr(cfcalc, name)
         fake = make(original)
         for module in MODULES:
             if getattr(module, name, None) is original:
@@ -55,6 +57,28 @@ def restrict_drops_top(restrict):
     def faulty(phi, closed):
         plain = restrict(phi, closed)
         return keep(plain, lambda s: s.dim < plain.ambient.dim)
+    return faulty
+
+
+def pushforward_overwrites(_):
+    """A pushforward that stores each fibre term instead of adding it."""
+    def faulty(f, phi):
+        index = f.target.index()
+        acc = [0] * len(index.order)
+        for s, v in phi.items:
+            t = f.image_vertices(s.vertices)
+            acc[index.position[t]] = -v if (len(s.vertices) - len(t)) % 2 else v
+        return ConstructibleFunction(f.target, dict(zip(index.order, acc)))
+    return faulty
+
+
+def triangle_moves_one(decompose):
+    """The terms with the constant 1 moved from the costalk to the boundary:
+    their sum, and so the triangle identity, is unchanged."""
+    def faulty(closed, phi):
+        costalk, boundary = decompose(closed, phi)
+        one = indicator(costalk.ambient)
+        return costalk - one, boundary + one
     return faulty
 
 
@@ -117,7 +141,9 @@ def exits_3(*argv):
 
 
 # fault -> (plant, catcher); the pushforward sign is invisible to verify,
-# which pushes only along maps that drop no dimension
+# which pushes only along maps that drop no dimension, and a fibre sum
+# that overwrites shows only where two simplices share an image: the
+# quotient map of antipodal_cover
 FAULTS = {
     "dual_drops_own_term": (
         function_fault("dual", lambda dual: lambda phi: dual(phi) - twist(phi)),
@@ -132,6 +158,18 @@ FAULTS = {
             "pushforward", lambda push: lambda f, phi: twist(push(f, twist(phi)))
         ),
         pushforward_oracle,
+    ),
+    "pushforward_overwrites_fibre_sums": (
+        function_fault("pushforward", pushforward_overwrites),
+        verify_row("antipodal_cover", "covering_parity"),
+    ),
+    "is_strongly_free_never": (
+        function_fault("is_strongly_free", lambda _: lambda tau: False),
+        verify_row("antipodal_cover", "declared_checks"),
+    ),
+    "triangle_moves_one_to_boundary": (
+        function_fault("triangle_decompose", triangle_moves_one),
+        verify_row("pair_C_R", "boundary_parity"),
     ),
     "pullback_drops_edges": (
         function_fault(

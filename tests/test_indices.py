@@ -16,10 +16,10 @@ from cfcalc import (
     RealComplexPair,
     Scene,
     Stratum,
+    Subcomplex,
     build_model,
     complement_open,
     list_models,
-    full_subcomplex,
     hyperfunction_dimension,
     hyperfunction_index,
     indicator,
@@ -83,7 +83,7 @@ class TestStratumValidation:
     def test_multiplicity_must_be_positive(self):
         d = disk(3)
         with pytest.raises(ModelError, match="multiplicity"):
-            smooth_stratum("flat", full_subcomplex(d), 0, 0)
+            smooth_stratum("flat", Subcomplex(d, d.simplices), 0, 0)
 
     def test_disconnected_support_rejected(self):
         d = disk(3)
@@ -94,7 +94,7 @@ class TestStratumValidation:
     def test_eu_must_live_on_support(self):
         d = disk(3)
         origin = subcomplex(d, [["c"]])
-        stray = indicator(full_subcomplex(d))
+        stray = indicator(d)
         with pytest.raises(ModelError, match="not supported"):
             Stratum("origin", origin, 1, 1, stray, smooth=False)
 
@@ -114,15 +114,15 @@ class TestStratumValidation:
 class TestCycleAndPair:
     def test_duplicate_names_rejected(self):
         d = disk(3)
-        st1 = smooth_stratum("flat", full_subcomplex(d), 0, 1)
+        st1 = smooth_stratum("flat", Subcomplex(d, d.simplices), 0, 1)
         st2 = smooth_stratum("flat", subcomplex(d, [["c"]]), 1, 1)
         with pytest.raises(ModelError, match="names"):
             CharacteristicCycle([st1, st2])
 
     def test_duplicate_supports_rejected(self):
         d = disk(3)
-        st1 = smooth_stratum("one", full_subcomplex(d), 0, 1)
-        st2 = smooth_stratum("two", full_subcomplex(d), 0, 2)
+        st1 = smooth_stratum("one", Subcomplex(d, d.simplices), 0, 1)
+        st2 = smooth_stratum("two", Subcomplex(d, d.simplices), 0, 2)
         with pytest.raises(ModelError, match="supports"):
             CharacteristicCycle([st1, st2])
 
@@ -142,7 +142,7 @@ class TestIndexFormulas:
     def test_solution_index_one_variable(self):
         pair = one_variable_pair()
         origin = smooth_stratum("origin", subcomplex(pair.ambient, [["c"]]), 1, 2)
-        flat = smooth_stratum("flat", full_subcomplex(pair.ambient), 0, 3)
+        flat = smooth_stratum("flat", Subcomplex(pair.ambient, pair.ambient.simplices), 0, 3)
         cycle = CharacteristicCycle([origin, flat])
         sol = solution_index(cycle, pair.ambient)
         assert sol.value("c") == 3 - 2  # codim signs: +flat, -origin
@@ -151,7 +151,7 @@ class TestIndexFormulas:
     def test_hyperfunction_index_one_variable(self):
         pair = one_variable_pair()
         origin = smooth_stratum("origin", subcomplex(pair.ambient, [["c"]]), 1, 2)
-        flat = smooth_stratum("flat", full_subcomplex(pair.ambient), 0, 3)
+        flat = smooth_stratum("flat", Subcomplex(pair.ambient, pair.ambient.simplices), 0, 3)
         hyper = hyperfunction_index(pair, CharacteristicCycle([origin, flat]))
         assert hyper.value("c") == 5
         assert hyper.value(["b0", "c"]) == 3
@@ -160,7 +160,7 @@ class TestIndexFormulas:
     def test_dimension_matches_index_when_smooth(self):
         pair = one_variable_pair()
         origin = smooth_stratum("origin", subcomplex(pair.ambient, [["c"]]), 1, 2)
-        flat = smooth_stratum("flat", full_subcomplex(pair.ambient), 0, 3)
+        flat = smooth_stratum("flat", Subcomplex(pair.ambient, pair.ambient.simplices), 0, 3)
         cycle = CharacteristicCycle([origin, flat])
         dim = hyperfunction_dimension(pair, cycle)
         hyper = hyperfunction_index(pair, cycle)
@@ -189,7 +189,7 @@ class TestIndexFormulas:
     def test_linearity_in_cycles(self):
         pair = one_variable_pair()
         origin = smooth_stratum("origin", subcomplex(pair.ambient, [["c"]]), 1, 2)
-        flat = smooth_stratum("flat", full_subcomplex(pair.ambient), 0, 3)
+        flat = smooth_stratum("flat", Subcomplex(pair.ambient, pair.ambient.simplices), 0, 3)
         both = CharacteristicCycle([origin, flat])
         only_origin = CharacteristicCycle([origin])
         only_flat = CharacteristicCycle([flat])
@@ -351,7 +351,7 @@ class TestValueClasses:
             name=scene.name, comment=scene.comment, ambient=scene.ambient,
             subcomplexes=scene.subcomplexes, real_form_name=scene.real_form_name,
             pair=scene.pair, cycle=scene.cycle, expect=scene.expect,
-            canonical_text=scene.canonical_text,
+            support_names=scene.support_names,
         )
         assert again == scene and hash(again) == hash(scene)
 

@@ -142,6 +142,25 @@ class TestRoundTrip:
         scene.verify()
         assert "_index" in scene.ambient.__dict__
 
+    def test_canonical_text_is_built_on_first_use(self, monkeypatch):
+        text = emit_scene(build_model("pair_C_R"))
+        built = []
+
+        def counted(scene):
+            built.append(scene.name)
+            return canonical_doc(scene)
+
+        canonical_doc = cfcalc.scenes._canonical_doc
+        monkeypatch.setattr(cfcalc.scenes, "_canonical_doc", counted)
+        parsed = parse_scene(text)
+        fresh = build_model("pair_C_R", m=7919)  # parameters no other test builds
+        parsed.verify()
+        assert built == []
+        assert parsed.canonical_text is parsed.canonical_text
+        assert parsed.canonical_text == text and built == [parsed.name]
+        emit_scene(fresh)
+        assert built == [parsed.name, fresh.name]
+
 
 def reparse(doc: dict):
     return parse_scene(json.dumps(doc))

@@ -1,10 +1,15 @@
-"""The two documented scripts run to completion."""
+"""The two documented scripts run to completion, and the names the
+benchmark resolves on the package exist."""
 
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import cfcalc.cli  # the workloads reach main through cf.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,3 +26,32 @@ def test_script_exits_zero(argv):
         [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _literal(path: Path, name: str):
+    """The literal value assigned to a module-level name, read without importing."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} is not assigned in {path}")
+
+
+def test_benchmark_tracer_names_resolve():
+    """Every name the benchmark's tracer wraps still exists, so a deletion
+    cannot silently break `perfbench/run.py --trace 1`."""
+    spans = ROOT / "perfbench" / "spans.py"
+    for module, names in _literal(spans, "FUNCTIONS").items():
+        home = getattr(cfcalc, module)
+        missing = [name for name in names if not callable(getattr(home, name, None))]
+        assert missing == [], f"cfcalc.{module} lacks {missing}"
+    for module, cls, attr, _ in _literal(spans, "METHODS"):
+        assert attr in vars(getattr(getattr(cfcalc, module), cls)), f"{cls}.{attr}"
+
+
+def test_benchmark_workload_names_resolve():
+    """Every `cf.<name>` the workloads use is on the package."""
+    source = (ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8")
+    names = sorted(set(re.findall(r"\bcf\.(\w+)", source)))
+    assert names and [name for name in names if not hasattr(cfcalc, name)] == []
