@@ -20,7 +20,6 @@ from .complexes import (
     SimplicialMap,
     Subcomplex,
     canonical_sorted,
-    complement_open,
     quotient_by_involution,
 )
 from .errors import MissingSimplexError, ModelError
@@ -300,10 +299,36 @@ def triangle_decompose(
     Returns (shriek_restrict(closed, phi), restriction of the open
     pushforward of phi from the complement).  Their sum is the plain
     restriction, exactly, on every subcomplex and every function.
+
+    Both terms depend only on phi on the open star of the subcomplex M,
+    so they are computed there, in one pass through the star table: g
+    gathers (-1)^dim u phi(u) onto the M-faces of each star simplex u,
+    and g_out does the same over the u outside M.  The costalk is D_M(g).
+    The boundary is -D_M(g_out), because for s in M and w outside M the
+    signs (-1)^dim u over the interval s <= u <= w sum to zero, so their
+    sum over the u outside M is minus their sum over the u in M.
     """
-    opensub = complement_open(closed.parent, closed)
-    costalk = shriek_restrict(closed, phi)
-    boundary = restrict(open_pushforward(opensub, restrict_open(phi, opensub)), closed)
+    if phi.ambient != closed.parent:
+        raise ModelError("function does not live on the parent of the subcomplex")
+    table = closed.star_table()
+    space, entries = table.space, table.entries
+    order = space.index().order
+    g = [0] * len(order)
+    g_out = [0] * len(order)
+    for s, v in phi.items:
+        entry = entries.get(s.vertices)
+        if entry is None:
+            continue
+        found, odd, outside = entry
+        if odd:
+            v = -v
+        for j in found:
+            g[j] += v
+        if outside:
+            for j in found:
+                g_out[j] += v
+    costalk = dual(ConstructibleFunction._of(space, _nonzero_items(order, g)))
+    boundary = -dual(ConstructibleFunction._of(space, _nonzero_items(order, g_out)))
     return costalk, boundary
 
 

@@ -244,7 +244,8 @@ def _cmd_models(args) -> int:
                     "params": [
                         {
                             "name": p.name, "default": p.default,
-                            "minimum": p.minimum, "meaning": p.meaning,
+                            "minimum": p.minimum, "maximum": p.maximum,
+                            "meaning": p.meaning,
                         }
                         for p in info.params
                     ],
@@ -254,7 +255,10 @@ def _cmd_models(args) -> int:
         for info in list_models():
             print(f"{info.name}: {info.summary}")
             for p in info.params:
-                print(f"  {p.name}={p.default} (min {p.minimum}): {p.meaning}")
+                bounds = f"min {p.minimum}"
+                if p.maximum is not None:
+                    bounds += f", max {p.maximum}"
+                print(f"  {p.name}={p.default} ({bounds}): {p.meaning}")
         return 0
     # emit
     if args.name is None:

@@ -176,6 +176,40 @@ class ComplexIndex:
         self.odd = [len(s.vertices) % 2 == 0 for s in order]
 
 
+class StarTable:
+    """The open star of a subcomplex M, read from its parent's face table.
+
+    space is M as a complex of its own.  entries maps the vertex tuple of
+    each parent simplex u with a face in M to (the positions of u's
+    M-faces in M's canonical order, whether dim u is odd, whether u lies
+    outside M).  Built by Subcomplex.star_table() on first use and kept
+    for the life of the subcomplex.
+    """
+
+    __slots__ = ("space", "entries")
+
+    def __init__(self, closed: "Subcomplex") -> None:
+        index = closed.parent.index()
+        space = closed.as_complex()
+        inner = space.index().position
+        outer = index.position
+        local: list[int | None] = [None] * len(index.order)
+        for vs, j in inner.items():
+            local[outer[vs]] = j
+        starts, faces, odd = index.starts, index.faces, index.odd
+        misses = closed.vertices.isdisjoint
+        lookup = local.__getitem__
+        entries = {}
+        for i, s in enumerate(index.order):
+            vs = s.vertices
+            if misses(vs):  # else a vertex of u is a face in M
+                continue
+            found = [j for j in map(lookup, faces[starts[i]:starts[i + 1]]) if j is not None]
+            entries[vs] = (found, odd[i], local[i] is None)
+        self.space = space
+        self.entries = entries
+
+
 class SimplicialComplex(Frozen):
     """A finite set of simplices closed under taking faces (possibly empty)."""
 
@@ -217,7 +251,12 @@ class SimplicialComplex(Frozen):
 
     @property
     def vertices(self) -> frozenset[str]:
-        return frozenset(v for s in self.simplices for v in s.vertices)
+        """The vertex names, collected on first use."""
+        vertices = self.__dict__.get("_vertices")
+        if vertices is None:
+            vertices = frozenset(v for s in self.simplices for v in s.vertices)
+            object.__setattr__(self, "_vertices", vertices)
+        return vertices
 
     def has(self, simplex_like) -> bool:
         return Simplex(simplex_like) in self.simplices
@@ -283,7 +322,7 @@ class Subcomplex(Frozen):
 
     @property
     def vertices(self) -> frozenset[str]:
-        return frozenset(v for s in self.simplices for v in s.vertices)
+        return self.as_complex().vertices
 
     def has(self, simplex_like) -> bool:
         return Simplex(simplex_like) in self.simplices
@@ -295,6 +334,14 @@ class Subcomplex(Frozen):
             space = SimplicialComplex._closed(self.simplices)
             object.__setattr__(self, "_complex", space)
         return space
+
+    def star_table(self) -> StarTable:
+        """The open star of the subcomplex in its parent, built on first use."""
+        table = self.__dict__.get("_star")
+        if table is None:
+            table = StarTable(self)
+            object.__setattr__(self, "_star", table)
+        return table
 
     def intersection(self, other: "Subcomplex") -> "Subcomplex":
         if self.parent != other.parent:
@@ -452,15 +499,16 @@ class SimplicialMap(Frozen):
             (k if isinstance(k, str) else str(k)): (v if isinstance(v, str) else str(v))
             for k, v in vertex_map.items()
         }
-        if set(vm) != set(source.vertices):
-            extra = sorted(set(vm) - set(source.vertices))
-            missing = sorted(set(source.vertices) - set(vm))
+        vertices = source.vertices
+        if vm.keys() != vertices:
+            extra = sorted(vm.keys() - vertices)
+            missing = sorted(vertices - vm.keys())
             raise ModelError(
                 "vertex map must be total on the source vertices"
                 + (f"; unmapped: {missing}" if missing else "")
                 + (f"; unknown: {extra}" if extra else "")
             )
-        bad_values = sorted(set(vm.values()) - set(target.vertices))
+        bad_values = sorted(set(vm.values()) - target.vertices)
         if bad_values:
             raise ModelError(f"vertex map hits non-vertices of the target: {bad_values}")
         self._assign(source, target, tuple(sorted(vm.items())))

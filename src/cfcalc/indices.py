@@ -339,6 +339,18 @@ def _first_mismatch(
     return "exact"
 
 
+def _random_items(rng: random.Random, sims) -> tuple[tuple[Simplex, int], ...]:
+    """Items of the function {s: rng.randint(-3, 3) for s in sims if
+    rng.random() < 0.4}, drawn in the same order, without its zeros."""
+    items = []
+    for s in sims:
+        if rng.random() < 0.4:
+            v = rng.randint(-3, 3)
+            if v:
+                items.append((s, v))
+    return tuple(items)
+
+
 def verify_scene(
     pair: RealComplexPair,
     cycle: CharacteristicCycle,
@@ -436,8 +448,7 @@ def verify_scene(
     rng = random.Random(seed)
     sims = ambient.ordered()
     for i in range(3):
-        values = {s: rng.randint(-3, 3) for s in sims if rng.random() < 0.4}
-        phi = ConstructibleFunction(ambient, values)
+        phi = ConstructibleFunction._of(ambient, _random_items(rng, sims))
         triangle_entry(
             f"random[{i}]", restrict(phi, pair.real_form),
             triangle_decompose(pair.real_form, phi), f"seed={seed}",

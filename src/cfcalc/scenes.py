@@ -689,6 +689,8 @@ def _antipodal_cover_doc(p: dict) -> dict:
 
 # The plane models close 24k^2 maximal 4-simplices, counted as 744k^2 faces
 # against the closure budget, so k is bounded before anything is built.
+# Each multiplicity is bounded so that every value its builder writes, a
+# sum of two multiplicities or twice one included, stays within MAX_VALUE.
 _K = ModelParam(
     "k", 3, 3, "half the number of rim vertices in each disk factor",
     maximum=math.isqrt(MAX_SIMPLICES // 744),
@@ -700,8 +702,14 @@ _MODELS: dict[str, tuple[ModelInfo, Callable[[dict], dict]]] = {
             "kashiwara_point",
             "point module plus flat piece at the origin of one complex variable",
             (
-                ModelParam("d0", 2, 0, "multiplicity of the origin stratum (0 omits it)"),
-                ModelParam("d1", 3, 0, "multiplicity of the flat stratum (0 omits it)"),
+                ModelParam(
+                    "d0", 2, 0, "multiplicity of the origin stratum (0 omits it)",
+                    maximum=MAX_VALUE // 2,
+                ),
+                ModelParam(
+                    "d1", 3, 0, "multiplicity of the flat stratum (0 omits it)",
+                    maximum=MAX_VALUE // 2,
+                ),
                 _K,
             ),
         ),
@@ -711,7 +719,7 @@ _MODELS: dict[str, tuple[ModelInfo, Callable[[dict], dict]]] = {
         ModelInfo(
             "pair_C_R",
             "flat complexification pair in one variable",
-            (ModelParam("m", 1, 1, "multiplicity of the flat stratum"), _K),
+            (ModelParam("m", 1, 1, "multiplicity of the flat stratum", maximum=MAX_VALUE), _K),
         ),
         _pair_C_R_doc,
     ),
@@ -719,7 +727,7 @@ _MODELS: dict[str, tuple[ModelInfo, Callable[[dict], dict]]] = {
         ModelInfo(
             "smooth_line_in_C2",
             "smooth coordinate line inside two complex variables",
-            (ModelParam("m", 4, 1, "multiplicity along the line"), _K),
+            (ModelParam("m", 4, 1, "multiplicity along the line", maximum=MAX_VALUE), _K),
         ),
         _smooth_line_doc,
     ),
@@ -727,7 +735,7 @@ _MODELS: dict[str, tuple[ModelInfo, Callable[[dict], dict]]] = {
         ModelInfo(
             "node_curve",
             "two crossing coordinate lines, singular at the center",
-            (ModelParam("m", 1, 1, "multiplicity along the curve"), _K),
+            (ModelParam("m", 1, 1, "multiplicity along the curve", maximum=MAX_VALUE // 2), _K),
         ),
         _node_curve_doc,
     ),
@@ -735,7 +743,7 @@ _MODELS: dict[str, tuple[ModelInfo, Callable[[dict], dict]]] = {
         ModelInfo(
             "antipodal_cover",
             "circle with the free antipodal conjugation and empty real form",
-            (ModelParam("m", 1, 1, "multiplicity of the full stratum"), _K),
+            (ModelParam("m", 1, 1, "multiplicity of the full stratum", maximum=MAX_VALUE), _K),
         ),
         _antipodal_cover_doc,
     ),
@@ -768,7 +776,11 @@ def build_model(name: str, **params: int) -> Scene:
         if known[key].maximum is not None and val > known[key].maximum:
             raise ModelError(f"parameter {key!r} must be at most {known[key].maximum}")
         values[key] = val
-    return _build_cached(name, tuple(sorted(values.items())))
+    try:
+        return _build_cached(name, tuple(sorted(values.items())))
+    except ModelError as err:  # SceneError included
+        # valid parameters always build a valid scene, so this is the program's fault
+        raise RuntimeError(f"built-in model {name!r} did not build: {err}") from err
 
 
 # Bounded: a scene holds its whole complex (about 1 MB at k = 3), and a

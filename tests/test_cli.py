@@ -11,8 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 import cfcalc.calculus
 import cfcalc.cli
-from cfcalc import build_model, emit_scene, list_models, parse_scene
+import cfcalc.indices
+from cfcalc import (
+    ConstructibleFunction, ModelParam, build_model, emit_scene, indicator, list_models, parse_scene,
+)
 from cfcalc.cli import load_scene, main
+from cfcalc.scenes import ModelInfo, _build_cached
 
 
 def run(capsys, *argv):
@@ -150,6 +154,57 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: parameter 'k' must be at most 36\n"
 
+    @pytest.mark.parametrize(
+        "spec,err",
+        [
+            (
+                "node_curve(m=4611686018427387904)",
+                "parameter 'm' must be at most 2305843009213693952",
+            ),
+            (
+                "kashiwara_point(d0=4611686018427387904, d1=4611686018427387904)",
+                "parameter 'd0' must be at most 2305843009213693952",
+            ),
+            (
+                "pair_C_R(m=4611686018427387905)",
+                "parameter 'm' must be at most 4611686018427387904",
+            ),
+        ],
+        ids=["node_curve_m", "kashiwara_point_d0", "pair_C_R_m"],
+    )
+    def test_multiplicity_over_its_maximum_refused(self, capsys, spec, err):
+        code, out, stderr = run(capsys, "verify", spec)
+        assert code == 2 and out == ""
+        assert stderr == f"error: {err}\n"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "node_curve(m=2305843009213693952)",
+            "kashiwara_point(d0=2305843009213693952, d1=2305843009213693952)",
+        ],
+        ids=["node_curve", "kashiwara_point"],
+    )
+    def test_multiplicity_at_its_maximum_verifies(self, capsys, spec):
+        code, _, err = run(capsys, "verify", spec)
+        assert code == 0 and err == ""
+
+    def test_kernel_fault_in_a_model_build_exits_3(self, capsys, monkeypatch):
+        # an indicator that drops vertices makes the built-in scene invalid,
+        # which is the program's fault, not the user's
+        def drops_vertices(region):
+            phi = indicator(region)
+            return ConstructibleFunction(phi.ambient, {s: v for s, v in phi.items if s.dim > 0})
+
+        monkeypatch.setattr(cfcalc.indices, "indicator", drops_vertices)
+        _build_cached.cache_clear()
+        code, out, err = run(capsys, "verify", "pair_C_R(m=2)")
+        assert code == 3 and out == ""
+        assert err == (
+            "internal error: RuntimeError: built-in model 'pair_C_R' did not build: "
+            "strata[0]: stratum 'ambient' is flagged smooth, so eu must be identically 1 on it\n"
+        )
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def broken(scene, args):
             raise RuntimeError("boom")
@@ -160,15 +215,17 @@ class TestExitCodes:
         assert err == "internal error: RuntimeError: boom\n"
 
     def test_kernel_fault_in_verify_exits_3(self, capsys, monkeypatch):
-        # a restrict_open that keeps everything breaks the kernel, not the scene
-        def keep_everything(phi, opensub):
+        # a restrict that leaves the function on the parent breaks the
+        # kernel, not the scene
+        def keep_parent(phi, closed):
             return phi
 
-        monkeypatch.setattr(cfcalc.calculus, "restrict_open", keep_everything)
+        for module in (cfcalc.calculus, cfcalc.indices):
+            monkeypatch.setattr(module, "restrict", keep_parent)
         code, out, err = run(capsys, "verify", "pair_C_R")
         assert code == 3 and out == ""
         assert err == (
-            "internal error: ModelError: function is not supported in the open subset: b0\n"
+            "internal error: ModelError: function does not live on the source of the map\n"
         )
 
     @pytest.mark.parametrize(
@@ -241,10 +298,15 @@ class TestExitCodes:
         text = emit_scene(parse_scene(scene.read_text(encoding="utf-8")))
         assert emit_scene(parse_scene(text)) == text
 
-    def test_scene_integer_bound_is_inclusive(self, capsys):
+    def test_scene_integer_bound_is_inclusive(self, capsys, tmp_path):
         code, out, _ = run(capsys, "verify", f"pair_C_R(m={2**62})")
         assert code == 0 and "result: PASS" in out
-        code, out, err = run(capsys, "hyperdim", f"pair_C_R(m={2**62 + 1})")
+        # a model spec over the bound is refused as a parameter, so go through a file
+        doc = json.loads(emit_scene(build_model("pair_C_R", m=2**62)))
+        doc["strata"][0]["multiplicity"] = 2**62 + 1
+        scene = tmp_path / "pair.json"
+        scene.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "hyperdim", str(scene))
         assert code == 2 and out == ""
         assert err.startswith("error: strata[0].multiplicity: must be at most 2^62")
 
@@ -346,6 +408,32 @@ class TestModelsCommand:
         assert code == 0
         assert "kashiwara_point:" in out
         assert "d0=2" in out
+
+    def test_list_shows_each_maximum(self, capsys):
+        code, out, _ = run(capsys, "models", "list")
+        assert code == 0
+        assert "  k=3 (min 3, max 36): half the number of rim vertices in each disk factor\n" in out
+        assert "  m=1 (min 1, max 2305843009213693952): multiplicity along the curve\n" in out
+        code, out, _ = run(capsys, "models", "list", "--json")
+        assert code == 0
+        listed = {
+            (info["name"], p["name"]): p["maximum"]
+            for info in json.loads(out)
+            for p in info["params"]
+        }
+        assert listed == {
+            (info.name, p.name): p.maximum for info in list_models() for p in info.params
+        }
+        assert listed["node_curve", "k"] == 36
+        assert listed["kashiwara_point", "d1"] == 2**61
+
+    def test_unbounded_parameter_lists_no_maximum(self, capsys, monkeypatch):
+        info = ModelInfo("free", "one unbounded parameter", (ModelParam("n", 1, 0, "count"),))
+        monkeypatch.setattr(cfcalc.cli, "list_models", lambda: (info,))
+        code, out, _ = run(capsys, "models", "list")
+        assert code == 0 and out == "free: one unbounded parameter\n  n=1 (min 0): count\n"
+        code, out, _ = run(capsys, "models", "list", "--json")
+        assert code == 0 and json.loads(out)[0]["params"][0]["maximum"] is None
 
     def test_emit_round_trips(self, capsys):
         code, out, _ = run(capsys, "models", "emit", "node_curve", "k=4")

@@ -2,11 +2,11 @@
 
 Every entry of FAULTS swaps one kernel piece for a wrong version and names
 the check that must notice it: a failing verify row on a built-in model,
-an oracle of tests/test_oracles.py, a golden output of tests/test_golden.py,
-or exit status 3.  A fault on a function is planted in every cfcalc module
-that imported the name, so callers inside the package see it too.  Each
-catcher is also run on the healthy kernel, where it must stay quiet, so a
-catcher that fires on everything proves nothing.
+an oracle of tests/test_oracles.py or tests/test_calculus.py, or a golden
+output of tests/test_golden.py.  A fault on a function is planted in every
+cfcalc module that imported the name, so callers inside the package see it
+too.  Each catcher is also run on the healthy kernel, where it must stay
+quiet, so a catcher that fires on everything proves nothing.
 """
 
 import pytest
@@ -18,11 +18,13 @@ from cfcalc import (
     ConstructibleFunction,
     build_complex,
     build_model,
+    complement_open,
     indicator,
     parse_scene,
     simplicial_map,
+    subcomplex,
 )
-from cfcalc.complexes import ComplexIndex
+from cfcalc.complexes import ComplexIndex, StarTable
 from test_golden import CASES, GOLDEN, _run
 from test_oracles import reference_pushforward, values
 
@@ -97,6 +99,21 @@ def face_table_without_self(monkeypatch):
     monkeypatch.setattr(ComplexIndex, "__init__", faulty)
 
 
+def star_table_fault(change):
+    """Star tables built from now on have each entry replaced by
+    change(entry), or dropped where it gives None."""
+    def plant(monkeypatch):
+        build = StarTable.__init__
+
+        def faulty(table, closed):
+            build(table, closed)
+            changed = {vs: change(entry) for vs, entry in table.entries.items()}
+            table.entries = {vs: entry for vs, entry in changed.items() if entry is not None}
+
+        monkeypatch.setattr(StarTable, "__init__", faulty)
+    return plant
+
+
 # --- catchers: each takes a `plant` callback and reports whether it fired ---
 
 
@@ -124,6 +141,16 @@ def pushforward_oracle(plant):
     return values(cfcalc.calculus.pushforward(f, phi)) != reference_pushforward(f, phi)
 
 
+def open_pushforward_oracle(plant):
+    """test_open_pushforward_interval: the open edge of an interval, pushed
+    forward over its endpoints, is the constant 1."""
+    interval = build_complex([["p", "q"]])
+    u = complement_open(interval, subcomplex(interval, [["p"], ["q"]]))
+    psi = ConstructibleFunction(interval, {("p", "q"): 1})
+    plant()
+    return cfcalc.calculus.open_pushforward(u, psi) != indicator(interval)
+
+
 def golden(name):
     argv = dict(CASES)[name]
 
@@ -133,17 +160,10 @@ def golden(name):
     return catch
 
 
-def exits_3(*argv):
-    def catch(plant):
-        plant()
-        return _run(list(argv))[0] == 3
-    return catch
-
-
 # fault -> (plant, catcher); the pushforward sign is invisible to verify,
-# which pushes only along maps that drop no dimension, and a fibre sum
-# that overwrites shows only where two simplices share an image: the
-# quotient map of antipodal_cover
+# which pushes only along maps that drop no dimension, a fibre sum that
+# overwrites shows only where two simplices share an image (the quotient
+# map of antipodal_cover), and verify never calls restrict_open
 FAULTS = {
     "dual_drops_own_term": (
         function_fault("dual", lambda dual: lambda phi: dual(phi) - twist(phi)),
@@ -183,7 +203,15 @@ FAULTS = {
     ),
     "restrict_open_keeps_everything": (
         function_fault("restrict_open", lambda _: lambda phi, opensub: phi),
-        exits_3("verify", "pair_C_R"),
+        open_pushforward_oracle,
+    ),
+    "star_table_drops_outside": (
+        star_table_fault(lambda entry: None if entry[2] else entry),
+        verify_row("pair_C_R", "dimension_formula"),
+    ),
+    "star_table_all_inside": (
+        star_table_fault(lambda entry: (entry[0], entry[1], False)),
+        verify_row("pair_C_R", "triangle_identity"),
     ),
     "indicator_drops_vertices": (
         function_fault(

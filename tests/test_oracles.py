@@ -10,11 +10,13 @@ show.
 
 import hashlib
 import itertools
+import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cfcalc.calculus
 from cfcalc import (
     ConstructibleFunction,
     ModelError,
@@ -22,13 +24,24 @@ from cfcalc import (
     SimplicialComplex,
     Subcomplex,
     build_complex,
+    build_model,
+    complement_open,
     dual,
+    list_models,
+    open_pushforward,
     product,
     pushforward,
+    restrict,
+    restrict_open,
+    shriek_restrict,
     simplicial_map,
+    solution_index,
     star,
+    subcomplex,
+    triangle_decompose,
 )
 from cfcalc.cli import main
+from cfcalc.indices import _random_items
 
 BIG = 2**70
 
@@ -118,6 +131,87 @@ def test_pushforward_commutes_with_duality(data):
     _, phi = data.draw(complex_with_cf())
     f = data.draw(simplicial_maps(phi.ambient))
     assert dual(pushforward(f, phi)) == pushforward(f, dual(phi))
+
+
+def reference_triangle(closed: Subcomplex, phi: ConstructibleFunction):
+    """The costalk and boundary terms as their definitions compose them on
+    the whole ambient: shriek restriction, and the restriction of the open
+    pushforward from the complement U of the subcomplex."""
+    u = complement_open(closed.parent, closed)
+    boundary = restrict(open_pushforward(u, restrict_open(phi, u)), closed)
+    return shriek_restrict(closed, phi), boundary
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_triangle_decompose_is_the_definitional_composition(data):
+    space, phi = data.draw(complex_with_cf())
+    kind = data.draw(st.sampled_from(("empty", "whole", "generated")))
+    if kind == "whole":
+        closed = Subcomplex(space, space.simplices)
+    else:
+        gens = [] if kind == "empty" else data.draw(
+            st.lists(st.sampled_from(space.ordered()), min_size=1, max_size=4)
+        )
+        closed = subcomplex(space, gens)
+    # the second call reads the star table the first one cached
+    for psi in (phi, dual(phi)):
+        assert triangle_decompose(closed, psi) == reference_triangle(closed, psi)
+
+
+def draws(ambient, seed: int) -> list[ConstructibleFunction]:
+    """The three random functions of verify's triangle rows, drawn as the
+    definition reads."""
+    rng = random.Random(seed)
+    sims = ambient.ordered()
+    return [
+        ConstructibleFunction(ambient, {s: rng.randint(-3, 3) for s in sims if rng.random() < 0.4})
+        for _ in range(3)
+    ]
+
+
+@pytest.mark.parametrize("name", [info.name for info in list_models()])
+def test_triangle_decompose_matches_the_definition_on_the_models(name):
+    scene = build_model(name, k=3)
+    closed = scene.pair.real_form
+    functions = [solution_index(scene.cycle, scene.ambient)] + draws(scene.ambient, 7)
+    for phi in functions:
+        assert triangle_decompose(closed, phi) == reference_triangle(closed, phi)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+def test_verify_draws_its_random_functions_as_defined(seed):
+    ambient = build_model("node_curve", k=3).ambient
+    rng = random.Random(seed)
+    built = [
+        ConstructibleFunction._of(ambient, _random_items(rng, ambient.ordered())) for _ in range(3)
+    ]
+    assert built == draws(ambient, seed)
+
+
+# ambient duals per verify at k = 3: one for the shriek_indicator row and one
+# for the base_change row of each stratum; antipodal_cover declares no
+# probes, so its shriek_indicator row makes none
+AMBIENT_DUALS = {
+    "antipodal_cover": 1, "kashiwara_point": 4, "node_curve": 2, "pair_C_R": 2,
+    "smooth_line_in_C2": 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(AMBIENT_DUALS))
+def test_verify_dualizes_the_ambient_only_for_the_stratum_rows(name, monkeypatch):
+    scene = build_model(name, k=3)
+    original, ambient_duals = cfcalc.calculus.dual, []
+
+    def counting(phi):
+        if phi.ambient is scene.ambient:
+            ambient_duals.append(phi)
+        return original(phi)
+
+    monkeypatch.setattr(cfcalc.calculus, "dual", counting)
+    assert scene.verify().passed
+    assert len(ambient_duals) == AMBIENT_DUALS[name]
+    assert AMBIENT_DUALS[name] == len(scene.cycle) * (2 if scene.pair.probes else 1)
 
 
 def all_faces(vertices) -> set[frozenset]:
