@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Randomized stress run of the structural identities.
 
-Hammers the duality involution, the restriction triangle, pushforward
-functoriality and product multiplicativity with many random instances,
-far past what the test suite runs by default.
+Hammers the duality involution, the costalk restriction against its
+two-dual definition, the restriction triangle, pushforward functoriality
+and product multiplicativity with many random instances, far past what
+the test suite runs by default.
 
     python3 scripts/stress_identities.py --rounds 1000 --seed 3
 """
@@ -22,6 +23,7 @@ from cfcalc import (
     product,
     pushforward,
     restrict,
+    shriek_restrict,
     simplicial_map,
     subcomplex,
     triangle_decompose,
@@ -54,12 +56,22 @@ def stress_duality(rng, rounds) -> None:
         assert dual(dual(phi)) == phi
 
 
+def random_closed(rng: random.Random, space):
+    return subcomplex(space, [s for s in space.ordered() if rng.random() < 0.4])
+
+
+def stress_shriek(rng, rounds) -> None:
+    for _ in range(rounds):
+        space = random_complex(rng)
+        closed = random_closed(rng, space)
+        phi = random_cf(rng, space)
+        assert shriek_restrict(closed, phi) == dual(restrict(dual(phi), closed))
+
+
 def stress_triangle(rng, rounds) -> None:
     for _ in range(rounds):
         space = random_complex(rng)
-        closed = subcomplex(
-            space, [s for s in space.ordered() if rng.random() < 0.4]
-        )
+        closed = random_closed(rng, space)
         phi = random_cf(rng, space)
         costalk, boundary = triangle_decompose(closed, phi)
         assert restrict(phi, closed) == costalk + boundary
@@ -105,6 +117,7 @@ def main(argv=None) -> int:
     rng = random.Random(args.seed)
     for name, fn, rounds in [
         ("duality involution", stress_duality, args.rounds),
+        ("costalk restriction", stress_shriek, args.rounds),
         ("restriction triangle", stress_triangle, args.rounds),
         ("pushforward functoriality", stress_functoriality, args.rounds),
         ("product multiplicativity", stress_products, max(50, args.rounds // 10)),

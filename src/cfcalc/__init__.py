@@ -48,7 +48,6 @@ from .complexes import (
     quotient_by_involution,
     simplex,
     simplicial_map,
-    star,
     subcomplex,
 )
 from .errors import (

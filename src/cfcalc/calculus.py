@@ -8,7 +8,7 @@ arithmetic; there are no tolerances anywhere.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import combinations, compress
 from typing import Mapping
 
 from ._frozen import Frozen
@@ -211,17 +211,19 @@ def dual(phi: ConstructibleFunction) -> ConstructibleFunction:
     Applying it twice is the identity, and it sends the indicator of a
     closed d-manifold subcomplex to (-1)^d times itself.  Implemented by
     scattering each support simplex onto its faces, which is the same sum
-    grouped the other way, through the face table of the ambient's index.
+    grouped the other way: the faces are listed as vertex combinations
+    and looked up in the ambient's canonical order.
     """
     index = phi.ambient.index()
-    position, starts, faces, odd = index.position, index.starts, index.faces, index.odd
+    position = index.position
     acc = [0] * len(index.order)
     for t, v in phi.items:
-        i = position[t.vertices]
-        if odd[i]:
+        vs = t.vertices
+        if not len(vs) % 2:
             v = -v
-        for j in faces[starts[i]:starts[i + 1]]:
-            acc[j] += v
+        for n in range(1, len(vs) + 1):
+            for face in combinations(vs, n):
+                acc[position[face]] += v
     return ConstructibleFunction._of(phi.ambient, _nonzero_items(index.order, acc))
 
 
@@ -237,12 +239,13 @@ def restrict(phi: ConstructibleFunction, closed: Subcomplex) -> ConstructibleFun
 
 
 def shriek_restrict(closed: Subcomplex, phi: ConstructibleFunction) -> ConstructibleFunction:
-    """Restriction conjugated by duality on both sides.
+    """Restriction conjugated by duality on both sides, D_M(restrict(D(phi))).
 
-    This is the costalk-weighted restriction: dualize on the ambient
-    complex, restrict, dualize on the subcomplex.
+    This is the costalk-weighted restriction.  It depends only on phi on
+    the open star of the subcomplex M, so it is computed there, as the
+    costalk term of triangle_decompose.
     """
-    return dual(restrict(dual(phi), closed))
+    return _star_gather(closed, phi, False)[0]
 
 
 def restrict_open(phi: ConstructibleFunction, opensub: OpenSubset) -> ConstructibleFunction:
@@ -291,22 +294,15 @@ def open_pushforward(opensub: OpenSubset, psi: ConstructibleFunction) -> Constru
     return dual(restrict_open(dual(psi), opensub))
 
 
-def triangle_decompose(
-    closed: Subcomplex, phi: ConstructibleFunction
-) -> tuple[ConstructibleFunction, ConstructibleFunction]:
-    """Split the restriction to a subcomplex into costalk and boundary terms.
+def _star_gather(
+    closed: Subcomplex, phi: ConstructibleFunction, boundary: bool
+) -> tuple[ConstructibleFunction, ...]:
+    """The costalk D_M(g), and with boundary also -D_M(g_out), in one pass
+    through the star table of the subcomplex M.
 
-    Returns (shriek_restrict(closed, phi), restriction of the open
-    pushforward of phi from the complement).  Their sum is the plain
-    restriction, exactly, on every subcomplex and every function.
-
-    Both terms depend only on phi on the open star of the subcomplex M,
-    so they are computed there, in one pass through the star table: g
-    gathers (-1)^dim u phi(u) onto the M-faces of each star simplex u,
-    and g_out does the same over the u outside M.  The costalk is D_M(g).
-    The boundary is -D_M(g_out), because for s in M and w outside M the
-    signs (-1)^dim u over the interval s <= u <= w sum to zero, so their
-    sum over the u outside M is minus their sum over the u in M.
+    g gathers (-1)^dim u phi(u) onto the M-faces of each star simplex u,
+    which is D(phi) restricted to M; g_out does the same over the u
+    outside M.
     """
     if phi.ambient != closed.parent:
         raise ModelError("function does not live on the parent of the subcomplex")
@@ -324,12 +320,33 @@ def triangle_decompose(
             v = -v
         for j in found:
             g[j] += v
-        if outside:
+        if outside and boundary:
             for j in found:
                 g_out[j] += v
     costalk = dual(ConstructibleFunction._of(space, _nonzero_items(order, g)))
-    boundary = -dual(ConstructibleFunction._of(space, _nonzero_items(order, g_out)))
-    return costalk, boundary
+    if not boundary:
+        return (costalk,)
+    return costalk, -dual(ConstructibleFunction._of(space, _nonzero_items(order, g_out)))
+
+
+def triangle_decompose(
+    closed: Subcomplex, phi: ConstructibleFunction
+) -> tuple[ConstructibleFunction, ConstructibleFunction]:
+    """Split the restriction to a subcomplex into costalk and boundary terms.
+
+    Returns (shriek_restrict(closed, phi), restriction of the open
+    pushforward of phi from the complement).  Their sum is the plain
+    restriction, exactly, on every subcomplex and every function.
+
+    Both terms depend only on phi on the open star of the subcomplex M,
+    so both come from one pass through its star table.  The costalk is
+    D_M(g), g being D(phi) on M.  The boundary is -D_M(g_out), g_out
+    gathering only the star simplices u outside M, because for s in M
+    and w outside M the signs (-1)^dim u over the interval s <= u <= w
+    sum to zero, so their sum over the u outside M is minus their sum
+    over the u in M.
+    """
+    return _star_gather(closed, phi, True)
 
 
 def mod2_reduce(phi: ConstructibleFunction) -> ConstructibleFunction:

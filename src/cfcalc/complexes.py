@@ -86,15 +86,6 @@ class Simplex(Frozen):
     def dim(self) -> int:
         return len(self.vertices) - 1
 
-    def subsimplices(self) -> Iterator["Simplex"]:
-        """All nonempty faces, the simplex itself included."""
-        for size in range(1, len(self.vertices) + 1):
-            for combo in itertools.combinations(self.vertices, size):
-                yield Simplex._raw(combo)
-
-    def contains(self, other: "Simplex") -> bool:
-        return set(other.vertices) <= set(self.vertices)
-
     def __iter__(self) -> Iterator[str]:
         return iter(self.vertices)
 
@@ -147,65 +138,50 @@ def _face_closure(generators: Iterable[Simplex]) -> list[Simplex]:
 
 
 class ComplexIndex:
-    """The canonical order of a complex and its face-incidence table.
+    """The canonical order of a complex.
 
     order[i] is the i-th simplex in canonical order and position maps its
-    vertex tuple back to i.  The faces of simplex i, itself included, are
-    the indices faces[starts[i]:starts[i + 1]], and odd[i] tells whether
-    its dimension is odd.  Built by SimplicialComplex.index() on first
+    vertex tuple back to i.  Built by SimplicialComplex.index() on first
     use and kept for the life of the complex.
     """
 
-    __slots__ = ("order", "position", "starts", "faces", "odd")
+    __slots__ = ("order", "position")
 
     def __init__(self, simplices: frozenset[Simplex]) -> None:
-        order = tuple(canonical_sorted(simplices))
-        position = {s.vertices: i for i, s in enumerate(order)}
-        starts = [0]
-        faces: list[int] = []
-        lookup = position.__getitem__
-        for s in order:
-            vs = s.vertices
-            for size in range(1, len(vs) + 1):
-                faces.extend(map(lookup, itertools.combinations(vs, size)))
-            starts.append(len(faces))
-        self.order = order
-        self.position = position
-        self.starts = starts
-        self.faces = faces
-        self.odd = [len(s.vertices) % 2 == 0 for s in order]
+        self.order = tuple(canonical_sorted(simplices))
+        self.position = {s.vertices: i for i, s in enumerate(self.order)}
 
 
 class StarTable:
-    """The open star of a subcomplex M, read from its parent's face table.
+    """The open star of a subcomplex M, read from its parent's simplex set.
 
     space is M as a complex of its own.  entries maps the vertex tuple of
     each parent simplex u with a face in M to (the positions of u's
     M-faces in M's canonical order, whether dim u is odd, whether u lies
-    outside M).  Built by Subcomplex.star_table() on first use and kept
-    for the life of the subcomplex.
+    outside M).  The M-faces of u are the faces spanned by u's vertices
+    in M, so the parent needs no index.  Built by Subcomplex.star_table()
+    on first use and kept for the life of the subcomplex.
     """
 
     __slots__ = ("space", "entries")
 
     def __init__(self, closed: "Subcomplex") -> None:
-        index = closed.parent.index()
         space = closed.as_complex()
         inner = space.index().position
-        outer = index.position
-        local: list[int | None] = [None] * len(index.order)
-        for vs, j in inner.items():
-            local[outer[vs]] = j
-        starts, faces, odd = index.starts, index.faces, index.odd
-        misses = closed.vertices.isdisjoint
-        lookup = local.__getitem__
+        lookup = inner.get
+        misses = space.vertices.isdisjoint
+        in_m = space.vertices.__contains__
         entries = {}
-        for i, s in enumerate(index.order):
-            vs = s.vertices
+        for u in closed.parent.simplices:
+            vs = u.vertices
             if misses(vs):  # else a vertex of u is a face in M
                 continue
-            found = [j for j in map(lookup, faces[starts[i]:starts[i + 1]]) if j is not None]
-            entries[vs] = (found, odd[i], local[i] is None)
+            ws = tuple(filter(in_m, vs))
+            found = [
+                j for n in range(1, len(ws) + 1)
+                for j in map(lookup, itertools.combinations(ws, n)) if j is not None
+            ]
+            entries[vs] = (found, len(vs) % 2 == 0, vs not in inner)
         self.space = space
         self.entries = entries
 
@@ -238,7 +214,7 @@ class SimplicialComplex(Frozen):
         return hash(self.simplices)
 
     def index(self) -> ComplexIndex:
-        """The canonical order and face table, built on first use."""
+        """The canonical order, built on first use."""
         index = self.__dict__.get("_index")
         if index is None:
             index = ComplexIndex(self.simplices)
@@ -280,14 +256,6 @@ def build_complex(maximal_simplices: Iterable) -> SimplicialComplex:
 
 def point_complex(name: str = "pt") -> SimplicialComplex:
     return build_complex([[name]])
-
-
-def star(space: SimplicialComplex, simplex_like) -> frozenset[Simplex]:
-    """All simplices of the complex having the given simplex as a face."""
-    s = Simplex(simplex_like)
-    if s not in space.simplices:
-        raise MissingSimplexError(f"{s} is not a simplex of the complex")
-    return frozenset(t for t in space.simplices if t.contains(s))
 
 
 class Subcomplex(Frozen):

@@ -273,7 +273,7 @@ class VerificationReport(Frozen):
         return out
 
     def to_text(self) -> str:
-        headers = ("check", "subject", "expected", "computed", "status", "note")
+        headers = CheckResult._fields
         rows = [
             (e.check, e.subject or "-", e.expected or "-", e.computed or "-", e.status, e.note)
             for e in self.entries
@@ -282,10 +282,9 @@ class VerificationReport(Frozen):
             max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
             for i, h in enumerate(headers)
         ]
-        lines = [f"scene: {self.scene}"]
-        lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip())
-        for r in rows:
-            lines.append("  ".join(r[i].ljust(widths[i]) for i in range(6)).rstrip())
+        lines = [f"scene: {self.scene}"] + [
+            "  ".join(map(str.ljust, r, widths)).rstrip() for r in [headers, *rows]
+        ]
         c = self.counts()
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(
@@ -300,15 +299,7 @@ class VerificationReport(Frozen):
             "passed": self.passed,
             "counts": self.counts(),
             "entries": [
-                {
-                    "check": e.check,
-                    "subject": e.subject,
-                    "expected": e.expected,
-                    "computed": e.computed,
-                    "status": e.status,
-                    "note": e.note,
-                }
-                for e in self.entries
+                {field: getattr(e, field) for field in CheckResult._fields} for e in self.entries
             ],
         }
 

@@ -215,13 +215,13 @@ class TestExitCodes:
         assert err == "internal error: RuntimeError: boom\n"
 
     def test_kernel_fault_in_verify_exits_3(self, capsys, monkeypatch):
-        # a restrict that leaves the function on the parent breaks the
-        # kernel, not the scene
-        def keep_parent(phi, closed):
+        # a shriek_restrict that leaves the function on the parent breaks
+        # the kernel, not the scene
+        def keep_parent(closed, phi):
             return phi
 
         for module in (cfcalc.calculus, cfcalc.indices):
-            monkeypatch.setattr(module, "restrict", keep_parent)
+            monkeypatch.setattr(module, "shriek_restrict", keep_parent)
         code, out, err = run(capsys, "verify", "pair_C_R")
         assert code == 3 and out == ""
         assert err == (
@@ -354,11 +354,19 @@ class TestValues:
         assert code == 0
         assert "hyperfunction_dimension: not applicable (singular stratum)" in out
 
-    def test_dual_of_interval_indicator(self, capsys):
+    def test_dual_of_interval_indicator(self, capsys, monkeypatch):
+        original, ambients = cfcalc.cli.dual, []
+
+        def counting(phi):
+            ambients.append(len(phi.ambient))
+            return original(phi)
+
+        monkeypatch.setattr(cfcalc.cli, "dual", counting)
         code, out, _ = run(capsys, "dual", "pair_C_R", "--function", "indicator:real_line")
         assert code == 0
-        rows = dict(line.split("\t") for line in out.splitlines())
-        assert rows == {"b0 c": "-1", "b3 c": "-1", "c": "-1"}
+        assert out == "b0 c\t-1\nb3 c\t-1\nc\t-1\n"
+        # the command dualizes on the ambient, not on the real form
+        assert ambients == [len(build_model("pair_C_R").ambient)]
 
     def test_all_flag_includes_zeros(self, capsys):
         _, short, _ = run(capsys, "parity", "node_curve")

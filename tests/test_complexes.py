@@ -28,7 +28,6 @@ from cfcalc import (
     quotient_by_involution,
     simplex,
     simplicial_map,
-    star,
     subcomplex,
 )
 from conftest import antipodal, diameter, disk, polygon, reflection
@@ -109,13 +108,6 @@ class TestSimplex:
         for again in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
             assert again == s and type(again) is Simplex
 
-    def test_subsimplices_count(self):
-        s = simplex("x", "y", "z")
-        faces = list(s.subsimplices())
-        assert len(faces) == 7  # 2^3 - 1
-        assert s in faces
-        assert all(s.contains(f) for f in faces)
-
 
 class TestComplexConstruction:
     def test_solid_triangle_has_seven_simplices(self):
@@ -152,17 +144,11 @@ class TestComplexConstruction:
 class TestComplexIndex:
     @settings(max_examples=60, deadline=None)
     @given(complexes())
-    def test_order_faces_and_parity(self, space):
+    def test_order_and_position(self, space):
         index = space.index()
         assert index.order == tuple(sorted(space.simplices))
         assert space.ordered() is index.order
-        assert len(index.starts) == len(space) + 1
-        for i, s in enumerate(index.order):
-            assert index.position[s.vertices] == i
-            faces = [index.order[j] for j in index.faces[index.starts[i]:index.starts[i + 1]]]
-            assert len(faces) == len(set(faces))
-            assert set(faces) == set(s.subsimplices())
-            assert index.odd[i] == (s.dim % 2 == 1)
+        assert index.position == {s.vertices: i for i, s in enumerate(index.order)}
 
     def test_built_once(self):
         d = disk(3)
@@ -172,11 +158,9 @@ class TestComplexIndex:
 class TestStarAndSubcomplex:
     def test_star_of_disk_center(self):
         d = disk(3)
-        assert len(star(d, "c")) == 13  # vertex + 6 spokes + 6 triangles
-
-    def test_star_missing(self):
-        with pytest.raises(MissingSimplexError):
-            star(disk(3), "nowhere")
+        entries = subcomplex(d, [["c"]]).star_table().entries
+        assert len(entries) == 13  # vertex + 6 spokes + 6 triangles
+        assert all(found == [0] for found, _, _ in entries.values())
 
     def test_subcomplex_closure_and_membership(self):
         d = disk(3)

@@ -60,7 +60,7 @@ def link_within(support, center):
     """Simplices of the support avoiding center but spanning a coface with it."""
     out = []
     for s in support.simplices:
-        if center.contains(s) or set(center.vertices) & set(s.vertices):
+        if set(center.vertices) & set(s.vertices):
             continue
         joined = tuple(sorted(set(s.vertices) | set(center.vertices)))
         if support.has(joined):

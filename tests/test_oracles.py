@@ -1,8 +1,9 @@
 """The kernel against reference implementations of its definitions.
 
 The oracles below are written straight from the definitions, with no
-index, face table or shortcut: the dual as the signed sum over the star,
-the pushforward as the signed sum over each fibre, face closure and
+index, star table or shortcut: the dual as the signed sum over the star,
+the costalk restriction as duality conjugating the restriction, the
+pushforward as the signed sum over each fibre, face closure and
 maximality by listing every face, the product by listing every chain.
 Values include +-2^70, so any arithmetic that wrapped at 64 bits would
 show.
@@ -27,6 +28,7 @@ from cfcalc import (
     build_model,
     complement_open,
     dual,
+    hyperfunction_index,
     list_models,
     open_pushforward,
     product,
@@ -36,7 +38,6 @@ from cfcalc import (
     shriek_restrict,
     simplicial_map,
     solution_index,
-    star,
     subcomplex,
     triangle_decompose,
 )
@@ -84,10 +85,14 @@ def _sign(dim: int) -> int:
 
 
 def reference_dual(phi: ConstructibleFunction) -> dict:
-    """D(phi)(s) = sum over t in star(s) of (-1)^dim(t) phi(t)."""
+    """D(phi)(s) = sum over the t having s as a face of (-1)^dim(t) phi(t)."""
     space = phi.ambient
     return {
-        s: sum(_sign(t.dim) * phi.value(t) for t in star(space, s))
+        s: sum(
+            _sign(t.dim) * phi.value(t)
+            for t in space.simplices
+            if set(s.vertices) <= set(t.vertices)
+        )
         for s in space.simplices
     }
 
@@ -135,25 +140,41 @@ def test_pushforward_commutes_with_duality(data):
 
 def reference_triangle(closed: Subcomplex, phi: ConstructibleFunction):
     """The costalk and boundary terms as their definitions compose them on
-    the whole ambient: shriek restriction, and the restriction of the open
-    pushforward from the complement U of the subcomplex."""
+    the whole ambient: duality conjugating the restriction, and the
+    restriction of the open pushforward from the complement U of the
+    subcomplex."""
     u = complement_open(closed.parent, closed)
     boundary = restrict(open_pushforward(u, restrict_open(phi, u)), closed)
-    return shriek_restrict(closed, phi), boundary
+    return dual(restrict(dual(phi), closed)), boundary
+
+
+@st.composite
+def closed_in(draw, space):
+    """The empty subcomplex, the whole complex, or one generated by a few
+    of its simplices."""
+    kind = draw(st.sampled_from(("empty", "whole", "generated")))
+    if kind == "whole":
+        return Subcomplex(space, space.simplices)
+    gens = [] if kind == "empty" else draw(
+        st.lists(st.sampled_from(space.ordered()), min_size=1, max_size=4)
+    )
+    return subcomplex(space, gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_shriek_restrict_is_restriction_conjugated_by_duality(data):
+    space, phi = data.draw(complex_with_cf())
+    closed = data.draw(closed_in(space))
+    for psi in (phi, dual(phi)):
+        assert shriek_restrict(closed, psi) == dual(restrict(dual(psi), closed))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_triangle_decompose_is_the_definitional_composition(data):
     space, phi = data.draw(complex_with_cf())
-    kind = data.draw(st.sampled_from(("empty", "whole", "generated")))
-    if kind == "whole":
-        closed = Subcomplex(space, space.simplices)
-    else:
-        gens = [] if kind == "empty" else data.draw(
-            st.lists(st.sampled_from(space.ordered()), min_size=1, max_size=4)
-        )
-        closed = subcomplex(space, gens)
+    closed = data.draw(closed_in(space))
     # the second call reads the star table the first one cached
     for psi in (phi, dual(phi)):
         assert triangle_decompose(closed, psi) == reference_triangle(closed, psi)
@@ -189,17 +210,8 @@ def test_verify_draws_its_random_functions_as_defined(seed):
     assert built == draws(ambient, seed)
 
 
-# ambient duals per verify at k = 3: one for the shriek_indicator row and one
-# for the base_change row of each stratum; antipodal_cover declares no
-# probes, so its shriek_indicator row makes none
-AMBIENT_DUALS = {
-    "antipodal_cover": 1, "kashiwara_point": 4, "node_curve": 2, "pair_C_R": 2,
-    "smooth_line_in_C2": 2,
-}
-
-
-@pytest.mark.parametrize("name", sorted(AMBIENT_DUALS))
-def test_verify_dualizes_the_ambient_only_for_the_stratum_rows(name, monkeypatch):
+@pytest.mark.parametrize("name", [info.name for info in list_models()])
+def test_verify_and_hyperfunction_index_take_no_ambient_dual(name, monkeypatch):
     scene = build_model(name, k=3)
     original, ambient_duals = cfcalc.calculus.dual, []
 
@@ -210,8 +222,8 @@ def test_verify_dualizes_the_ambient_only_for_the_stratum_rows(name, monkeypatch
 
     monkeypatch.setattr(cfcalc.calculus, "dual", counting)
     assert scene.verify().passed
-    assert len(ambient_duals) == AMBIENT_DUALS[name]
-    assert AMBIENT_DUALS[name] == len(scene.cycle) * (2 if scene.pair.probes else 1)
+    hyperfunction_index(scene.pair, scene.cycle)
+    assert ambient_duals == []
 
 
 def all_faces(vertices) -> set[frozenset]:
