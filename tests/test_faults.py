@@ -62,6 +62,13 @@ def restrict_drops_top(restrict):
     return faulty
 
 
+def restrict_keeps_parent(restrict):
+    """A restrict that keeps the right values but leaves them on the parent."""
+    def faulty(phi, closed):
+        return ConstructibleFunction(phi.ambient, dict(restrict(phi, closed).items))
+    return faulty
+
+
 def pushforward_overwrites(_):
     """A pushforward that stores each fibre term instead of adding it."""
     def faulty(f, phi):
@@ -187,6 +194,10 @@ FAULTS = {
     "restrict_drops_top_simplices": (
         function_fault("restrict", restrict_drops_top),
         verify_row("node_curve", "triangle_identity"),
+    ),
+    "restrict_keeps_parent": (
+        function_fault("restrict", restrict_keeps_parent),
+        verify_row("pair_C_R", "triangle_identity"),
     ),
     "restrict_open_keeps_everything": (
         function_fault("restrict_open", lambda _: lambda phi, opensub: phi),

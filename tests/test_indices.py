@@ -30,6 +30,7 @@ from cfcalc import (
     subcomplex,
     verify_scene,
 )
+from cfcalc.indices import _first_mismatch
 from conftest import diameter, disk, polygon, reflection
 
 
@@ -271,6 +272,38 @@ class TestVerifyScene:
         assert {e["check"] for e in blob["entries"]} >= {
             "triangle_identity", "parity_formula",
         }
+
+
+class TestFirstMismatch:
+    """The comparison behind every triangle_identity and base_change row."""
+
+    def setup_method(self):
+        scene = build_model("pair_C_R")
+        self.ambient, self.real_form = scene.ambient, scene.pair.real_form
+        self.mc = scene.pair.real_complex()
+
+    def test_equal_functions_are_exact(self):
+        phi = ConstructibleFunction(self.mc, {("c",): 3, ("b0", "c"): -1})
+        assert _first_mismatch(phi, ConstructibleFunction(self.mc, dict(phi.items))) == "exact"
+
+    def test_the_first_difference_in_canonical_order_is_reported(self):
+        left = ConstructibleFunction(self.mc, {("c",): 3, ("b3",): 4, ("b0", "c"): 1})
+        right = ConstructibleFunction(self.mc, {("c",): 2, ("b3",): 4})
+        assert _first_mismatch(left, right) == "mismatch at b0 c (1 vs 0)"
+        assert _first_mismatch(right, left) == "mismatch at b0 c (0 vs 1)"
+
+    def test_a_function_left_on_the_parent_fails(self):
+        on_m = indicator(self.mc)
+        on_parent = ConstructibleFunction(self.ambient, dict(on_m.items))
+        assert _first_mismatch(on_parent, on_m) == (
+            f"on different complexes ({len(self.ambient)} vs 5 simplices)"
+        )
+
+    def test_a_function_on_a_smaller_complex_fails(self):
+        smaller = subcomplex(self.mc, [["b0", "c"]]).as_complex()
+        assert _first_mismatch(indicator(smaller), indicator(self.mc)) == (
+            "on different complexes (3 vs 5 simplices)"
+        )
 
 
 def value_objects():

@@ -11,13 +11,18 @@ show.
 
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cfcalc.calculus
+import cfcalc.indices
 from cfcalc import (
     ConstructibleFunction,
     ModelError,
@@ -42,7 +47,7 @@ from cfcalc import (
     triangle_decompose,
 )
 from cfcalc.cli import main
-from cfcalc.indices import _random_items
+from cfcalc.indices import _DRAW_TABLE
 
 BIG = 2**70
 
@@ -182,13 +187,20 @@ def test_triangle_decompose_is_the_definitional_composition(data):
 
 def draws(ambient, seed: int) -> list[ConstructibleFunction]:
     """The three random functions of verify's triangle rows, drawn as the
-    definition reads."""
+    definition reads: per function, one value from the draw table for each
+    simplex of the ambient, in canonical order, from one seeded rng."""
     rng = random.Random(seed)
     sims = ambient.ordered()
     return [
-        ConstructibleFunction(ambient, {s: rng.randint(-3, 3) for s in sims if rng.random() < 0.4})
+        ConstructibleFunction(ambient, dict(zip(sims, rng.choices(_DRAW_TABLE, k=len(sims)))))
         for _ in range(3)
     ]
+
+
+def test_draw_table_keeps_the_law_of_a_value_drawn_with_probability_0_4():
+    """randint(-3, 3) with probability 0.4, else 0: 0 with probability
+    23/35 and each other value with probability 2/35."""
+    assert Counter(_DRAW_TABLE) == {0: 23, -3: 2, -2: 2, -1: 2, 1: 2, 2: 2, 3: 2}
 
 
 @pytest.mark.parametrize("name", [info.name for info in list_models()])
@@ -200,14 +212,44 @@ def test_triangle_decompose_matches_the_definition_on_the_models(name):
         assert triangle_decompose(closed, phi) == reference_triangle(closed, phi)
 
 
+# prints a digest of the random functions verify draws on node_curve(k=3);
+# the first function verify decomposes is the solution index
+VERIFY_DRAWS = """
+import hashlib, sys
+import cfcalc.indices
+from cfcalc import build_model
+
+seen, decompose = [], cfcalc.indices.triangle_decompose
+cfcalc.indices.triangle_decompose = lambda closed, phi: seen.append(phi) or decompose(closed, phi)
+build_model("node_curve", k=3).verify(seed=int(sys.argv[1]))
+print(hashlib.sha256(repr([phi.items for phi in seen[1:]]).encode()).hexdigest())
+"""
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
-def test_verify_draws_its_random_functions_as_defined(seed):
-    ambient = build_model("node_curve", k=3).ambient
-    rng = random.Random(seed)
-    built = [
-        ConstructibleFunction._of(ambient, _random_items(rng, ambient.ordered())) for _ in range(3)
-    ]
-    assert built == draws(ambient, seed)
+def test_verify_draws_its_random_functions_as_defined(seed, monkeypatch):
+    scene = build_model("node_curve", k=3)
+    seen, decompose = [], cfcalc.indices.triangle_decompose
+    monkeypatch.setattr(
+        cfcalc.indices, "triangle_decompose",
+        lambda closed, phi: seen.append(phi) or decompose(closed, phi),
+    )
+    assert scene.verify(seed=seed).passed
+    assert seen[0] == solution_index(scene.cycle, scene.ambient)
+    assert seen[1:] == draws(scene.ambient, seed)
+
+
+def test_verify_draws_the_same_functions_under_any_hash_seed():
+    drawn = draws(build_model("node_curve", k=3).ambient, 7)
+    expected = hashlib.sha256(repr([phi.items for phi in drawn]).encode()).hexdigest()
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", VERIFY_DRAWS, "7"],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
 
 
 @pytest.mark.parametrize("name", [info.name for info in list_models()])
