@@ -2,9 +2,10 @@
 """Randomized stress run of the structural identities.
 
 Hammers the duality involution, the costalk restriction against its
-two-dual definition, the restriction triangle, pushforward functoriality
-and product multiplicativity with many random instances, far past what
-the test suite runs by default.
+two-dual definition, the maximal simplices read from the generators
+against the facet rule, the restriction triangle, pushforward
+functoriality and product multiplicativity with many random instances,
+far past what the test suite runs by default.
 
     python3 scripts/stress_identities.py --rounds 1000 --seed 3
 """
@@ -15,6 +16,7 @@ import sys
 
 from cfcalc import (
     ConstructibleFunction,
+    SimplicialComplex,
     build_complex,
     compose,
     dual,
@@ -68,6 +70,15 @@ def stress_shriek(rng, rounds) -> None:
         assert shriek_restrict(closed, phi) == dual(restrict(dual(phi), closed))
 
 
+def stress_maximal(rng, rounds) -> None:
+    for _ in range(rounds):
+        space = random_complex(rng)
+        closed = random_closed(rng, space)
+        for made in (space, closed.as_complex()):
+            # SimplicialComplex(...) knows no generators and scans for facets
+            assert made.maximal_simplices() == SimplicialComplex(made.simplices).maximal_simplices()
+
+
 def stress_triangle(rng, rounds) -> None:
     for _ in range(rounds):
         space = random_complex(rng)
@@ -118,6 +129,7 @@ def main(argv=None) -> int:
     for name, fn, rounds in [
         ("duality involution", stress_duality, args.rounds),
         ("costalk restriction", stress_shriek, args.rounds),
+        ("maximal simplices", stress_maximal, args.rounds),
         ("restriction triangle", stress_triangle, args.rounds),
         ("pushforward functoriality", stress_functoriality, args.rounds),
         ("product multiplicativity", stress_products, max(50, args.rounds // 10)),

@@ -124,17 +124,29 @@ def _require_face_closed(sset: frozenset[Simplex], what: str) -> None:
                 raise ModelError(what.format(face=Simplex._raw(facet), simplex=Simplex._raw(vs)))
 
 
-def _face_closure(generators: Iterable[Simplex]) -> list[Simplex]:
-    """Every face of the generators once; refused before listing any face
-    when the closure could exceed MAX_SIMPLICES."""
-    gens = {s.vertices for s in generators}
+def _face_closure(gens: set[tuple[str, ...]]) -> list[Simplex]:
+    """Every face of the generators (distinct vertex tuples) once; refused
+    before listing any face when the closure could exceed MAX_SIMPLICES."""
     bound = sum((1 << len(vs)) - 1 for vs in gens)
     if bound > MAX_SIMPLICES:
         raise ModelError(
             f"face closure may hold up to {bound} simplices, more than the limit of {MAX_SIMPLICES}"
         )
     faces = {f for vs in gens for n in range(1, len(vs) + 1) for f in itertools.combinations(vs, n)}
-    return [Simplex._raw(vs) for vs in faces]
+    return list(map(Simplex._raw, faces))
+
+
+def _maximal_generators(gens: set[tuple[str, ...]]) -> list[tuple[str, ...]]:
+    """The generators that are a proper face of no other generator: the
+    maximal simplices of their closure."""
+    if len(set(map(len, gens))) <= 1:  # distinct simplices of one size
+        return list(gens)
+    containing = defaultdict(set)
+    for vs in gens:
+        for v in vs:
+            containing[v].add(vs)
+    # vs itself has all of its vertices; any other generator that does is larger
+    return [vs for vs in gens if len(set.intersection(*map(containing.__getitem__, vs))) == 1]
 
 
 class ComplexIndex:
@@ -177,10 +189,17 @@ class StarTable:
             if misses(vs):  # else a vertex of u is a face in M
                 continue
             ws = tuple(filter(in_m, vs))
-            found = [
-                j for n in range(1, len(ws) + 1)
-                for j in map(lookup, itertools.combinations(ws, n)) if j is not None
-            ]
+            if len(ws) == 1:  # most of the star meets M in one vertex
+                found = [inner[ws]]
+            elif ws in inner:  # u in M, say: every face of ws is in M
+                found = [
+                    inner[c] for n in range(1, len(ws) + 1) for c in itertools.combinations(ws, n)
+                ]
+            else:
+                found = [
+                    j for n in range(1, len(ws) + 1)
+                    for j in map(lookup, itertools.combinations(ws, n)) if j is not None
+                ]
             entries[vs] = (found, len(vs) % 2 == 0, vs not in inner)
         self.space = space
         self.entries = entries
@@ -197,10 +216,13 @@ class SimplicialComplex(Frozen):
         object.__setattr__(self, "simplices", sset)
 
     @classmethod
-    def _closed(cls, simplices: Iterable[Simplex]) -> "SimplicialComplex":
-        # for sets the package closed under faces itself: nothing is checked
+    def _closed(cls, simplices: Iterable[Simplex], generators=None) -> "SimplicialComplex":
+        # for sets the package closed under faces itself: nothing is checked;
+        # generators, if given, are the distinct vertex tuples they close
         space = object.__new__(cls)
         object.__setattr__(space, "simplices", frozenset(simplices))
+        if generators is not None:
+            object.__setattr__(space, "_generators", generators)
         return space
 
     def __eq__(self, other):
@@ -241,9 +263,23 @@ class SimplicialComplex(Frozen):
         return self.index().order
 
     def maximal_simplices(self) -> tuple[Simplex, ...]:
-        # in a face-closed set, a proper face of a member is a facet of one
-        facets = {f for s in self.simplices for f in itertools.combinations(s.vertices, s.dim)}
-        return tuple(canonical_sorted(s for s in self.simplices if s.vertices not in facets))
+        """The simplices that are no member's proper face, in canonical
+        order, found on first use: among the generators when the package
+        closed them itself, else by one facet scan."""
+        found = self.__dict__.get("_maximal")
+        if found is None:
+            gens = self.__dict__.get("_generators")
+            if gens is None:
+                # in a face-closed set, a proper face of a member is a facet of one
+                facets = {
+                    f for s in self.simplices for f in itertools.combinations(s.vertices, s.dim)
+                }
+                tops = [s.vertices for s in self.simplices if s.vertices not in facets]
+            else:
+                tops = _maximal_generators(gens)
+            found = tuple(map(Simplex._raw, sorted(tops)))
+            object.__setattr__(self, "_maximal", found)
+        return found
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -251,7 +287,8 @@ class SimplicialComplex(Frozen):
 
 def build_complex(maximal_simplices: Iterable) -> SimplicialComplex:
     """Face closure of the given simplices.  An empty list gives the empty complex."""
-    return SimplicialComplex._closed(_face_closure(Simplex(vs) for vs in maximal_simplices))
+    gens = {Simplex(vs).vertices for vs in maximal_simplices}
+    return SimplicialComplex._closed(_face_closure(gens), gens)
 
 
 def point_complex(name: str = "pt") -> SimplicialComplex:
@@ -274,10 +311,22 @@ class Subcomplex(Frozen):
         self._assign(parent, sset)
 
     @classmethod
-    def _closed(cls, parent: SimplicialComplex, simplices: Iterable[Simplex]) -> "Subcomplex":
-        # for face-closed sets of parent simplices the package built: nothing is checked
+    def _closed(
+        cls, parent: SimplicialComplex, simplices: Iterable[Simplex], generators=None
+    ) -> "Subcomplex":
+        # for face-closed sets of parent simplices the package built: nothing is
+        # checked; generators, if given, are the distinct vertex tuples they close
         sub = object.__new__(cls)
         sub._assign(parent, frozenset(simplices))
+        if generators is not None:
+            object.__setattr__(sub, "_generators", generators)
+        return sub
+
+    @classmethod
+    def _whole(cls, parent: SimplicialComplex) -> "Subcomplex":
+        """The parent as a subcomplex of itself; as_complex() is the parent."""
+        sub = cls._closed(parent, parent.simplices)
+        object.__setattr__(sub, "_complex", parent)
         return sub
 
     @property
@@ -299,7 +348,7 @@ class Subcomplex(Frozen):
         """The subcomplex as a complex of its own, the same object on every call."""
         space = self.__dict__.get("_complex")
         if space is None:
-            space = SimplicialComplex._closed(self.simplices)
+            space = SimplicialComplex._closed(self.simplices, self.__dict__.get("_generators"))
             object.__setattr__(self, "_complex", space)
         return space
 
@@ -328,7 +377,11 @@ def subcomplex(space: SimplicialComplex, generators: Iterable) -> Subcomplex:
             raise MissingSimplexError(
                 f"generator {s} is not a simplex of the parent complex"
             )
-    return Subcomplex._closed(space, _face_closure(gens))
+    tops = {s.vertices for s in gens}
+    faces = _face_closure(tops)
+    if len(faces) == len(space.simplices):  # faces of the parent, so all of them
+        return Subcomplex._whole(space)
+    return Subcomplex._closed(space, faces, tops)
 
 
 class OpenSubset(Frozen):

@@ -13,6 +13,7 @@ import json
 import math
 import re
 from functools import lru_cache
+from json.encoder import encode_basestring as _quote  # json.dumps' string writer
 from typing import Callable, NoReturn
 
 from ._frozen import Frozen
@@ -77,8 +78,7 @@ class Scene(Frozen):
     def canonical_text(self) -> str:
         text = self.__dict__.get("_text")
         if text is None:
-            doc = _canonical_doc(self)
-            text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+            text = _write(_canonical_doc(self)) + "\n"
             object.__setattr__(self, "_text", text)
         return text
 
@@ -153,6 +153,17 @@ def _check_keys(obj: dict, path: str, required: tuple, optional: tuple) -> None:
 
 
 def _as_simplex(value, path: str) -> Simplex:
+    # one pass over names that are sorted, distinct and text, as emitted;
+    # anything else takes the checks below, which word every error
+    if value.__class__ is list and value and all(v.__class__ is str for v in value):
+        verts = tuple(value)
+        joined = "".join(verts)
+        if (
+            "" not in verts
+            and all(map(str.__lt__, verts, verts[1:]))
+            and (joined.isascii() or not _LONE_SURROGATE.search(joined))
+        ):
+            return Simplex._raw(verts)
     verts = [
         _as_str(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))
     ]
@@ -211,6 +222,9 @@ def _scene_from_doc(doc: dict) -> Scene:
     subs: dict[str, Subcomplex] = {}
     for sub_name, gens_doc in _as_object(doc["subcomplexes"], "subcomplexes").items():
         _as_text(sub_name, f"subcomplexes key {sub_name!r}")
+        if gens_doc == maximal:  # already parsed: it closes to the whole complex
+            subs[sub_name] = Subcomplex._whole(ambient)
+            continue
         path = f"subcomplexes.{sub_name}"
         gens = [
             _as_simplex(g, f"{path}[{i}]")
@@ -396,6 +410,30 @@ def _scene_from_doc(doc: dict) -> Scene:
         expect=expect,
         support_names=tuple(sorted(support_names.items())),
     )
+
+
+def _write(value, newline: str = "\n") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
+    writes it; newline is the line break plus the indent of value's level.
+    Only dict, list, str, int and bool are written: anything else, a float
+    included, raises TypeError."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_write(v, inner) for v in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_quote(k) + ": " + _write(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"the canonical text holds no {type(value).__name__}")
 
 
 def _simplex_list(sims) -> list[list[str]]:

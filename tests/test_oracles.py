@@ -4,13 +4,15 @@ The oracles below are written straight from the definitions, with no
 index, star table or shortcut: the dual as the signed sum over the star,
 the costalk restriction as duality conjugating the restriction, the
 pushforward as the signed sum over each fibre, face closure and
-maximality by listing every face, the product by listing every chain.
+maximality by listing every face, the product by listing every chain,
+and the canonical text as json.dumps writes it.
 Values include +-2^70, so any arithmetic that wrapped at 64 bits would
 show.
 """
 
 import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -19,7 +21,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cfcalc.calculus
 import cfcalc.indices
@@ -48,6 +50,7 @@ from cfcalc import (
 )
 from cfcalc.cli import main
 from cfcalc.indices import _DRAW_TABLE
+from cfcalc.scenes import _write
 
 BIG = 2**70
 
@@ -353,6 +356,61 @@ def test_subcomplex_and_open_subset_match_the_definitions(data):
     assert accepts(OpenSubset, parent, opened) == reference_coface_closed(opened, parent_sets)
 
 
+@st.composite
+def generator_lists(draw, max_vertices=7, max_dim=3):
+    """Generator lists as a caller may write them: names in any order,
+    repeated generators, and faces of codimension one or more of other
+    generators."""
+    nv = draw(st.integers(min_value=1, max_value=max_vertices))
+    vertices = [f"v{i}" for i in range(nv)]
+    gens = draw(
+        st.lists(
+            st.lists(st.sampled_from(vertices), min_size=1, max_size=min(max_dim + 1, nv), unique=True),
+            min_size=1,
+            max_size=2 * nv,
+        )
+    )
+    faces = [
+        draw(st.permutations(g))[: draw(st.integers(min_value=1, max_value=len(g) - 1))]
+        for g in gens
+        if len(g) > 1 and draw(st.booleans())
+    ]
+    repeats = draw(st.lists(st.sampled_from(gens), max_size=3))
+    return draw(st.permutations(gens + faces + repeats))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_maximal_simplices_match_the_definition(data):
+    """Whichever way a complex is made, its maximal simplices are the
+    members of its closure that are no member's proper face, in canonical
+    order."""
+    gens = data.draw(generator_lists())
+    closure = {f for g in gens for f in all_faces(g)}
+    space = build_complex(gens)
+    assert vertex_sets(space.simplices) == closure
+    for made in (space, SimplicialComplex(closure)):
+        maximal = made.maximal_simplices()
+        assert vertex_sets(maximal) == reference_maximal(closure)
+        assert list(maximal) == sorted(maximal)
+
+    # the whole parent in any order, or a few of its members, either with
+    # faces and repeats mixed in and names in any order
+    members = ordered(closure)
+    sub_gens = data.draw(
+        st.permutations(ordered(reference_maximal(closure)))
+        | st.lists(st.sampled_from(members), max_size=5)
+    )
+    sub_gens += data.draw(st.lists(st.sampled_from(members), max_size=3))
+    sub_gens = [data.draw(st.permutations(sorted(g))) for g in sub_gens]
+    sub_closure = {f for g in sub_gens for f in all_faces(g)}
+    closed = subcomplex(space, sub_gens)
+    assert vertex_sets(closed.simplices) == sub_closure
+    assert vertex_sets(closed.maximal_simplices()) == reference_maximal(sub_closure)
+    assert list(closed.maximal_simplices()) == sorted(closed.maximal_simplices())
+    assert (closed.as_complex() is space) == (sub_closure == closure)
+
+
 def test_subcomplex_rejects_a_missing_face():
     parent = build_complex([["a", "b", "c"]])
     with pytest.raises(ModelError, match=r"subcomplex is not face-closed: missing b \(a face of a b\)"):
@@ -402,6 +460,36 @@ def test_product_is_the_set_of_increasing_chains(data):
     assert (proj_right.source, proj_right.target) == (space, right)
     assert proj_left.vertex_map == {v: v.split(".")[0] for v in space.vertices}
     assert proj_right.vertex_map == {v: v.split(".")[1] for v in space.vertices}
+
+
+# Strings a scene may carry: non-ASCII, control characters, quotes,
+# backslashes, and a character JSON writes as an escaped surrogate pair.
+TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",))
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "é", json.loads('"\\ud83d\\ude00"')]),
+    max_size=8,
+)
+INTEGER = st.integers() | st.sampled_from([2**62, -(2**62), 2**62 + 1, 2**64, -(2**70)])
+DOCUMENT = st.recursive(
+    st.booleans() | INTEGER | TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(DOCUMENT)
+@example({}).via("empty object")
+@example([[], {}, {"": []}]).via("empty containers")
+def test_canonical_writer_writes_the_bytes_of_json_dumps(doc):
+    expected = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
+    assert _write(doc).encode() == expected.encode()
+
+
+@pytest.mark.parametrize("doc", [1.0, None, [1, 0.5], {"a": None}, {"a": [True, float("inf")]}])
+def test_canonical_writer_refuses_a_float_or_null(doc):
+    with pytest.raises(TypeError):
+        _write(doc)
 
 
 # sha256 of `cfcalc models emit NAME k=12` as the product over every pair of

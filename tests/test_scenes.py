@@ -142,6 +142,25 @@ class TestRoundTrip:
         scene.verify()
         assert "_index" in scene.ambient.__dict__
 
+    def test_each_simplex_list_is_closed_once(self, monkeypatch):
+        # The plane models' ambient subcomplex repeats the complex's list,
+        # so it is the complex itself and is not closed again.
+        closed = []
+        close = cfcalc.complexes._face_closure
+
+        def counted(gens):
+            closed.append(len(gens))
+            return close(gens)
+
+        monkeypatch.setattr(cfcalc.complexes, "_face_closure", counted)
+        _build_cached.cache_clear()
+        built = build_model("node_curve", k=3)
+        assert len(closed) == 4
+        parsed = parse_scene(emit_scene(built))
+        assert len(closed) == 8 and parsed == built
+        for scene in (built, parsed):
+            assert scene.subcomplex("ambient").as_complex() is scene.ambient
+
     def test_canonical_text_is_built_on_first_use(self, monkeypatch):
         text = emit_scene(build_model("pair_C_R"))
         built = []
@@ -278,6 +297,30 @@ class TestParseErrors:
         doc["strata"][0]["multiplicity"] = True
         with pytest.raises(SceneSemanticError, match="integer"):
             reparse(doc)
+
+    # Each malformed simplex, at the complex and in a subcomplex, with the
+    # message the per-element checks have always given.
+    @pytest.mark.parametrize("where", ["complex.maximal_simplices", "subcomplexes.real_line"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (["b0", 7], "[1][1]: expected a nonempty string"),
+            (["", "c"], "[1][0]: expected a nonempty string"),
+            (["c", "c"], "[1]: duplicate vertices in simplex ['c', 'c']"),
+            (["c", "b0", "c"], "[1]: duplicate vertices in simplex ['c', 'b0', 'c']"),
+            (["b\udc00", "c"], "[1][0]: holds a lone surrogate escape, which is not text"),
+            ([], "[1]: a simplex needs at least one vertex"),
+            ("c", "[1]: expected a list"),
+        ],
+        ids=["not_a_string", "empty_name", "duplicate", "unsorted_duplicate",
+             "lone_surrogate", "empty", "not_a_list"],
+    )
+    def test_malformed_simplex(self, where, bad, message):
+        doc = json.loads(emit_scene(build_model("pair_C_R")))
+        at(doc, where.split("."))[1] = bad
+        with pytest.raises(SceneSemanticError) as err:
+            reparse(doc)
+        assert str(err.value) == where + message
 
     def test_bad_simplex_in_subcomplex(self):
         doc = node_doc()
