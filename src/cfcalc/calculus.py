@@ -9,7 +9,7 @@ arithmetic; there are no tolerances anywhere.
 from __future__ import annotations
 
 from itertools import combinations, compress
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from ._frozen import Frozen
 from .complexes import (
@@ -41,7 +41,7 @@ def _clean_items(
     return tuple([(s, cleaned[s]) for s in canonical_sorted(cleaned)])
 
 
-def _nonzero_items(order, acc: list[int]) -> tuple[tuple[Simplex, int], ...]:
+def _nonzero_items(order, acc: Sequence[int]) -> tuple[tuple[Simplex, int], ...]:
     """The (simplex, value) pairs of a dense vector over a canonical order.
 
     Item tuples are always built from lists in this module.  A tuple built

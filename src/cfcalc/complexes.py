@@ -175,7 +175,7 @@ class StarTable:
     on first use and kept for the life of the subcomplex.
     """
 
-    __slots__ = ("space", "entries")
+    __slots__ = ("space", "entries", "_star", "_order")
 
     def __init__(self, closed: "Subcomplex") -> None:
         space = closed.as_complex()
@@ -184,10 +184,12 @@ class StarTable:
         misses = space.vertices.isdisjoint
         in_m = space.vertices.__contains__
         entries = {}
+        star = []
         for u in closed.parent.simplices:
             vs = u.vertices
             if misses(vs):  # else a vertex of u is a face in M
                 continue
+            star.append(u)
             ws = tuple(filter(in_m, vs))
             if len(ws) == 1:  # most of the star meets M in one vertex
                 found = [inner[ws]]
@@ -203,6 +205,17 @@ class StarTable:
             entries[vs] = (found, len(vs) % 2 == 0, vs not in inner)
         self.space = space
         self.entries = entries
+        self._star = star
+        self._order = None
+
+    @property
+    def order(self) -> tuple[Simplex, ...]:
+        """The simplices of the open star in canonical order, sorted on
+        first use; the parent's own order is never built for it."""
+        if self._order is None:
+            self._order = tuple(canonical_sorted(self._star))
+            self._star = None
+        return self._order
 
 
 class SimplicialComplex(Frozen):

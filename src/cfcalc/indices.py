@@ -337,9 +337,10 @@ def _first_mismatch(left: ConstructibleFunction, right: ConstructibleFunction) -
     return f"mismatch at {s} ({lv.get(s, 0)} vs {rv.get(s, 0)})"
 
 
-# the values of verify's random functions, one draw per simplex: 0 with
-# probability 23/35 and each of -3..-1, 1..3 with probability 2/35
-_DRAW_TABLE = (0,) * 23 + (-3, -2, -1, 1, 2, 3) * 2
+# the values of verify's random functions, one random byte per simplex
+# mapped through this table and read as a signed byte: 0 with probability
+# 160/256 = 5/8 and each of -3..-1, 1..3 with probability 16/256 = 1/16
+_DRAW_TABLE = bytes(v % 256 for v in (0,) * 160 + (-3, -2, -1, 1, 2, 3) * 16)
 
 
 def verify_scene(
@@ -438,15 +439,14 @@ def verify_scene(
         rows.compare(f"base_change[{st.name}]", "", "exact", _first_mismatch(left, right))
 
     # restriction = costalk + boundary, exactly, for the solution index and
-    # for three random functions, each drawn in one call over the ambient's
-    # canonical order
+    # for three random functions; both sides read a function only on the
+    # open star of M, so each is drawn there, in canonical order, in one call
     rng = random.Random(seed)
-    sims = ambient.ordered()
+    star = pair.real_form.star_table().order
     triangles = [("solution_index", restricted, costalk + boundary, "")]
     for i in range(3):
-        phi = ConstructibleFunction._of(
-            ambient, _nonzero_items(sims, rng.choices(_DRAW_TABLE, k=len(sims)))
-        )
+        values = memoryview(rng.randbytes(len(star)).translate(_DRAW_TABLE)).cast("b")
+        phi = ConstructibleFunction._of(ambient, _nonzero_items(star, values))
         terms = triangle_decompose(pair.real_form, phi)
         triangles.append(
             (f"random[{i}]", restrict(phi, pair.real_form), terms[0] + terms[1], f"seed={seed}")

@@ -38,6 +38,7 @@ from cfcalc import (
     hyperfunction_index,
     list_models,
     open_pushforward,
+    parse_scene,
     product,
     pushforward,
     restrict,
@@ -188,29 +189,61 @@ def test_triangle_decompose_is_the_definitional_composition(data):
         assert triangle_decompose(closed, psi) == reference_triangle(closed, psi)
 
 
-def draws(ambient, seed: int) -> list[ConstructibleFunction]:
+def open_star(pair) -> list:
+    """Every ambient simplex with a vertex in the real form M, in canonical
+    order."""
+    m_vertices = {v for s in pair.real_form.simplices for v in s.vertices}
+    return sorted(s for s in pair.ambient.simplices if not m_vertices.isdisjoint(s.vertices))
+
+
+def signed(byte: int) -> int:
+    return byte - 256 if byte >= 128 else byte
+
+
+def draws(pair, seed: int) -> list[ConstructibleFunction]:
     """The three random functions of verify's triangle rows, drawn as the
-    definition reads: per function, one value from the draw table for each
-    simplex of the ambient, in canonical order, from one seeded rng."""
+    definition reads: per function, one seeded random byte for each simplex
+    of the open star of the real form, in canonical order, mapped through
+    the draw table and read as a signed byte."""
     rng = random.Random(seed)
-    sims = ambient.ordered()
+    star = open_star(pair)
     return [
-        ConstructibleFunction(ambient, dict(zip(sims, rng.choices(_DRAW_TABLE, k=len(sims)))))
+        ConstructibleFunction(
+            pair.ambient,
+            dict(zip(star, [signed(_DRAW_TABLE[b]) for b in rng.randbytes(len(star))])),
+        )
         for _ in range(3)
     ]
 
 
-def test_draw_table_keeps_the_law_of_a_value_drawn_with_probability_0_4():
-    """randint(-3, 3) with probability 0.4, else 0: 0 with probability
-    23/35 and each other value with probability 2/35."""
-    assert Counter(_DRAW_TABLE) == {0: 23, -3: 2, -2: 2, -1: 2, 1: 2, 2: 2, 3: 2}
+def test_draw_table_gives_0_with_probability_5_8_and_each_other_value_1_16():
+    """Each of the 256 byte values is equally likely: 160 of them give 0 and
+    16 each give -3, -2, -1, 1, 2 and 3."""
+    assert len(_DRAW_TABLE) == 256
+    assert Counter(map(signed, _DRAW_TABLE)) == {
+        0: 160, -3: 16, -2: 16, -1: 16, 1: 16, 2: 16, 3: 16
+    }
+
+
+@pytest.mark.parametrize("name", [info.name for info in list_models()])
+def test_star_table_order_is_the_open_star_in_canonical_order(name):
+    # a freshly parsed scene, so no earlier test has built the ambient's index
+    scene = parse_scene(build_model(name, k=3).canonical_text)
+    table = scene.pair.real_form.star_table()
+    assert table.order == tuple(open_star(scene.pair))
+    assert table.order is table.order
+    assert "_index" not in scene.ambient.__dict__
 
 
 @pytest.mark.parametrize("name", [info.name for info in list_models()])
 def test_triangle_decompose_matches_the_definition_on_the_models(name):
     scene = build_model(name, k=3)
     closed = scene.pair.real_form
-    functions = [solution_index(scene.cycle, scene.ambient)] + draws(scene.ambient, 7)
+    rng, sims = random.Random(7), scene.ambient.ordered()
+    functions = [solution_index(scene.cycle, scene.ambient)] + [
+        ConstructibleFunction(scene.ambient, dict(zip(sims, rng.choices(range(-3, 4), k=len(sims)))))
+        for _ in range(3)
+    ]
     for phi in functions:
         assert triangle_decompose(closed, phi) == reference_triangle(closed, phi)
 
@@ -239,11 +272,11 @@ def test_verify_draws_its_random_functions_as_defined(seed, monkeypatch):
     )
     assert scene.verify(seed=seed).passed
     assert seen[0] == solution_index(scene.cycle, scene.ambient)
-    assert seen[1:] == draws(scene.ambient, seed)
+    assert seen[1:] == draws(scene.pair, seed)
 
 
 def test_verify_draws_the_same_functions_under_any_hash_seed():
-    drawn = draws(build_model("node_curve", k=3).ambient, 7)
+    drawn = draws(build_model("node_curve", k=3).pair, 7)
     expected = hashlib.sha256(repr([phi.items for phi in drawn]).encode()).hexdigest()
     for hash_seed in ("0", "1"):
         proc = subprocess.run(

@@ -1,7 +1,8 @@
-"""The two documented scripts run to completion, and the names the
-benchmark resolves on the package exist."""
+"""The documented scripts run to completion, and the names the benchmark
+resolves on the package exist."""
 
 import ast
+import json
 import re
 import subprocess
 import sys
@@ -26,6 +27,21 @@ def test_script_exits_zero(argv):
         [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_ladder_writes_its_record_at_k_3(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "scripts/ladder.py", "--label", "smoke", "--ks", "3",
+         "--repeats", "1", "--out-dir", str(tmp_path)],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tmp_path / "BENCH_ladder_smoke.json").read_text(encoding="utf-8"))
+    assert record["label"] == "smoke" and record["python"] and record["commit"]
+    (rung,) = record["node_curve"]
+    assert rung["k"] == 3 and rung["simplices"] == 1921
+    for key in ("build_ms", "first_verify_ms", "warm_verify_ms", "cold_verify_ms"):
+        assert rung[key] > 0, key
 
 
 def _literal(path: Path, name: str):
