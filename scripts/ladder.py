@@ -35,10 +35,11 @@ import cfcalc.scenes  # noqa: E402
 from cfcalc import build_model  # noqa: E402
 
 
-def cpu_ms(fn) -> float:
+def timed(fn):
+    """fn's CPU time in milliseconds, and its result."""
     start = time.process_time()
-    fn()
-    return (time.process_time() - start) * 1e3
+    result = fn()
+    return (time.process_time() - start) * 1e3, result
 
 
 def children_cpu_s() -> float:
@@ -63,11 +64,10 @@ def rung(k: int, repeats: int) -> dict:
     build, first, warm, cold = [], [], [], []
     for r in range(repeats):
         cfcalc.scenes._build_cached.cache_clear()
-        box = []
-        build.append(cpu_ms(lambda: box.append(build_model("node_curve", k=k))))
-        scene = box[0]
-        first.append(cpu_ms(lambda: scene.verify(seed=0)))
-        warm.append(cpu_ms(lambda: scene.verify(seed=r + 1)))
+        ms, scene = timed(lambda: build_model("node_curve", k=k))
+        build.append(ms)
+        first.append(timed(lambda: scene.verify(seed=0))[0])
+        warm.append(timed(lambda: scene.verify(seed=r + 1))[0])
         cold.append(cold_verify_ms(k))
     return {
         "k": k,
