@@ -11,7 +11,9 @@ milliseconds:
     builds every per-complex table it needs;
   - warm_verify_ms: Scene.verify again on the same scene;
   - cold_verify_ms: `python -m cfcalc verify "node_curve(k=K)"` as a
-    child process, its user plus system time.
+    child process, its user plus system time;
+  - cold_hyperdim_ms: `python -m cfcalc hyperdim "node_curve(k=K)" --at c.c`
+    as a child process, timed the same way.
 The file also records the Python version, the commit of the checkout the
 package was imported from and whether its sources differ from it.
 """
@@ -47,28 +49,30 @@ def children_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def cold_verify_ms(k: int) -> float:
+def cold_ms(*args: str) -> float:
+    """The CPU time of `python -m cfcalc ARGS` as a child process."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     before = children_cpu_s()
     proc = subprocess.run(
-        [sys.executable, "-m", "cfcalc", "verify", f"node_curve(k={k})"],
+        [sys.executable, "-m", "cfcalc", *args],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     spent = children_cpu_s() - before
     if proc.returncode != 0:
-        raise RuntimeError(f"cfcalc verify node_curve(k={k}) exited {proc.returncode}: {proc.stderr}")
+        raise RuntimeError(f"cfcalc {' '.join(args)} exited {proc.returncode}: {proc.stderr}")
     return spent * 1e3
 
 
 def rung(k: int, repeats: int) -> dict:
-    build, first, warm, cold = [], [], [], []
+    build, first, warm, cold, hyperdim = [], [], [], [], []
     for r in range(repeats):
         cfcalc.scenes._build_cached.cache_clear()
         ms, scene = timed(lambda: build_model("node_curve", k=k))
         build.append(ms)
         first.append(timed(lambda: scene.verify(seed=0))[0])
         warm.append(timed(lambda: scene.verify(seed=r + 1))[0])
-        cold.append(cold_verify_ms(k))
+        cold.append(cold_ms("verify", f"node_curve(k={k})"))
+        hyperdim.append(cold_ms("hyperdim", f"node_curve(k={k})", "--at", "c.c"))
     return {
         "k": k,
         "simplices": len(scene.ambient),
@@ -76,6 +80,7 @@ def rung(k: int, repeats: int) -> dict:
         "first_verify_ms": round(statistics.median(first), 2),
         "warm_verify_ms": round(statistics.median(warm), 2),
         "cold_verify_ms": round(statistics.median(cold), 2),
+        "cold_hyperdim_ms": round(statistics.median(hyperdim), 2),
     }
 
 

@@ -241,11 +241,11 @@ def restrict(phi: ConstructibleFunction, closed: Subcomplex) -> ConstructibleFun
 def shriek_restrict(closed: Subcomplex, phi: ConstructibleFunction) -> ConstructibleFunction:
     """Restriction conjugated by duality on both sides, D_M(restrict(D(phi))).
 
-    This is the costalk-weighted restriction.  It depends only on phi on
-    the open star of the subcomplex M, so it is computed there, as the
-    costalk term of triangle_decompose.
+    This is the costalk-weighted restriction: the first term of
+    triangle_decompose, which reads phi only on the open star of the
+    subcomplex M and needs no index of the parent.
     """
-    return _star_gather(closed, phi, False)[0]
+    return triangle_decompose(closed, phi)[0]
 
 
 def restrict_open(phi: ConstructibleFunction, opensub: OpenSubset) -> ConstructibleFunction:
@@ -294,15 +294,23 @@ def open_pushforward(opensub: OpenSubset, psi: ConstructibleFunction) -> Constru
     return dual(restrict_open(dual(psi), opensub))
 
 
-def _star_gather(
-    closed: Subcomplex, phi: ConstructibleFunction, boundary: bool
-) -> tuple[ConstructibleFunction, ...]:
-    """The costalk D_M(g), and with boundary also -D_M(g_out), in one pass
-    through the star table of the subcomplex M.
+def triangle_decompose(
+    closed: Subcomplex, phi: ConstructibleFunction
+) -> tuple[ConstructibleFunction, ConstructibleFunction]:
+    """Split the restriction to a subcomplex into costalk and boundary terms.
 
-    g gathers (-1)^dim u phi(u) onto the M-faces of each star simplex u,
-    which is D(phi) restricted to M; g_out does the same over the u
-    outside M.
+    Returns (shriek_restrict(closed, phi), restriction of the open
+    pushforward of phi from the complement).  Their sum is the plain
+    restriction, exactly, on every subcomplex and every function.
+
+    Both terms depend only on phi on the open star of the subcomplex M,
+    so both come from one pass through its star table; the parent's
+    index is never built.  The costalk is D_M(g), g gathering
+    (-1)^dim u phi(u) onto the M-faces of each star simplex u, which is
+    D(phi) on M.  The boundary is -D_M(g_out), g_out gathering only the
+    star simplices u outside M, because for s in M and w outside M the
+    signs (-1)^dim u over the interval s <= u <= w sum to zero, so their
+    sum over the u outside M is minus their sum over the u in M.
     """
     if phi.ambient != closed.parent:
         raise ModelError("function does not live on the parent of the subcomplex")
@@ -320,33 +328,11 @@ def _star_gather(
             v = -v
         for j in found:
             g[j] += v
-        if outside and boundary:
+        if outside:
             for j in found:
                 g_out[j] += v
     costalk = dual(ConstructibleFunction._of(space, _nonzero_items(order, g)))
-    if not boundary:
-        return (costalk,)
     return costalk, -dual(ConstructibleFunction._of(space, _nonzero_items(order, g_out)))
-
-
-def triangle_decompose(
-    closed: Subcomplex, phi: ConstructibleFunction
-) -> tuple[ConstructibleFunction, ConstructibleFunction]:
-    """Split the restriction to a subcomplex into costalk and boundary terms.
-
-    Returns (shriek_restrict(closed, phi), restriction of the open
-    pushforward of phi from the complement).  Their sum is the plain
-    restriction, exactly, on every subcomplex and every function.
-
-    Both terms depend only on phi on the open star of the subcomplex M,
-    so both come from one pass through its star table.  The costalk is
-    D_M(g), g being D(phi) on M.  The boundary is -D_M(g_out), g_out
-    gathering only the star simplices u outside M, because for s in M
-    and w outside M the signs (-1)^dim u over the interval s <= u <= w
-    sum to zero, so their sum over the u outside M is minus their sum
-    over the u in M.
-    """
-    return _star_gather(closed, phi, True)
 
 
 def mod2_reduce(phi: ConstructibleFunction) -> ConstructibleFunction:

@@ -26,13 +26,13 @@ from .calculus import (
     restrict,
     shriek_restrict,
     triangle_decompose,
-    zero_function,
 )
 from .complexes import (
     Involution,
     Simplex,
     SimplicialComplex,
     Subcomplex,
+    canonical_sorted,
     fixed_point_set,
     inclusion_map,
     is_connected,
@@ -166,14 +166,26 @@ class RealComplexPair(Frozen):
         return self.real_form.as_complex()
 
 
+def _weighted_sum(space: SimplicialComplex, terms) -> ConstructibleFunction:
+    """The sum of weight times values over (weight, items) terms, added up
+    on the terms' own supports, so nothing is built over the rest of space."""
+    acc: dict[Simplex, int] = {}
+    for weight, items in terms:
+        for s, v in items:
+            acc[s] = acc.get(s, 0) + weight * v
+    return ConstructibleFunction._of(
+        space, tuple([(s, acc[s]) for s in canonical_sorted(acc) if acc[s]])
+    )
+
+
 def solution_index(cycle: CharacteristicCycle, ambient: SimplicialComplex) -> ConstructibleFunction:
     """Alternating sum over strata of multiplicity times eu, signed by codimension."""
-    total = zero_function(ambient)
     for st in cycle:
         if st.support.parent != ambient:
             raise ModelError(f"stratum {st.name!r} lives on a different complex")
-        total = total + _sign(st.codim) * st.multiplicity * st.eu
-    return total
+    return _weighted_sum(
+        ambient, [(_sign(st.codim) * st.multiplicity, st.eu.items) for st in cycle]
+    )
 
 
 def hyperfunction_index(pair: RealComplexPair, cycle: CharacteristicCycle) -> ConstructibleFunction:
@@ -190,8 +202,7 @@ def hyperfunction_dimension(pair: RealComplexPair, cycle: CharacteristicCycle) -
     Real traces must be nonempty unless the stratum explicitly allows an
     empty trace.
     """
-    mc = pair.real_complex()
-    total = zero_function(mc)
+    terms = []
     for st in cycle:
         if not st.smooth:
             raise ModelError(
@@ -205,8 +216,8 @@ def hyperfunction_dimension(pair: RealComplexPair, cycle: CharacteristicCycle) -
                 f"stratum {st.name!r} misses the real form; "
                 "flag allow_empty_trace to accept that"
             )
-        total = total + st.multiplicity * indicator(Subcomplex._closed(mc, trace.simplices))
-    return total
+        terms.append((st.multiplicity, [(s, 1) for s in trace.simplices]))
+    return _weighted_sum(pair.real_complex(), terms)
 
 
 def parity_index(pair: RealComplexPair, cycle: CharacteristicCycle) -> ConstructibleFunction:
@@ -431,8 +442,10 @@ def verify_scene(
                 expected = sign if trace.has(p) else 0
                 rows.compare(check, str(p), expected, shr.value(p))
 
+        # eu is supported on the support, so its extension by zero from
+        # there is eu itself
         psi = restrict(st.eu, st.support)
-        left = shriek_restrict(pair.real_form, pushforward(inclusion_map(st.support), psi))
+        left = shriek_restrict(pair.real_form, st.eu)
         trace_in_y = Subcomplex._closed(st.support.as_complex(), trace.simplices)
         trace_in_m = Subcomplex._closed(mc, trace.simplices)
         right = pushforward(inclusion_map(trace_in_m), shriek_restrict(trace_in_y, psi))

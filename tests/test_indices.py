@@ -1,3 +1,4 @@
+import itertools
 import types
 from collections import defaultdict
 
@@ -17,12 +18,15 @@ from cfcalc import (
     Scene,
     Stratum,
     Subcomplex,
+    build_complex,
     build_model,
     complement_open,
+    euler_integral,
     list_models,
     hyperfunction_dimension,
     hyperfunction_index,
     indicator,
+    involution,
     parity_index,
     simplex,
     smooth_stratum,
@@ -127,6 +131,13 @@ class TestCycleAndPair:
         with pytest.raises(ModelError, match="supports"):
             CharacteristicCycle([st1, st2])
 
+    def test_strata_on_two_complexes_rejected(self):
+        left, right = disk(3), polygon(4, prefix="p")
+        st1 = smooth_stratum("disk", Subcomplex(left, left.simplices), 0, 1)
+        st2 = smooth_stratum("circle", Subcomplex(right, right.simplices), 0, 1)
+        with pytest.raises(ModelError, match="different ambient complexes"):
+            CharacteristicCycle([st1, st2])
+
     def test_conjugation_fixed_set_must_match(self):
         d = disk(3)
         wrong = subcomplex(d, [["c"]])
@@ -148,6 +159,14 @@ class TestIndexFormulas:
         sol = solution_index(cycle, pair.ambient)
         assert sol.value("c") == 3 - 2  # codim signs: +flat, -origin
         assert sol.value(["b1", "c"]) == 3
+
+    def test_cancelling_strata_store_no_zero(self):
+        pair = one_variable_pair()
+        origin = smooth_stratum("origin", subcomplex(pair.ambient, [["c"]]), 1, 3)
+        flat = smooth_stratum("flat", Subcomplex(pair.ambient, pair.ambient.simplices), 0, 3)
+        sol = solution_index(CharacteristicCycle([origin, flat]), pair.ambient)
+        assert sol.value("c") == 0 and simplex("c") not in sol.support
+        assert sol == 3 * indicator(pair.ambient) - 3 * indicator(origin.support)
 
     def test_hyperfunction_index_one_variable(self):
         pair = one_variable_pair()
@@ -260,6 +279,23 @@ class TestVerifyScene:
         scene = build_model("pair_C_R")
         for seed in (0, 1, 99):
             assert scene.verify(seed=seed).passed
+
+    def test_covering_parity_reduces_a_nonzero_euler_integral(self):
+        # the octahedron's boundary is a sphere, so its Euler integral is 2;
+        # the antipodal map is strongly free, and its orbits of triangles
+        # collapse to one vertex set, so the orbit row is not applicable
+        axes = (("x", "X"), ("y", "Y"), ("z", "Z"))
+        sphere = build_complex(itertools.product(*axes))
+        antipode = involution(sphere, {a: b for pair in axes for a, b in (pair, pair[::-1])})
+        pair = RealComplexPair(sphere, Subcomplex(sphere, []), 1, antipode)
+        cycle = CharacteristicCycle([smooth_stratum("sphere", Subcomplex(sphere, sphere.simplices), 0, 1)])
+        assert euler_integral(solution_index(cycle, sphere)) == 2
+        rows = {
+            e.subject: e for e in verify_scene(pair, cycle).entries if e.check == "covering_parity"
+        }
+        euler = rows["euler_integral"]
+        assert (euler.expected, euler.computed, euler.status) == ("0 (mod 2)", "0 (mod 2)", "pass")
+        assert rows["orbit_pushforward"].status == "not_applicable"
 
     def test_report_renders(self):
         report = build_model("pair_C_R").verify()

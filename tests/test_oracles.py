@@ -3,7 +3,8 @@
 The oracles below are written straight from the definitions, with no
 index, star table or shortcut: the dual as the signed sum over the star,
 the costalk restriction as duality conjugating the restriction, the
-pushforward as the signed sum over each fibre, face closure and
+pushforward as the signed sum over each fibre, the solution index and
+the hyperfunction dimension as sums of whole functions, face closure and
 maximality by listing every face, the product by listing every chain,
 and the canonical text as json.dumps writes it.
 Values include +-2^70, so any arithmetic that wrapped at 64 bits would
@@ -26,16 +27,22 @@ from hypothesis import example, given, settings, strategies as st
 import cfcalc.calculus
 import cfcalc.indices
 from cfcalc import (
+    CharacteristicCycle,
     ConstructibleFunction,
     ModelError,
     OpenSubset,
+    RealComplexPair,
     SimplicialComplex,
+    Stratum,
     Subcomplex,
     build_complex,
     build_model,
     complement_open,
     dual,
+    hyperfunction_dimension,
     hyperfunction_index,
+    inclusion_map,
+    indicator,
     list_models,
     open_pushforward,
     parse_scene,
@@ -302,6 +309,89 @@ def test_verify_and_hyperfunction_index_take_no_ambient_dual(name, monkeypatch):
     assert scene.verify().passed
     hyperfunction_index(scene.pair, scene.cycle)
     assert ambient_duals == []
+
+
+def reference_solution_index(cycle, ambient) -> ConstructibleFunction:
+    """The sum over strata of (-1)^codim times multiplicity times eu, added
+    up with the function arithmetic."""
+    total = ConstructibleFunction(ambient, {})
+    for stratum in cycle:
+        total = total + _sign(stratum.codim) * stratum.multiplicity * stratum.eu
+    return total
+
+
+def reference_dimension(pair, cycle) -> ConstructibleFunction:
+    """The sum over strata of multiplicity times the indicator of the
+    stratum's trace on the real form, as a subcomplex of M."""
+    mc = pair.real_complex()
+    total = ConstructibleFunction(mc, {})
+    for stratum in cycle:
+        trace = stratum.support.intersection(pair.real_form)
+        total = total + stratum.multiplicity * indicator(Subcomplex(mc, trace.simplices))
+    return total
+
+
+def check_indices_against_references(pair, cycle) -> None:
+    sol = solution_index(cycle, pair.ambient)
+    assert sol == reference_solution_index(cycle, pair.ambient)
+    assert hyperfunction_index(pair, cycle) == _sign(pair.complex_dim) * dual(
+        restrict(dual(sol), pair.real_form)
+    )
+    try:
+        dimension = hyperfunction_dimension(pair, cycle)
+    except ModelError:
+        # refused exactly when a stratum is singular or misses M unannounced
+        assert any(
+            not st.smooth
+            or (st.support.intersection(pair.real_form).is_empty and not st.allow_empty_trace)
+            for st in cycle
+        )
+    else:
+        assert dimension == reference_dimension(pair, cycle)
+    # the extension by zero of eu from its support is eu, which lets the
+    # base_change row take eu itself as its left side
+    for stratum in cycle:
+        psi = restrict(stratum.eu, stratum.support)
+        assert pushforward(inclusion_map(stratum.support), psi) == stratum.eu
+
+
+@pytest.mark.parametrize("name", [info.name for info in list_models()])
+def test_indices_match_their_definitions_on_the_models(name):
+    scene = build_model(name, k=3)
+    check_indices_against_references(scene.pair, scene.cycle)
+
+
+@st.composite
+def pairs_with_cycles(draw):
+    """A random complex with a real form M and no conjugation, and one to
+    three strata on distinct connected supports (each the closure of one
+    simplex, so strata overlap on shared faces), with random codimension
+    and multiplicity and, for a singular stratum, random eu values."""
+    space, _ = draw(complex_with_cf(max_vertices=6))
+    real_form = draw(closed_in(space))
+    complex_dim = draw(st.integers(min_value=1, max_value=2))
+    tops = draw(st.lists(st.sampled_from(space.ordered()), min_size=1, max_size=3, unique=True))
+    strata = []
+    for i, top in enumerate(tops):
+        support = subcomplex(space, [top])
+        codim = draw(st.integers(min_value=0, max_value=complex_dim))
+        multiplicity = draw(st.integers(min_value=1, max_value=3))
+        if draw(st.booleans()):
+            eu, smooth = indicator(support), True
+        else:
+            value = st.integers(min_value=-3, max_value=3) | st.just(BIG)
+            eu = ConstructibleFunction(space, {s: draw(value) for s in sorted(support.simplices)})
+            smooth = False
+        strata.append(
+            Stratum(f"s{i}", support, codim, multiplicity, eu, smooth, draw(st.booleans()))
+        )
+    return RealComplexPair(space, real_form, complex_dim), CharacteristicCycle(strata)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs_with_cycles())
+def test_indices_match_their_definitions_on_random_cycles(drawn):
+    check_indices_against_references(*drawn)
 
 
 def all_faces(vertices) -> set[frozenset]:

@@ -18,6 +18,7 @@ from cfcalc import (
     list_models,
     parse_scene,
 )
+from cfcalc.indices import hyperfunction_index, parity_index
 from cfcalc.scenes import _build_cached
 
 ALL_MODELS = (
@@ -139,8 +140,24 @@ class TestRoundTrip:
             sub.__dict__["_complex"] for _, sub in scene.subcomplexes if "_complex" in sub.__dict__
         ]
         assert all("_index" not in space.__dict__ for space in spaces)
+        # verify reads only the open star of M, so the ambient's order is
+        # built by the first call that asks for it, not before
         scene.verify()
+        assert "_index" not in scene.ambient.__dict__
+        scene.ambient.ordered()
         assert "_index" in scene.ambient.__dict__
+
+    @pytest.mark.parametrize("k", [3, 6])
+    @pytest.mark.parametrize("model", ["node_curve", "smooth_line_in_C2"])
+    def test_verify_and_the_indices_build_nothing_over_the_ambient(self, model, k):
+        # Without a conjugation every row reads the solution index on the
+        # open star of M or on the strata supports alone.
+        scene = parse_scene(emit_scene(build_model(model, k=k)))
+        scene.verify()
+        hyperfunction_index(scene.pair, scene.cycle)
+        parity_index(scene.pair, scene.cycle)
+        assert "_index" not in scene.ambient.__dict__
+        assert "_vertices" not in scene.ambient.__dict__
 
     def test_each_simplex_list_is_closed_once(self, monkeypatch):
         # The plane models' ambient subcomplex repeats the complex's list,

@@ -40,7 +40,9 @@ def test_ladder_writes_its_record_at_k_3(tmp_path):
     assert record["label"] == "smoke" and record["python"] and record["commit"]
     (rung,) = record["node_curve"]
     assert rung["k"] == 3 and rung["simplices"] == 1921
-    for key in ("build_ms", "first_verify_ms", "warm_verify_ms", "cold_verify_ms"):
+    for key in (
+        "build_ms", "first_verify_ms", "warm_verify_ms", "cold_verify_ms", "cold_hyperdim_ms"
+    ):
         assert rung[key] > 0, key
 
 
