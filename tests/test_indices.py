@@ -288,7 +288,8 @@ class TestVerifyScene:
         sphere = build_complex(itertools.product(*axes))
         antipode = involution(sphere, {a: b for pair in axes for a, b in (pair, pair[::-1])})
         pair = RealComplexPair(sphere, Subcomplex(sphere, []), 1, antipode)
-        cycle = CharacteristicCycle([smooth_stratum("sphere", Subcomplex(sphere, sphere.simplices), 0, 1)])
+        whole = Subcomplex(sphere, sphere.simplices)
+        cycle = CharacteristicCycle([smooth_stratum("sphere", whole, 0, 1)])
         assert euler_integral(solution_index(cycle, sphere)) == 2
         rows = {
             e.subject: e for e in verify_scene(pair, cycle).entries if e.check == "covering_parity"
