@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
-"""Time node_curve on the size ladder and write BENCH_ladder_<label>.json.
+"""Time the two-variable models on the size ladder and write BENCH_ladder_<label>.json.
 
     python3 scripts/ladder.py --label base
     python3 scripts/ladder.py --label smoke --ks 3 --repeats 1 --out-dir /tmp
 
-For each k it records, as medians over --repeats runs of CPU time in
-milliseconds:
-  - build_ms: build_model("node_curve", k=k) with the model cache empty;
+For node_curve and smooth_line_in_C2 (MODEL below) at each k it records,
+as medians over --repeats runs of CPU time in milliseconds:
+  - build_ms: build_model(MODEL, k=k) with the model cache empty;
   - first_verify_ms: the first Scene.verify on that fresh scene, which
     builds every per-complex table it needs;
   - warm_verify_ms: Scene.verify again on the same scene;
-  - cold_verify_ms: `python -m cfcalc verify "node_curve(k=K)"` as a
-    child process, its user plus system time;
-  - cold_hyperdim_ms: `python -m cfcalc hyperdim "node_curve(k=K)" --at c.c`
-    as a child process, timed the same way.
+  - cold_verify_ms: `python -m cfcalc verify "MODEL(k=K)"` as a child
+    process, its user plus system time;
+  - cold_hyperdim_ms: `python -m cfcalc hyperdim "MODEL(k=K)" --at c.c`
+    as a child process, timed the same way;
+  - cold_check_ms: `python -m cfcalc check "MODEL(k=K)"`, timed the same way.
 The file also records the Python version, the commit of the checkout the
 package was imported from and whether its sources differ from it.
 """
@@ -63,24 +64,31 @@ def cold_ms(*args: str) -> float:
     return spent * 1e3
 
 
-def rung(k: int, repeats: int) -> dict:
-    build, first, warm, cold, hyperdim = [], [], [], [], []
+MODELS = ("node_curve", "smooth_line_in_C2")
+FIELDS = (
+    "build_ms", "first_verify_ms", "warm_verify_ms",
+    "cold_verify_ms", "cold_hyperdim_ms", "cold_check_ms",
+)
+
+
+def rung(model: str, k: int, repeats: int) -> dict:
+    spec = f"{model}(k={k})"
+    runs = []  # one tuple of FIELDS per repeat
     for r in range(repeats):
         cfcalc.scenes._build_cached.cache_clear()
-        ms, scene = timed(lambda: build_model("node_curve", k=k))
-        build.append(ms)
-        first.append(timed(lambda: scene.verify(seed=0))[0])
-        warm.append(timed(lambda: scene.verify(seed=r + 1))[0])
-        cold.append(cold_ms("verify", f"node_curve(k={k})"))
-        hyperdim.append(cold_ms("hyperdim", f"node_curve(k={k})", "--at", "c.c"))
+        build, scene = timed(lambda: build_model(model, k=k))
+        runs.append((
+            build,
+            timed(lambda: scene.verify(seed=0))[0],
+            timed(lambda: scene.verify(seed=r + 1))[0],
+            cold_ms("verify", spec),
+            cold_ms("hyperdim", spec, "--at", "c.c"),
+            cold_ms("check", spec),
+        ))
     return {
         "k": k,
         "simplices": len(scene.ambient),
-        "build_ms": round(statistics.median(build), 2),
-        "first_verify_ms": round(statistics.median(first), 2),
-        "warm_verify_ms": round(statistics.median(warm), 2),
-        "cold_verify_ms": round(statistics.median(cold), 2),
-        "cold_hyperdim_ms": round(statistics.median(hyperdim), 2),
+        **{key: round(statistics.median(ms), 2) for key, ms in zip(FIELDS, zip(*runs))},
     }
 
 
@@ -106,7 +114,7 @@ def main(argv=None) -> int:
         "sources_differ": bool(git("status", "--porcelain", "--", "src")),
         "repeats": args.repeats,
         "unit": "ms of CPU time, median",
-        "node_curve": [rung(k, args.repeats) for k in args.ks],
+        **{model: [rung(model, k, args.repeats) for k in args.ks] for model in MODELS},
     }
     out = args.out_dir / f"BENCH_ladder_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import wraps
+
 
 class Frozen:
     """A value with the fields named in _fields, set once by __init__.
@@ -12,7 +14,8 @@ class Frozen:
     over their fields, and repr as ``Class(field=value, ...)``.
     Comparing with another type returns NotImplemented.  A subclass that
     defines __eq__ also defines __hash__, since Python drops an inherited
-    __hash__ otherwise.
+    __hash__ otherwise.  The one sanctioned write after __init__ is
+    cached's, which keeps a derived value in the instance dict.
     """
 
     __slots__ = ()
@@ -43,3 +46,21 @@ class Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def cached(method):
+    """A zero-argument method run once per instance: the first call keeps
+    its result in the instance dict under "_" + its name, and every call
+    returns that object.  Stack it under @property for a cached property.
+    """
+    key = "_" + method.__name__
+
+    @wraps(method)
+    def get(self):
+        try:
+            return self.__dict__[key]
+        except KeyError:
+            value = self.__dict__[key] = method(self)
+            return value
+
+    return get

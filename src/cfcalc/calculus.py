@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations, compress
 from typing import Mapping, Sequence
 
-from ._frozen import Frozen
+from ._frozen import Frozen, cached
 from .complexes import (
     Involution,
     OpenSubset,
@@ -87,12 +87,9 @@ class ConstructibleFunction(Frozen):
         object.__setattr__(phi, "items", items)
         return phi
 
+    @cached
     def _lookup(self) -> dict[Simplex, int]:
-        table = getattr(self, "_table", None)
-        if table is None:
-            table = dict(self.items)
-            object.__setattr__(self, "_table", table)
-        return table
+        return dict(self.items)
 
     def value(self, simplex_like) -> int:
         s = Simplex(simplex_like)
@@ -112,19 +109,13 @@ class ConstructibleFunction(Frozen):
         if not isinstance(other, ConstructibleFunction):
             return NotImplemented
         self._same_ambient(other)
-        index = self.ambient.index()
-        position = index.position
-        acc = [0] * len(index.order)
-        for s, v in self.items:
-            acc[position[s.vertices]] = v
-        for s, v in other.items:
-            acc[position[s.vertices]] += v
-        return ConstructibleFunction._of(self.ambient, _nonzero_items(index.order, acc))
+        return _weighted_sum(self.ambient, [(1, self.items), (1, other.items)])
 
     def __sub__(self, other):
         if not isinstance(other, ConstructibleFunction):
             return NotImplemented
-        return self + (-other)
+        self._same_ambient(other)
+        return _weighted_sum(self.ambient, [(1, self.items), (-1, other.items)])
 
     def __neg__(self):
         return ConstructibleFunction._of(self.ambient, tuple([(s, -v) for s, v in self.items]))
@@ -145,6 +136,18 @@ class ConstructibleFunction(Frozen):
         return NotImplemented
 
     __rmul__ = __mul__
+
+
+def _weighted_sum(space: SimplicialComplex, terms) -> ConstructibleFunction:
+    """The sum of weight times values over (weight, items) terms, added up
+    on the terms' own supports, so nothing is built over the rest of space."""
+    acc: dict[Simplex, int] = {}
+    for weight, items in terms:
+        for s, v in items:
+            acc[s] = acc.get(s, 0) + weight * v
+    nonzero = [(s, v) for s, v in acc.items() if v]
+    nonzero.sort(key=lambda item: item[0].vertices)  # canonical order
+    return ConstructibleFunction._of(space, tuple(nonzero))
 
 
 def zero_function(ambient: SimplicialComplex) -> ConstructibleFunction:

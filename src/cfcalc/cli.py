@@ -59,11 +59,15 @@ def load_scene(spec: str) -> Scene:
     return build_model(name, **_parse_params(raw or "", f"model spec {spec!r}"))
 
 
-def _parse_at(raw: str) -> Simplex:
+def _parse_at(raw: str, scene: Scene | None = None) -> Simplex:
+    """The simplex --at names; given the scene, it must lie on its real form."""
     vertices = [v for v in re.split(r"[,\s]+", raw.strip()) if v]
     if not vertices:
         raise ModelError("--at needs at least one vertex name")
-    return Simplex(vertices)
+    at = Simplex(vertices)
+    if scene is not None and not scene.pair.real_form.has(at):
+        raise ModelError(f"{at} is not a simplex of the real form {scene.real_form_name!r}")
+    return at
 
 
 def _json_out(obj) -> int:
@@ -148,7 +152,7 @@ def _cmd_index(scene: Scene, args) -> int:
 
 def _cmd_parity(scene: Scene, args) -> int:
     alpha = parity_index(scene.pair, scene.cycle)
-    return _function_output(scene, "parity_index", alpha, args)
+    return _function_output(scene, "parity_index", alpha, args, on_real_form=True)
 
 
 def _cmd_dual(scene: Scene, args) -> int:
@@ -156,9 +160,9 @@ def _cmd_dual(scene: Scene, args) -> int:
     return _function_output(scene, f"dual[{label}]", dual(phi), args)
 
 
-def _function_output(scene: Scene, label: str, phi, args) -> int:
+def _function_output(scene: Scene, label: str, phi, args, on_real_form: bool = False) -> int:
     if args.at is not None:
-        at = _parse_at(args.at)
+        at = _parse_at(args.at, scene if on_real_form else None)
         value = phi.value(at)
         if args.json:
             return _json_out({
@@ -182,7 +186,7 @@ def _cmd_hyperdim(scene: Scene, args) -> int:
     if all(st.smooth for st in scene.cycle):
         dimension = hyperfunction_dimension(scene.pair, scene.cycle)
     if args.at is not None:
-        at = _parse_at(args.at)
+        at = _parse_at(args.at, scene)
         value = hyper.value(at)
         if args.json:
             return _json_out({

@@ -19,7 +19,7 @@ from functools import total_ordering
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._frozen import Frozen
+from ._frozen import Frozen, cached
 from .errors import MissingSimplexError, ModelError
 
 PRODUCT_SEPARATOR = "."
@@ -153,8 +153,7 @@ class ComplexIndex:
     """The canonical order of a complex.
 
     order[i] is the i-th simplex in canonical order and position maps its
-    vertex tuple back to i.  Built by SimplicialComplex.index() on first
-    use and kept for the life of the complex.
+    vertex tuple back to i.
     """
 
     __slots__ = ("order", "position")
@@ -171,11 +170,8 @@ class StarTable:
     each parent simplex u with a face in M to (the positions of u's
     M-faces in M's canonical order, whether dim u is odd, whether u lies
     outside M).  The M-faces of u are the faces spanned by u's vertices
-    in M, so the parent needs no index.  Built by Subcomplex.star_table()
-    on first use and kept for the life of the subcomplex.
+    in M, so the parent needs no index.
     """
-
-    __slots__ = ("space", "entries", "_star", "_order")
 
     def __init__(self, closed: "Subcomplex") -> None:
         space = closed.as_complex()
@@ -206,16 +202,13 @@ class StarTable:
         self.space = space
         self.entries = entries
         self._star = star
-        self._order = None
 
     @property
+    @cached
     def order(self) -> tuple[Simplex, ...]:
-        """The simplices of the open star in canonical order, sorted on
-        first use; the parent's own order is never built for it."""
-        if self._order is None:
-            self._order = tuple(canonical_sorted(self._star))
-            self._star = None
-        return self._order
+        """The simplices of the open star in canonical order; the parent's
+        own order is never built for it."""
+        return tuple(canonical_sorted(self.__dict__.pop("_star")))
 
 
 class SimplicialComplex(Frozen):
@@ -248,26 +241,20 @@ class SimplicialComplex(Frozen):
     def __hash__(self) -> int:
         return hash(self.simplices)
 
+    @cached
     def index(self) -> ComplexIndex:
-        """The canonical order, built on first use."""
-        index = self.__dict__.get("_index")
-        if index is None:
-            index = ComplexIndex(self.simplices)
-            object.__setattr__(self, "_index", index)
-        return index
+        """The canonical order."""
+        return ComplexIndex(self.simplices)
 
     @property
     def dim(self) -> int:
         return max((s.dim for s in self.simplices), default=-1)
 
     @property
+    @cached
     def vertices(self) -> frozenset[str]:
-        """The vertex names, collected on first use."""
-        vertices = self.__dict__.get("_vertices")
-        if vertices is None:
-            vertices = frozenset(v for s in self.simplices for v in s.vertices)
-            object.__setattr__(self, "_vertices", vertices)
-        return vertices
+        """The vertex names."""
+        return frozenset(v for s in self.simplices for v in s.vertices)
 
     def has(self, simplex_like) -> bool:
         return Simplex(simplex_like) in self.simplices
@@ -275,24 +262,21 @@ class SimplicialComplex(Frozen):
     def ordered(self) -> tuple[Simplex, ...]:
         return self.index().order
 
+    @cached
     def maximal_simplices(self) -> tuple[Simplex, ...]:
         """The simplices that are no member's proper face, in canonical
-        order, found on first use: among the generators when the package
-        closed them itself, else by one facet scan."""
-        found = self.__dict__.get("_maximal")
-        if found is None:
-            gens = self.__dict__.get("_generators")
-            if gens is None:
-                # in a face-closed set, a proper face of a member is a facet of one
-                facets = {
-                    f for s in self.simplices for f in itertools.combinations(s.vertices, s.dim)
-                }
-                tops = [s.vertices for s in self.simplices if s.vertices not in facets]
-            else:
-                tops = _maximal_generators(gens)
-            found = tuple(map(Simplex._raw, sorted(tops)))
-            object.__setattr__(self, "_maximal", found)
-        return found
+        order: among the generators when the package closed them itself,
+        else by one facet scan."""
+        gens = self.__dict__.get("_generators")
+        if gens is None:
+            # in a face-closed set, a proper face of a member is a facet of one
+            facets = {
+                f for s in self.simplices for f in itertools.combinations(s.vertices, s.dim)
+            }
+            tops = [s.vertices for s in self.simplices if s.vertices not in facets]
+        else:
+            tops = _maximal_generators(gens)
+        return tuple(map(Simplex._raw, sorted(tops)))
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -339,7 +323,7 @@ class Subcomplex(Frozen):
     def _whole(cls, parent: SimplicialComplex) -> "Subcomplex":
         """The parent as a subcomplex of itself; as_complex() is the parent."""
         sub = cls._closed(parent, parent.simplices)
-        object.__setattr__(sub, "_complex", parent)
+        object.__setattr__(sub, "_as_complex", parent)
         return sub
 
     @property
@@ -357,21 +341,23 @@ class Subcomplex(Frozen):
     def has(self, simplex_like) -> bool:
         return Simplex(simplex_like) in self.simplices
 
+    @cached
     def as_complex(self) -> SimplicialComplex:
-        """The subcomplex as a complex of its own, the same object on every call."""
-        space = self.__dict__.get("_complex")
-        if space is None:
-            space = SimplicialComplex._closed(self.simplices, self.__dict__.get("_generators"))
-            object.__setattr__(self, "_complex", space)
-        return space
+        """The subcomplex as a complex of its own."""
+        return SimplicialComplex._closed(self.simplices, self.__dict__.get("_generators"))
 
+    @cached
     def star_table(self) -> StarTable:
-        """The open star of the subcomplex in its parent, built on first use."""
-        table = self.__dict__.get("_star")
-        if table is None:
-            table = StarTable(self)
-            object.__setattr__(self, "_star", table)
-        return table
+        """The open star of the subcomplex in its parent."""
+        return StarTable(self)
+
+    @cached
+    def _open(self) -> "OpenSubset":
+        # the complement of a face-closed set is coface-closed, so the
+        # OpenSubset check is skipped
+        opensub = object.__new__(OpenSubset)
+        opensub._assign(self.parent, self.parent.simplices - self.simplices)
+        return opensub
 
     def intersection(self, other: "Subcomplex") -> "Subcomplex":
         if self.parent != other.parent:
@@ -423,20 +409,10 @@ class OpenSubset(Frozen):
 
 
 def complement_open(space: SimplicialComplex, closed: Subcomplex) -> OpenSubset:
-    """The open complement of a subcomplex, built once and cached on it.
-
-    The complement of a face-closed set is coface-closed, so the
-    OpenSubset check is skipped.
-    """
+    """The open complement of a subcomplex."""
     if closed.parent != space:
         raise ModelError("subcomplex does not live in the given complex")
-    opensub = closed.__dict__.get("_open")
-    if opensub is None:
-        opensub = object.__new__(OpenSubset)
-        object.__setattr__(opensub, "parent", closed.parent)
-        object.__setattr__(opensub, "simplices", closed.parent.simplices - closed.simplices)
-        object.__setattr__(closed, "_open", opensub)
-    return opensub
+    return closed._open()
 
 
 def _staircase(left_tops, right_tops, left_order, right_order) -> list[list[str]]:
@@ -557,12 +533,9 @@ class SimplicialMap(Frozen):
     def vertex_map(self) -> dict[str, str]:
         return dict(self.vertex_pairs)
 
+    @cached
     def _vertex_table(self) -> dict[str, str]:
-        table = self.__dict__.get("_table")
-        if table is None:
-            table = dict(self.vertex_pairs)
-            object.__setattr__(self, "_table", table)
-        return table
+        return dict(self.vertex_pairs)
 
     def vertex(self, v: str) -> str:
         try:

@@ -17,6 +17,7 @@ from ._frozen import Frozen
 from .calculus import (
     ConstructibleFunction,
     _nonzero_items,
+    _weighted_sum,
     euler_integral,
     indicator,
     mod2_reduce,
@@ -32,7 +33,6 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     Subcomplex,
-    canonical_sorted,
     fixed_point_set,
     inclusion_map,
     is_connected,
@@ -164,18 +164,6 @@ class RealComplexPair(Frozen):
 
     def real_complex(self) -> SimplicialComplex:
         return self.real_form.as_complex()
-
-
-def _weighted_sum(space: SimplicialComplex, terms) -> ConstructibleFunction:
-    """The sum of weight times values over (weight, items) terms, added up
-    on the terms' own supports, so nothing is built over the rest of space."""
-    acc: dict[Simplex, int] = {}
-    for weight, items in terms:
-        for s, v in items:
-            acc[s] = acc.get(s, 0) + weight * v
-    return ConstructibleFunction._of(
-        space, tuple([(s, acc[s]) for s in canonical_sorted(acc) if acc[s]])
-    )
 
 
 def solution_index(cycle: CharacteristicCycle, ambient: SimplicialComplex) -> ConstructibleFunction:

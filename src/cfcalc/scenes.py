@@ -16,7 +16,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring as _quote  # json.dumps' string writer
 from typing import Callable, NoReturn
 
-from ._frozen import Frozen
+from ._frozen import Frozen, cached
 from .calculus import ConstructibleFunction
 from .complexes import (
     MAX_SIMPLICES,
@@ -75,12 +75,9 @@ class Scene(Frozen):
         )
 
     @property
+    @cached
     def canonical_text(self) -> str:
-        text = self.__dict__.get("_text")
-        if text is None:
-            text = _write(_canonical_doc(self)) + "\n"
-            object.__setattr__(self, "_text", text)
-        return text
+        return _write(_canonical_doc(self)) + "\n"
 
     def subcomplex(self, name: str) -> Subcomplex:
         for nm, sub in self.subcomplexes:

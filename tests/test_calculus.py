@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cfcalc.complexes
 from cfcalc import (
     ConstructibleFunction,
     MissingSimplexError,
@@ -10,9 +11,11 @@ from cfcalc import (
     SimplicialMap,
     Subcomplex,
     build_complex,
+    build_model,
     complement_open,
     compose,
     dual,
+    emit_scene,
     euler_integral,
     indicator,
     inclusion_map,
@@ -20,6 +23,7 @@ from cfcalc import (
     open_extend,
     open_pushforward,
     orbit_pushforward,
+    parse_scene,
     point_complex,
     pullback,
     pushforward,
@@ -28,6 +32,7 @@ from cfcalc import (
     shriek_restrict,
     simplex,
     simplicial_map,
+    solution_index,
     subcomplex,
     triangle_decompose,
     zero_function,
@@ -95,6 +100,47 @@ class TestFunctionBasics:
             [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]]
         )
         assert euler_integral(indicator(tetra)) == 2
+
+
+class TestAddition:
+    @settings(max_examples=150, deadline=None)
+    @given(complex_with_cf(max_vertices=6), st.data())
+    def test_sum_and_difference_match_their_pointwise_definitions(self, pair, data):
+        space, _ = pair
+        values = st.dictionaries(
+            st.sampled_from(space.ordered()), st.integers(min_value=-2**70, max_value=2**70)
+        )
+        a_values, b_values = data.draw(values), data.draw(values)
+        for s, v in a_values.items():  # make a + b or a - b cancel to zero here
+            tie = data.draw(st.sampled_from([None, 1, -1]))
+            if tie is not None:
+                b_values[s] = tie * v
+        a, b = ConstructibleFunction(space, a_values), ConstructibleFunction(space, b_values)
+        for got, sign in ((a + b, 1), (a - b, -1)):
+            pointwise = [(s, a.value(s) + sign * b.value(s)) for s in space.ordered()]
+            assert got.ambient is space
+            assert got.items == tuple([(s, v) for s, v in pointwise if v])
+        elsewhere = zero_function(point_complex("elsewhere"))
+        with pytest.raises(ModelError, match="different ambient"):
+            a + elsewhere
+        with pytest.raises(ModelError, match="different ambient"):
+            a - elsewhere
+
+    def test_sum_and_difference_build_no_index(self, monkeypatch):
+        scene = parse_scene(emit_scene(build_model("node_curve", k=3)))
+        a = indicator(scene.ambient)
+        b = solution_index(scene.cycle, scene.ambient)
+        built = []
+        index_init = cfcalc.complexes.ComplexIndex.__init__
+
+        def spy(index, simplices):
+            built.append(len(simplices))
+            index_init(index, simplices)
+
+        monkeypatch.setattr(cfcalc.complexes.ComplexIndex, "__init__", spy)
+        assert (a + b) - b == a
+        assert (a - b) + b == a
+        assert built == []
 
 
 class TestDuality:

@@ -113,6 +113,20 @@ class TestExitCodes:
         assert code == 2
         assert "no subcomplex named" in err
 
+    @pytest.mark.parametrize(
+        "command, model, at, message",
+        [
+            ("hyperdim", "pair_C_R", "b0,b1", "b0 b1 is not a simplex of the real form 'real_line'"),
+            ("parity", "pair_C_R", "b0,b1", "b0 b1 is not a simplex of the real form 'real_line'"),
+            ("hyperdim", "antipodal_cover", "b0", "b0 is not a simplex of the real form 'fixed_locus'"),
+            ("index", "pair_C_R", "zz", "zz is not a simplex of the ambient complex"),
+            ("dual", "pair_C_R", "zz", "zz is not a simplex of the ambient complex"),
+        ],
+    )
+    def test_at_names_the_complex_the_function_lives_on(self, capsys, command, model, at, message):
+        code, out, err = run(capsys, command, model, "--at", at)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_bad_parameter_spec(self, capsys):
         code, _, err = run(capsys, "check", "pair_C_R(k=x)")
         assert code == 2

@@ -14,8 +14,10 @@ from cfcalc import (
     SimplicialMap,
     Subcomplex,
     build_complex,
+    build_model,
     complement_open,
     compose,
+    emit_scene,
     euler_integral,
     fixed_point_set,
     inclusion_map,
@@ -23,6 +25,7 @@ from cfcalc import (
     involution,
     is_connected,
     is_strongly_free,
+    parse_scene,
     point_complex,
     product,
     quotient_by_involution,
@@ -264,6 +267,51 @@ class TestProduct:
         for s in space.simplices:
             assert pl.target.has(pl.image(s))
             assert pr.target.has(pr.image(s))
+
+
+# Every value derived on first use and kept: (a fresh owner, its key in the
+# owner's instance dict, the accessor).  A map checks each image through its
+# vertex table, so only a map from the empty complex reaches it unused.
+CACHED = {
+    "SimplicialComplex.index": (lambda: disk(3), "_index", lambda x: x.index()),
+    "SimplicialComplex.vertices": (lambda: disk(3), "_vertices", lambda x: x.vertices),
+    "SimplicialComplex.maximal_simplices": (
+        lambda: disk(3), "_maximal_simplices", lambda x: x.maximal_simplices()
+    ),
+    "Subcomplex.as_complex": (lambda: diameter(disk(3)), "_as_complex", lambda x: x.as_complex()),
+    "Subcomplex.star_table": (lambda: diameter(disk(3)), "_star_table", lambda x: x.star_table()),
+    "Subcomplex._open": (
+        lambda: diameter(disk(3)), "__open", lambda x: complement_open(x.parent, x)
+    ),
+    "StarTable.order": (lambda: diameter(disk(3)).star_table(), "_order", lambda x: x.order),
+    "SimplicialMap._vertex_table": (
+        lambda: SimplicialMap(build_complex([]), disk(3), {}),
+        "__vertex_table",
+        lambda x: x._vertex_table(),
+    ),
+    "ConstructibleFunction._lookup": (lambda: indicator(disk(3)), "__lookup", lambda x: x._lookup()),
+    "Scene.canonical_text": (
+        lambda: parse_scene(emit_scene(build_model("pair_C_R"))),
+        "_canonical_text",
+        lambda x: x.canonical_text,
+    ),
+}
+
+
+@pytest.mark.parametrize("accessor", sorted(CACHED))
+def test_derived_values_are_built_on_first_use_and_kept(accessor):
+    make, key, get = CACHED[accessor]
+    owner = make()
+    assert key not in vars(owner)
+    first = get(owner)
+    assert vars(owner)[key] is first
+    assert get(owner) is first
+
+
+def test_star_order_drops_the_unsorted_star():
+    table = diameter(disk(3)).star_table()
+    assert len(table.order) == len(table.entries)
+    assert "_star" not in vars(table)
 
 
 class TestMaps:

@@ -35,7 +35,7 @@ from cfcalc import (
     verify_scene,
 )
 from cfcalc.indices import _first_mismatch
-from conftest import diameter, disk, polygon, reflection
+from conftest import antipodal, diameter, disk, polygon, reflection
 
 
 def count_components(sims) -> int:
@@ -102,6 +102,14 @@ class TestStratumValidation:
         stray = indicator(d)
         with pytest.raises(ModelError, match="not supported"):
             Stratum("origin", origin, 1, 1, stray, smooth=False)
+
+    def test_stray_eu_names_its_first_stray_simplex(self):
+        hexagon = polygon(6)
+        with pytest.raises(ModelError) as err:
+            Stratum("o", subcomplex(hexagon, [["b0"]]), 1, 1, indicator(hexagon), smooth=False)
+        assert str(err.value) == (
+            "stratum 'o': eu is not supported on the support (value at b0 b1)"
+        )
 
     def test_smooth_forces_unit_eu(self):
         d = disk(3)
@@ -297,6 +305,20 @@ class TestVerifyScene:
         euler = rows["euler_integral"]
         assert (euler.expected, euler.computed, euler.status) == ("0 (mod 2)", "0 (mod 2)", "pass")
         assert rows["orbit_pushforward"].status == "not_applicable"
+
+    def test_orbit_row_names_the_first_odd_orbit(self):
+        # the half-turn of the hexagon folds the edge b0 b1 onto b3 b4, so
+        # the orbits of b0, b1 and b0 b1 each carry the odd value 1
+        hexagon = polygon(6)
+        pair = RealComplexPair(hexagon, Subcomplex(hexagon, []), 1, antipodal(hexagon, 3))
+        edge = smooth_stratum("edge", subcomplex(hexagon, [["b0", "b1"]]), 0, 1)
+        (row,) = [
+            e for e in verify_scene(pair, CharacteristicCycle([edge])).entries
+            if e.subject == "orbit_pushforward"
+        ]
+        assert (row.check, row.computed, row.status) == (
+            "covering_parity", "odd value at b0", "fail"
+        )
 
     def test_report_renders(self):
         report = build_model("pair_C_R").verify()

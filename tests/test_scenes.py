@@ -137,7 +137,9 @@ class TestRoundTrip:
         # the first calculus call.
         scene = parse_scene(emit_scene(build_model("node_curve", m=5)))
         spaces = [scene.ambient] + [
-            sub.__dict__["_complex"] for _, sub in scene.subcomplexes if "_complex" in sub.__dict__
+            sub.__dict__["_as_complex"]
+            for _, sub in scene.subcomplexes
+            if "_as_complex" in sub.__dict__
         ]
         assert all("_index" not in space.__dict__ for space in spaces)
         # verify reads only the open star of M, so the ambient's order is

@@ -38,12 +38,14 @@ def test_ladder_writes_its_record_at_k_3(tmp_path):
     assert proc.returncode == 0, proc.stderr
     record = json.loads((tmp_path / "BENCH_ladder_smoke.json").read_text(encoding="utf-8"))
     assert record["label"] == "smoke" and record["python"] and record["commit"]
-    (rung,) = record["node_curve"]
-    assert rung["k"] == 3 and rung["simplices"] == 1921
-    for key in (
-        "build_ms", "first_verify_ms", "warm_verify_ms", "cold_verify_ms", "cold_hyperdim_ms"
-    ):
-        assert rung[key] > 0, key
+    for model in ("node_curve", "smooth_line_in_C2"):
+        (rung,) = record[model]
+        assert rung["k"] == 3 and rung["simplices"] == 1921, model
+        for key in (
+            "build_ms", "first_verify_ms", "warm_verify_ms",
+            "cold_verify_ms", "cold_hyperdim_ms", "cold_check_ms",
+        ):
+            assert rung[key] > 0, (model, key)
 
 
 def _literal(path: Path, name: str):
