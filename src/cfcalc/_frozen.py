@@ -57,10 +57,9 @@ def cached(method):
 
     @wraps(method)
     def get(self):
-        try:
-            return self.__dict__[key]
-        except KeyError:
-            value = self.__dict__[key] = method(self)
-            return value
+        values = self.__dict__
+        if key not in values:
+            values[key] = method(self)
+        return values[key]
 
     return get
