@@ -141,13 +141,14 @@ class ConstructibleFunction(Frozen):
 def _weighted_sum(space: SimplicialComplex, terms) -> ConstructibleFunction:
     """The sum of weight times values over (weight, items) terms, added up
     on the terms' own supports, so nothing is built over the rest of space."""
-    acc: dict[Simplex, int] = {}
+    # keyed by vertex tuple, which hashes and sorts in C, unlike a Simplex
+    acc: dict[tuple[str, ...], list] = {}
     for weight, items in terms:
         for s, v in items:
-            acc[s] = acc.get(s, 0) + weight * v
-    nonzero = [(s, v) for s, v in acc.items() if v]
-    nonzero.sort(key=lambda item: item[0].vertices)  # canonical order
-    return ConstructibleFunction._of(space, tuple(nonzero))
+            acc.setdefault(s.vertices, [s, 0])[1] += weight * v
+    return ConstructibleFunction._of(
+        space, tuple([(s, v) for _, (s, v) in sorted(acc.items()) if v])
+    )
 
 
 def zero_function(ambient: SimplicialComplex) -> ConstructibleFunction:
