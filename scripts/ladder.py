@@ -14,7 +14,12 @@ as medians over --repeats runs of CPU time in milliseconds:
     process, its user plus system time;
   - cold_hyperdim_ms: `python -m cfcalc hyperdim "MODEL(k=K)" --at c.c`
     as a child process, timed the same way;
-  - cold_check_ms: `python -m cfcalc check "MODEL(k=K)"`, timed the same way.
+  - cold_check_ms: `python -m cfcalc check "MODEL(k=K)"`, timed the same way;
+  - star_table_ms: the real form's star_table() on another fresh scene.
+Apart from the ladder it records cold_check_simplex_ms: `python -m cfcalc
+check` on a scene file whose complex is one simplex on n vertices, for n
+in ONE_SIMPLEX (the n = 14 complex has 16,383 simplices), timed as the
+other child processes and keyed by n.
 The file also records the Python version, the commit of the checkout the
 package was imported from and whether its sources differ from it.
 """
@@ -27,6 +32,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -67,8 +73,9 @@ def cold_ms(*args: str) -> float:
 MODELS = ("node_curve", "smooth_line_in_C2")
 FIELDS = (
     "build_ms", "first_verify_ms", "warm_verify_ms",
-    "cold_verify_ms", "cold_hyperdim_ms", "cold_check_ms",
+    "cold_verify_ms", "cold_hyperdim_ms", "cold_check_ms", "star_table_ms",
 )
+ONE_SIMPLEX = (10, 12, 14)
 
 
 def rung(model: str, k: int, repeats: int) -> dict:
@@ -77,19 +84,40 @@ def rung(model: str, k: int, repeats: int) -> dict:
     for r in range(repeats):
         cfcalc.scenes._build_cached.cache_clear()
         build, scene = timed(lambda: build_model(model, k=k))
+        first = timed(lambda: scene.verify(seed=0))[0]
+        warm = timed(lambda: scene.verify(seed=r + 1))[0]
+        cfcalc.scenes._build_cached.cache_clear()
+        fresh = build_model(model, k=k)
         runs.append((
-            build,
-            timed(lambda: scene.verify(seed=0))[0],
-            timed(lambda: scene.verify(seed=r + 1))[0],
+            build, first, warm,
             cold_ms("verify", spec),
             cold_ms("hyperdim", spec, "--at", "c.c"),
             cold_ms("check", spec),
+            timed(fresh.pair.real_form.star_table)[0],
         ))
     return {
         "k": k,
         "simplices": len(scene.ambient),
         **{key: round(statistics.median(ms), 2) for key, ms in zip(FIELDS, zip(*runs))},
     }
+
+
+def one_simplex_checks(repeats: int) -> dict:
+    """Median cold `cfcalc check` CPU time on one n-vertex simplex, by n."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in ONE_SIMPLEX:
+            vertices = [f"v{i}" for i in range(n)]
+            doc = {
+                "name": f"simplex{n}", "complex": {"maximal_simplices": [vertices]},
+                "subcomplexes": {"M": [["v0"]]}, "real_form": {"M": "M", "complex_dim": 1},
+                "strata": [], "probes": [], "expect": {},
+            }
+            path = Path(tmp) / f"simplex{n}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            ms = [cold_ms("check", str(path)) for _ in range(repeats)]
+            out[str(n)] = round(statistics.median(ms), 2)
+    return out
 
 
 def git(*args: str) -> str:
@@ -115,6 +143,7 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
         "unit": "ms of CPU time, median",
         **{model: [rung(model, k, args.repeats) for k in args.ks] for model in MODELS},
+        "cold_check_simplex_ms": one_simplex_checks(args.repeats),
     }
     out = args.out_dir / f"BENCH_ladder_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

@@ -19,7 +19,6 @@ from .complexes import (
     SimplicialComplex,
     SimplicialMap,
     Subcomplex,
-    canonical_sorted,
     quotient_by_involution,
 )
 from .errors import MissingSimplexError, ModelError
@@ -30,15 +29,15 @@ def _clean_items(
 ) -> tuple[tuple[Simplex, int], ...]:
     cleaned: dict[Simplex, int] = {}
     for key, raw in values.items():
-        s = key if type(key) is Simplex else Simplex(key)
+        s = Simplex(key)
         if s not in ambient.simplices:
             raise MissingSimplexError(f"{s} is not a simplex of the ambient complex")
-        if not isinstance(raw, int):
+        if not isinstance(raw, int) or isinstance(raw, bool):
             raise ModelError(f"value at {s} must be an integer, got {raw!r}")
         v = int(raw)
         if v:
             cleaned[s] = v
-    return tuple([(s, cleaned[s]) for s in canonical_sorted(cleaned)])
+    return tuple(sorted(cleaned.items()))
 
 
 def _nonzero_items(order, acc: Sequence[int]) -> tuple[tuple[Simplex, int], ...]:
@@ -141,13 +140,12 @@ class ConstructibleFunction(Frozen):
 def _weighted_sum(space: SimplicialComplex, terms) -> ConstructibleFunction:
     """The sum of weight times values over (weight, items) terms, added up
     on the terms' own supports, so nothing is built over the rest of space."""
-    # keyed by vertex tuple, which hashes and sorts in C, unlike a Simplex
-    acc: dict[tuple[str, ...], list] = {}
+    acc: dict[Simplex, int] = {}
     for weight, items in terms:
         for s, v in items:
-            acc.setdefault(s.vertices, [s, 0])[1] += weight * v
+            acc[s] = acc.get(s, 0) + weight * v
     return ConstructibleFunction._of(
-        space, tuple([(s, v) for _, (s, v) in sorted(acc.items()) if v])
+        space, tuple([item for item in sorted(acc.items()) if item[1]])
     )
 
 
@@ -164,7 +162,7 @@ def indicator(region) -> ConstructibleFunction:
     else:
         raise ModelError(f"cannot take the indicator of {type(region).__name__}")
     return ConstructibleFunction._of(
-        ambient, tuple([(s, 1) for s in canonical_sorted(region.simplices)])
+        ambient, tuple([(s, 1) for s in sorted(region.simplices)])
     )
 
 
@@ -181,11 +179,11 @@ def pullback(f: SimplicialMap, psi: ConstructibleFunction) -> ConstructibleFunct
     """Composition with the map: value at a simplex is the value at its image."""
     if psi.ambient != f.target:
         raise ModelError("function does not live on the target of the map")
-    table = {t.vertices: v for t, v in psi.items}
+    table = dict(psi.items)
     image = f.image_vertices
     items = []
     for s in f.source.index().order:
-        v = table.get(image(s.vertices))
+        v = table.get(image(s))
         if v:
             items.append((s, v))
     return ConstructibleFunction._of(f.source, tuple(items))
@@ -203,8 +201,8 @@ def pushforward(f: SimplicialMap, phi: ConstructibleFunction) -> ConstructibleFu
     image = f.image_vertices
     acc = [0] * len(index.order)
     for s, v in phi.items:
-        t = image(s.vertices)
-        acc[position[t]] += -v if (len(s.vertices) - len(t)) % 2 else v
+        t = image(s)
+        acc[position[t]] += -v if (len(s) - len(t)) % 2 else v
     return ConstructibleFunction._of(f.target, _nonzero_items(index.order, acc))
 
 
@@ -222,11 +220,10 @@ def dual(phi: ConstructibleFunction) -> ConstructibleFunction:
     position = index.position
     acc = [0] * len(index.order)
     for t, v in phi.items:
-        vs = t.vertices
-        if not len(vs) % 2:
+        if not len(t) % 2:
             v = -v
-        for n in range(1, len(vs) + 1):
-            for face in combinations(vs, n):
+        for n in range(1, len(t) + 1):
+            for face in combinations(t, n):
                 acc[position[face]] += v
     return ConstructibleFunction._of(phi.ambient, _nonzero_items(index.order, acc))
 
@@ -235,10 +232,9 @@ def restrict(phi: ConstructibleFunction, closed: Subcomplex) -> ConstructibleFun
     """Plain restriction of values to a subcomplex, viewed as its own complex."""
     if phi.ambient != closed.parent:
         raise ModelError("function does not live on the parent of the subcomplex")
-    space = closed.as_complex()
-    keep = space.index().position
+    keep = closed.simplices
     return ConstructibleFunction._of(
-        space, tuple([item for item in phi.items if item[0].vertices in keep])
+        closed.as_complex(), tuple([item for item in phi.items if item[0] in keep])
     )
 
 
@@ -324,7 +320,7 @@ def triangle_decompose(
     g = [0] * len(order)
     g_out = [0] * len(order)
     for s, v in phi.items:
-        entry = entries.get(s.vertices)
+        entry = entries.get(s)
         if entry is None:
             continue
         found, odd, outside = entry

@@ -88,7 +88,7 @@ def _print_table(phi, include_zeros: bool) -> None:
 
 def _table_json(phi, include_zeros: bool) -> list[dict]:
     return [
-        {"at": list(s.vertices), "value": v}
+        {"at": list(s), "value": v}
         for s, v in _value_rows(phi, include_zeros)
     ]
 
@@ -167,7 +167,7 @@ def _function_output(scene: Scene, label: str, phi, args, on_real_form: bool = F
         if args.json:
             return _json_out({
                 "scene": scene.name, "function": label,
-                "at": list(at.vertices), "value": value,
+                "at": list(at), "value": value,
             })
         print(value)
         return 0
@@ -190,7 +190,7 @@ def _cmd_hyperdim(scene: Scene, args) -> int:
         value = hyper.value(at)
         if args.json:
             return _json_out({
-                "scene": scene.name, "at": list(at.vertices),
+                "scene": scene.name, "at": list(at),
                 "hyperfunction_index": value,
                 "hyperfunction_dimension": None if dimension is None else dimension.value(at),
             })

@@ -6,8 +6,8 @@ built on top of these complexes are constant on open simplices, which is
 what keeps the whole calculus exact and finite.
 
 Vertex identifiers are opaque strings (integers are accepted and
-stringified).  The canonical order on simplices is lexicographic on the
-sorted vertex tuple.
+stringified).  A simplex is its sorted vertex tuple, and the canonical
+order on simplices is the lexicographic order of those tuples.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, defaultdict
-from functools import total_ordering
-from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._frozen import Frozen, cached
 from .errors import MissingSimplexError, ModelError
@@ -38,62 +36,42 @@ def _canonical_vertices(vertices: Iterable) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-@total_ordering
-class Simplex(Frozen):
-    """A nonempty set of vertex ids, stored sorted; dim is one less than size.
+class Simplex(tuple):
+    """A nonempty set of vertex ids: the tuple of their names, sorted.
 
-    Simplices compare, order and hash as their vertex tuples, but never
-    equal a plain tuple.
+    A simplex is its sorted vertex tuple, so it compares, orders and
+    hashes as that tuple, and a dict keyed by simplices is found by vertex
+    tuples.  dim is one less than its length.
     """
 
-    __slots__ = ("vertices",)
-    _fields = ("vertices",)
+    __slots__ = ()
 
-    def __init__(self, vertices: Iterable) -> None:
+    def __new__(cls, vertices: Iterable) -> "Simplex":
         if isinstance(vertices, Simplex):
-            vertices = vertices.vertices
-        else:
-            if isinstance(vertices, str):
-                vertices = [vertices]  # a bare string is one vertex name
-            vertices = _canonical_vertices(vertices)
-        object.__setattr__(self, "vertices", vertices)
+            return vertices
+        if isinstance(vertices, str):
+            vertices = [vertices]  # a bare string is one vertex name
+        return tuple.__new__(cls, _canonical_vertices(vertices))
 
     @classmethod
     def _raw(cls, sorted_vertices: tuple[str, ...]) -> "Simplex":
         # fast path for internal callers that already hold a canonical tuple
-        s = object.__new__(cls)
-        object.__setattr__(s, "vertices", sorted_vertices)
-        return s
+        return tuple.__new__(cls, sorted_vertices)
 
-    def __eq__(self, other):
-        if other.__class__ is not Simplex:
-            return NotImplemented
-        return self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return hash(self.vertices)
-
-    def __lt__(self, other):
-        if other.__class__ is not Simplex:
-            return NotImplemented
-        return self.vertices < other.vertices
-
-    def __reduce__(self):
-        # pickle and copy would restore the slot by assignment, which is refused
-        return Simplex, (self.vertices,)
+    @property
+    def vertices(self) -> "Simplex":
+        """The sorted vertex names, which is the simplex itself."""
+        return self
 
     @property
     def dim(self) -> int:
-        return len(self.vertices) - 1
+        return len(self) - 1
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.vertices)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
+    def __repr__(self) -> str:
+        return f"Simplex(vertices={tuple(self)!r})"
 
     def __str__(self) -> str:
-        return " ".join(self.vertices)
+        return " ".join(self)
 
 
 def simplex(*vertices) -> Simplex:
@@ -101,76 +79,64 @@ def simplex(*vertices) -> Simplex:
     return Simplex(vertices)
 
 
-_VERTICES = attrgetter("vertices")
-
-
-def canonical_sorted(simplices: Iterable[Simplex]) -> list[Simplex]:
-    """Simplices in the canonical order, compared as vertex tuples.
-
-    The same order as sorted(simplices), without a Python-level
-    comparison per pair.
-    """
-    return sorted(simplices, key=_VERTICES)
-
-
 def _require_face_closed(sset: frozenset[Simplex], what: str) -> None:
     """Raise ModelError(what), filled with {face} and {simplex}, at a facet
     missing from the set; every facet of each member gives every face, by
     induction on dimension."""
-    present = {s.vertices for s in sset}
-    for vs in present:
-        for facet in itertools.combinations(vs, len(vs) - 1):
-            if facet and facet not in present:
-                raise ModelError(what.format(face=Simplex._raw(facet), simplex=Simplex._raw(vs)))
+    for s in sset:
+        for facet in itertools.combinations(s, s.dim):
+            if facet and facet not in sset:
+                raise ModelError(what.format(face=Simplex._raw(facet), simplex=s))
 
 
-def _face_closure(gens: set[tuple[str, ...]]) -> list[Simplex]:
-    """Every face of the generators (distinct vertex tuples) once; refused
+def _face_closure(gens: set[Simplex]) -> list[Simplex]:
+    """Every face of the distinct generators once; refused
     before listing any face when the closure could exceed MAX_SIMPLICES."""
-    bound = sum((1 << len(vs)) - 1 for vs in gens)
+    bound = sum((1 << len(s)) - 1 for s in gens)
     if bound > MAX_SIMPLICES:
         raise ModelError(
             f"face closure may hold up to {bound} simplices, more than the limit of {MAX_SIMPLICES}"
         )
-    faces = {f for vs in gens for n in range(1, len(vs) + 1) for f in itertools.combinations(vs, n)}
+    faces = {f for s in gens for n in range(1, len(s) + 1) for f in itertools.combinations(s, n)}
     return list(map(Simplex._raw, faces))
 
 
-def _maximal_generators(gens: set[tuple[str, ...]]) -> list[tuple[str, ...]]:
+def _maximal_generators(gens: set[Simplex]) -> list[Simplex]:
     """The generators that are a proper face of no other generator: the
     maximal simplices of their closure."""
     if len(set(map(len, gens))) <= 1:  # distinct simplices of one size
         return list(gens)
     containing = defaultdict(set)
-    for vs in gens:
-        for v in vs:
-            containing[v].add(vs)
-    # vs itself has all of its vertices; any other generator that does is larger
-    return [vs for vs in gens if len(set.intersection(*map(containing.__getitem__, vs))) == 1]
+    for s in gens:
+        for v in s:
+            containing[v].add(s)
+    # s itself has all of its vertices; any other generator that does is larger
+    return [s for s in gens if len(set.intersection(*map(containing.__getitem__, s))) == 1]
 
 
 class ComplexIndex:
     """The canonical order of a complex.
 
-    order[i] is the i-th simplex in canonical order and position maps its
-    vertex tuple back to i.
+    order[i] is the i-th simplex in canonical order and position maps it
+    back to i; since a simplex is its vertex tuple, position is found by
+    vertex tuples too.
     """
 
     __slots__ = ("order", "position")
 
     def __init__(self, simplices: frozenset[Simplex]) -> None:
-        self.order = tuple(canonical_sorted(simplices))
-        self.position = {s.vertices: i for i, s in enumerate(self.order)}
+        self.order = tuple(sorted(simplices))
+        self.position = {s: i for i, s in enumerate(self.order)}
 
 
 class StarTable:
     """The open star of a subcomplex M, read from its parent's simplex set.
 
-    space is M as a complex of its own.  entries maps the vertex tuple of
-    each parent simplex u with a face in M to (the positions of u's
-    M-faces in M's canonical order, whether dim u is odd, whether u lies
-    outside M).  The M-faces of u are the faces spanned by u's vertices
-    in M, so the parent needs no index.
+    space is M as a complex of its own.  entries maps each parent simplex
+    u with a face in M to (the positions of u's M-faces in M's canonical
+    order, whether dim u is odd, whether u lies outside M).  The M-faces
+    of u are the faces spanned by u's vertices in M, so the parent needs
+    no index.
     """
 
     def __init__(self, closed: "Subcomplex") -> None:
@@ -182,11 +148,10 @@ class StarTable:
         entries = {}
         star = []
         for u in closed.parent.simplices:
-            vs = u.vertices
-            if misses(vs):  # else a vertex of u is a face in M
+            if misses(u):  # else a vertex of u is a face in M
                 continue
             star.append(u)
-            ws = tuple(filter(in_m, vs))
+            ws = tuple(filter(in_m, u))
             if len(ws) == 1:  # most of the star meets M in one vertex
                 found = [inner[ws]]
             elif ws in inner:  # u in M, say: every face of ws is in M
@@ -198,7 +163,7 @@ class StarTable:
                     j for n in range(1, len(ws) + 1)
                     for j in map(lookup, itertools.combinations(ws, n)) if j is not None
                 ]
-            entries[vs] = (found, len(vs) % 2 == 0, vs not in inner)
+            entries[u] = (found, len(u) % 2 == 0, u not in inner)
         self.space = space
         self.entries = entries
         self._star = star
@@ -208,7 +173,7 @@ class StarTable:
     def order(self) -> tuple[Simplex, ...]:
         """The simplices of the open star in canonical order; the parent's
         own order is never built for it."""
-        return tuple(canonical_sorted(self.__dict__.pop("_star")))
+        return tuple(sorted(self.__dict__.pop("_star")))
 
 
 class SimplicialComplex(Frozen):
@@ -224,7 +189,7 @@ class SimplicialComplex(Frozen):
     @classmethod
     def _closed(cls, simplices: Iterable[Simplex], generators=None) -> "SimplicialComplex":
         # for sets the package closed under faces itself: nothing is checked;
-        # generators, if given, are the distinct vertex tuples they close
+        # generators, if given, are the distinct simplices they close
         space = object.__new__(cls)
         object.__setattr__(space, "simplices", frozenset(simplices))
         if generators is not None:
@@ -254,7 +219,7 @@ class SimplicialComplex(Frozen):
     @cached
     def vertices(self) -> frozenset[str]:
         """The vertex names."""
-        return frozenset(v for s in self.simplices for v in s.vertices)
+        return frozenset(itertools.chain.from_iterable(self.simplices))
 
     def has(self, simplex_like) -> bool:
         return Simplex(simplex_like) in self.simplices
@@ -270,13 +235,11 @@ class SimplicialComplex(Frozen):
         gens = self.__dict__.get("_generators")
         if gens is None:
             # in a face-closed set, a proper face of a member is a facet of one
-            facets = {
-                f for s in self.simplices for f in itertools.combinations(s.vertices, s.dim)
-            }
-            tops = [s.vertices for s in self.simplices if s.vertices not in facets]
+            facets = {f for s in self.simplices for f in itertools.combinations(s, s.dim)}
+            tops = [s for s in self.simplices if s not in facets]
         else:
             tops = _maximal_generators(gens)
-        return tuple(map(Simplex._raw, sorted(tops)))
+        return tuple(sorted(tops))
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -284,7 +247,7 @@ class SimplicialComplex(Frozen):
 
 def build_complex(maximal_simplices: Iterable) -> SimplicialComplex:
     """Face closure of the given simplices.  An empty list gives the empty complex."""
-    gens = {Simplex(vs).vertices for vs in maximal_simplices}
+    gens = set(map(Simplex, maximal_simplices))
     return SimplicialComplex._closed(_face_closure(gens), gens)
 
 
@@ -312,7 +275,7 @@ class Subcomplex(Frozen):
         cls, parent: SimplicialComplex, simplices: Iterable[Simplex], generators=None
     ) -> "Subcomplex":
         # for face-closed sets of parent simplices the package built: nothing is
-        # checked; generators, if given, are the distinct vertex tuples they close
+        # checked; generators, if given, are the distinct simplices they close
         sub = object.__new__(cls)
         sub._assign(parent, frozenset(simplices))
         if generators is not None:
@@ -376,7 +339,7 @@ def subcomplex(space: SimplicialComplex, generators: Iterable) -> Subcomplex:
             raise MissingSimplexError(
                 f"generator {s} is not a simplex of the parent complex"
             )
-    tops = {s.vertices for s in gens}
+    tops = set(gens)
     faces = _face_closure(tops)
     if len(faces) == len(space.simplices):  # faces of the parent, so all of them
         return Subcomplex._whole(space)
@@ -545,7 +508,7 @@ class SimplicialMap(Frozen):
 
     def image(self, s: Simplex) -> Simplex:
         try:
-            return Simplex._raw(self.image_vertices(s.vertices))
+            return Simplex._raw(self.image_vertices(s))
         except KeyError as err:
             raise MissingSimplexError(f"{err.args[0]!r} is not a vertex of the source") from None
 
@@ -595,7 +558,7 @@ class Involution(Frozen):
         if bad:
             raise ModelError(f"map is not self-inverse at vertices {bad}")
         for s in underlying.source.simplices:
-            if underlying.image(s) == s and any(vm[v] != v for v in s.vertices):
+            if underlying.image(s) == s and any(vm[v] != v for v in s):
                 raise ModelError(
                     f"involution is not regular: {s} maps onto itself without fixing its vertices"
                 )
@@ -629,7 +592,7 @@ def fixed_point_set(tau: Involution) -> Subcomplex:
     """The subcomplex of simplices all of whose vertices are fixed."""
     vm = tau.underlying.vertex_map
     fixed = frozenset(
-        s for s in tau.space.simplices if all(vm[v] == v for v in s.vertices)
+        s for s in tau.space.simplices if all(vm[v] == v for v in s)
     )
     return Subcomplex._closed(tau.space, fixed)
 
@@ -637,7 +600,7 @@ def fixed_point_set(tau: Involution) -> Subcomplex:
 def is_strongly_free(tau: Involution) -> bool:
     """True when every simplex is vertex-disjoint from its image."""
     return all(
-        not set(tau.image(s).vertices) & set(s.vertices)
+        set(tau.image(s)).isdisjoint(s)
         for s in tau.space.simplices
     )
 
@@ -659,7 +622,7 @@ def quotient_by_involution(
     orbit = {v: min(v, tau.vertex(v)) for v in tau.space.vertices}
     groups: dict[Simplex, set[Simplex]] = defaultdict(set)
     for s in tau.space.simplices:
-        groups[Simplex(orbit[v] for v in s.vertices)].add(s)
+        groups[Simplex(orbit[v] for v in s)].add(s)
     for img, grp in sorted(groups.items()):
         rep = next(iter(grp))
         if grp != {rep, tau.image(rep)}:
@@ -679,8 +642,8 @@ def is_connected(simplices: Iterable[Simplex]) -> bool:
         return False
     adjacency: dict[str, set[str]] = defaultdict(set)
     for s in sims:
-        for a in s.vertices:
-            adjacency[a].update(s.vertices)
+        for a in s:
+            adjacency[a].update(s)
     verts = set(adjacency)
     seen = {next(iter(sorted(verts)))}
     frontier = list(seen)

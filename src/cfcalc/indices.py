@@ -329,10 +329,7 @@ def _first_mismatch(left: ConstructibleFunction, right: ConstructibleFunction) -
     if left.ambient != right.ambient:
         return f"on different complexes ({len(left.ambient)} vs {len(right.ambient)} simplices)"
     lv, rv = left._lookup(), right._lookup()
-    s = min(
-        (s for s in lv.keys() | rv.keys() if lv.get(s, 0) != rv.get(s, 0)),
-        key=lambda s: s.vertices,
-    )
+    s = min(s for s in lv.keys() | rv.keys() if lv.get(s, 0) != rv.get(s, 0))
     return f"mismatch at {s} ({lv.get(s, 0)} vs {rv.get(s, 0)})"
 
 

@@ -25,7 +25,6 @@ from .complexes import (
     Subcomplex,
     _staircase,
     build_complex,
-    canonical_sorted,
     involution,
     subcomplex,
 )
@@ -323,7 +322,7 @@ def _scene_from_doc(doc: dict) -> Scene:
                     f"of a complex {n}-fold should have dimension {expected_dim}",
                 )
         if conj is not None:
-            for s in canonical_sorted(support.simplices):
+            for s in sorted(support.simplices):
                 img = conj.image(s)
                 if not support.has(img):
                     _fail(f"{path}.support", f"conjugation moves {s} outside the support")
@@ -434,7 +433,7 @@ def _write(value, newline: str = "\n") -> str:
 
 
 def _simplex_list(sims) -> list[list[str]]:
-    return [list(s.vertices) for s in canonical_sorted(sims)]
+    return [list(s) for s in sorted(sims)]
 
 
 def _canonical_doc(scene: Scene) -> dict:
@@ -457,8 +456,8 @@ def _canonical_doc(scene: Scene) -> dict:
             "support": support_names[st.name],
         }
         overrides = [
-            {"at": list(s.vertices), "value": st.eu.value(s)}
-            for s in canonical_sorted(st.support.simplices)
+            {"at": list(s), "value": st.eu.value(s)}
+            for s in sorted(st.support.simplices)
             if st.eu.value(s) != 1
         ]
         if overrides:
@@ -474,7 +473,7 @@ def _canonical_doc(scene: Scene) -> dict:
         ("parity_index", expect.parity_index),
     ):
         if values:
-            exp_doc[key] = [{"at": list(s.vertices), "value": v} for s, v in values]
+            exp_doc[key] = [{"at": list(s), "value": v} for s, v in values]
     if expect.checks:
         exp_doc["checks"] = list(expect.checks)
 

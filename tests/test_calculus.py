@@ -3,11 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cfcalc.calculus
 import cfcalc.complexes
 from cfcalc import (
     ConstructibleFunction,
     MissingSimplexError,
     ModelError,
+    Simplex,
     SimplicialMap,
     Subcomplex,
     build_complex,
@@ -77,6 +79,10 @@ class TestFunctionBasics:
         phi = ConstructibleFunction(c, {simplex("b0"): 0, simplex("b1"): 2})
         assert phi.support == {simplex("b1")}
         assert phi.value("b0") == 0
+
+    def test_bool_values_refused(self):
+        with pytest.raises(ModelError, match="value at b0 must be an integer, got True"):
+            ConstructibleFunction(polygon(3), {simplex("b0"): True})
 
     def test_value_outside_ambient(self):
         phi = zero_function(polygon(3))
@@ -408,3 +414,44 @@ class TestFreeInvolutions:
         tau = antipodal(polygon(6), 3)
         with pytest.raises(ModelError):
             orbit_pushforward(tau, zero_function(polygon(3)))
+
+
+def non_simplex_keys(space, phi, closed, f, psi) -> list:
+    """Whatever the calculus hands out as a simplex that is not a Simplex.
+
+    A plain vertex tuple equals the Simplex of the same vertices but prints
+    as a tuple.  This looks at the item keys of every operator and of the
+    arithmetic, and at the members of simplices, index().order and
+    star_table().order.  The operators are read from cfcalc.calculus at
+    call time, so a fault planted there is seen.
+    """
+    calc = cfcalc.calculus
+    dphi = calc.dual(phi)
+    functions = [
+        dphi, calc.pushforward(f, phi), calc.pullback(f, psi), calc.restrict(phi, closed),
+        *calc.triangle_decompose(closed, phi), phi + dphi, phi - dphi, phi * dphi, 3 * phi, -phi,
+        calc.indicator(space), calc.indicator(closed),
+        calc.indicator(complement_open(space, closed)), calc.mod2_reduce(phi),
+    ]
+    found = [s for g in functions for s, _ in g.items]
+    for c in (space, closed, closed.as_complex(), f.target):
+        found += c.simplices
+    for c in (space, closed.as_complex(), f.target):
+        found += c.index().order
+    found += closed.star_table().order
+    return [s for s in found if type(s) is not Simplex]
+
+
+class TestSimplexKeys:
+    @settings(max_examples=60, deadline=None)
+    @given(complex_with_cf(max_vertices=6), st.data())
+    def test_operators_key_by_simplex_only(self, pair, data):
+        space, phi = pair
+        closed = subcomplex(space, [s for s in space.ordered() if data.draw(st.booleans())])
+        target = build_complex([[f"t{i}" for i in range(data.draw(st.integers(1, 4)))]])
+        f = simplicial_map(
+            space, target,
+            {v: data.draw(st.sampled_from(sorted(target.vertices))) for v in sorted(space.vertices)},
+        )
+        psi = random_cf(random.Random(0), target)
+        assert non_simplex_keys(space, phi, closed, f, psi) == []

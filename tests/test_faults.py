@@ -25,6 +25,7 @@ from cfcalc import (
     subcomplex,
 )
 from cfcalc.complexes import StarTable
+from test_calculus import non_simplex_keys
 from test_golden import CASES, GOLDEN, _run
 from test_oracles import reference_pushforward, values
 
@@ -66,6 +67,16 @@ def restrict_keeps_parent(restrict):
     """A restrict that keeps the right values but leaves them on the parent."""
     def faulty(phi, closed):
         return ConstructibleFunction(phi.ambient, dict(restrict(phi, closed).items))
+    return faulty
+
+
+def restrict_leaks_tuples(restrict):
+    """A restrict with the right values, keyed by plain vertex tuples: they
+    equal the simplices, so every equality-based check passes."""
+    def faulty(phi, closed):
+        plain = restrict(phi, closed)
+        items = tuple([(tuple(s), v) for s, v in plain.items])
+        return ConstructibleFunction._of(plain.ambient, items)
     return faulty
 
 
@@ -145,6 +156,20 @@ def open_pushforward_oracle(plant):
     return cfcalc.calculus.open_pushforward(u, psi) != indicator(interval)
 
 
+def simplex_keys(plant):
+    """test_operators_key_by_simplex_only, on a triangle with a tail, an
+    edge and a vertex of it, and a map onto an edge."""
+    space = build_complex([["a", "b", "c"], ["c", "d"]])
+    closed = subcomplex(space, [["a", "b"], ["d"]])
+    f = simplicial_map(
+        space, build_complex([["p", "q"]]), {"a": "p", "b": "p", "c": "q", "d": "q"}
+    )
+    phi = ConstructibleFunction(space, {s: 1 for s in space.simplices})
+    psi = indicator(f.target)
+    plant()
+    return non_simplex_keys(space, phi, closed, f, psi) != []
+
+
 def golden(name):
     argv = dict(CASES)[name]
 
@@ -157,7 +182,9 @@ def golden(name):
 # fault -> (plant, catcher); the pushforward sign is invisible to verify,
 # which pushes only along maps that drop no dimension, a fibre sum that
 # overwrites shows only where two simplices share an image (the quotient
-# map of antipodal_cover), and verify never calls restrict_open
+# map of antipodal_cover), verify never calls restrict_open, and a plain
+# vertex tuple equals its Simplex, so keys of the wrong type pass every
+# check that compares values
 FAULTS = {
     "dual_drops_own_term": (
         function_fault("dual", lambda dual: lambda phi: dual(phi) - twist(phi)),
@@ -198,6 +225,10 @@ FAULTS = {
     "restrict_keeps_parent": (
         function_fault("restrict", restrict_keeps_parent),
         verify_row("pair_C_R", "triangle_identity"),
+    ),
+    "restrict_leaks_tuples": (
+        function_fault("restrict", restrict_leaks_tuples),
+        simplex_keys,
     ),
     "restrict_open_keeps_everything": (
         function_fault("restrict_open", lambda _: lambda phi, opensub: phi),

@@ -43,9 +43,12 @@ def test_ladder_writes_its_record_at_k_3(tmp_path):
         assert rung["k"] == 3 and rung["simplices"] == 1921, model
         for key in (
             "build_ms", "first_verify_ms", "warm_verify_ms",
-            "cold_verify_ms", "cold_hyperdim_ms", "cold_check_ms",
+            "cold_verify_ms", "cold_hyperdim_ms", "cold_check_ms", "star_table_ms",
         ):
             assert rung[key] > 0, (model, key)
+    checks = record["cold_check_simplex_ms"]
+    assert sorted(checks, key=int) == ["10", "12", "14"]
+    assert all(ms > 0 for ms in checks.values()), checks
 
 
 def _literal(path: Path, name: str):
