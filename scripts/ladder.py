@@ -15,7 +15,12 @@ as medians over --repeats runs of CPU time in milliseconds:
   - cold_hyperdim_ms: `python -m cfcalc hyperdim "MODEL(k=K)" --at c.c`
     as a child process, timed the same way;
   - cold_check_ms: `python -m cfcalc check "MODEL(k=K)"`, timed the same way;
-  - star_table_ms: the real form's star_table() on another fresh scene.
+  - star_table_ms: the real form's star_table() on another fresh scene;
+  - speed_before, speed_after: the machine's speed just before and just
+    after the rung, NOMINAL_S over perfbench's gauge reading(3) (2.0: the
+    gauge's kernel runs twice as fast as on the box its nominal time was
+    taken on).  Times taken at speed v are at nominal speed times v, so
+    two files made at different speeds compare after that rescaling.
 Apart from the ladder it records cold_check_simplex_ms: `python -m cfcalc
 check` on a scene file whose complex is one simplex on n vertices, for n
 in ONE_SIMPLEX (the n = 14 complex has 16,383 simplices), timed as the
@@ -39,9 +44,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
+sys.path.insert(1, str(ROOT / "perfbench"))
 
 import cfcalc.scenes  # noqa: E402
 from cfcalc import build_model  # noqa: E402
+from gauge import NOMINAL_S, reading  # noqa: E402
 
 
 def timed(fn):
@@ -78,8 +85,14 @@ FIELDS = (
 ONE_SIMPLEX = (10, 12, 14)
 
 
+def speed() -> float:
+    """The machine's speed relative to the gauge's nominal."""
+    return round(NOMINAL_S / reading(3), 3)
+
+
 def rung(model: str, k: int, repeats: int) -> dict:
     spec = f"{model}(k={k})"
+    before = speed()
     runs = []  # one tuple of FIELDS per repeat
     for r in range(repeats):
         cfcalc.scenes._build_cached.cache_clear()
@@ -99,6 +112,8 @@ def rung(model: str, k: int, repeats: int) -> dict:
         "k": k,
         "simplices": len(scene.ambient),
         **{key: round(statistics.median(ms), 2) for key, ms in zip(FIELDS, zip(*runs))},
+        "speed_before": before,
+        "speed_after": speed(),
     }
 
 

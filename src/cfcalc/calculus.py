@@ -179,10 +179,10 @@ def pullback(f: SimplicialMap, psi: ConstructibleFunction) -> ConstructibleFunct
     """Composition with the map: value at a simplex is the value at its image."""
     if psi.ambient != f.target:
         raise ModelError("function does not live on the target of the map")
-    table = dict(psi.items)
+    table = psi._lookup()
     image = f.image_vertices
     items = []
-    for s in f.source.index().order:
+    for s in f.source.ordered():
         v = table.get(image(s))
         if v:
             items.append((s, v))
@@ -196,14 +196,13 @@ def pushforward(f: SimplicialMap, phi: ConstructibleFunction) -> ConstructibleFu
     """
     if phi.ambient != f.source:
         raise ModelError("function does not live on the source of the map")
-    index = f.target.index()
-    position = index.position
+    order, position = f.target.ordered(), f.target.position()
     image = f.image_vertices
-    acc = [0] * len(index.order)
+    acc = [0] * len(order)
     for s, v in phi.items:
         t = image(s)
         acc[position[t]] += -v if (len(s) - len(t)) % 2 else v
-    return ConstructibleFunction._of(f.target, _nonzero_items(index.order, acc))
+    return ConstructibleFunction._of(f.target, _nonzero_items(order, acc))
 
 
 def dual(phi: ConstructibleFunction) -> ConstructibleFunction:
@@ -216,16 +215,15 @@ def dual(phi: ConstructibleFunction) -> ConstructibleFunction:
     grouped the other way: the faces are listed as vertex combinations
     and looked up in the ambient's canonical order.
     """
-    index = phi.ambient.index()
-    position = index.position
-    acc = [0] * len(index.order)
+    order, position = phi.ambient.ordered(), phi.ambient.position()
+    acc = [0] * len(order)
     for t, v in phi.items:
         if not len(t) % 2:
             v = -v
         for n in range(1, len(t) + 1):
             for face in combinations(t, n):
                 acc[position[face]] += v
-    return ConstructibleFunction._of(phi.ambient, _nonzero_items(index.order, acc))
+    return ConstructibleFunction._of(phi.ambient, _nonzero_items(order, acc))
 
 
 def restrict(phi: ConstructibleFunction, closed: Subcomplex) -> ConstructibleFunction:
@@ -243,7 +241,7 @@ def shriek_restrict(closed: Subcomplex, phi: ConstructibleFunction) -> Construct
 
     This is the costalk-weighted restriction: the first term of
     triangle_decompose, which reads phi only on the open star of the
-    subcomplex M and needs no index of the parent.
+    subcomplex M and needs no canonical order of the parent.
     """
     return triangle_decompose(closed, phi)[0]
 
@@ -305,7 +303,7 @@ def triangle_decompose(
 
     Both terms depend only on phi on the open star of the subcomplex M,
     so both come from one pass through its star table; the parent's
-    index is never built.  The costalk is D_M(g), g gathering
+    canonical order is never built.  The costalk is D_M(g), g gathering
     (-1)^dim u phi(u) onto the M-faces of each star simplex u, which is
     D(phi) on M.  The boundary is -D_M(g_out), g_out gathering only the
     star simplices u outside M, because for s in M and w outside M the
@@ -314,9 +312,8 @@ def triangle_decompose(
     """
     if phi.ambient != closed.parent:
         raise ModelError("function does not live on the parent of the subcomplex")
-    table = closed.star_table()
-    space, entries = table.space, table.entries
-    order = space.index().order
+    space, entries = closed.as_complex(), closed.star_table()
+    order = space.ordered()
     g = [0] * len(order)
     g_out = [0] * len(order)
     for s, v in phi.items:

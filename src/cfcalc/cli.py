@@ -22,6 +22,9 @@ from .indices import hyperfunction_dimension, hyperfunction_index, parity_index,
 from .scenes import Scene, build_model, list_models, parse_scene
 
 _MODEL_SPEC = re.compile(r"^([A-Za-z_]\w*)(?:\((.*)\))?$")
+# a parameter is written as scene JSON writes an integer: ASCII digits, with
+# no sign but a minus, no underscores and no other script's digits
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _parse_params(raw: str, context: str) -> dict[str, int]:
@@ -37,7 +40,9 @@ def _parse_params(raw: str, context: str) -> dict[str, int]:
         if key in params:
             raise ModelError(f"parameter {key!r} given twice in {context}")
         try:
-            params[key] = int(value)
+            if not _INTEGER.fullmatch(value):
+                raise ValueError(value)
+            params[key] = int(value)  # past Python's digit limit, ValueError too
         except ValueError:
             raise ModelError(f"parameter {key!r} needs an integer, got {value!r}") from None
     return params

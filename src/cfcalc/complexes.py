@@ -114,66 +114,37 @@ def _maximal_generators(gens: set[Simplex]) -> list[Simplex]:
     return [s for s in gens if len(set.intersection(*map(containing.__getitem__, s))) == 1]
 
 
-class ComplexIndex:
-    """The canonical order of a complex.
-
-    order[i] is the i-th simplex in canonical order and position maps it
-    back to i; since a simplex is its vertex tuple, position is found by
-    vertex tuples too.
-    """
-
-    __slots__ = ("order", "position")
-
-    def __init__(self, simplices: frozenset[Simplex]) -> None:
-        self.order = tuple(sorted(simplices))
-        self.position = {s: i for i, s in enumerate(self.order)}
-
-
-class StarTable:
+def _star_table(closed: "Subcomplex") -> dict:
     """The open star of a subcomplex M, read from its parent's simplex set.
 
-    space is M as a complex of its own.  entries maps each parent simplex
-    u with a face in M to (the positions of u's M-faces in M's canonical
-    order, whether dim u is odd, whether u lies outside M).  The M-faces
-    of u are the faces spanned by u's vertices in M, so the parent needs
-    no index.
+    Maps each parent simplex u with a face in M to (the positions of u's
+    M-faces in M's canonical order, whether dim u is odd, whether u lies
+    outside M).  The M-faces of u are the faces spanned by u's vertices in
+    M, so the parent needs no canonical order.
     """
-
-    def __init__(self, closed: "Subcomplex") -> None:
-        space = closed.as_complex()
-        inner = space.index().position
-        lookup = inner.get
-        misses = space.vertices.isdisjoint
-        in_m = space.vertices.__contains__
-        entries = {}
-        star = []
-        for u in closed.parent.simplices:
-            if misses(u):  # else a vertex of u is a face in M
-                continue
-            star.append(u)
-            ws = tuple(filter(in_m, u))
-            if len(ws) == 1:  # most of the star meets M in one vertex
-                found = [inner[ws]]
-            elif ws in inner:  # u in M, say: every face of ws is in M
-                found = [
-                    inner[c] for n in range(1, len(ws) + 1) for c in itertools.combinations(ws, n)
-                ]
-            else:
-                found = [
-                    j for n in range(1, len(ws) + 1)
-                    for j in map(lookup, itertools.combinations(ws, n)) if j is not None
-                ]
-            entries[u] = (found, len(u) % 2 == 0, u not in inner)
-        self.space = space
-        self.entries = entries
-        self._star = star
-
-    @property
-    @cached
-    def order(self) -> tuple[Simplex, ...]:
-        """The simplices of the open star in canonical order; the parent's
-        own order is never built for it."""
-        return tuple(sorted(self.__dict__.pop("_star")))
+    space = closed.as_complex()
+    inner = space.position()
+    lookup = inner.get
+    misses = space.vertices.isdisjoint
+    in_m = space.vertices.__contains__
+    entries = {}
+    for u in closed.parent.simplices:
+        if misses(u):  # else a vertex of u is a face in M
+            continue
+        ws = tuple(filter(in_m, u))
+        if len(ws) == 1:  # most of the star meets M in one vertex
+            found = [inner[ws]]
+        elif ws in inner:  # u in M, say: every face of ws is in M
+            found = [
+                inner[c] for n in range(1, len(ws) + 1) for c in itertools.combinations(ws, n)
+            ]
+        else:
+            found = [
+                j for n in range(1, len(ws) + 1)
+                for j in map(lookup, itertools.combinations(ws, n)) if j is not None
+            ]
+        entries[u] = (found, len(u) % 2 == 0, u not in inner)
+    return entries
 
 
 class SimplicialComplex(Frozen):
@@ -206,11 +177,6 @@ class SimplicialComplex(Frozen):
     def __hash__(self) -> int:
         return hash(self.simplices)
 
-    @cached
-    def index(self) -> ComplexIndex:
-        """The canonical order."""
-        return ComplexIndex(self.simplices)
-
     @property
     def dim(self) -> int:
         return max((s.dim for s in self.simplices), default=-1)
@@ -224,8 +190,16 @@ class SimplicialComplex(Frozen):
     def has(self, simplex_like) -> bool:
         return Simplex(simplex_like) in self.simplices
 
+    @cached
     def ordered(self) -> tuple[Simplex, ...]:
-        return self.index().order
+        """The simplices in canonical order."""
+        return tuple(sorted(self.simplices))
+
+    @cached
+    def position(self) -> dict[Simplex, int]:
+        """Each simplex's place in ordered(); since a simplex is its vertex
+        tuple, it is found by vertex tuples too."""
+        return {s: i for i, s in enumerate(self.ordered())}
 
     @cached
     def maximal_simplices(self) -> tuple[Simplex, ...]:
@@ -269,24 +243,15 @@ class Subcomplex(Frozen):
             sset, "subcomplex is not face-closed: missing {face} (a face of {simplex})"
         )
         self._assign(parent, sset)
+        object.__setattr__(self, "_space", SimplicialComplex._closed(sset))
 
     @classmethod
-    def _closed(
-        cls, parent: SimplicialComplex, simplices: Iterable[Simplex], generators=None
-    ) -> "Subcomplex":
-        # for face-closed sets of parent simplices the package built: nothing is
-        # checked; generators, if given, are the distinct simplices they close
+    def _of(cls, parent: SimplicialComplex, space: SimplicialComplex) -> "Subcomplex":
+        # for a complex the package built from parent simplices: nothing is
+        # checked, and space is the subcomplex's own complex
         sub = object.__new__(cls)
-        sub._assign(parent, frozenset(simplices))
-        if generators is not None:
-            object.__setattr__(sub, "_generators", generators)
-        return sub
-
-    @classmethod
-    def _whole(cls, parent: SimplicialComplex) -> "Subcomplex":
-        """The parent as a subcomplex of itself; as_complex() is the parent."""
-        sub = cls._closed(parent, parent.simplices)
-        object.__setattr__(sub, "_as_complex", parent)
+        sub._assign(parent, space.simplices)
+        object.__setattr__(sub, "_space", space)
         return sub
 
     @property
@@ -295,24 +260,30 @@ class Subcomplex(Frozen):
 
     @property
     def dim(self) -> int:
-        return max((s.dim for s in self.simplices), default=-1)
+        return self._space.dim
 
     @property
     def vertices(self) -> frozenset[str]:
-        return self.as_complex().vertices
+        return self._space.vertices
 
     def has(self, simplex_like) -> bool:
         return Simplex(simplex_like) in self.simplices
 
-    @cached
     def as_complex(self) -> SimplicialComplex:
-        """The subcomplex as a complex of its own."""
-        return SimplicialComplex._closed(self.simplices, self.__dict__.get("_generators"))
+        """The subcomplex as a complex of its own, made with it."""
+        return self._space
 
     @cached
-    def star_table(self) -> StarTable:
-        """The open star of the subcomplex in its parent."""
-        return StarTable(self)
+    def star_table(self) -> dict:
+        """The open star of the subcomplex in its parent, as _star_table
+        describes it."""
+        return _star_table(self)
+
+    @cached
+    def star_order(self) -> tuple[Simplex, ...]:
+        """The simplices of the open star in canonical order; the parent's
+        own order is never built for it."""
+        return tuple(sorted(self.star_table()))
 
     @cached
     def _open(self) -> "OpenSubset":
@@ -325,10 +296,11 @@ class Subcomplex(Frozen):
     def intersection(self, other: "Subcomplex") -> "Subcomplex":
         if self.parent != other.parent:
             raise ModelError("cannot intersect subcomplexes of different parents")
-        return Subcomplex._closed(self.parent, self.simplices & other.simplices)
+        space = SimplicialComplex._closed(self.simplices & other.simplices)
+        return Subcomplex._of(self.parent, space)
 
     def maximal_simplices(self) -> tuple[Simplex, ...]:
-        return self.as_complex().maximal_simplices()
+        return self._space.maximal_simplices()
 
 
 def subcomplex(space: SimplicialComplex, generators: Iterable) -> Subcomplex:
@@ -342,8 +314,8 @@ def subcomplex(space: SimplicialComplex, generators: Iterable) -> Subcomplex:
     tops = set(gens)
     faces = _face_closure(tops)
     if len(faces) == len(space.simplices):  # faces of the parent, so all of them
-        return Subcomplex._whole(space)
-    return Subcomplex._closed(space, faces, tops)
+        return Subcomplex._of(space, space)
+    return Subcomplex._of(space, SimplicialComplex._closed(faces, tops))
 
 
 class OpenSubset(Frozen):
@@ -594,7 +566,7 @@ def fixed_point_set(tau: Involution) -> Subcomplex:
     fixed = frozenset(
         s for s in tau.space.simplices if all(vm[v] == v for v in s)
     )
-    return Subcomplex._closed(tau.space, fixed)
+    return Subcomplex._of(tau.space, SimplicialComplex._closed(fixed))
 
 
 def is_strongly_free(tau: Involution) -> bool:

@@ -431,8 +431,8 @@ def verify_scene(
         # there is eu itself
         psi = restrict(st.eu, st.support)
         left = shriek_restrict(pair.real_form, st.eu)
-        trace_in_y = Subcomplex._closed(st.support.as_complex(), trace.simplices)
-        trace_in_m = Subcomplex._closed(mc, trace.simplices)
+        trace_in_y = Subcomplex._of(st.support.as_complex(), trace.as_complex())
+        trace_in_m = Subcomplex._of(mc, trace.as_complex())
         right = pushforward(inclusion_map(trace_in_m), shriek_restrict(trace_in_y, psi))
         rows.compare(f"base_change[{st.name}]", "", "exact", _first_mismatch(left, right))
 
@@ -440,7 +440,7 @@ def verify_scene(
     # for three random functions; both sides read a function only on the
     # open star of M, so each is drawn there, in canonical order, in one call
     rng = random.Random(seed)
-    star = pair.real_form.star_table().order
+    star = pair.real_form.star_order()
     triangles = [("solution_index", restricted, costalk + boundary, "")]
     for i in range(3):
         values = memoryview(rng.randbytes(len(star)).translate(_DRAW_TABLE)).cast("b")

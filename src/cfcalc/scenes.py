@@ -219,7 +219,7 @@ def _scene_from_doc(doc: dict) -> Scene:
     for sub_name, gens_doc in _as_object(doc["subcomplexes"], "subcomplexes").items():
         _as_text(sub_name, f"subcomplexes key {sub_name!r}")
         if gens_doc == maximal:  # already parsed: it closes to the whole complex
-            subs[sub_name] = Subcomplex._whole(ambient)
+            subs[sub_name] = Subcomplex._of(ambient, ambient)
             continue
         path = f"subcomplexes.{sub_name}"
         gens = [

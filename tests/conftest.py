@@ -50,6 +50,13 @@ def antipodal(space, k: int):
     return involution(space, {f"b{i}": f"b{(i + k) % (2 * k)}" for i in range(2 * k)})
 
 
+def order_built(space) -> bool:
+    """Whether the complex's canonical order or its position map has been
+    built: the keys `_frozen.cached` keeps them under, which the CACHED
+    table of tests/test_complexes.py pins."""
+    return not {"_ordered", "_position"}.isdisjoint(vars(space))
+
+
 def random_complex(rng: random.Random, max_vertices: int = 8, max_dim: int = 3):
     nv = rng.randint(1, max_vertices)
     vertices = [f"v{i}" for i in range(nv)]

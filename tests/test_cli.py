@@ -132,6 +132,14 @@ class TestExitCodes:
         assert code == 2
         assert "integer" in err
 
+    @pytest.mark.parametrize("value", ["３", "٣", "1_0", "+4", "--4", "4.0", "0x4", "4 4"])
+    def test_parameter_is_ascii_digits_with_an_optional_minus(self, capsys, value):
+        # as in scene JSON; Python's int() would read the first four
+        message = f"error: parameter 'm' needs an integer, got {value!r}\n"
+        spec = f"pair_C_R(m={value})"
+        assert run(capsys, "check", spec) == (2, "", message)
+        assert run(capsys, "models", "emit", "pair_C_R", f"m={value}") == (2, "", message)
+
     def test_parameter_given_twice_in_spec(self, capsys):
         code, out, err = run(capsys, "check", "node_curve(k=3,k=4)")
         assert code == 2 and out == ""

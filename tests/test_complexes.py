@@ -150,20 +150,20 @@ class TestComplexIndex:
     @settings(max_examples=60, deadline=None)
     @given(complexes())
     def test_order_and_position(self, space):
-        index = space.index()
-        assert index.order == tuple(sorted(space.simplices))
-        assert space.ordered() is index.order
-        assert index.position == {s.vertices: i for i, s in enumerate(index.order)}
+        order = space.ordered()
+        assert order == tuple(sorted(space.simplices))
+        assert space.position() == {s.vertices: i for i, s in enumerate(order)}
 
     def test_built_once(self):
         d = disk(3)
-        assert d.index() is d.index()
+        assert d.ordered() is d.ordered()
+        assert d.position() is d.position()
 
 
 class TestStarAndSubcomplex:
     def test_star_of_disk_center(self):
         d = disk(3)
-        entries = subcomplex(d, [["c"]]).star_table().entries
+        entries = subcomplex(d, [["c"]]).star_table()
         assert len(entries) == 13  # vertex + 6 spokes + 6 triangles
         assert all(found == [0] for found, _, _ in entries.values())
 
@@ -186,6 +186,15 @@ class TestStarAndSubcomplex:
         space = axis.as_complex()
         assert space is axis.as_complex()
         assert space == build_complex([["b0", "c"], ["b3", "c"]])
+        # every route makes the subcomplex with its complex, over one set
+        d = axis.parent
+        whole = subcomplex(d, d.maximal_simplices())
+        assert whole.as_complex() is d
+        for sub in (
+            axis, whole, Subcomplex(d, axis.simplices), axis.intersection(whole),
+            fixed_point_set(reflection(d)),
+        ):
+            assert sub.as_complex().simplices is sub.simplices
 
 
     def test_package_built_closures_are_not_checked_again(self, monkeypatch):
@@ -275,17 +284,17 @@ class TestProduct:
 # owner's instance dict, the accessor).  A map checks each image through its
 # vertex table, so only a map from the empty complex reaches it unused.
 CACHED = {
-    "SimplicialComplex.index": (lambda: disk(3), "_index", lambda x: x.index()),
+    "SimplicialComplex.ordered": (lambda: disk(3), "_ordered", lambda x: x.ordered()),
+    "SimplicialComplex.position": (lambda: disk(3), "_position", lambda x: x.position()),
     "SimplicialComplex.vertices": (lambda: disk(3), "_vertices", lambda x: x.vertices),
     "SimplicialComplex.maximal_simplices": (
         lambda: disk(3), "_maximal_simplices", lambda x: x.maximal_simplices()
     ),
-    "Subcomplex.as_complex": (lambda: diameter(disk(3)), "_as_complex", lambda x: x.as_complex()),
     "Subcomplex.star_table": (lambda: diameter(disk(3)), "_star_table", lambda x: x.star_table()),
+    "Subcomplex.star_order": (lambda: diameter(disk(3)), "_star_order", lambda x: x.star_order()),
     "Subcomplex._open": (
         lambda: diameter(disk(3)), "__open", lambda x: complement_open(x.parent, x)
     ),
-    "StarTable.order": (lambda: diameter(disk(3)).star_table(), "_order", lambda x: x.order),
     "SimplicialMap._vertex_table": (
         lambda: SimplicialMap(build_complex([]), disk(3), {}),
         "__vertex_table",
@@ -310,10 +319,9 @@ def test_derived_values_are_built_on_first_use_and_kept(accessor):
     assert get(owner) is first
 
 
-def test_star_order_drops_the_unsorted_star():
-    table = diameter(disk(3)).star_table()
-    assert len(table.order) == len(table.entries)
-    assert "_star" not in vars(table)
+def test_star_order_is_the_sorted_star_table():
+    axis = diameter(disk(3))
+    assert axis.star_order() == tuple(sorted(axis.star_table()))
 
 
 class TestMaps:

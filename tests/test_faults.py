@@ -24,7 +24,6 @@ from cfcalc import (
     simplicial_map,
     subcomplex,
 )
-from cfcalc.complexes import StarTable
 from test_calculus import non_simplex_keys
 from test_golden import CASES, GOLDEN, _run
 from test_oracles import reference_pushforward, values
@@ -83,12 +82,12 @@ def restrict_leaks_tuples(restrict):
 def pushforward_overwrites(_):
     """A pushforward that stores each fibre term instead of adding it."""
     def faulty(f, phi):
-        index = f.target.index()
-        acc = [0] * len(index.order)
+        order, position = f.target.ordered(), f.target.position()
+        acc = [0] * len(order)
         for s, v in phi.items:
             t = f.image_vertices(s.vertices)
-            acc[index.position[t]] = -v if (len(s.vertices) - len(t)) % 2 else v
-        return ConstructibleFunction(f.target, dict(zip(index.order, acc)))
+            acc[position[t]] = -v if (len(s.vertices) - len(t)) % 2 else v
+        return ConstructibleFunction(f.target, dict(zip(order, acc)))
     return faulty
 
 
@@ -107,15 +106,14 @@ def star_table_fault(change):
     change(entry, own), own being u's position in M or None, or dropped
     where it gives None."""
     def plant(monkeypatch):
-        build = StarTable.__init__
+        build = cfcalc.complexes._star_table
 
-        def faulty(table, closed):
-            build(table, closed)
-            own = table.space.index().position.get
-            changed = {vs: change(entry, own(vs)) for vs, entry in table.entries.items()}
-            table.entries = {vs: entry for vs, entry in changed.items() if entry is not None}
+        def faulty(closed):
+            own = closed.as_complex().position().get
+            changed = {u: change(entry, own(u)) for u, entry in build(closed).items()}
+            return {u: entry for u, entry in changed.items() if entry is not None}
 
-        monkeypatch.setattr(StarTable, "__init__", faulty)
+        monkeypatch.setattr(cfcalc.complexes, "_star_table", faulty)
     return plant
 
 

@@ -59,6 +59,7 @@ from cfcalc import (
 from cfcalc.cli import main
 from cfcalc.indices import _DRAW_TABLE
 from cfcalc.scenes import _write
+from conftest import order_built
 
 BIG = 2**70
 
@@ -234,12 +235,12 @@ def test_draw_table_gives_0_with_probability_5_8_and_each_other_value_1_16():
 
 @pytest.mark.parametrize("name", [info.name for info in list_models()])
 def test_star_table_order_is_the_open_star_in_canonical_order(name):
-    # a freshly parsed scene, so no earlier test has built the ambient's index
+    # a freshly parsed scene, so no earlier test has built the ambient's order
     scene = parse_scene(build_model(name, k=3).canonical_text)
-    table = scene.pair.real_form.star_table()
-    assert table.order == tuple(open_star(scene.pair))
-    assert table.order is table.order
-    assert "_index" not in scene.ambient.__dict__
+    star = scene.pair.real_form.star_order()
+    assert star == tuple(open_star(scene.pair))
+    assert star is scene.pair.real_form.star_order()
+    assert not order_built(scene.ambient)
 
 
 @pytest.mark.parametrize("name", [info.name for info in list_models()])

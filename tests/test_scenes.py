@@ -20,6 +20,7 @@ from cfcalc import (
 )
 from cfcalc.indices import hyperfunction_index, parity_index
 from cfcalc.scenes import _build_cached
+from conftest import order_built
 
 ALL_MODELS = (
     "antipodal_cover",
@@ -136,18 +137,14 @@ class TestRoundTrip:
         # Built scenes are cached, so the per-complex index must wait for
         # the first calculus call.
         scene = parse_scene(emit_scene(build_model("node_curve", m=5)))
-        spaces = [scene.ambient] + [
-            sub.__dict__["_as_complex"]
-            for _, sub in scene.subcomplexes
-            if "_as_complex" in sub.__dict__
-        ]
-        assert all("_index" not in space.__dict__ for space in spaces)
+        spaces = [scene.ambient] + [sub.as_complex() for _, sub in scene.subcomplexes]
+        assert not any(map(order_built, spaces))
         # verify reads only the open star of M, so the ambient's order is
         # built by the first call that asks for it, not before
         scene.verify()
-        assert "_index" not in scene.ambient.__dict__
+        assert not order_built(scene.ambient)
         scene.ambient.ordered()
-        assert "_index" in scene.ambient.__dict__
+        assert order_built(scene.ambient)
 
     @pytest.mark.parametrize("k", [3, 6])
     @pytest.mark.parametrize("model", ["node_curve", "smooth_line_in_C2"])
@@ -158,7 +155,7 @@ class TestRoundTrip:
         scene.verify()
         hyperfunction_index(scene.pair, scene.cycle)
         parity_index(scene.pair, scene.cycle)
-        assert "_index" not in scene.ambient.__dict__
+        assert not order_built(scene.ambient)
         assert "_vertices" not in scene.ambient.__dict__
 
     def test_each_simplex_list_is_closed_once(self, monkeypatch):
@@ -464,3 +461,75 @@ class TestFuzz:
     @given(mutated_emissions())
     def test_mutated_emissions(self, doc):
         parse_or_refuse(json.dumps(doc))
+
+
+@st.composite
+def scene_documents(draw):
+    """A scene document with no conjugation: a complex on at most 8
+    vertices, a random real form M, and one to three strata, each with a
+    connected support of dimension 2(n - codim) for complex_dim n, as the
+    parser requires, and a random eu where it is flagged singular."""
+    names = [f"v{i}" for i in range(draw(st.sampled_from(range(1, 9))))]
+
+    def simplex_on(size, among=names):
+        return sorted(draw(st.permutations(among))[:size])
+
+    def face_of(simplex):
+        return simplex_on(draw(st.integers(1, len(simplex))), simplex)
+
+    n = draw(st.integers(1, 3))
+    subcomplexes, strata, maximal, seen = {}, [], [], set()
+    for i in range(draw(st.integers(1, 3))):
+        codim = draw(st.integers(max(0, n - (len(names) - 1) // 2), n))
+        size = 2 * (n - codim) + 1
+        gens = [simplex_on(size)]
+        for _ in range(draw(st.integers(0, 2)) if size > 1 else 0):
+            # the next generator shares a vertex with the support so far
+            pivot = draw(st.sampled_from(sorted({v for g in gens for v in g})))
+            rest = simplex_on(size - 1, [v for v in names if v != pivot])
+            gens.append(sorted([pivot, *rest]))
+        key = frozenset(map(tuple, gens))
+        if key in seen:  # the parser refuses two strata on one support
+            continue
+        seen.add(key)
+        maximal += gens
+        subcomplexes[f"S{i}"] = gens
+        stratum = {
+            "name": f"s{i}", "support": f"S{i}", "codim": codim,
+            "multiplicity": draw(st.integers(1, 3)),
+            "allow_empty_trace": draw(st.booleans()),
+        }
+        if not draw(st.booleans()):
+            stratum["smooth"] = False
+            overrides = [
+                {"at": face_of(draw(st.sampled_from(gens))), "value": draw(st.integers(-3, 3))}
+                for _ in range(draw(st.integers(0, 3)))
+            ]
+            stratum["eu"] = {"default": 1, "overrides": overrides}
+        strata.append(stratum)
+    for _ in range(draw(st.integers(0, 2))):
+        maximal.append(simplex_on(draw(st.integers(1, min(4, len(names))))))
+    m_gens = [face_of(draw(st.sampled_from(maximal))) for _ in range(draw(st.integers(0, 3)))]
+    probes = sorted({tuple(face_of(g)) for g in m_gens if draw(st.booleans())})
+    return {
+        "name": "random", "complex": {"maximal_simplices": maximal},
+        "subcomplexes": {"M": m_gens, **subcomplexes},
+        "real_form": {"M": "M", "complex_dim": n},
+        "strata": strata, "probes": [list(p) for p in probes], "expect": {},
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(scene_documents())
+def test_random_scene_documents_verify_and_round_trip(doc):
+    scene = parse_scene(json.dumps(doc))
+    report = scene.verify()
+    identities = [
+        e for e in report.entries if e.check.split("[")[0] in ("triangle_identity", "base_change")
+    ]
+    assert len(identities) == 4 + len(scene.cycle)
+    assert all(e.status == "pass" for e in identities), report.to_text()
+    text = emit_scene(scene)
+    again = parse_scene(text)
+    assert again == scene and emit_scene(again) == text
+    assert again.verify() == report
