@@ -5,8 +5,12 @@
     python3 scripts/ladder.py --label smoke --ks 3 --repeats 1 --out-dir /tmp
 
 For node_curve and smooth_line_in_C2 (MODEL below) at each k it records,
-as medians over --repeats runs of CPU time in milliseconds:
-  - build_ms: build_model(MODEL, k=k) with the model cache empty;
+as medians over --repeats runs, CPU time in milliseconds at the nominal
+speed of perfbench's gauge: each measurement is rescaled by NOMINAL_S over
+the mean of two gauge readings taken just before and just after it, as
+gauge.rescaled does, so a change of the machine's speed between repeats or
+between two files cancels.
+  - build_ms: build_model(MODEL, k=k), which builds a new scene;
   - first_verify_ms: the first Scene.verify on that fresh scene, which
     builds every per-complex table it needs;
   - warm_verify_ms: Scene.verify again on the same scene;
@@ -17,10 +21,9 @@ as medians over --repeats runs of CPU time in milliseconds:
   - cold_check_ms: `python -m cfcalc check "MODEL(k=K)"`, timed the same way;
   - star_table_ms: the real form's star_table() on another fresh scene;
   - speed_before, speed_after: the machine's speed just before and just
-    after the rung, NOMINAL_S over perfbench's gauge reading(3) (2.0: the
+    after the rung, NOMINAL_S over the gauge's reading(3) (2.0: the
     gauge's kernel runs twice as fast as on the box its nominal time was
-    taken on).  Times taken at speed v are at nominal speed times v, so
-    two files made at different speeds compare after that rescaling.
+    taken on); the times above are already rescaled.
 Apart from the ladder it records cold_check_simplex_ms: `python -m cfcalc
 check` on a scene file whose complex is one simplex on n vertices, for n
 in ONE_SIMPLEX (the n = 14 complex has 16,383 simplices), timed as the
@@ -38,7 +41,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,16 +48,14 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 sys.path.insert(1, str(ROOT / "perfbench"))
 
-import cfcalc.scenes  # noqa: E402
 from cfcalc import build_model  # noqa: E402
-from gauge import NOMINAL_S, reading  # noqa: E402
+from gauge import NOMINAL_S, reading, rescaled  # noqa: E402
 
 
 def timed(fn):
-    """fn's CPU time in milliseconds, and its result."""
-    start = time.process_time()
-    result = fn()
-    return (time.process_time() - start) * 1e3, result
+    """fn's CPU time in milliseconds at the gauge's nominal speed, and its result."""
+    result, seconds = rescaled(fn)
+    return seconds * 1e3, result
 
 
 def children_cpu_s() -> float:
@@ -64,17 +64,24 @@ def children_cpu_s() -> float:
 
 
 def cold_ms(*args: str) -> float:
-    """The CPU time of `python -m cfcalc ARGS` as a child process."""
+    """The CPU time of `python -m cfcalc ARGS` as a child process, in
+    milliseconds at the gauge's nominal speed.
+
+    gauge.rescaled counts only this process's CPU time, so the child's is
+    taken here between two readings and rescaled by the same formula.
+    """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
+    gauge_before = reading(3)
     before = children_cpu_s()
     proc = subprocess.run(
         [sys.executable, "-m", "cfcalc", *args],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     spent = children_cpu_s() - before
+    gauge_after = reading(3)
     if proc.returncode != 0:
         raise RuntimeError(f"cfcalc {' '.join(args)} exited {proc.returncode}: {proc.stderr}")
-    return spent * 1e3
+    return spent * NOMINAL_S / ((gauge_before + gauge_after) / 2.0) * 1e3
 
 
 MODELS = ("node_curve", "smooth_line_in_C2")
@@ -95,11 +102,9 @@ def rung(model: str, k: int, repeats: int) -> dict:
     before = speed()
     runs = []  # one tuple of FIELDS per repeat
     for r in range(repeats):
-        cfcalc.scenes._build_cached.cache_clear()
         build, scene = timed(lambda: build_model(model, k=k))
         first = timed(lambda: scene.verify(seed=0))[0]
         warm = timed(lambda: scene.verify(seed=r + 1))[0]
-        cfcalc.scenes._build_cached.cache_clear()
         fresh = build_model(model, k=k)
         runs.append((
             build, first, warm,
@@ -156,7 +161,7 @@ def main(argv=None) -> int:
         "commit": git("rev-parse", "HEAD") or "unknown",
         "sources_differ": bool(git("status", "--porcelain", "--", "src")),
         "repeats": args.repeats,
-        "unit": "ms of CPU time, median",
+        "unit": "ms of CPU time at the gauge's nominal speed, median",
         **{model: [rung(model, k, args.repeats) for k in args.ks] for model in MODELS},
         "cold_check_simplex_ms": one_simplex_checks(args.repeats),
     }

@@ -21,7 +21,11 @@ from .errors import ModelError, SceneError, SceneSyntaxError
 from .indices import hyperfunction_dimension, hyperfunction_index, parity_index, solution_index
 from .scenes import Scene, build_model, list_models, parse_scene
 
-_MODEL_SPEC = re.compile(r"^([A-Za-z_]\w*)(?:\((.*)\))?$")
+# name(key=value, ...): an ASCII name, and the whole spec must match, so a
+# trailing newline is refused too
+_MODEL_SPEC = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\((.*)\))?", re.DOTALL)
+# around keys and values, only the whitespace scene JSON allows
+_BLANK = " \t\n\r"
 # a parameter is written as scene JSON writes an integer: ASCII digits, with
 # no sign but a minus, no underscores and no other script's digits
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -30,11 +34,11 @@ _INTEGER = re.compile(r"-?[0-9]+")
 def _parse_params(raw: str, context: str) -> dict[str, int]:
     params: dict[str, int] = {}
     for piece in raw.split(","):
-        piece = piece.strip()
+        piece = piece.strip(_BLANK)
         if not piece:
             continue
         key, eq, value = piece.partition("=")
-        key, value = key.strip(), value.strip()
+        key, value = key.strip(_BLANK), value.strip(_BLANK)
         if not eq or not key:
             raise ModelError(f"cannot parse parameter {piece!r} in {context}")
         if key in params:
@@ -57,7 +61,7 @@ def load_scene(spec: str) -> Scene:
         except UnicodeDecodeError as err:
             raise SceneSyntaxError(f"scene file is not UTF-8 text: {err.reason}") from None
         return parse_scene(text)
-    match = _MODEL_SPEC.match(spec)
+    match = _MODEL_SPEC.fullmatch(spec)
     if match is None:
         raise ModelError(f"no scene file {spec!r}, and it does not look like a model spec")
     name, raw = match.group(1), match.group(2)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from functools import lru_cache
 from json.encoder import encode_basestring as _quote  # json.dumps' string writer
 from typing import Callable, NoReturn
 
@@ -526,8 +525,21 @@ def _reflection(k: int) -> dict[str, str]:
     return {f"b{i}": f"b{(rim - i) % rim}" for i in range(1, rim) if i != k}
 
 
-def _value_entries(probes: list[list[str]], values: list[int]) -> list[dict]:
-    return [{"at": at, "value": v} for at, v in zip(probes, values)]
+def _expect(
+    probes: list[list[str]], hyper: list[int], checks: list[str], dimension: bool = True
+) -> dict:
+    """A model's expect block: hyper[i] is the hyperfunction index at
+    probes[i], and its dimension too unless dimension is False; the parity
+    is hyper mod 2."""
+    values = {"hyperfunction_index": hyper, "parity_index": [v % 2 for v in hyper]}
+    if dimension:
+        values["hyperfunction_dimension"] = hyper
+    expect: dict = {
+        key: [{"at": at, "value": v} for at, v in zip(probes, vals)]
+        for key, vals in values.items()
+    }
+    expect["checks"] = sorted(checks)
+    return expect
 
 
 def _disk_scene_doc(name, comment, k, strata, probes, expect) -> dict:
@@ -559,19 +571,13 @@ def _kashiwara_point_doc(p: dict) -> dict:
     if d1:
         strata.append({"name": "ambient", "support": "ambient", "codim": 0, "multiplicity": d1})
     probes = [["c"], ["b0", "c"], [f"b{k}", "c"]]
-    hyper = [d0 + d1, d1, d1]
     checks = [
         "boundary_parity", "conjugation_invariance", "dimension_formula",
         "parity_formula", "triangle_identity",
     ]
     if strata:
         checks += ["base_change", "shriek_indicator"]
-    expect = {
-        "hyperfunction_index": _value_entries(probes, hyper),
-        "hyperfunction_dimension": _value_entries(probes, hyper),
-        "parity_index": _value_entries(probes, [v % 2 for v in hyper]),
-        "checks": sorted(checks),
-    }
+    expect = _expect(probes, [d0 + d1, d1, d1], checks)
     comment = (
         "One complex variable: a point module of multiplicity d0 at the "
         "origin on top of a flat piece of multiplicity d1.  The local count "
@@ -589,12 +595,7 @@ def _pair_C_R_doc(p: dict) -> dict:
         "dimension_formula", "parity_formula", "shriek_indicator",
         "triangle_identity",
     ]
-    expect = {
-        "hyperfunction_index": _value_entries(probes, [m, m, m]),
-        "hyperfunction_dimension": _value_entries(probes, [m, m, m]),
-        "parity_index": _value_entries(probes, [m % 2] * 3),
-        "checks": checks,
-    }
+    expect = _expect(probes, [m, m, m], checks)
     comment = (
         "The flat complexification pair in one variable; every local count "
         "equals the multiplicity of the single full-dimensional stratum."
@@ -639,16 +640,10 @@ def _plane_probes(k: int) -> list[list[str]]:
 def _smooth_line_doc(p: dict) -> dict:
     m, k = p["m"], p["k"]
     probes = _plane_probes(k)
-    hyper = [m, m, m, 0, 0, 0]
-    expect = {
-        "hyperfunction_index": _value_entries(probes, hyper),
-        "hyperfunction_dimension": _value_entries(probes, hyper),
-        "parity_index": _value_entries(probes, [v % 2 for v in hyper]),
-        "checks": [
-            "base_change", "dimension_formula", "parity_formula",
-            "shriek_indicator", "triangle_identity",
-        ],
-    }
+    expect = _expect(probes, [m, m, m, 0, 0, 0], [
+        "base_change", "dimension_formula", "parity_formula",
+        "shriek_indicator", "triangle_identity",
+    ])
     strata = [{
         "name": "complex_line", "support": "complex_line",
         "codim": 1, "multiplicity": m,
@@ -664,14 +659,11 @@ def _smooth_line_doc(p: dict) -> dict:
 def _node_curve_doc(p: dict) -> dict:
     m, k = p["m"], p["k"]
     probes = _plane_probes(k)
-    hyper = [2 * m, m, m, m, m, 0]
-    expect = {
-        "hyperfunction_index": _value_entries(probes, hyper),
-        "parity_index": _value_entries(probes, [0, m % 2, m % 2, m % 2, m % 2, 0]),
-        "checks": [
-            "base_change", "parity_formula", "shriek_indicator", "triangle_identity",
-        ],
-    }
+    expect = _expect(
+        probes, [2 * m, m, m, m, m, 0],
+        ["base_change", "parity_formula", "shriek_indicator", "triangle_identity"],
+        dimension=False,
+    )
     strata = [{
         "name": "node", "support": "node", "codim": 1, "multiplicity": m,
         "smooth": False,
@@ -794,7 +786,7 @@ def build_model(name: str, **params: int) -> Scene:
         raise ModelError(
             f"unknown model {name!r}; available: {', '.join(sorted(_MODELS))}"
         )
-    info, _ = _MODELS[name]
+    info, builder = _MODELS[name]
     known = {p.name: p for p in info.params}
     values = {p.name: p.default for p in info.params}
     for key, val in params.items():
@@ -811,17 +803,9 @@ def build_model(name: str, **params: int) -> Scene:
             raise ModelError(f"parameter {key!r} must be at most {known[key].maximum}")
         values[key] = val
     try:
-        return _build_cached(name, tuple(sorted(values.items())))
+        doc = builder(values)
+        doc["name"] = f"{name}({', '.join(f'{k}={v}' for k, v in sorted(values.items()))})"
+        return _scene_from_doc(doc)
     except ModelError as err:  # SceneError included
         # valid parameters always build a valid scene, so this is the program's fault
         raise RuntimeError(f"built-in model {name!r} did not build: {err}") from err
-
-
-# Bounded: a scene holds its whole complex (about 1 MB at k = 3), and a
-# caller that sweeps a parameter would otherwise keep every one it built.
-@lru_cache(maxsize=8)
-def _build_cached(name: str, items: tuple[tuple[str, int], ...]) -> Scene:
-    _, builder = _MODELS[name]
-    doc = builder(dict(items))
-    doc["name"] = f"{name}({', '.join(f'{k}={v}' for k, v in items)})"
-    return _scene_from_doc(doc)

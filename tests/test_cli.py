@@ -16,7 +16,7 @@ from cfcalc import (
     ConstructibleFunction, ModelParam, build_model, emit_scene, indicator, list_models, parse_scene,
 )
 from cfcalc.cli import load_scene, main
-from cfcalc.scenes import ModelInfo, _build_cached
+from cfcalc.scenes import ModelInfo
 
 
 def run(capsys, *argv):
@@ -140,6 +140,30 @@ class TestExitCodes:
         assert run(capsys, "check", spec) == (2, "", message)
         assert run(capsys, "models", "emit", "pair_C_R", f"m={value}") == (2, "", message)
 
+    @pytest.mark.parametrize(
+        "spec, emit",
+        [
+            ("pair_C_R(m=\u30003)", ["pair_C_R", "m=\u30003"]),
+            ("pair_C_R(\u3000m=3)", ["pair_C_R", "\u3000m=3"]),
+            ("pair_C_R(m=\x0b2)", ["pair_C_R", "m=\x0b2"]),
+            ("pair_C_R(m=2)\n", ["pair_C_R\n", "m=2"]),
+            ("pair_\uff23_R(m=2)", ["pair_\uff23_R", "m=2"]),
+        ],
+        ids=["ideographic_space_in_value", "ideographic_space_in_key", "vertical_tab",
+             "trailing_newline", "full_width_name"],
+    )
+    def test_spec_takes_only_json_whitespace_and_an_ascii_name(self, capsys, spec, emit):
+        # str.strip, and re's $ and \w, would let the first four through
+        for argv in (("check", spec), ("models", "emit", *emit)):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+
+    def test_spec_allows_json_whitespace_around_keys_and_values(self, capsys):
+        assert run(capsys, "check", "pair_C_R( m = 2 )")[0] == 0
+        assert run(capsys, "check", "pair_C_R(\tm=2\r\n)")[0] == 0
+        assert run(capsys, "models", "emit", "pair_C_R", " m = 2 ")[0] == 0
+
     def test_parameter_given_twice_in_spec(self, capsys):
         code, out, err = run(capsys, "check", "node_curve(k=3,k=4)")
         assert code == 2 and out == ""
@@ -219,7 +243,6 @@ class TestExitCodes:
             return ConstructibleFunction(phi.ambient, {s: v for s, v in phi.items if s.dim > 0})
 
         monkeypatch.setattr(cfcalc.indices, "indicator", drops_vertices)
-        _build_cached.cache_clear()
         code, out, err = run(capsys, "verify", "pair_C_R(m=2)")
         assert code == 3 and out == ""
         assert err == (

@@ -1,5 +1,7 @@
+import gc
 import json
 import re
+import weakref
 from functools import lru_cache
 
 import pytest
@@ -19,7 +21,6 @@ from cfcalc import (
     parse_scene,
 )
 from cfcalc.indices import hyperfunction_index, parity_index
-from cfcalc.scenes import _build_cached
 from conftest import order_built
 
 ALL_MODELS = (
@@ -78,10 +79,13 @@ class TestModels:
         scene = build_model("kashiwara_point", d0=1, d1=4)
         assert scene.name == "kashiwara_point(d0=1, d1=4, k=3)"
 
-    def test_build_cache_is_bounded(self):
-        for d0 in range(12):
-            build_model("kashiwara_point", d0=d0, d1=1)
-        assert _build_cached.cache_info().currsize <= 8
+    def test_each_call_builds_a_scene_only_its_caller_keeps(self):
+        first, second = build_model("pair_C_R", m=5), build_model("pair_C_R", m=5)
+        assert first == second and first is not second
+        dropped = weakref.ref(first)
+        del first
+        gc.collect()
+        assert dropped() is None
 
     def test_plane_models_never_call_product(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -90,8 +94,7 @@ class TestModels:
         monkeypatch.setattr(cfcalc.complexes, "product", refuse)
         assert not hasattr(cfcalc.scenes, "product")
         for name in ("node_curve", "smooth_line_in_C2"):
-            scene = _build_cached.__wrapped__(name, (("k", 3), ("m", 1)))  # past the cache
-            assert scene == build_model(name, m=1)
+            build_model(name)
 
     def test_zero_multiplicity_drops_stratum(self):
         scene = build_model("kashiwara_point", d0=0)
@@ -134,8 +137,8 @@ class TestRoundTrip:
         assert text == json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
     def test_building_and_parsing_build_no_index(self):
-        # Built scenes are cached, so the per-complex index must wait for
-        # the first calculus call.
+        # The per-complex order waits for the first calculus call that
+        # reads it.
         scene = parse_scene(emit_scene(build_model("node_curve", m=5)))
         spaces = [scene.ambient] + [sub.as_complex() for _, sub in scene.subcomplexes]
         assert not any(map(order_built, spaces))
@@ -169,7 +172,6 @@ class TestRoundTrip:
             return close(gens)
 
         monkeypatch.setattr(cfcalc.complexes, "_face_closure", counted)
-        _build_cached.cache_clear()
         built = build_model("node_curve", k=3)
         assert len(closed) == 4
         parsed = parse_scene(emit_scene(built))
@@ -188,7 +190,7 @@ class TestRoundTrip:
         canonical_doc = cfcalc.scenes._canonical_doc
         monkeypatch.setattr(cfcalc.scenes, "_canonical_doc", counted)
         parsed = parse_scene(text)
-        fresh = build_model("pair_C_R", m=7919)  # parameters no other test builds
+        fresh = build_model("pair_C_R")
         parsed.verify()
         assert built == []
         assert parsed.canonical_text is parsed.canonical_text
@@ -533,3 +535,94 @@ def test_random_scene_documents_verify_and_round_trip(doc):
     again = parse_scene(text)
     assert again == scene and emit_scene(again) == text
     assert again.verify() == report
+
+
+@st.composite
+def scene_doubles(draw):
+    """A scene document that doubles a random complex X along a full
+    subcomplex M: X glued to its mirror copy (vertex vi renamed wi) along
+    M.  The conjugation swaps the two copies and fixes exactly M, each
+    stratum is a connected support in X that meets M together with its
+    mirror image, eu is symmetric, and one to three probes lie in M."""
+    names = [f"v{i}" for i in range(draw(st.integers(2, 6)))]
+    fixed = set(draw(st.permutations(names))[: draw(st.integers(1, len(names) - 1))])
+
+    def simplex_on(size, among=names):
+        return sorted(draw(st.permutations(among))[:size])
+
+    def face_of(simplex):
+        return simplex_on(draw(st.integers(1, len(simplex))), simplex)
+
+    def twin(v):
+        return v if v in fixed else "w" + v[1:]
+
+    def mirror(simplex):
+        return sorted(map(twin, simplex))
+
+    n = draw(st.integers(1, 3))
+    subcomplexes, strata, maximal, seen = {}, [], [[v] for v in sorted(fixed)], set()
+    for i in range(draw(st.integers(1, 3))):
+        codim = draw(st.integers(max(0, n - (len(names) - 1) // 2), n))
+        size = 2 * (n - codim) + 1
+        # the support meets M, so it and its mirror image are one piece
+        pivot = draw(st.sampled_from(sorted(fixed)))
+        gens = [sorted([pivot, *simplex_on(size - 1, [v for v in names if v != pivot])])]
+        for _ in range(draw(st.integers(0, 2)) if size > 1 else 0):
+            pivot = draw(st.sampled_from(sorted({v for g in gens for v in g})))
+            rest = simplex_on(size - 1, [v for v in names if v != pivot])
+            gens.append(sorted([pivot, *rest]))
+        doubled = gens + [mirror(g) for g in gens]
+        key = frozenset(map(tuple, doubled))
+        if key in seen:  # the parser refuses two strata on one support
+            continue
+        seen.add(key)
+        maximal += gens
+        subcomplexes[f"S{i}"] = doubled
+        stratum = {
+            "name": f"s{i}", "support": f"S{i}", "codim": codim,
+            "multiplicity": draw(st.integers(1, 3)),
+        }
+        if not draw(st.booleans()):
+            eu = {}
+            for _ in range(draw(st.integers(0, 3))):
+                at = face_of(draw(st.sampled_from(gens)))
+                eu[tuple(at)] = eu[tuple(mirror(at))] = draw(st.integers(-3, 3))
+            stratum["smooth"] = False
+            stratum["eu"] = {
+                "default": 1,
+                "overrides": [{"at": list(at), "value": v} for at, v in sorted(eu.items())],
+            }
+        strata.append(stratum)
+    for _ in range(draw(st.integers(0, 2))):
+        maximal.append(simplex_on(draw(st.integers(1, min(4, len(names))))))
+    # M is full in X: every simplex of X on the fixed vertices
+    m_gens = sorted({tuple(v for v in g if v in fixed) for g in maximal} - {()})
+    probes = {tuple(face_of(list(draw(st.sampled_from(m_gens))))) for _ in range(3)}
+    swap = {v: twin(v) for g in maximal for v in g if v not in fixed}
+    return {
+        "name": "double", "complex": {"maximal_simplices": maximal + [mirror(g) for g in maximal]},
+        "subcomplexes": {"M": [list(g) for g in m_gens], **subcomplexes},
+        "real_form": {
+            "M": "M", "complex_dim": n, "conjugation": {**swap, **{w: v for v, w in swap.items()}},
+        },
+        "strata": strata, "probes": [list(p) for p in sorted(probes)], "expect": {},
+    }
+
+
+DOUBLE_ROWS = (
+    "base_change", "boundary_parity", "conjugation_invariance", "parity_formula",
+    "triangle_identity",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scene_doubles())
+def test_random_doubles_pass_the_conjugation_rows(doc):
+    scene = parse_scene(json.dumps(doc))
+    report = scene.verify()
+    rows = [e for e in report.entries if e.check.split("[")[0] in DOUBLE_ROWS]
+    # four triangles, a base change per stratum, one invariance row, and a
+    # boundary and a parity row per probe
+    probes = len(scene.pair.probes)
+    assert probes >= 1 and len(rows) == 4 + len(scene.cycle) + 1 + 2 * probes
+    assert all(e.status == "pass" for e in rows), report.to_text()
