@@ -6,25 +6,40 @@ from functools import wraps
 
 
 class Frozen:
-    """A value with the fields named in _fields, set once by __init__.
+    """A value with the fields named in _fields, set once when it is made.
 
-    __init__ stores the fields with _assign or object.__setattr__;
-    afterwards any assignment or deletion raises AttributeError.
-    Instances of the same class are equal when their fields are, hash
-    over their fields, and repr as ``Class(field=value, ...)``.
-    Comparing with another type returns NotImplemented.  A subclass that
-    defines __eq__ also defines __hash__, since Python drops an inherited
-    __hash__ otherwise.  The one sanctioned write after __init__ is
-    cached's, which keeps a derived value in the instance dict.
+    __init__ takes the fields in _fields order, by position or by name,
+    and takes any left out from _defaults; an unknown, doubled or missing
+    field raises TypeError.  A subclass that checks or transforms its
+    input defines its own __init__ and stores its fields through this one.
+    Afterwards any assignment or deletion raises AttributeError.
+    Instances of the same class are equal when their fields are, hash over
+    their fields, and repr as ``Class(field=value, ...)``; comparing with
+    another type returns NotImplemented.  A subclass that defines __eq__
+    also defines __hash__, since Python drops an inherited __hash__
+    otherwise.  The one sanctioned write after __init__ is cached's, which
+    keeps a derived value in the instance dict.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}  # read only
 
-    def _assign(self, *values) -> None:
-        """Store one value per field, in _fields order."""
-        for name, value in zip(self._fields, values, strict=True):
+    def __init__(self, *args, **kwargs) -> None:
+        fields, cls = self._fields, type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{cls} takes {len(fields)} fields, but {len(args)} were given")
+        for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
+        for name in fields[len(args):]:
+            try:
+                value = kwargs.pop(name) if name in kwargs else self._defaults[name]
+            except KeyError:
+                raise TypeError(f"{cls} is missing field {name!r}") from None
+            object.__setattr__(self, name, value)
+        for name in kwargs:
+            problem = "got field {!r} twice" if name in fields else "has no field {!r}"
+            raise TypeError(f"{cls} " + problem.format(name))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

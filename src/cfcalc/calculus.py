@@ -63,7 +63,7 @@ class ConstructibleFunction(Frozen):
     _fields = ("ambient", "items")
 
     def __init__(self, ambient: SimplicialComplex, values: Mapping) -> None:
-        self._assign(ambient, _clean_items(ambient, values))
+        super().__init__(ambient, _clean_items(ambient, values))
 
     # defined here, not inherited, like every method perfbench/spans.py wraps
     def __eq__(self, other):

@@ -155,7 +155,7 @@ class SimplicialComplex(Frozen):
     def __init__(self, simplices: Iterable) -> None:
         sset = frozenset(Simplex(s) for s in simplices)
         _require_face_closed(sset, "not face-closed: missing {face} (a face of {simplex})")
-        object.__setattr__(self, "simplices", sset)
+        super().__init__(sset)
 
     @classmethod
     def _closed(cls, simplices: Iterable[Simplex], generators=None) -> "SimplicialComplex":
@@ -242,7 +242,7 @@ class Subcomplex(Frozen):
         _require_face_closed(
             sset, "subcomplex is not face-closed: missing {face} (a face of {simplex})"
         )
-        self._assign(parent, sset)
+        super().__init__(parent, sset)
         object.__setattr__(self, "_space", SimplicialComplex._closed(sset))
 
     @classmethod
@@ -250,7 +250,7 @@ class Subcomplex(Frozen):
         # for a complex the package built from parent simplices: nothing is
         # checked, and space is the subcomplex's own complex
         sub = object.__new__(cls)
-        sub._assign(parent, space.simplices)
+        Frozen.__init__(sub, parent, space.simplices)
         object.__setattr__(sub, "_space", space)
         return sub
 
@@ -290,7 +290,7 @@ class Subcomplex(Frozen):
         # the complement of a face-closed set is coface-closed, so the
         # OpenSubset check is skipped
         opensub = object.__new__(OpenSubset)
-        opensub._assign(self.parent, self.parent.simplices - self.simplices)
+        Frozen.__init__(opensub, self.parent, self.parent.simplices - self.simplices)
         return opensub
 
     def intersection(self, other: "Subcomplex") -> "Subcomplex":
@@ -333,7 +333,7 @@ class OpenSubset(Frozen):
             parent.simplices - sset,
             "subset is not coface-closed: contains {face} but not its coface {simplex}",
         )
-        self._assign(parent, sset)
+        super().__init__(parent, sset)
 
     @property
     def is_empty(self) -> bool:
@@ -456,7 +456,7 @@ class SimplicialMap(Frozen):
         bad_values = sorted(set(vm.values()) - target.vertices)
         if bad_values:
             raise ModelError(f"vertex map hits non-vertices of the target: {bad_values}")
-        self._assign(source, target, tuple(sorted(vm.items())))
+        super().__init__(source, target, tuple(sorted(vm.items())))
         for s in source.simplices:
             img = self.image(s)
             if img not in target.simplices:
@@ -534,7 +534,7 @@ class Involution(Frozen):
                 raise ModelError(
                     f"involution is not regular: {s} maps onto itself without fixing its vertices"
                 )
-        object.__setattr__(self, "underlying", underlying)
+        super().__init__(underlying)
 
     @property
     def space(self) -> SimplicialComplex:

@@ -68,7 +68,7 @@ class Stratum(Frozen):
         smooth: bool = True,
         allow_empty_trace: bool = False,
     ) -> None:
-        self._assign(name, support, codim, multiplicity, eu, smooth, allow_empty_trace)
+        super().__init__(name, support, codim, multiplicity, eu, smooth, allow_empty_trace)
         if not self.name:
             raise ModelError("a stratum needs a nonempty name")
         if self.support.is_empty:
@@ -115,7 +115,7 @@ class CharacteristicCycle(Frozen):
         parents = {s.support.parent for s in st}
         if len(parents) > 1:
             raise ModelError("strata live on different ambient complexes")
-        object.__setattr__(self, "strata", st)
+        super().__init__(st)
 
     def __iter__(self) -> Iterator[Stratum]:
         return iter(self.strata)
@@ -144,7 +144,7 @@ class RealComplexPair(Frozen):
         conjugation: Involution | None = None,
         probes: tuple[Simplex, ...] = (),
     ) -> None:
-        self._assign(ambient, real_form, complex_dim, conjugation, probes)
+        super().__init__(ambient, real_form, complex_dim, conjugation, probes)
         if self.real_form.parent != self.ambient:
             raise ModelError("real form does not live in the ambient complex")
         if self.complex_dim < 1:
@@ -230,37 +230,18 @@ class Expectations(Frozen):
     """Declared values at probes and the checks a scene claims are applicable."""
 
     _fields = ("hyperfunction_index", "hyperfunction_dimension", "parity_index", "checks")
-
-    def __init__(
-        self,
-        hyperfunction_index: tuple[tuple[Simplex, int], ...] = (),
-        hyperfunction_dimension: tuple[tuple[Simplex, int], ...] = (),
-        parity_index: tuple[tuple[Simplex, int], ...] = (),
-        checks: tuple[str, ...] = (),
-    ) -> None:
-        self._assign(hyperfunction_index, hyperfunction_dimension, parity_index, checks)
+    _defaults = dict.fromkeys(_fields, ())
 
 
 class CheckResult(Frozen):
-    _fields = ("check", "subject", "expected", "computed", "status", "note")
+    """One report row; status is "pass", "fail" or "not_applicable"."""
 
-    def __init__(
-        self,
-        check: str,
-        subject: str,
-        expected: str,
-        computed: str,
-        status: str,  # "pass" | "fail" | "not_applicable"
-        note: str = "",
-    ) -> None:
-        self._assign(check, subject, expected, computed, status, note)
+    _fields = ("check", "subject", "expected", "computed", "status", "note")
+    _defaults = {"note": ""}
 
 
 class VerificationReport(Frozen):
-    _fields = ("scene", "entries")
-
-    def __init__(self, scene: str, entries: tuple[CheckResult, ...]) -> None:
-        self._assign(scene, entries)
+    _fields = ("scene", "entries")  # the scene's name and its CheckResult rows
 
     @property
     def passed(self) -> bool:

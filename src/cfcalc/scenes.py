@@ -55,23 +55,6 @@ class Scene(Frozen):
         "expect", "support_names",
     )
 
-    def __init__(
-        self,
-        name: str,
-        comment: str,
-        ambient: SimplicialComplex,
-        subcomplexes: tuple[tuple[str, Subcomplex], ...],
-        real_form_name: str,
-        pair: RealComplexPair,
-        cycle: CharacteristicCycle,
-        expect: Expectations,
-        support_names: tuple[tuple[str, str], ...],
-    ) -> None:
-        self._assign(
-            name, comment, ambient, subcomplexes, real_form_name, pair, cycle, expect,
-            support_names,
-        )
-
     @property
     @cached
     def canonical_text(self) -> str:
@@ -496,19 +479,14 @@ def _canonical_doc(scene: Scene) -> dict:
 
 
 class ModelParam(Frozen):
-    _fields = ("name", "default", "minimum", "meaning", "maximum")
+    """An integer parameter of a model; maximum None means unbounded."""
 
-    def __init__(
-        self, name: str, default: int, minimum: int, meaning: str, maximum: int | None = None
-    ) -> None:
-        self._assign(name, default, minimum, meaning, maximum)
+    _fields = ("name", "default", "minimum", "meaning", "maximum")
+    _defaults = {"maximum": None}
 
 
 class ModelInfo(Frozen):
-    _fields = ("name", "summary", "params")
-
-    def __init__(self, name: str, summary: str, params: tuple[ModelParam, ...]) -> None:
-        self._assign(name, summary, params)
+    _fields = ("name", "summary", "params")  # params is a tuple of ModelParam
 
 
 def _disk_doc(k: int) -> list[list[str]]:

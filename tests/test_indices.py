@@ -18,6 +18,7 @@ from cfcalc import (
     Scene,
     Stratum,
     Subcomplex,
+    VerificationReport,
     build_complex,
     build_model,
     complement_open,
@@ -34,7 +35,9 @@ from cfcalc import (
     subcomplex,
     verify_scene,
 )
+from cfcalc._frozen import Frozen
 from cfcalc.indices import _first_mismatch
+from cfcalc.scenes import ModelInfo
 from conftest import antipodal, diameter, disk, polygon, reflection
 
 
@@ -427,25 +430,45 @@ class TestValueClasses:
         origin = subcomplex(d, [["c"]])
         st = Stratum(name="o", support=origin, codim=1, multiplicity=2, eu=indicator(origin))
         assert (st.smooth, st.allow_empty_trace) == (True, False)
-        assert Expectations() == Expectations((), (), (), ())
-        assert Expectations().checks == ()
-        row = CheckResult(check="c", subject="s", expected="", computed="", status="pass")
-        assert row.note == ""
+        pair = RealComplexPair(ambient=d, real_form=diameter(d), complex_dim=1)
+        assert (pair.conjugation, pair.probes) == (None, ())
         param = ModelParam(name="k", default=3, minimum=3, meaning="size")
-        assert param.maximum is None
         assert repr(param) == (
             "ModelParam(name='k', default=3, minimum=3, meaning='size', maximum=None)"
         )
-        pair = RealComplexPair(ambient=d, real_form=diameter(d), complex_dim=1)
-        assert (pair.conjugation, pair.probes) == (None, ())
-        scene = build_model("pair_C_R")
-        again = Scene(
-            name=scene.name, comment=scene.comment, ambient=scene.ambient,
-            subcomplexes=scene.subcomplexes, real_form_name=scene.real_form_name,
-            pair=scene.pair, cycle=scene.cycle, expect=scene.expect,
-            support_names=scene.support_names,
-        )
-        assert again == scene and hash(again) == hash(scene)
+        row = CheckResult("c", "s", "", "", "pass")
+        # each plain value class, values for its fields, and the fields it
+        # may leave out, whose values here are their defaults
+        cases = [
+            (Scene, build_model("pair_C_R")._values(), ()),
+            (ModelParam, param._values(), ("maximum",)),
+            (ModelInfo, ("m", "a model", (param,)), ()),
+            (Expectations, ((), (), (), ()), Expectations._fields),
+            (CheckResult, row._values(), ("note",)),
+            (VerificationReport, ("s", (row,)), ()),
+        ]
+        for cls, values, optional in cases:
+            assert "__init__" not in vars(cls) and cls.__init__ is Frozen.__init__
+            fields = dict(zip(cls._fields, values, strict=True))
+            made = cls(*values)
+            assert made._values() == values
+            required = {f: v for f, v in fields.items() if f not in optional}
+            for again in (
+                cls(**fields),
+                cls(values[0], **dict(list(fields.items())[1:])),
+                cls(**required),
+            ):
+                assert again == made and hash(again) == hash(made)
+            name, first = cls.__name__, cls._fields[0]
+            with pytest.raises(TypeError, match=f"^{name} has no field 'bogus'$"):
+                cls(*values, bogus=1)
+            with pytest.raises(TypeError, match=f"^{name} got field '{first}' twice$"):
+                cls(*values, **{first: values[0]})
+            with pytest.raises(TypeError, match=f"^{name} takes {len(values)} fields"):
+                cls(*values, None)
+            for field in required:
+                with pytest.raises(TypeError, match=f"^{name} is missing field '{field}'$"):
+                    cls(**{f: v for f, v in required.items() if f != field})
 
 
 PARITY_MODELS = sorted(info.name for info in list_models())
