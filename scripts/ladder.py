@@ -30,6 +30,8 @@ in ONE_SIMPLEX (the n = 14 complex has 16,383 simplices), timed as the
 other child processes and keyed by n.
 The file also records the Python version, the commit of the checkout the
 package was imported from and whether its sources differ from it.
+Neither the script nor its children write bytecode, so no cache is left
+under src/ and every cold child compiles the package from source.
 """
 
 import argparse
@@ -42,6 +44,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+sys.dont_write_bytecode = True
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -70,7 +74,7 @@ def cold_ms(*args: str) -> float:
     gauge.rescaled counts only this process's CPU time, so the child's is
     taken here between two readings and rescaled by the same formula.
     """
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
     gauge_before = reading(3)
     before = children_cpu_s()
     proc = subprocess.run(

@@ -89,29 +89,25 @@ def _require_face_closed(sset: frozenset[Simplex], what: str) -> None:
                 raise ModelError(what.format(face=Simplex._raw(facet), simplex=s))
 
 
+def _closure_bound(gens: set[Simplex]) -> int:
+    """The most simplices the face closure of distinct generators can hold."""
+    return sum((1 << len(s)) - 1 for s in gens)
+
+
+def _within_budget(bound: int, what: str) -> None:
+    """Refuse work that may make more than MAX_SIMPLICES simplices."""
+    if bound > MAX_SIMPLICES:
+        raise ModelError(
+            f"{what} may hold up to {bound} simplices, more than the limit of {MAX_SIMPLICES}"
+        )
+
+
 def _face_closure(gens: set[Simplex]) -> list[Simplex]:
     """Every face of the distinct generators once; refused
     before listing any face when the closure could exceed MAX_SIMPLICES."""
-    bound = sum((1 << len(s)) - 1 for s in gens)
-    if bound > MAX_SIMPLICES:
-        raise ModelError(
-            f"face closure may hold up to {bound} simplices, more than the limit of {MAX_SIMPLICES}"
-        )
+    _within_budget(_closure_bound(gens), "face closure")
     faces = {f for s in gens for n in range(1, len(s) + 1) for f in itertools.combinations(s, n)}
     return list(map(Simplex._raw, faces))
-
-
-def _maximal_generators(gens: set[Simplex]) -> list[Simplex]:
-    """The generators that are a proper face of no other generator: the
-    maximal simplices of their closure."""
-    if len(set(map(len, gens))) <= 1:  # distinct simplices of one size
-        return list(gens)
-    containing = defaultdict(set)
-    for s in gens:
-        for v in s:
-            containing[v].add(s)
-    # s itself has all of its vertices; any other generator that does is larger
-    return [s for s in gens if len(set.intersection(*map(containing.__getitem__, s))) == 1]
 
 
 def _star_table(closed: "Subcomplex") -> dict:
@@ -204,16 +200,14 @@ class SimplicialComplex(Frozen):
     @cached
     def maximal_simplices(self) -> tuple[Simplex, ...]:
         """The simplices that are no member's proper face, in canonical
-        order: among the generators when the package closed them itself,
-        else by one facet scan."""
+        order: the generators, when the package closed distinct simplices
+        of one size itself, else by one facet scan."""
         gens = self.__dict__.get("_generators")
-        if gens is None:
-            # in a face-closed set, a proper face of a member is a facet of one
-            facets = {f for s in self.simplices for f in itertools.combinations(s, s.dim)}
-            tops = [s for s in self.simplices if s not in facets]
-        else:
-            tops = _maximal_generators(gens)
-        return tuple(sorted(tops))
+        if gens and len(set(map(len, gens))) == 1:
+            return tuple(sorted(gens))
+        # in a face-closed set, a proper face of a member is a facet of one
+        facets = {f for s in self.simplices for f in itertools.combinations(s, s.dim)}
+        return tuple(sorted(s for s in self.simplices if s not in facets))
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -369,10 +363,7 @@ def _staircase(left_tops, right_tops, left_order, right_order) -> list[list[str]
         for a, m in Counter(map(len, lefts)).items()
         for b, n in Counter(map(len, rights)).items()
     )
-    if bound > MAX_SIMPLICES:
-        raise ModelError(
-            f"product may hold up to {bound} simplices, more than the limit of {MAX_SIMPLICES}"
-        )
+    _within_budget(bound, "product")
     chains = []
     for lv in lefts:
         for rv in rights:

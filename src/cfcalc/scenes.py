@@ -22,7 +22,9 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     Subcomplex,
+    _closure_bound,
     _staircase,
+    _within_budget,
     build_complex,
     involution,
     subcomplex,
@@ -192,26 +194,41 @@ def _scene_from_doc(doc: dict) -> Scene:
     simplices = [
         _as_simplex(entry, f"complex.maximal_simplices[{i}]") for i, entry in enumerate(maximal)
     ]
+    budget = _closure_bound(set(simplices))
     try:
-        ambient = build_complex(simplices)
+        _within_budget(budget, "face closure")
     except ModelError as err:
         _fail("complex.maximal_simplices", str(err))
 
-    subs: dict[str, Subcomplex] = {}
+    # every simplex list is parsed, and all their closures bounded together,
+    # before any is closed
+    sub_gens: dict[str, list[Simplex] | None] = {}
     for sub_name, gens_doc in _as_object(doc["subcomplexes"], "subcomplexes").items():
         _as_text(sub_name, f"subcomplexes key {sub_name!r}")
         if gens_doc == maximal:  # already parsed: it closes to the whole complex
-            subs[sub_name] = Subcomplex._of(ambient, ambient)
+            sub_gens[sub_name] = None
             continue
         path = f"subcomplexes.{sub_name}"
         gens = [
             _as_simplex(g, f"{path}[{i}]")
             for i, g in enumerate(_as_list(gens_doc, path))
         ]
+        sub_gens[sub_name] = gens
+        budget += _closure_bound(set(gens))
+    try:
+        _within_budget(budget, "the complex and its subcomplexes together")
+    except ModelError as err:
+        _fail("subcomplexes", str(err))
+
+    ambient = build_complex(simplices)
+    subs: dict[str, Subcomplex] = {}
+    for sub_name, gens in sub_gens.items():
         try:
-            subs[sub_name] = subcomplex(ambient, gens)
+            subs[sub_name] = (
+                Subcomplex._of(ambient, ambient) if gens is None else subcomplex(ambient, gens)
+            )
         except ModelError as err:
-            _fail(path, str(err))
+            _fail(f"subcomplexes.{sub_name}", str(err))
 
     rf_doc = _as_object(doc["real_form"], "real_form")
     _check_keys(rf_doc, "real_form", ("M", "complex_dim"), ("conjugation",))
@@ -241,6 +258,7 @@ def _scene_from_doc(doc: dict) -> Scene:
 
     strata: list[Stratum] = []
     support_names: dict[str, str] = {}
+    taken: dict[frozenset, str] = {}  # support simplices -> stratum name
     for i, entry in enumerate(_as_list(doc["strata"], "strata")):
         path = f"strata[{i}]"
         st_doc = _as_object(entry, path)
@@ -254,6 +272,11 @@ def _scene_from_doc(doc: dict) -> Scene:
         if sup_name not in subs:
             _fail(f"{path}.support", f"unresolved name {sup_name!r}")
         support = subs[sup_name]
+        # refused before any work on it, so strata cost no more than their
+        # subcomplexes: a free entry repeating the complex's list may back one
+        if support.simplices in taken:
+            _fail(f"{path}.support", f"stratum {taken[support.simplices]!r} has the same support")
+        taken[support.simplices] = st_name
         codim = _as_int(st_doc["codim"], f"{path}.codim")
         if not 0 <= codim <= n:
             _fail(f"{path}.codim", f"must be between 0 and complex_dim = {n}")

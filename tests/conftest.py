@@ -1,11 +1,18 @@
 """Shared geometry builders and randomized generators for the test suite."""
 
 import json
+import os
 import random
+import sys
 
 import pytest
 
-from cfcalc import (
+# Neither the suite nor any child it starts writes bytecode, so no cache is
+# left under src/ for a later cold start to read.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
+from cfcalc import (  # noqa: E402
     ConstructibleFunction,
     Simplex,
     build_complex,

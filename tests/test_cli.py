@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 import cfcalc.calculus
 import cfcalc.cli
+import cfcalc.complexes
 import cfcalc.indices
 from cfcalc import (
-    ConstructibleFunction, ModelParam, build_model, emit_scene, indicator, list_models, parse_scene,
+    ConstructibleFunction, ModelParam, build_model, emit_scene, euler_integral,
+    hyperfunction_index, indicator, list_models, parse_scene,
 )
 from cfcalc.cli import load_scene, main
 from cfcalc.scenes import ModelInfo
@@ -25,12 +27,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def one_simplex_scene(tmp_path, n: int) -> str:
-    """A scene file whose complex is one simplex on n vertices."""
+def one_simplex_scene(tmp_path, n: int, copies: int = 0) -> str:
+    """A scene file whose complex is one simplex on n vertices, with copies
+    more subcomplexes that each list that simplex in reverse order."""
     vertices = [f"v{i}" for i in range(n)]
     doc = {
         "name": f"simplex{n}", "complex": {"maximal_simplices": [vertices]},
-        "subcomplexes": {"M": [["v0"]]}, "real_form": {"M": "M", "complex_dim": 1},
+        "subcomplexes": {"M": [["v0"]], **{f"S{i}": [vertices[::-1]] for i in range(copies)}},
+        "real_form": {"M": "M", "complex_dim": 1},
         "strata": [], "probes": [], "expect": {},
     }
     path = tmp_path / f"simplex{n}.json"
@@ -121,6 +125,7 @@ class TestExitCodes:
             ("hyperdim", "antipodal_cover", "b0", "b0 is not a simplex of the real form 'fixed_locus'"),
             ("index", "pair_C_R", "zz", "zz is not a simplex of the ambient complex"),
             ("dual", "pair_C_R", "zz", "zz is not a simplex of the ambient complex"),
+            ("index", "pair_C_R", ",", "--at needs at least one vertex name"),
         ],
     )
     def test_at_names_the_complex_the_function_lives_on(self, capsys, command, model, at, message):
@@ -128,9 +133,11 @@ class TestExitCodes:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_bad_parameter_spec(self, capsys):
-        code, _, err = run(capsys, "check", "pair_C_R(k=x)")
-        assert code == 2
-        assert "integer" in err
+        for spec, message in (
+            ("pair_C_R(k=x)", "parameter 'k' needs an integer, got 'x'"),
+            ("pair_C_R(m)", "cannot parse parameter 'm' in model spec 'pair_C_R(m)'"),
+        ):
+            assert run(capsys, "check", spec) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("value", ["３", "٣", "1_0", "+4", "--4", "4.0", "0x4", "4 4"])
     def test_parameter_is_ascii_digits_with_an_optional_minus(self, capsys, value):
@@ -192,6 +199,46 @@ class TestExitCodes:
             "error: complex.maximal_simplices: face closure may hold up to 1048575 "
             "simplices, more than the limit of 1000000\n"
         )
+
+    def test_scene_closures_are_bounded_together(self, capsys, tmp_path, monkeypatch):
+        # each entry alone fits the budget; twenty of them do not, and the
+        # scene is refused before any face is listed
+        def no_closure(gens):
+            raise AssertionError("a face closure was listed")
+
+        monkeypatch.setattr(cfcalc.complexes, "_face_closure", no_closure)
+        path = one_simplex_scene(tmp_path, 18, copies=20)
+        assert Path(path).stat().st_size < 3000
+        start = time.process_time()
+        code, out, err = run(capsys, "check", path)
+        assert time.process_time() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: subcomplexes: the complex and its subcomplexes together may hold up to "
+            "5505004 simplices, more than the limit of 1000000\n"
+        )
+
+    def test_strata_on_one_support_refused_before_their_work(self, capsys, tmp_path):
+        # entries that repeat the complex's list cost the budget nothing, so a
+        # second stratum on the same simplices is refused before its eu is built
+        vertices = [f"v{i}" for i in range(14)]
+        doc = {
+            "name": "repeated", "complex": {"maximal_simplices": [vertices]},
+            "subcomplexes": {"M": [], **{f"S{i}": [vertices] for i in range(20)}},
+            "real_form": {"M": "M", "complex_dim": 1},
+            "strata": [
+                {"name": f"s{i}", "support": f"S{i}", "codim": 0, "multiplicity": 1}
+                for i in range(20)
+            ],
+            "probes": [], "expect": {},
+        }
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.process_time()
+        code, out, err = run(capsys, "check", str(path))
+        assert time.process_time() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: strata[1].support: stratum 's0' has the same support\n"
 
     def test_huge_model_parameter_refused(self, capsys):
         start = time.perf_counter()
@@ -356,6 +403,71 @@ class TestExitCodes:
         assert err.startswith("error: strata[0].multiplicity: must be at most 2^62")
 
 
+def _drop_probes(doc: dict) -> None:
+    doc["real_form"]["M"], doc["probes"], doc["expect"] = "origin", [], {}
+
+
+# A model's emitted scene, one edit, and the line `check` refuses it with.
+INVALID_SCENES = {
+    "no_maximal_simplices": (
+        "pair_C_R", lambda d: d["complex"].update(maximal_simplices=[]),
+        "complex.maximal_simplices: needs at least one simplex",
+    ),
+    "complex_not_an_object": (
+        "pair_C_R", lambda d: d.update(complex=[]), "complex: expected an object",
+    ),
+    "complex_dim_zero": (
+        "pair_C_R", lambda d: d["real_form"].update(complex_dim=0),
+        "real_form.complex_dim: must be a positive integer",
+    ),
+    "override_off_the_support": (
+        "node_curve",
+        lambda d: d["strata"][0]["eu"]["overrides"].append({"at": ["b1.b1"], "value": 2}),
+        "strata[0].eu.overrides[1].at: b1.b1 is not a simplex of the support 'node'",
+    ),
+    "empty_support": (
+        "antipodal_cover",
+        lambda d: d["strata"].append(
+            {"name": "fixed", "support": "fixed_locus", "codim": 1, "multiplicity": 1}
+        ),
+        "strata[1].support: subcomplex 'fixed_locus' is empty",
+    ),
+    "eu_not_invariant": (
+        "pair_C_R",
+        lambda d: d["strata"][0].update(
+            smooth=False, eu={"default": 1, "overrides": [{"at": ["b1", "c"], "value": 2}]}
+        ),
+        "strata[0].eu: eu is not conjugation invariant at b1 c",
+    ),
+    "stratum_name_twice": (
+        "kashiwara_point", lambda d: d["strata"][1].update(name="ambient"),
+        "strata: stratum names must be distinct",
+    ),
+    "fixed_set_not_the_real_form": (
+        "pair_C_R", _drop_probes,
+        "real_form: fixed point set of the conjugation is not the real form",
+    ),
+    "check_declared_twice": (
+        "pair_C_R", lambda d: d["expect"]["checks"].append("base_change"),
+        "expect.checks[7]: duplicate check 'base_change'",
+    ),
+    "smooth_not_a_bool": (
+        "pair_C_R", lambda d: d["strata"][0].update(smooth=1),
+        "strata[0].smooth: expected true or false",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_SCENES))
+def test_invalid_scene_names_its_path(capsys, tmp_path, case):
+    model, edit, message = INVALID_SCENES[case]
+    doc = json.loads(emit_scene(build_model(model)))
+    edit(doc)
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(capsys, "check", str(path)) == (2, "", f"error: {message}\n")
+
+
 class TestValues:
     def test_hyperdim_at_origin(self, capsys):
         code, out, _ = run(capsys, "hyperdim", "kashiwara_point", "--at", "c")
@@ -366,6 +478,17 @@ class TestValues:
         code, out, _ = run(capsys, "integrate", "kashiwara_point")
         assert code == 0
         assert out == "1\n"
+
+    def test_integrate_hyperfunction_index(self, capsys):
+        # integrate is the one command that takes the hyperfunction index
+        scene = build_model("kashiwara_point")
+        expected = euler_integral(hyperfunction_index(scene.pair, scene.cycle))
+        argv = ("kashiwara_point", "--function", "hyperfunction_index")
+        assert run(capsys, "integrate", *argv) == (0, f"{expected}\n", "")
+        assert run(capsys, "dual", *argv) == (2, "", (
+            "error: unknown function 'hyperfunction_index'; "
+            "use solution_index or indicator:NAME\n"
+        ))
 
     def test_integrate_indicator_of_node(self, capsys):
         code, out, _ = run(capsys, "integrate", "node_curve", "--function", "indicator:node")
@@ -444,6 +567,14 @@ class TestJson:
         assert code == 0
         assert blob["hyperfunction_index"] == 5
         assert blob["hyperfunction_dimension"] == 5
+
+    def test_index_at_json(self, capsys):
+        code, out, _ = run(capsys, "index", "kashiwara_point", "--at", "c", "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "scene": "kashiwara_point(d0=2, d1=3, k=3)", "function": "solution_index",
+            "at": ["c"], "value": 1,
+        }
 
     def test_models_list_json(self, capsys):
         code, out, _ = run(capsys, "models", "list", "--json")

@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import re
 import weakref
@@ -20,6 +22,7 @@ from cfcalc import (
     list_models,
     parse_scene,
 )
+from cfcalc.cli import main
 from cfcalc.indices import hyperfunction_index, parity_index
 from conftest import order_built
 
@@ -95,6 +98,32 @@ class TestModels:
         assert not hasattr(cfcalc.scenes, "product")
         for name in ("node_curve", "smooth_line_in_C2"):
             build_model(name)
+
+    @pytest.mark.parametrize("name", ALL_MODELS)
+    def test_each_model_fits_the_scene_budget_at_its_maximum_k(self, name, monkeypatch):
+        # The budget is checked for the complex, then for the whole scene,
+        # before anything is closed; the build stops there, since a plane
+        # model at k = 36 takes about a second to build.
+        class Admitted(Exception):
+            pass
+
+        figures = []
+        within = cfcalc.scenes._within_budget
+
+        def spy(bound, what):
+            within(bound, what)
+            figures.append(bound)
+            if len(figures) == 2:
+                raise Admitted
+
+        (info,) = [info for info in list_models() if info.name == name]
+        (k,) = [p.maximum for p in info.params if p.name == "k"]
+        monkeypatch.setattr(cfcalc.scenes, "_within_budget", spy)
+        with pytest.raises(Admitted):
+            build_model(name, k=k)
+        assert k == 36 and figures[1] <= cfcalc.complexes.MAX_SIMPLICES
+        if name == "node_curve":  # the largest: 744 k^2 for the complex
+            assert figures == [964_224, 965_792]
 
     def test_zero_multiplicity_drops_stratum(self):
         scene = build_model("kashiwara_point", d0=0)
@@ -626,3 +655,100 @@ def test_random_doubles_pass_the_conjugation_rows(doc):
     probes = len(scene.pair.probes)
     assert probes >= 1 and len(rows) == 4 + len(scene.cycle) + 1 + 2 * probes
     assert all(e.status == "pass" for e in rows), report.to_text()
+
+
+@st.composite
+def scene_free_doubles(draw):
+    """A scene document on a connected double with a strongly free
+    conjugation and an empty real form: the circle on 2k vertices, k >= 3,
+    under its half-turn, with a random complex Y hung at b0 and its mirror
+    image (vertex yi renamed zi) hung at bk.  Y takes one new vertex per
+    generator and touches the circle only at b0, so no simplex meets its
+    image and distinct orbits of simplices have distinct vertex sets.
+    Each stratum's support is the circle with the first j generators of Y
+    and their mirror images, a connected invariant piece, and eu is
+    symmetric."""
+    k = draw(st.integers(3, 5))
+    rim = 2 * k
+
+    def twin(v):
+        if v[0] == "b":
+            return f"b{(int(v[1:]) + k) % rim}"
+        return ("z" if v[0] == "y" else "y") + v[1:]
+
+    def mirror(simplex):
+        return sorted(map(twin, simplex))
+
+    def face_of(simplex):
+        return sorted(draw(st.permutations(simplex))[: draw(st.integers(1, len(simplex)))])
+
+    circle = [sorted([f"b{i}", f"b{(i + 1) % rim}"]) for i in range(rim)]
+    hung, reached = [], ["b0"]
+    for j in range(draw(st.integers(1, 4))):
+        # the new vertex yj and one to three vertices Y already reaches
+        old = draw(st.permutations(reached))[: draw(st.integers(1, min(3, len(reached))))]
+        hung.append(sorted([f"y{j}", *old]))
+        reached.append(f"y{j}")
+
+    n = draw(st.integers(1, 3))
+    subcomplexes, strata = {"M": []}, []
+    for j in sorted(draw(st.sets(st.integers(0, len(hung)), min_size=1, max_size=3))):
+        gens = circle + hung[:j] + [mirror(g) for g in hung[:j]]
+        subcomplexes[f"S{j}"] = gens
+        stratum = {
+            "name": f"s{j}", "support": f"S{j}", "codim": draw(st.integers(0, n)),
+            "multiplicity": draw(st.integers(1, 3)),
+            "allow_empty_trace": draw(st.booleans()),
+        }
+        if not draw(st.booleans()):
+            eu = {}
+            for _ in range(draw(st.integers(0, 3))):
+                at = face_of(draw(st.sampled_from(gens)))
+                eu[tuple(at)] = eu[tuple(mirror(at))] = draw(st.integers(-3, 3))
+            stratum["smooth"] = False
+            stratum["eu"] = {
+                "default": 1,
+                "overrides": [{"at": list(at), "value": v} for at, v in sorted(eu.items())],
+            }
+        strata.append(stratum)
+    swap = {v: twin(v) for g in circle + hung for v in g}
+    return {
+        "name": "free_double",
+        "complex": {"maximal_simplices": circle + hung + [mirror(g) for g in hung]},
+        "subcomplexes": subcomplexes,
+        "real_form": {
+            "M": "M", "complex_dim": n, "conjugation": {**swap, **{w: v for v, w in swap.items()}},
+        },
+        "strata": strata, "probes": [], "expect": {},
+    }
+
+
+# the rows every free double declares: no probe, so the parity, boundary,
+# dimension and shriek rows are not applicable
+FREE_ROWS = ("base_change", "conjugation_invariance", "covering_parity", "triangle_identity")
+
+
+@settings(max_examples=200, deadline=None)
+@given(scene_free_doubles())
+def test_random_free_doubles_pass_the_covering_rows(doc):
+    scene = parse_scene(json.dumps(doc))
+    report = scene.verify()
+    rows = [e for e in report.entries if e.check.split("[")[0] in FREE_ROWS]
+    # four triangles, a base change per stratum, one invariance row and the
+    # covering rows of the Euler integral and of the orbit sums
+    assert len(rows) == 4 + len(scene.cycle) + 1 + 2
+    covering = [e.subject for e in rows if e.check == "covering_parity"]
+    assert covering == ["euler_integral", "orbit_pushforward"]
+    assert all(e.status == "pass" for e in rows), report.to_text()
+
+
+@settings(max_examples=5, deadline=None)
+@given(scene_free_doubles())
+def test_cfcalc_verify_passes_written_free_doubles(tmp_path_factory, doc):
+    doc["expect"] = {"checks": list(FREE_ROWS)}
+    path = tmp_path_factory.mktemp("free_double") / "scene.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", str(path)])
+    assert code == 0, out.getvalue()
