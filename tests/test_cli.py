@@ -221,7 +221,7 @@ class TestExitCodes:
     def test_strata_on_one_support_refused_before_their_work(self, capsys, tmp_path):
         # entries that repeat the complex's list cost the budget nothing, so a
         # second stratum on the same simplices is refused before its eu is built
-        vertices = [f"v{i}" for i in range(14)]
+        vertices = [f"v{i}" for i in range(13)]
         doc = {
             "name": "repeated", "complex": {"maximal_simplices": [vertices]},
             "subcomplexes": {"M": [], **{f"S{i}": [vertices] for i in range(20)}},
