@@ -25,9 +25,12 @@ between two files cancels.
     gauge's kernel runs twice as fast as on the box its nominal time was
     taken on); the times above are already rescaled.
 Apart from the ladder it records cold_check_simplex_ms: `python -m cfcalc
-check` on a scene file whose complex is one simplex on n vertices, for n
-in ONE_SIMPLEX (the n = 14 complex has 16,383 simplices), timed as the
-other child processes and keyed by n.
+check` on a scene file whose complex and real form are one simplex on n
+vertices, for n in ONE_SIMPLEX (the n = 14 complex has 16,383 simplices),
+timed as the other child processes and keyed by n; and
+cold_verify_simplex_ms: `python -m cfcalc verify` on the same files for n
+in VERIFY_SIMPLEX, where the calculus visits all 3^n - 2^n (face, simplex)
+pairs.
 The file also records the Python version, the commit of the checkout the
 package was imported from and whether its sources differ from it.
 Neither the script nor its children write bytecode, so no cache is left
@@ -94,6 +97,7 @@ FIELDS = (
     "cold_verify_ms", "cold_hyperdim_ms", "cold_check_ms", "star_table_ms",
 )
 ONE_SIMPLEX = (10, 12, 14)
+VERIFY_SIMPLEX = (10, 12)
 
 
 def speed() -> float:
@@ -126,22 +130,28 @@ def rung(model: str, k: int, repeats: int) -> dict:
     }
 
 
-def one_simplex_checks(repeats: int) -> dict:
-    """Median cold `cfcalc check` CPU time on one n-vertex simplex, by n."""
-    out = {}
+def one_simplex_children(repeats: int) -> tuple[dict, dict]:
+    """Median cold `cfcalc check` and `cfcalc verify` CPU times on one
+    n-vertex simplex, each keyed by n."""
+    checks, verifies = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for n in ONE_SIMPLEX:
             vertices = [f"v{i}" for i in range(n)]
             doc = {
                 "name": f"simplex{n}", "complex": {"maximal_simplices": [vertices]},
-                "subcomplexes": {"M": [["v0"]]}, "real_form": {"M": "M", "complex_dim": 1},
+                "subcomplexes": {"M": [vertices]}, "real_form": {"M": "M", "complex_dim": 1},
                 "strata": [], "probes": [], "expect": {},
             }
             path = Path(tmp) / f"simplex{n}.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
-            ms = [cold_ms("check", str(path)) for _ in range(repeats)]
-            out[str(n)] = round(statistics.median(ms), 2)
-    return out
+            checks[str(n)] = round(statistics.median(
+                [cold_ms("check", str(path)) for _ in range(repeats)]
+            ), 2)
+            if n in VERIFY_SIMPLEX:
+                verifies[str(n)] = round(statistics.median(
+                    [cold_ms("verify", str(path)) for _ in range(repeats)]
+                ), 2)
+    return checks, verifies
 
 
 def git(*args: str) -> str:
@@ -167,8 +177,10 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
         "unit": "ms of CPU time at the gauge's nominal speed, median",
         **{model: [rung(model, k, args.repeats) for k in args.ks] for model in MODELS},
-        "cold_check_simplex_ms": one_simplex_checks(args.repeats),
     }
+    record["cold_check_simplex_ms"], record["cold_verify_simplex_ms"] = (
+        one_simplex_children(args.repeats)
+    )
     out = args.out_dir / f"BENCH_ladder_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(out)

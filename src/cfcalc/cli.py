@@ -19,7 +19,7 @@ from .calculus import ConstructibleFunction, dual, euler_integral, indicator
 from .complexes import Simplex
 from .errors import ModelError, SceneError, SceneSyntaxError
 from .indices import hyperfunction_dimension, hyperfunction_index, parity_index, solution_index
-from .scenes import Scene, build_model, list_models, parse_scene
+from .scenes import Scene, _entry_list, build_model, list_models, parse_scene
 
 # name(key=value, ...): an ASCII name, and the whole spec must match, so a
 # trailing newline is refused too
@@ -96,10 +96,7 @@ def _print_table(phi, include_zeros: bool) -> None:
 
 
 def _table_json(phi, include_zeros: bool) -> list[dict]:
-    return [
-        {"at": list(s), "value": v}
-        for s, v in _value_rows(phi, include_zeros)
-    ]
+    return _entry_list(_value_rows(phi, include_zeros))
 
 
 def _scene_function(scene: Scene, spec: str, allow_hyper: bool) -> tuple[str, ConstructibleFunction]:

@@ -73,7 +73,8 @@ class Stratum(Frozen):
             raise ModelError("a stratum needs a nonempty name")
         if self.support.is_empty:
             raise ModelError(f"stratum {self.name!r} has empty support")
-        if not is_connected(self.support.simplices):
+        # a complex is connected exactly when its maximal simplices are
+        if not is_connected(self.support.maximal_simplices()):
             raise ModelError(f"stratum {self.name!r} has disconnected support")
         if self.codim < 0:
             raise ModelError(f"stratum {self.name!r} has negative codimension")

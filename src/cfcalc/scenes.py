@@ -44,6 +44,13 @@ from .indices import (
 # makes of such integers within MAX_SIMPLICES stays printable.
 MAX_VALUE = 2**62
 
+# Most (face, simplex) pairs a scene's complex may make the calculus list:
+# dual, star tables and triangle_decompose visit every face of each simplex
+# they touch, 3^n - 2^n pairs on one n-vertex simplex.  This admits one
+# simplex of 14 vertices, and the plane models' 24 * 36^2 * 211 = 6,562,944
+# at k = 36.
+MAX_INCIDENCES = 10**7
+
 # JSON can escape a UTF-16 surrogate without its pair, which no output encodes
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
@@ -153,6 +160,26 @@ def _as_simplex(value, path: str) -> Simplex:
         _fail(path, str(err))
 
 
+def _as_simplices(value, path: str) -> list[Simplex]:
+    return [_as_simplex(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))]
+
+
+def _as_entries(value, path: str, within, what: str) -> dict[Simplex, int]:
+    """An {at, value} list as a dict in list order: each at a simplex of
+    within, what names that set, and no at twice."""
+    out: dict[Simplex, int] = {}
+    for i, entry in enumerate(_as_list(value, path)):
+        e_path = f"{path}[{i}]"
+        _check_keys(_as_object(entry, e_path), e_path, ("at", "value"), ())
+        at = _as_simplex(entry["at"], f"{e_path}.at")
+        if at not in within:
+            _fail(f"{e_path}.at", f"{at} is not {what}")
+        if at in out:
+            _fail(f"{e_path}.at", f"duplicate entry for {at}")
+        out[at] = _as_int(entry["value"], f"{e_path}.value")
+    return out
+
+
 def parse_scene(text: str) -> Scene:
     try:
         doc = json.loads(text)
@@ -191,9 +218,7 @@ def _scene_from_doc(doc: dict) -> Scene:
     maximal = _as_list(complex_doc["maximal_simplices"], "complex.maximal_simplices")
     if not maximal:
         _fail("complex.maximal_simplices", "needs at least one simplex")
-    simplices = [
-        _as_simplex(entry, f"complex.maximal_simplices[{i}]") for i, entry in enumerate(maximal)
-    ]
+    simplices = _as_simplices(maximal, "complex.maximal_simplices")
     budget = _closure_bound(set(simplices))
     try:
         _within_budget(budget, "face closure")
@@ -208,17 +233,20 @@ def _scene_from_doc(doc: dict) -> Scene:
         if gens_doc == maximal:  # already parsed: it closes to the whole complex
             sub_gens[sub_name] = None
             continue
-        path = f"subcomplexes.{sub_name}"
-        gens = [
-            _as_simplex(g, f"{path}[{i}]")
-            for i, g in enumerate(_as_list(gens_doc, path))
-        ]
+        gens = _as_simplices(gens_doc, f"subcomplexes.{sub_name}")
         sub_gens[sub_name] = gens
         budget += _closure_bound(set(gens))
     try:
         _within_budget(budget, "the complex and its subcomplexes together")
     except ModelError as err:
         _fail("subcomplexes", str(err))
+    incidences = sum(3 ** len(s) - (1 << len(s)) for s in set(simplices))
+    if incidences > MAX_INCIDENCES:
+        _fail(
+            "complex.maximal_simplices",
+            f"may make the calculus list up to {incidences} (face, simplex) pairs, "
+            f"more than the limit of {MAX_INCIDENCES}",
+        )
 
     ambient = build_complex(simplices)
     subs: dict[str, Subcomplex] = {}
@@ -243,14 +271,11 @@ def _scene_from_doc(doc: dict) -> Scene:
     conj = None
     if "conjugation" in rf_doc:
         cmap_doc = _as_object(rf_doc["conjugation"], "real_form.conjugation")
-        cmap = {}
-        for v, w in cmap_doc.items():
-            _as_text(v, f"real_form.conjugation key {v!r}")
-            w = _as_str(w, f"real_form.conjugation.{v}")
-            for u in (v, w):
-                if u not in ambient.vertices:
-                    _fail("real_form.conjugation", f"unknown vertex {u!r}")
-            cmap[v] = w
+        cmap = {
+            _as_text(v, f"real_form.conjugation key {v!r}"):
+                _as_str(w, f"real_form.conjugation.{v}")
+            for v, w in cmap_doc.items()
+        }
         try:
             conj = involution(ambient, cmap)
         except ModelError as err:
@@ -281,14 +306,10 @@ def _scene_from_doc(doc: dict) -> Scene:
         if not 0 <= codim <= n:
             _fail(f"{path}.codim", f"must be between 0 and complex_dim = {n}")
         mult = _as_int(st_doc["multiplicity"], f"{path}.multiplicity")
-        smooth = _as_bool(st_doc["smooth"], f"{path}.smooth") if "smooth" in st_doc else True
-        allow_empty = (
-            _as_bool(st_doc["allow_empty_trace"], f"{path}.allow_empty_trace")
-            if "allow_empty_trace" in st_doc
-            else False
-        )
+        smooth = _as_bool(st_doc.get("smooth", True), f"{path}.smooth")
+        allow_empty = _as_bool(st_doc.get("allow_empty_trace", False), f"{path}.allow_empty_trace")
 
-        eu_values = {s: 1 for s in support.simplices}
+        overrides: dict[Simplex, int] = {}
         if "eu" in st_doc:
             eu_doc = _as_object(st_doc["eu"], f"{path}.eu")
             _check_keys(eu_doc, f"{path}.eu", ("default",), ("overrides",))
@@ -298,23 +319,15 @@ def _scene_from_doc(doc: dict) -> Scene:
                     "must be 1; eu is normalized to 1 at generic points and "
                     "overridden where the local geometry differs",
                 )
-            overrides = _as_list(eu_doc.get("overrides", []), f"{path}.eu.overrides")
-            for j, ov in enumerate(overrides):
-                ov_path = f"{path}.eu.overrides[{j}]"
-                ov_doc = _as_object(ov, ov_path)
-                _check_keys(ov_doc, ov_path, ("at", "value"), ())
-                at = _as_simplex(ov_doc["at"], f"{ov_path}.at")
-                if at not in support.simplices:
-                    _fail(f"{ov_path}.at", f"{at} is not a simplex of the support {sup_name!r}")
-                value = _as_int(ov_doc["value"], f"{ov_path}.value")
-                if smooth and value != 1:
-                    _fail(
-                        f"{ov_path}.value",
-                        "a smooth stratum has eu identically 1; drop the override "
-                        "or flag the stratum as singular",
-                    )
-                eu_values[at] = value
-        eu = ConstructibleFunction(ambient, eu_values)
+            overrides = _as_entries(
+                eu_doc.get("overrides", []), f"{path}.eu.overrides",
+                support.simplices, f"a simplex of the support {sup_name!r}",
+            )
+        # each override is an int at a simplex of the support, as read above;
+        # Stratum refuses one other than 1 on a smooth stratum
+        eu = ConstructibleFunction._of(ambient, tuple([
+            (s, v) for s in sorted(support.simplices) if (v := overrides.get(s, 1))
+        ]))
 
         if support.is_empty:
             _fail(f"{path}.support", f"subcomplex {sup_name!r} is empty")
@@ -348,14 +361,13 @@ def _scene_from_doc(doc: dict) -> Scene:
     except ModelError as err:
         _fail("strata", str(err))
 
-    probes: list[Simplex] = []
-    for i, entry in enumerate(_as_list(doc["probes"], "probes")):
-        p = _as_simplex(entry, f"probes[{i}]")
+    probes: set[Simplex] = set()
+    for i, p in enumerate(_as_simplices(doc["probes"], "probes")):
         if p not in real_form.simplices:
             _fail(f"probes[{i}]", f"{p} is not a simplex of the real form")
         if p in probes:
             _fail(f"probes[{i}]", f"duplicate probe {p}")
-        probes.append(p)
+        probes.add(p)
 
     try:
         pair = RealComplexPair(ambient, real_form, n, conj, tuple(probes))
@@ -364,23 +376,6 @@ def _scene_from_doc(doc: dict) -> Scene:
 
     exp_doc = _as_object(doc["expect"], "expect")
     _check_keys(exp_doc, "expect", (), _EXPECT_VALUE_KEYS + ("checks",))
-    probe_set = set(probes)
-
-    def read_values(key: str) -> tuple[tuple[Simplex, int], ...]:
-        out: list[tuple[Simplex, int]] = []
-        seen: set[Simplex] = set()
-        for i, entry in enumerate(_as_list(exp_doc.get(key, []), f"expect.{key}")):
-            path = f"expect.{key}[{i}]"
-            e_doc = _as_object(entry, path)
-            _check_keys(e_doc, path, ("at", "value"), ())
-            at = _as_simplex(e_doc["at"], f"{path}.at")
-            if at not in probe_set:
-                _fail(f"{path}.at", f"{at} is not a declared probe")
-            if at in seen:
-                _fail(f"{path}.at", f"duplicate entry for {at}")
-            seen.add(at)
-            out.append((at, _as_int(e_doc["value"], f"{path}.value")))
-        return tuple(sorted(out))
 
     checks: list[str] = []
     for i, entry in enumerate(_as_list(exp_doc.get("checks", []), "expect.checks")):
@@ -394,10 +389,13 @@ def _scene_from_doc(doc: dict) -> Scene:
             _fail(f"expect.checks[{i}]", f"duplicate check {c!r}")
         checks.append(c)
     expect = Expectations(
-        hyperfunction_index=read_values("hyperfunction_index"),
-        hyperfunction_dimension=read_values("hyperfunction_dimension"),
-        parity_index=read_values("parity_index"),
         checks=tuple(sorted(checks)),
+        **{
+            key: tuple(sorted(_as_entries(
+                exp_doc.get(key, []), f"expect.{key}", probes, "a declared probe"
+            ).items()))
+            for key in _EXPECT_VALUE_KEYS
+        },
     )
 
     return Scene(
@@ -441,6 +439,11 @@ def _simplex_list(sims) -> list[list[str]]:
     return [list(s) for s in sorted(sims)]
 
 
+def _entry_list(items) -> list[dict]:
+    """(simplex, value) pairs as an {at, value} list, in their order."""
+    return [{"at": list(s), "value": v} for s, v in items]
+
+
 def _canonical_doc(scene: Scene) -> dict:
     ambient, pair, expect = scene.ambient, scene.pair, scene.expect
     conj = pair.conjugation
@@ -460,11 +463,9 @@ def _canonical_doc(scene: Scene) -> dict:
             "smooth": st.smooth,
             "support": support_names[st.name],
         }
-        overrides = [
-            {"at": list(s), "value": st.eu.value(s)}
-            for s in sorted(st.support.simplices)
-            if st.eu.value(s) != 1
-        ]
+        overrides = _entry_list(
+            (s, st.eu.value(s)) for s in sorted(st.support.simplices) if st.eu.value(s) != 1
+        )
         if overrides:
             entry["eu"] = {"default": 1, "overrides": overrides}
         if st.allow_empty_trace:
@@ -478,7 +479,7 @@ def _canonical_doc(scene: Scene) -> dict:
         ("parity_index", expect.parity_index),
     ):
         if values:
-            exp_doc[key] = [{"at": list(s), "value": v} for s, v in values]
+            exp_doc[key] = _entry_list(values)
     if expect.checks:
         exp_doc["checks"] = list(expect.checks)
 
@@ -535,10 +536,7 @@ def _expect(
     values = {"hyperfunction_index": hyper, "parity_index": [v % 2 for v in hyper]}
     if dimension:
         values["hyperfunction_dimension"] = hyper
-    expect: dict = {
-        key: [{"at": at, "value": v} for at, v in zip(probes, vals)]
-        for key, vals in values.items()
-    }
+    expect: dict = {key: _entry_list(zip(probes, vals)) for key, vals in values.items()}
     expect["checks"] = sorted(checks)
     return expect
 

@@ -27,13 +27,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def one_simplex_scene(tmp_path, n: int, copies: int = 0) -> str:
+def one_simplex_scene(tmp_path, n: int, copies: int = 0, whole: bool = False) -> str:
     """A scene file whose complex is one simplex on n vertices, with copies
-    more subcomplexes that each list that simplex in reverse order."""
+    more subcomplexes that each list that simplex in reverse order; its
+    real form is the vertex v0, or the whole simplex when whole is set."""
     vertices = [f"v{i}" for i in range(n)]
     doc = {
         "name": f"simplex{n}", "complex": {"maximal_simplices": [vertices]},
-        "subcomplexes": {"M": [["v0"]], **{f"S{i}": [vertices[::-1]] for i in range(copies)}},
+        "subcomplexes": {
+            "M": [vertices if whole else ["v0"]],
+            **{f"S{i}": [vertices[::-1]] for i in range(copies)},
+        },
         "real_form": {"M": "M", "complex_dim": 1},
         "strata": [], "probes": [], "expect": {},
     }
@@ -199,6 +203,39 @@ class TestExitCodes:
             "error: complex.maximal_simplices: face closure may hold up to 1048575 "
             "simplices, more than the limit of 1000000\n"
         )
+
+    def test_sixteen_vertex_simplex_refused_before_the_calculus(self, capsys, tmp_path):
+        # 65,535 faces fit the closure budget, but dual and the star table
+        # would visit 3^16 - 2^16 (face, simplex) pairs
+        path = one_simplex_scene(tmp_path, 16, whole=True)
+        assert Path(path).stat().st_size < 400
+        start = time.process_time()
+        code, out, err = run(capsys, "verify", path)
+        assert time.process_time() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: complex.maximal_simplices: may make the calculus list up to 42981185 "
+            "(face, simplex) pairs, more than the limit of 10000000\n"
+        )
+
+    def test_many_probes_are_checked_in_linear_time(self, capsys, tmp_path):
+        # a path on 10,889 vertices: every one of its 21,777 simplices is a
+        # probe but the last, which repeats the first
+        names = [f"v{i}" for i in range(10_889)]
+        edges = [sorted(pair) for pair in zip(names, names[1:])]
+        simplices = [[v] for v in names] + edges
+        doc = {
+            "name": "probes", "complex": {"maximal_simplices": edges},
+            "subcomplexes": {"M": edges}, "real_form": {"M": "M", "complex_dim": 1},
+            "strata": [], "probes": simplices[:-1] + simplices[:1], "expect": {},
+        }
+        path = tmp_path / "probes.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.process_time()
+        code, out, err = run(capsys, "check", str(path))
+        assert time.process_time() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: probes[21776]: duplicate probe v0\n"
 
     def test_scene_closures_are_bounded_together(self, capsys, tmp_path, monkeypatch):
         # each entry alone fits the budget; twenty of them do not, and the
@@ -424,6 +461,23 @@ INVALID_SCENES = {
         "node_curve",
         lambda d: d["strata"][0]["eu"]["overrides"].append({"at": ["b1.b1"], "value": 2}),
         "strata[0].eu.overrides[1].at: b1.b1 is not a simplex of the support 'node'",
+    ),
+    "override_twice": (
+        "node_curve",
+        lambda d: d["strata"][0]["eu"]["overrides"].append({"at": ["c.c"], "value": 2}),
+        "strata[0].eu.overrides[1].at: duplicate entry for c.c",
+    ),
+    "expected_value_twice": (
+        "pair_C_R", lambda d: d["expect"]["parity_index"].append(d["expect"]["parity_index"][0]),
+        "expect.parity_index[3].at: duplicate entry for b0 c",
+    ),
+    "conjugation_of_an_unknown_vertex": (
+        "pair_C_R", lambda d: d["real_form"]["conjugation"].update(x="b1"),
+        "real_form.conjugation: vertex map mentions non-vertices ['x']",
+    ),
+    "conjugation_to_an_unknown_vertex": (
+        "pair_C_R", lambda d: d["real_form"]["conjugation"].update(b1="x"),
+        "real_form.conjugation: vertex map hits non-vertices of the target: ['x']",
     ),
     "empty_support": (
         "antipodal_cover",

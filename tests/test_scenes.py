@@ -102,7 +102,8 @@ class TestModels:
     @pytest.mark.parametrize("name", ALL_MODELS)
     def test_each_model_fits_the_scene_budget_at_its_maximum_k(self, name, monkeypatch):
         # The budget is checked for the complex, then for the whole scene,
-        # before anything is closed; the build stops there, since a plane
+        # then the complex's (face, simplex) pairs, before anything is
+        # closed; the build stops at the complex's closure, since a plane
         # model at k = 36 takes about a second to build.
         class Admitted(Exception):
             pass
@@ -113,17 +114,22 @@ class TestModels:
         def spy(bound, what):
             within(bound, what)
             figures.append(bound)
-            if len(figures) == 2:
-                raise Admitted
+
+        def stop(gens):
+            figures.append(sum(3 ** len(s) - 2 ** len(s) for s in set(map(tuple, gens))))
+            raise Admitted
 
         (info,) = [info for info in list_models() if info.name == name]
         (k,) = [p.maximum for p in info.params if p.name == "k"]
         monkeypatch.setattr(cfcalc.scenes, "_within_budget", spy)
+        monkeypatch.setattr(cfcalc.scenes, "build_complex", stop)
         with pytest.raises(Admitted):
             build_model(name, k=k)
-        assert k == 36 and figures[1] <= cfcalc.complexes.MAX_SIMPLICES
-        if name == "node_curve":  # the largest: 744 k^2 for the complex
-            assert figures == [964_224, 965_792]
+        assert k == 36 and len(figures) == 3
+        assert figures[1] <= cfcalc.complexes.MAX_SIMPLICES
+        assert figures[2] <= cfcalc.scenes.MAX_INCIDENCES
+        if name == "node_curve":  # the largest: 744 k^2 faces, 24 k^2 * 211 pairs
+            assert figures == [964_224, 965_792, 6_562_944]
 
     def test_zero_multiplicity_drops_stratum(self):
         scene = build_model("kashiwara_point", d0=0)
@@ -532,11 +538,13 @@ def scene_documents(draw):
         }
         if not draw(st.booleans()):
             stratum["smooth"] = False
-            overrides = [
-                {"at": face_of(draw(st.sampled_from(gens))), "value": draw(st.integers(-3, 3))}
-                for _ in range(draw(st.integers(0, 3)))
-            ]
-            stratum["eu"] = {"default": 1, "overrides": overrides}
+            eu = {}  # keyed by simplex: the parser refuses a second entry at one
+            for _ in range(draw(st.integers(0, 3))):
+                eu[tuple(face_of(draw(st.sampled_from(gens))))] = draw(st.integers(-3, 3))
+            stratum["eu"] = {
+                "default": 1,
+                "overrides": [{"at": list(at), "value": v} for at, v in eu.items()],
+            }
         strata.append(stratum)
     for _ in range(draw(st.integers(0, 2))):
         maximal.append(simplex_on(draw(st.integers(1, min(4, len(names))))))

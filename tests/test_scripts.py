@@ -51,6 +51,9 @@ def test_ladder_writes_its_record_at_k_3(tmp_path):
     checks = record["cold_check_simplex_ms"]
     assert sorted(checks, key=int) == ["10", "12", "14"]
     assert all(ms > 0 for ms in checks.values()), checks
+    verifies = record["cold_verify_simplex_ms"]
+    assert sorted(verifies, key=int) == ["10", "12"]
+    assert all(ms > 0 for ms in verifies.values()), verifies
 
 
 def _literal(path: Path, name: str):
