@@ -19,7 +19,7 @@ between two files cancels.
   - cold_hyperdim_ms: `python -m cfcalc hyperdim "MODEL(k=K)" --at c.c`
     as a child process, timed the same way;
   - cold_check_ms: `python -m cfcalc check "MODEL(k=K)"`, timed the same way;
-  - star_table_ms: the real form's star_table() on another fresh scene;
+  - star_ms: the real form's star() on another fresh scene;
   - speed_before, speed_after: the machine's speed just before and just
     after the rung, NOMINAL_S over the gauge's reading(3) (2.0: the
     gauge's kernel runs twice as fast as on the box its nominal time was
@@ -94,7 +94,7 @@ def cold_ms(*args: str) -> float:
 MODELS = ("node_curve", "smooth_line_in_C2")
 FIELDS = (
     "build_ms", "first_verify_ms", "warm_verify_ms",
-    "cold_verify_ms", "cold_hyperdim_ms", "cold_check_ms", "star_table_ms",
+    "cold_verify_ms", "cold_hyperdim_ms", "cold_check_ms", "star_ms",
 )
 ONE_SIMPLEX = (10, 12, 14)
 VERIFY_SIMPLEX = (10, 12)
@@ -119,7 +119,7 @@ def rung(model: str, k: int, repeats: int) -> dict:
             cold_ms("verify", spec),
             cold_ms("hyperdim", spec, "--at", "c.c"),
             cold_ms("check", spec),
-            timed(fresh.pair.real_form.star_table)[0],
+            timed(fresh.pair.real_form.star)[0],
         ))
     return {
         "k": k,

@@ -240,8 +240,9 @@ def shriek_restrict(closed: Subcomplex, phi: ConstructibleFunction) -> Construct
     """Restriction conjugated by duality on both sides, D_M(restrict(D(phi))).
 
     This is the costalk-weighted restriction: the first term of
-    triangle_decompose, which reads phi only on the open star of the
-    subcomplex M and needs no canonical order of the parent.
+    triangle_decompose, which gathers phi over the open star of the
+    subcomplex M by star position and needs no canonical order of the
+    parent.
     """
     return triangle_decompose(closed, phi)[0]
 
@@ -299,35 +300,40 @@ def triangle_decompose(
 
     Returns (shriek_restrict(closed, phi), restriction of the open
     pushforward of phi from the complement).  Their sum is the plain
-    restriction, exactly, on every subcomplex and every function.
-
-    Both terms depend only on phi on the open star of the subcomplex M,
-    so both come from one pass through its star table; the parent's
-    canonical order is never built.  The costalk is D_M(g), g gathering
-    (-1)^dim u phi(u) onto the M-faces of each star simplex u, which is
-    D(phi) on M.  The boundary is -D_M(g_out), g_out gathering only the
-    star simplices u outside M, because for s in M and w outside M the
-    signs (-1)^dim u over the interval s <= u <= w sum to zero, so their
-    sum over the u outside M is minus their sum over the u in M.
+    restriction, exactly, on every subcomplex and every function.  Both
+    depend only on phi on the open star of the subcomplex, so phi is
+    written there as a vector by star position for _split_star.
     """
     if phi.ambient != closed.parent:
         raise ModelError("function does not live on the parent of the subcomplex")
-    space, entries = closed.as_complex(), closed.star_table()
-    order = space.ordered()
-    g = [0] * len(order)
-    g_out = [0] * len(order)
+    position = closed.star()[1]
+    x = [0] * len(position)
     for s, v in phi.items:
-        entry = entries.get(s)
-        if entry is None:
-            continue
-        found, odd, outside = entry
-        if odd:
-            v = -v
-        for j in found:
-            g[j] += v
-        if outside:
-            for j in found:
-                g_out[j] += v
+        if s in position:
+            x[position[s]] = v
+    return _split_star(closed, x)
+
+
+def _split_star(
+    closed: Subcomplex, x: Sequence[int]
+) -> tuple[ConstructibleFunction, ConstructibleFunction]:
+    """triangle_decompose of the values x over the open star of the
+    subcomplex M, in closed.star_order(); the parent's order is never built.
+
+    The costalk is D_M(g), g gathering (-1)^dim u x(u) onto the M-faces of
+    each star simplex u, which is D(phi) on M.  The boundary is -D_M(g_out),
+    g_out gathering only the u outside M, because for s in M and w outside
+    M the signs (-1)^dim u over the interval s <= u <= w sum to zero, so
+    their sum over the u outside M is minus their sum over the u in M.
+    """
+    space = closed.as_complex()
+    at = x.__getitem__
+    g, g_out = [], []
+    for even, odd, even_out, odd_out in closed.star()[2]:
+        out = sum(map(at, even_out)) - sum(map(at, odd_out))
+        g_out.append(out)
+        g.append(out + sum(map(at, even)) - sum(map(at, odd)))
+    order = space.ordered()
     costalk = dual(ConstructibleFunction._of(space, _nonzero_items(order, g)))
     return costalk, -dual(ConstructibleFunction._of(space, _nonzero_items(order, g_out)))
 

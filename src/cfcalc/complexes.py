@@ -110,37 +110,35 @@ def _face_closure(gens: set[Simplex]) -> list[Simplex]:
     return list(map(Simplex._raw, faces))
 
 
-def _star_table(closed: "Subcomplex") -> dict:
+def _open_star(closed: "Subcomplex") -> tuple:
     """The open star of a subcomplex M, read from its parent's simplex set.
 
-    Maps each parent simplex u with a face in M to (the positions of u's
-    M-faces in M's canonical order, whether dim u is odd, whether u lies
-    outside M).  The M-faces of u are the faces spanned by u's vertices in
-    M, so the parent needs no canonical order.
+    Returns the parent simplices u with a vertex in M, in canonical order;
+    each one's position in that order; and for each position j of M's
+    canonical order four lists of star positions, of the u in M of even and
+    of odd dimension and of the u outside M of even and of odd dimension,
+    for every u whose M-faces include M's j-th simplex.  The M-faces of u
+    are the faces spanned by u's vertices in M, so the parent needs no
+    canonical order.
     """
     space = closed.as_complex()
     inner = space.position()
     lookup = inner.get
     misses = space.vertices.isdisjoint
     in_m = space.vertices.__contains__
-    entries = {}
-    for u in closed.parent.simplices:
-        if misses(u):  # else a vertex of u is a face in M
-            continue
+    order = tuple(sorted(itertools.filterfalse(misses, closed.parent.simplices)))
+    gather = [([], [], [], []) for _ in range(len(inner))]
+    for i, u in enumerate(order):
+        kind = (len(u) % 2 == 0) + 2 * (u not in inner)  # odd dimension, outside M
         ws = tuple(filter(in_m, u))
         if len(ws) == 1:  # most of the star meets M in one vertex
-            found = [inner[ws]]
-        elif ws in inner:  # u in M, say: every face of ws is in M
-            found = [
-                inner[c] for n in range(1, len(ws) + 1) for c in itertools.combinations(ws, n)
-            ]
-        else:
-            found = [
-                j for n in range(1, len(ws) + 1)
-                for j in map(lookup, itertools.combinations(ws, n)) if j is not None
-            ]
-        entries[u] = (found, len(u) % 2 == 0, u not in inner)
-    return entries
+            gather[inner[ws]][kind].append(i)
+            continue
+        for n in range(1, len(ws) + 1):
+            for j in map(lookup, itertools.combinations(ws, n)):
+                if j is not None:
+                    gather[j][kind].append(i)
+    return order, {u: i for i, u in enumerate(order)}, gather
 
 
 class SimplicialComplex(Frozen):
@@ -268,16 +266,15 @@ class Subcomplex(Frozen):
         return self._space
 
     @cached
-    def star_table(self) -> dict:
-        """The open star of the subcomplex in its parent, as _star_table
-        describes it."""
-        return _star_table(self)
+    def star(self) -> tuple:
+        """The open star of the subcomplex in its parent, its positions and
+        its gather lists, as _open_star describes them."""
+        return _open_star(self)
 
-    @cached
     def star_order(self) -> tuple[Simplex, ...]:
         """The simplices of the open star in canonical order; the parent's
         own order is never built for it."""
-        return tuple(sorted(self.star_table()))
+        return self.star()[0]
 
     @cached
     def _open(self) -> "OpenSubset":

@@ -17,6 +17,7 @@ from ._frozen import Frozen
 from .calculus import (
     ConstructibleFunction,
     _nonzero_items,
+    _split_star,
     _weighted_sum,
     euler_integral,
     indicator,
@@ -84,16 +85,31 @@ class Stratum(Frozen):
             raise ModelError(
                 f"stratum {self.name!r}: eu lives on a different complex than the support"
             )
-        stray = self.eu.support - self.support.simplices
+        simplices = self.support.simplices
+        stray = [s for s, _ in self.eu.items if s not in simplices]  # sorted, as items are
         if stray:
             raise ModelError(
                 f"stratum {self.name!r}: eu is not supported on the support "
-                f"(value at {sorted(stray)[0]})"
+                f"(value at {stray[0]})"
             )
-        if self.smooth and self.eu != indicator(self.support):
+        # with no stray value, eu is 1 on the support when it holds one 1 per simplex
+        if self.smooth and [v for _, v in self.eu.items] != [1] * len(simplices):
             raise ModelError(
                 f"stratum {self.name!r} is flagged smooth, so eu must be identically 1 on it"
             )
+
+    def _trace_on(self, real_form: Subcomplex) -> tuple:
+        """The support's trace on a real form M, as a subcomplex of the
+        support and by its inclusion into M: verify reads both, and the
+        first one's star, on every call, so they are kept per M."""
+        kept = self.__dict__.setdefault("_traces", {})
+        if real_form not in kept:
+            trace = self.support.intersection(real_form).as_complex()
+            kept[real_form] = (
+                Subcomplex._of(self.support.as_complex(), trace),
+                inclusion_map(Subcomplex._of(real_form.as_complex(), trace)),
+            )
+        return kept[real_form]
 
 
 def smooth_stratum(name: str, support: Subcomplex, codim: int, multiplicity: int) -> Stratum:
@@ -395,7 +411,7 @@ def verify_scene(
     # indicator against the signed trace, and extension by zero from it
     # commuting with costalk restriction
     for st in strata:
-        trace = st.support.intersection(pair.real_form)
+        trace, into_m = st._trace_on(pair.real_form)
         check = f"shriek_indicator[{st.name}]"
         if not probes:
             rows.skip(check, "", "no interior probes declared")
@@ -413,21 +429,22 @@ def verify_scene(
         # there is eu itself
         psi = restrict(st.eu, st.support)
         left = shriek_restrict(pair.real_form, st.eu)
-        trace_in_y = Subcomplex._of(st.support.as_complex(), trace.as_complex())
-        trace_in_m = Subcomplex._of(mc, trace.as_complex())
-        right = pushforward(inclusion_map(trace_in_m), shriek_restrict(trace_in_y, psi))
+        right = pushforward(into_m, shriek_restrict(trace, psi))
         rows.compare(f"base_change[{st.name}]", "", "exact", _first_mismatch(left, right))
 
     # restriction = costalk + boundary, exactly, for the solution index and
     # for three random functions; both sides read a function only on the
-    # open star of M, so each is drawn there, in canonical order, in one call
+    # open star of M, so each is drawn there as a vector by star position,
+    # in one call, and split as drawn; restrict reads it at M's positions
     rng = random.Random(seed)
-    star = pair.real_form.star_order()
+    star, position, _ = pair.real_form.star()
+    in_m = [position[s] for s in mc.ordered()]
     triangles = [("solution_index", restricted, costalk + boundary, "")]
     for i in range(3):
-        values = memoryview(rng.randbytes(len(star)).translate(_DRAW_TABLE)).cast("b")
-        phi = ConstructibleFunction._of(ambient, _nonzero_items(star, values))
-        terms = triangle_decompose(pair.real_form, phi)
+        x = memoryview(rng.randbytes(len(star)).translate(_DRAW_TABLE)).cast("b").tolist()
+        terms = _split_star(pair.real_form, x)
+        on_m = [x[j] for j in in_m]
+        phi = ConstructibleFunction._of(ambient, _nonzero_items(mc.ordered(), on_m))
         triangles.append(
             (f"random[{i}]", restrict(phi, pair.real_form), terms[0] + terms[1], f"seed={seed}")
         )

@@ -45,8 +45,8 @@ from .indices import (
 MAX_VALUE = 2**62
 
 # Most (face, simplex) pairs a scene's complex may make the calculus list:
-# dual, star tables and triangle_decompose visit every face of each simplex
-# they touch, 3^n - 2^n pairs on one n-vertex simplex.  This admits one
+# dual and the gather lists of a subcomplex's star reach every face of each
+# simplex they touch, 3^n - 2^n pairs on one n-vertex simplex.  This admits one
 # simplex of 14 vertices, and the plane models' 24 * 36^2 * 211 = 6,562,944
 # at k = 36.
 MAX_INCIDENCES = 10**7

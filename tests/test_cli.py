@@ -15,7 +15,7 @@ import cfcalc.complexes
 import cfcalc.indices
 from cfcalc import (
     ConstructibleFunction, ModelParam, build_model, emit_scene, euler_integral,
-    hyperfunction_index, indicator, list_models, parse_scene,
+    hyperfunction_index, list_models, parse_scene,
 )
 from cfcalc.cli import load_scene, main
 from cfcalc.scenes import ModelInfo
@@ -320,13 +320,15 @@ class TestExitCodes:
         assert code == 0 and err == ""
 
     def test_kernel_fault_in_a_model_build_exits_3(self, capsys, monkeypatch):
-        # an indicator that drops vertices makes the built-in scene invalid,
-        # which is the program's fault, not the user's
-        def drops_vertices(region):
-            phi = indicator(region)
-            return ConstructibleFunction(phi.ambient, {s: v for s, v in phi.items if s.dim > 0})
+        # an internal function constructor that drops vertices gives the
+        # built-in scene an eu that is not 1 on them, which is the program's
+        # fault, not the user's
+        make = ConstructibleFunction._of
 
-        monkeypatch.setattr(cfcalc.indices, "indicator", drops_vertices)
+        def drops_vertices(ambient, items):
+            return make(ambient, tuple([(s, v) for s, v in items if s.dim > 0]))
+
+        monkeypatch.setattr(ConstructibleFunction, "_of", drops_vertices)
         code, out, err = run(capsys, "verify", "pair_C_R(m=2)")
         assert code == 3 and out == ""
         assert err == (

@@ -163,9 +163,15 @@ class TestComplexIndex:
 class TestStarAndSubcomplex:
     def test_star_of_disk_center(self):
         d = disk(3)
-        entries = subcomplex(d, [["c"]]).star_table()
-        assert len(entries) == 13  # vertex + 6 spokes + 6 triangles
-        assert all(found == [0] for found, _, _ in entries.values())
+        order, position, gather = subcomplex(d, [["c"]]).star()
+        assert len(order) == 13  # vertex + 6 spokes + 6 triangles
+        assert position == {u: i for i, u in enumerate(order)}
+        # M is the one vertex c, a face of every star simplex: c itself is
+        # in M, the spokes and triangles are outside it
+        ((even, odd, even_out, odd_out),) = gather
+        assert [order[i] for i in even] == [("c",)] and odd == []
+        assert sorted(len(order[i]) for i in even_out) == [3] * 6
+        assert sorted(len(order[i]) for i in odd_out) == [2] * 6
 
     def test_subcomplex_closure_and_membership(self):
         d = disk(3)
@@ -290,8 +296,7 @@ CACHED = {
     "SimplicialComplex.maximal_simplices": (
         lambda: disk(3), "_maximal_simplices", lambda x: x.maximal_simplices()
     ),
-    "Subcomplex.star_table": (lambda: diameter(disk(3)), "_star_table", lambda x: x.star_table()),
-    "Subcomplex.star_order": (lambda: diameter(disk(3)), "_star_order", lambda x: x.star_order()),
+    "Subcomplex.star": (lambda: diameter(disk(3)), "_star", lambda x: x.star()),
     "Subcomplex._open": (
         lambda: diameter(disk(3)), "__open", lambda x: complement_open(x.parent, x)
     ),
@@ -321,7 +326,10 @@ def test_derived_values_are_built_on_first_use_and_kept(accessor):
 
 def test_star_order_is_the_sorted_star_table():
     axis = diameter(disk(3))
-    assert axis.star_order() == tuple(sorted(axis.star_table()))
+    order, position, _ = axis.star()
+    assert axis.star_order() is order
+    assert order == tuple(sorted(position))
+    assert [position[u] for u in order] == list(range(len(order)))
 
 
 class TestMaps:

@@ -101,19 +101,19 @@ def triangle_moves_one(decompose):
     return faulty
 
 
-def star_table_fault(change):
-    """Star tables built from now on have each entry replaced by
-    change(entry, own), own being u's position in M or None, or dropped
-    where it gives None."""
+def star_fault(change):
+    """Stars built from now on have the four gather lists at each position
+    of M replaced by change(lists, own), own being the star position of
+    M's simplex there."""
     def plant(monkeypatch):
-        build = cfcalc.complexes._star_table
+        build = cfcalc.complexes._open_star
 
         def faulty(closed):
-            own = closed.as_complex().position().get
-            changed = {u: change(entry, own(u)) for u, entry in build(closed).items()}
-            return {u: entry for u, entry in changed.items() if entry is not None}
+            order, position, gather = build(closed)
+            own = [position[s] for s in closed.as_complex().ordered()]
+            return order, position, [change(lists, j) for lists, j in zip(gather, own)]
 
-        monkeypatch.setattr(cfcalc.complexes, "_star_table", faulty)
+        monkeypatch.setattr(cfcalc.complexes, "_open_star", faulty)
     return plant
 
 
@@ -122,8 +122,8 @@ def star_table_fault(change):
 
 def verify_row(model, check):
     def catch(plant):
-        # a freshly parsed scene has no star table yet, so a planted table
-        # fault reaches it
+        # a freshly parsed scene has no star yet, so a planted star fault
+        # reaches it
         scene = parse_scene(build_model(model).canonical_text)
         plant()
         report = scene.verify()
@@ -233,11 +233,11 @@ FAULTS = {
         open_pushforward_oracle,
     ),
     "star_table_drops_outside": (
-        star_table_fault(lambda entry, _: None if entry[2] else entry),
+        star_fault(lambda lists, _: (lists[0], lists[1], [], [])),
         verify_row("pair_C_R", "dimension_formula"),
     ),
     "star_table_all_inside": (
-        star_table_fault(lambda entry, _: (entry[0], entry[1], False)),
+        star_fault(lambda lists, _: (lists[0] + lists[2], lists[1] + lists[3], [], [])),
         verify_row("pair_C_R", "triangle_identity"),
     ),
     "indicator_drops_vertices": (
@@ -249,7 +249,7 @@ FAULTS = {
         verify_row("smooth_line_in_C2", "shriek_indicator"),
     ),
     "star_table_without_self": (
-        star_table_fault(lambda entry, own: ([j for j in entry[0] if j != own], *entry[1:])),
+        star_fault(lambda lists, own: tuple([i for i in l if i != own] for l in lists)),
         verify_row("node_curve", "triangle_identity"),
     ),
     "mod2_reduce_unreduced": (

@@ -197,6 +197,33 @@ def test_triangle_decompose_is_the_definitional_composition(data):
         assert triangle_decompose(closed, psi) == reference_triangle(closed, psi)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_split_star_is_the_definitional_triangle_on_star_vectors(data):
+    """The kernel on values x over the open star of M, against the
+    definition and against triangle_decompose on the function x gives,
+    with M empty, a vertex, generated by a few simplices or everything,
+    and x sparse or dense."""
+    space, _ = data.draw(complex_with_cf())
+    if data.draw(st.booleans()):
+        closed = subcomplex(space, [[data.draw(st.sampled_from(sorted(space.vertices)))]])
+    else:
+        closed = data.draw(closed_in(space))
+    star = closed.star_order()
+    value = st.one_of(st.integers(min_value=-5, max_value=5), st.sampled_from([BIG, -BIG]))
+    if data.draw(st.booleans()):  # dense: a value at every star simplex
+        x = data.draw(st.lists(value, min_size=len(star), max_size=len(star)))
+    else:  # sparse: a few values, zero elsewhere
+        x = [0] * len(star)
+        if star:
+            for i in data.draw(st.lists(st.integers(0, len(star) - 1), max_size=3)):
+                x[i] = data.draw(value)
+    phi = ConstructibleFunction(space, dict(zip(star, x)))
+    split = cfcalc.calculus._split_star(closed, x)
+    assert split == reference_triangle(closed, phi)
+    assert split == triangle_decompose(closed, phi)
+
+
 def open_star(pair) -> list:
     """Every ambient simplex with a vertex in the real form M, in canonical
     order."""
@@ -237,8 +264,9 @@ def test_draw_table_gives_0_with_probability_5_8_and_each_other_value_1_16():
 def test_star_table_order_is_the_open_star_in_canonical_order(name):
     # a freshly parsed scene, so no earlier test has built the ambient's order
     scene = parse_scene(build_model(name, k=3).canonical_text)
-    star = scene.pair.real_form.star_order()
+    star, position, _ = scene.pair.real_form.star()
     assert star == tuple(open_star(scene.pair))
+    assert position == {u: i for i, u in enumerate(star)}
     assert star is scene.pair.real_form.star_order()
     assert not order_built(scene.ambient)
 
@@ -256,31 +284,41 @@ def test_triangle_decompose_matches_the_definition_on_the_models(name):
         assert triangle_decompose(closed, phi) == reference_triangle(closed, phi)
 
 
-# prints a digest of the random functions verify draws on node_curve(k=3);
-# the first function verify decomposes is the solution index
+# prints a digest of the random functions verify draws on node_curve(k=3),
+# each a vector over the real form's star that verify splits
 VERIFY_DRAWS = """
 import hashlib, sys
 import cfcalc.indices
-from cfcalc import build_model
+from cfcalc import ConstructibleFunction, build_model
 
-seen, decompose = [], cfcalc.indices.triangle_decompose
-cfcalc.indices.triangle_decompose = lambda closed, phi: seen.append(phi) or decompose(closed, phi)
-build_model("node_curve", k=3).verify(seed=int(sys.argv[1]))
-print(hashlib.sha256(repr([phi.items for phi in seen[1:]]).encode()).hexdigest())
+seen, split = [], cfcalc.indices._split_star
+cfcalc.indices._split_star = lambda closed, x: seen.append(x) or split(closed, x)
+scene = build_model("node_curve", k=3)
+scene.verify(seed=int(sys.argv[1]))
+star = scene.pair.real_form.star_order()
+drawn = [ConstructibleFunction(scene.ambient, dict(zip(star, x))) for x in seen]
+print(hashlib.sha256(repr([phi.items for phi in drawn]).encode()).hexdigest())
 """
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
 def test_verify_draws_its_random_functions_as_defined(seed, monkeypatch):
     scene = build_model("node_curve", k=3)
-    seen, decompose = [], cfcalc.indices.triangle_decompose
+    seen, split = [], cfcalc.indices._split_star
+    monkeypatch.setattr(
+        cfcalc.indices, "_split_star", lambda closed, x: seen.append(x) or split(closed, x)
+    )
+    decomposed, decompose = [], cfcalc.indices.triangle_decompose
     monkeypatch.setattr(
         cfcalc.indices, "triangle_decompose",
-        lambda closed, phi: seen.append(phi) or decompose(closed, phi),
+        lambda closed, phi: decomposed.append(phi) or decompose(closed, phi),
     )
     assert scene.verify(seed=seed).passed
-    assert seen[0] == solution_index(scene.cycle, scene.ambient)
-    assert seen[1:] == draws(scene.pair, seed)
+    assert decomposed == [solution_index(scene.cycle, scene.ambient)]
+    star = scene.pair.real_form.star_order()
+    assert all(len(x) == len(star) for x in seen)
+    drawn = [ConstructibleFunction(scene.ambient, dict(zip(star, x))) for x in seen]
+    assert drawn == draws(scene.pair, seed)
 
 
 def test_verify_draws_the_same_functions_under_any_hash_seed():
