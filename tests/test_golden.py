@@ -2,7 +2,9 @@
 
 Every built-in model at k = 3 and k = 4 goes through `verify`,
 `verify --json`, `hyperdim --all --json`, `parity`, `parity --all --json`
-and `models emit`.  The files in
+and `models emit`; at k = 3 also through `check`, `check --json`,
+`index --json`, `dual` and `integrate --json`; and `models list` and
+`models list --json` run once.  The files in
 tests/golden/ hold the expected stdout of each case and exit_codes.json
 the expected status.  To rewrite them from the current code (only when a
 change of output is intended):
@@ -23,6 +25,9 @@ from cfcalc.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MODELS = ("antipodal_cover", "kashiwara_point", "node_curve", "pair_C_R", "smooth_line_in_C2")
 KS = (3, 4)
+# commands run at every k in KS, and those run at the first k only
+EVERY_K = ("verify", "verify_json", "hyperdim_all_json", "parity", "parity_all_json", "emit")
+FIRST_K = ("check", "check_json", "index_json", "dual", "integrate_json")
 
 
 def _argv(command: str, model: str, k: int) -> list[str]:
@@ -34,6 +39,11 @@ def _argv(command: str, model: str, k: int) -> list[str]:
         "parity": ["parity", spec],
         "parity_all_json": ["parity", spec, "--all", "--json"],
         "emit": ["models", "emit", model, f"k={k}"],
+        "check": ["check", spec],
+        "check_json": ["check", spec, "--json"],
+        "index_json": ["index", spec, "--json"],
+        "dual": ["dual", spec],
+        "integrate_json": ["integrate", spec, "--json"],
     }[command]
 
 
@@ -41,9 +51,10 @@ CASES = [
     (f"{model}_k{k}.{command}", _argv(command, model, k))
     for model in MODELS
     for k in KS
-    for command in (
-        "verify", "verify_json", "hyperdim_all_json", "parity", "parity_all_json", "emit"
-    )
+    for command in EVERY_K + (FIRST_K if k == KS[0] else ())
+] + [
+    ("models_list", ["models", "list"]),
+    ("models_list_json", ["models", "list", "--json"]),
 ]
 
 

@@ -1,5 +1,6 @@
 """The library refuses inputs that mix complexes or break a value class's
-rules, each with its exact message; a declared dimension value with a
+rules, each with its exact message (a stray simplex raises
+MissingSimplexError, a ModelError); a declared dimension value with a
 singular stratum gets a not-applicable row."""
 
 import pytest
@@ -10,12 +11,18 @@ from cfcalc import (
     Expectations,
     Involution,
     ModelError,
+    OpenSubset,
     RealComplexPair,
     Stratum,
+    Subcomplex,
     build_complex,
+    complement_open,
     indicator,
     involution,
+    open_extend,
+    open_pushforward,
     restrict,
+    restrict_open,
     simplex,
     simplicial_map,
     smooth_stratum,
@@ -31,6 +38,7 @@ WHOLE = subcomplex(EDGE, [["a", "b"]])
 POINT = subcomplex(EDGE, [["a"]])
 ELSEWHERE = subcomplex(OTHER, [["x"]])
 ACROSS = simplicial_map(EDGE, OTHER, {"a": "x", "b": "y"})
+OPEN_ELSEWHERE = complement_open(OTHER, ELSEWHERE)
 
 
 def refusal(fn, *args) -> str:
@@ -115,6 +123,30 @@ REFUSALS = {
     "triangle_decompose_across_parents": (
         lambda: refusal(triangle_decompose, ELSEWHERE, indicator(EDGE)),
         "function does not live on the parent of the subcomplex",
+    ),
+    "subcomplex_with_a_stray_simplex": (
+        lambda: refusal(Subcomplex, EDGE, [["a"], ["x"]]),
+        "x is not a simplex of the parent complex",
+    ),
+    "open_subset_with_a_stray_simplex": (
+        lambda: refusal(OpenSubset, EDGE, [["a", "b"], ["x", "y"]]),
+        "x y is not a simplex of the parent complex",
+    ),
+    "complement_in_another_complex": (
+        lambda: refusal(complement_open, EDGE, ELSEWHERE),
+        "subcomplex does not live in the given complex",
+    ),
+    "restrict_open_across_parents": (
+        lambda: refusal(restrict_open, indicator(EDGE), OPEN_ELSEWHERE),
+        "function does not live on the parent of the open subset",
+    ),
+    "open_extend_across_parents": (
+        lambda: refusal(open_extend, OPEN_ELSEWHERE, indicator(EDGE)),
+        "function does not live on the parent of the open subset",
+    ),
+    "open_pushforward_across_parents": (
+        lambda: refusal(open_pushforward, OPEN_ELSEWHERE, indicator(EDGE)),
+        "function does not live on the parent of the open subset",
     ),
 }
 
