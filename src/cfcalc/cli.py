@@ -252,12 +252,7 @@ def _cmd_models(args) -> int:
                     "name": info.name,
                     "summary": info.summary,
                     "params": [
-                        {
-                            "name": p.name, "default": p.default,
-                            "minimum": p.minimum, "maximum": p.maximum,
-                            "meaning": p.meaning,
-                        }
-                        for p in info.params
+                        {field: getattr(p, field) for field in p._fields} for p in info.params
                     ],
                 }
                 for info in list_models()

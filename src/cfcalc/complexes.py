@@ -5,8 +5,8 @@ pure function.  A "point" of a space is an open simplex: all functions
 built on top of these complexes are constant on open simplices, which is
 what keeps the whole calculus exact and finite.
 
-Vertex identifiers are opaque strings (integers are accepted and
-stringified).  A simplex is its sorted vertex tuple, and the canonical
+Vertex identifiers are opaque strings; any other value, such as an
+integer, is named by its str().  A simplex is its sorted vertex tuple, and the canonical
 order on simplices is the lexicographic order of those tuples.
 """
 
@@ -28,7 +28,7 @@ MAX_SIMPLICES = 10**6
 
 
 def _canonical_vertices(vertices: Iterable) -> tuple[str, ...]:
-    names = [v if isinstance(v, str) else str(v) for v in vertices]
+    names = list(map(str, vertices))
     if not names:
         raise ModelError("a simplex needs at least one vertex")
     if len(set(names)) != len(names):
@@ -77,6 +77,17 @@ class Simplex(tuple):
 def simplex(*vertices) -> Simplex:
     """Convenience constructor: simplex("a", "b") == Simplex(["a", "b"])."""
     return Simplex(vertices)
+
+
+def _simplex_set(simplices: Iterable, parent: SimplicialComplex | None = None) -> frozenset:
+    """The given simplices as a set, each read by Simplex; given a parent,
+    one outside it is refused."""
+    sset = frozenset(map(Simplex, simplices))
+    if parent is not None:
+        stray = sset - parent.simplices
+        if stray:
+            raise MissingSimplexError(f"{min(stray)} is not a simplex of the parent complex")
+    return sset
 
 
 def _require_face_closed(sset: frozenset[Simplex], what: str) -> None:
@@ -147,7 +158,7 @@ class SimplicialComplex(Frozen):
     _fields = ("simplices",)
 
     def __init__(self, simplices: Iterable) -> None:
-        sset = frozenset(Simplex(s) for s in simplices)
+        sset = _simplex_set(simplices)
         _require_face_closed(sset, "not face-closed: missing {face} (a face of {simplex})")
         super().__init__(sset)
 
@@ -227,10 +238,7 @@ class Subcomplex(Frozen):
     _fields = ("parent", "simplices")
 
     def __init__(self, parent: SimplicialComplex, simplices: Iterable) -> None:
-        sset = frozenset(Simplex(s) for s in simplices)
-        stray = sset - parent.simplices
-        if stray:
-            raise MissingSimplexError(f"{min(stray)} is not a simplex of the parent complex")
+        sset = _simplex_set(simplices, parent)
         _require_face_closed(
             sset, "subcomplex is not face-closed: missing {face} (a face of {simplex})"
         )
@@ -315,10 +323,7 @@ class OpenSubset(Frozen):
     _fields = ("parent", "simplices")
 
     def __init__(self, parent: SimplicialComplex, simplices: Iterable) -> None:
-        sset = frozenset(Simplex(s) for s in simplices)
-        stray = sset - parent.simplices
-        if stray:
-            raise MissingSimplexError(f"{min(stray)} is not a simplex of the parent complex")
+        sset = _simplex_set(simplices, parent)
         # coface-closed is the same as: the complement is face-closed
         _require_face_closed(
             parent.simplices - sset,
@@ -377,7 +382,7 @@ def _staircase(left_tops, right_tops, left_order, right_order) -> list[list[str]
 def _validate_order(space: SimplicialComplex, order, label: str) -> list[str]:
     if order is None:
         return sorted(space.vertices)
-    order = [v if isinstance(v, str) else str(v) for v in order]
+    order = list(map(str, order))
     if len(set(order)) != len(order) or set(order) != set(space.vertices):
         raise ModelError(f"{label} is not a total order on the factor's vertices")
     return order
@@ -428,10 +433,7 @@ class SimplicialMap(Frozen):
         target: SimplicialComplex,
         vertex_map: Mapping,
     ) -> None:
-        vm = {
-            (k if isinstance(k, str) else str(k)): (v if isinstance(v, str) else str(v))
-            for k, v in vertex_map.items()
-        }
+        vm = {str(k): str(v) for k, v in vertex_map.items()}
         vertices = source.vertices
         if vm.keys() != vertices:
             extra = sorted(vm.keys() - vertices)
@@ -513,7 +515,7 @@ class Involution(Frozen):
     def __init__(self, underlying: SimplicialMap) -> None:
         if underlying.source != underlying.target:
             raise ModelError("an involution needs source equal to target")
-        vm = underlying.vertex_map
+        vm = underlying._vertex_table()
         bad = sorted(v for v in vm if vm[vm[v]] != v)
         if bad:
             raise ModelError(f"map is not self-inverse at vertices {bad}")
@@ -537,10 +539,7 @@ class Involution(Frozen):
 
 def involution(space: SimplicialComplex, vertex_map: Mapping) -> Involution:
     """Build an involution from a sparse vertex map; unmentioned vertices are fixed."""
-    vm = {
-        (k if isinstance(k, str) else str(k)): (v if isinstance(v, str) else str(v))
-        for k, v in vertex_map.items()
-    }
+    vm = {str(k): str(v) for k, v in vertex_map.items()}
     unknown = sorted(set(vm) - set(space.vertices))
     if unknown:
         raise ModelError(f"vertex map mentions non-vertices {unknown}")
@@ -550,7 +549,7 @@ def involution(space: SimplicialComplex, vertex_map: Mapping) -> Involution:
 
 def fixed_point_set(tau: Involution) -> Subcomplex:
     """The subcomplex of simplices all of whose vertices are fixed."""
-    vm = tau.underlying.vertex_map
+    vm = tau.underlying._vertex_table()
     fixed = frozenset(
         s for s in tau.space.simplices if all(vm[v] == v for v in s)
     )

@@ -100,8 +100,8 @@ class Stratum(Frozen):
 
     def _trace_on(self, real_form: Subcomplex) -> tuple:
         """The support's trace on a real form M, as a subcomplex of the
-        support and by its inclusion into M: verify reads both, and the
-        first one's star, on every call, so they are kept per M."""
+        support and by its inclusion into M, kept per M: verify reads both and
+        the first one's star on every call, hyperfunction_dimension the first."""
         kept = self.__dict__.setdefault("_traces", {})
         if real_form not in kept:
             trace = self.support.intersection(real_form).as_complex()
@@ -213,7 +213,7 @@ def hyperfunction_dimension(pair: RealComplexPair, cycle: CharacteristicCycle) -
             raise ModelError(
                 f"dimension formula needs smooth strata, but {st.name!r} is singular"
             )
-        trace = st.support.intersection(pair.real_form)
+        trace = st._trace_on(pair.real_form)[0]
         if trace.is_empty:
             if st.allow_empty_trace:
                 continue
@@ -365,8 +365,8 @@ def verify_scene(
     costalk, boundary = triangle_decompose(pair.real_form, sol)
     hyper = _sign(pair.complex_dim) * costalk
     parity = mod2_reduce(restricted)
-    all_smooth = all(st.smooth for st in strata)
-    singular = sorted(st.name for st in strata if not st.smooth)
+    singular = [st.name for st in strata if not st.smooth]
+    all_smooth = not singular
 
     dimension: ConstructibleFunction | None = None
     if all_smooth:

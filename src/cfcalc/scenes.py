@@ -473,11 +473,8 @@ def _canonical_doc(scene: Scene) -> dict:
         strata_doc.append(entry)
 
     exp_doc: dict = {}
-    for key, values in (
-        ("hyperfunction_index", expect.hyperfunction_index),
-        ("hyperfunction_dimension", expect.hyperfunction_dimension),
-        ("parity_index", expect.parity_index),
-    ):
+    for key in _EXPECT_VALUE_KEYS:
+        values = getattr(expect, key)
         if values:
             exp_doc[key] = _entry_list(values)
     if expect.checks:
@@ -541,9 +538,8 @@ def _expect(
     return expect
 
 
-def _disk_scene_doc(name, comment, k, strata, probes, expect) -> dict:
+def _disk_scene_doc(comment, k, strata, probes, expect) -> dict:
     return {
-        "name": name,
         "comment": comment,
         "complex": {"maximal_simplices": _disk_doc(k)},
         "subcomplexes": {
@@ -582,7 +578,7 @@ def _kashiwara_point_doc(p: dict) -> dict:
         "origin on top of a flat piece of multiplicity d1.  The local count "
         "at the center is d0 + d1 and it drops to d1 on the punctured axis."
     )
-    return _disk_scene_doc("kashiwara_point", comment, k, strata, probes, expect)
+    return _disk_scene_doc(comment, k, strata, probes, expect)
 
 
 def _pair_C_R_doc(p: dict) -> dict:
@@ -599,10 +595,10 @@ def _pair_C_R_doc(p: dict) -> dict:
         "The flat complexification pair in one variable; every local count "
         "equals the multiplicity of the single full-dimensional stratum."
     )
-    return _disk_scene_doc("pair_C_R", comment, k, strata, probes, expect)
+    return _disk_scene_doc(comment, k, strata, probes, expect)
 
 
-def _plane_pair_doc(name, comment, k, extra_subs, strata, probes, expect) -> dict:
+def _plane_pair_doc(comment, k, extra_subs, strata, probes, expect) -> dict:
     disk, axis, pt = _disk_doc(k), _axis_doc(k), [["c"]]
     order = sorted({v for t in disk for v in t})  # the order product uses
     ambient = _staircase(disk, disk, order, order)
@@ -614,7 +610,6 @@ def _plane_pair_doc(name, comment, k, extra_subs, strata, probes, expect) -> dic
     if "column" in extra_subs:
         subs["node"] = subs["complex_line"] + _staircase(pt, disk, order, order)
     return {
-        "name": name,
         "comment": comment,
         "complex": {"maximal_simplices": ambient},
         "subcomplexes": subs,
@@ -652,7 +647,7 @@ def _smooth_line_doc(p: dict) -> dict:
         "coordinate line.  Local counts equal the multiplicity along the "
         "real trace of the line and vanish away from it."
     )
-    return _plane_pair_doc("smooth_line_in_C2", comment, k, (), strata, probes, expect)
+    return _plane_pair_doc(comment, k, (), strata, probes, expect)
 
 
 def _node_curve_doc(p: dict) -> dict:
@@ -676,7 +671,7 @@ def _node_curve_doc(p: dict) -> dict:
         "the crossing; no dimension values are declared because the "
         "dimension count needs smooth strata."
     )
-    return _plane_pair_doc("node_curve", comment, k, ("column",), strata, probes, expect)
+    return _plane_pair_doc(comment, k, ("column",), strata, probes, expect)
 
 
 def _antipodal_cover_doc(p: dict) -> dict:
@@ -689,7 +684,6 @@ def _antipodal_cover_doc(p: dict) -> dict:
         "count to be even, and the quotient circle sees doubled values."
     )
     return {
-        "name": "antipodal_cover",
         "comment": comment,
         "complex": {"maximal_simplices": edges},
         "subcomplexes": {"ambient": edges, "fixed_locus": []},
@@ -802,7 +796,7 @@ def build_model(name: str, **params: int) -> Scene:
             raise ModelError(f"parameter {key!r} must be at most {known[key].maximum}")
         values[key] = val
     try:
-        doc = builder(values)
+        doc = builder(values)  # every key but the name, which lists the values
         doc["name"] = f"{name}({', '.join(f'{k}={v}' for k, v in sorted(values.items()))})"
         return _scene_from_doc(doc)
     except ModelError as err:  # SceneError included
