@@ -796,7 +796,7 @@ def build_model(name: str, **params: int) -> Scene:
             raise ModelError(f"parameter {key!r} must be at most {known[key].maximum}")
         values[key] = val
     try:
-        doc = builder(values)  # every key but the name, which lists the values
+        doc = builder(values)  # a builder writes every key but the name
         doc["name"] = f"{name}({', '.join(f'{k}={v}' for k, v in sorted(values.items()))})"
         return _scene_from_doc(doc)
     except ModelError as err:  # SceneError included

@@ -6,6 +6,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import strategies as st
 
 # Neither the suite nor any child it starts writes bytecode, so no cache is
 # left under src/ for a later cold start to read.
@@ -62,6 +63,22 @@ def order_built(space) -> bool:
     built: the keys `_frozen.cached` keeps them under, which the CACHED
     table of tests/test_complexes.py pins."""
     return not {"_ordered", "_position"}.isdisjoint(vars(space))
+
+
+@st.composite
+def complexes(draw, max_vertices: int = 8, max_dim: int = 3):
+    """A random complex on v0, v1, ...: the face closure of one to twice
+    as many random simplices as vertices, each of at most max_dim + 1 vertices."""
+    nv = draw(st.integers(min_value=1, max_value=max_vertices))
+    vertices = [f"v{i}" for i in range(nv)]
+    sims = draw(
+        st.lists(
+            st.sets(st.sampled_from(vertices), min_size=1, max_size=min(max_dim + 1, nv)),
+            min_size=1,
+            max_size=2 * nv,
+        )
+    )
+    return build_complex(sims)
 
 
 def random_complex(rng: random.Random, max_vertices: int = 8, max_dim: int = 3):

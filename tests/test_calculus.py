@@ -26,6 +26,7 @@ from cfcalc import (
     orbit_pushforward,
     parse_scene,
     point_complex,
+    product,
     pullback,
     pushforward,
     restrict,
@@ -39,6 +40,7 @@ from cfcalc import (
     zero_function,
 )
 from conftest import (
+    complexes,
     diameter,
     disk,
     order_built,
@@ -52,20 +54,7 @@ from conftest import (
 
 @st.composite
 def complex_with_cf(draw, max_vertices=8, max_dim=3, bound=5):
-    nv = draw(st.integers(min_value=1, max_value=max_vertices))
-    vertices = [f"v{i}" for i in range(nv)]
-    sims = draw(
-        st.lists(
-            st.sets(
-                st.sampled_from(vertices),
-                min_size=1,
-                max_size=min(max_dim + 1, nv),
-            ),
-            min_size=1,
-            max_size=2 * nv,
-        )
-    )
-    space = build_complex(sims)
+    space = draw(complexes(max_vertices, max_dim))
     values = {}
     for s in space.ordered():
         if draw(st.booleans()):
@@ -349,6 +338,42 @@ class TestBaseChange:
             right = pushforward(inclusion_map(trace_in_m), shriek_restrict(trace_in_y, psi))
             assert left == right
             done += 1
+
+
+def boxed(to_left, to_right, phi, psi):
+    """The external product of phi and psi: the product of their pullbacks
+    along the two projections."""
+    return pullback(to_left, phi) * pullback(to_right, psi)
+
+
+class TestExternalProduct:
+    """The external product commutes with duality and with costalk
+    restriction to a product of subcomplexes (Kashiwara-Schapira ch. IX),
+    on any complexes: no manifold condition is needed."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        complex_with_cf(max_vertices=4, max_dim=2),
+        complex_with_cf(max_vertices=4, max_dim=2),
+        st.data(),
+    )
+    def test_dual_and_costalk_restriction_of_a_product(self, left_pair, right_pair, data):
+        (left, phi), (right, psi) = left_pair, right_pair
+        space, pl, pr = product(left, right)
+        assert dual(boxed(pl, pr, phi, psi)) == boxed(pl, pr, dual(phi), dual(psi))
+
+        a = subcomplex(left, [s for s in left.ordered() if data.draw(st.booleans())])
+        b = subcomplex(right, [s for s in right.ordered() if data.draw(st.booleans())])
+        # A x B: the product simplices whose two projections lie in A and B
+        ab = Subcomplex(space, [
+            s for s in space.ordered() if a.has(pl.image(s)) and b.has(pr.image(s))
+        ])
+        piece = ab.as_complex()
+        ql = simplicial_map(piece, a.as_complex(), {v: pl.vertex(v) for v in piece.vertices})
+        qr = simplicial_map(piece, b.as_complex(), {v: pr.vertex(v) for v in piece.vertices})
+        assert shriek_restrict(ab, boxed(pl, pr, phi, psi)) == boxed(
+            ql, qr, shriek_restrict(a, phi), shriek_restrict(b, psi)
+        )
 
 
 class TestMod2:

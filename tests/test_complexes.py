@@ -33,7 +33,7 @@ from cfcalc import (
     simplicial_map,
     subcomplex,
 )
-from conftest import antipodal, diameter, disk, polygon, reflection
+from conftest import antipodal, complexes, diameter, disk, polygon, reflection
 
 
 def face_closure_size(maximal) -> int:
@@ -44,24 +44,6 @@ def face_closure_size(maximal) -> int:
         for r in range(1, len(vs) + 1):
             faces.update(itertools.combinations(vs, r))
     return len(faces)
-
-
-@st.composite
-def complexes(draw, max_vertices=8, max_dim=3):
-    nv = draw(st.integers(min_value=1, max_value=max_vertices))
-    vertices = [f"v{i}" for i in range(nv)]
-    sims = draw(
-        st.lists(
-            st.sets(
-                st.sampled_from(vertices),
-                min_size=1,
-                max_size=min(max_dim + 1, nv),
-            ),
-            min_size=1,
-            max_size=2 * nv,
-        )
-    )
-    return build_complex(sims)
 
 
 class TestSimplex:

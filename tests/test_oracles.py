@@ -59,23 +59,14 @@ from cfcalc import (
 from cfcalc.cli import main
 from cfcalc.indices import _DRAW_TABLE
 from cfcalc.scenes import _write
-from conftest import order_built
+from conftest import complexes, order_built
 
 BIG = 2**70
 
 
 @st.composite
 def complex_with_cf(draw, max_vertices=8, max_dim=3):
-    nv = draw(st.integers(min_value=1, max_value=max_vertices))
-    vertices = [f"v{i}" for i in range(nv)]
-    sims = draw(
-        st.lists(
-            st.sets(st.sampled_from(vertices), min_size=1, max_size=min(max_dim + 1, nv)),
-            min_size=1,
-            max_size=2 * nv,
-        )
-    )
-    space = build_complex(sims)
+    space = draw(complexes(max_vertices, max_dim))
     value = st.one_of(
         st.just(0),
         st.integers(min_value=-5, max_value=5),
