@@ -375,6 +375,40 @@ class TestParseErrors:
             reparse(doc)
         assert str(err.value) == where + message
 
+    # Library refusals a scene reaches, each under the path of its entry: an
+    # edit of pair_C_R's emission sets each (path, value) it lists.
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            (
+                {("subcomplexes", "origin"): [["zz"]]},
+                "subcomplexes.origin: generator zz is not a simplex of the parent complex",
+            ),
+            (
+                {("strata", 0, "multiplicity"): 0},
+                "strata[0]: stratum 'ambient' needs multiplicity at least 1",
+            ),
+            (
+                {
+                    ("subcomplexes", "ends"): [["b0"], ["b3"]],
+                    ("strata",): [
+                        {"codim": 0, "multiplicity": 1, "name": "ambient", "support": "ambient"},
+                        {"codim": 1, "multiplicity": 1, "name": "two", "support": "ends"},
+                    ],
+                },
+                "strata[1]: stratum 'two' has disconnected support",
+            ),
+        ],
+        ids=["stray_generator", "zero_multiplicity", "disconnected_support"],
+    )
+    def test_library_refusal_under_its_path(self, edits, message):
+        doc = json.loads(emit_scene(build_model("pair_C_R")))
+        for (*parents, key), value in edits.items():
+            at(doc, parents)[key] = value
+        with pytest.raises(SceneSemanticError) as err:
+            reparse(doc)
+        assert str(err.value) == message
+
     def test_bad_simplex_in_subcomplex(self):
         doc = node_doc()
         doc["subcomplexes"]["node"].append(["c.c", "c.c"])
