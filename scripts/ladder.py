@@ -20,6 +20,9 @@ between two files cancels.
     as a child process, timed the same way;
   - cold_check_ms: `python -m cfcalc check "MODEL(k=K)"`, timed the same way;
   - star_ms: the real form's star() on another fresh scene;
+  - parse_ms: parse_scene of a fresh scene's canonical text;
+  - emit_ms: the canonical text of another fresh scene, which each scene
+    writes on first use;
   - speed_before, speed_after: the machine's speed just before and just
     after the rung, NOMINAL_S over the gauge's reading(3) (2.0: the
     gauge's kernel runs twice as fast as on the box its nominal time was
@@ -55,7 +58,7 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 sys.path.insert(1, str(ROOT / "perfbench"))
 
-from cfcalc import build_model  # noqa: E402
+from cfcalc import build_model, emit_scene, parse_scene  # noqa: E402
 from gauge import NOMINAL_S, reading, rescaled  # noqa: E402
 
 
@@ -95,6 +98,7 @@ MODELS = ("node_curve", "smooth_line_in_C2")
 FIELDS = (
     "build_ms", "first_verify_ms", "warm_verify_ms",
     "cold_verify_ms", "cold_hyperdim_ms", "cold_check_ms", "star_ms",
+    "parse_ms", "emit_ms",
 )
 ONE_SIMPLEX = (10, 12, 14)
 VERIFY_SIMPLEX = (10, 12)
@@ -114,12 +118,16 @@ def rung(model: str, k: int, repeats: int) -> dict:
         first = timed(lambda: scene.verify(seed=0))[0]
         warm = timed(lambda: scene.verify(seed=r + 1))[0]
         fresh = build_model(model, k=k)
+        text = emit_scene(build_model(model, k=k))
+        unwritten = build_model(model, k=k)
         runs.append((
             build, first, warm,
             cold_ms("verify", spec),
             cold_ms("hyperdim", spec, "--at", "c.c"),
             cold_ms("check", spec),
             timed(fresh.pair.real_form.star)[0],
+            timed(lambda: parse_scene(text))[0],
+            timed(lambda: emit_scene(unwritten))[0],
         ))
     return {
         "k": k,

@@ -45,7 +45,7 @@ def test_ladder_writes_its_record_at_k_3(tmp_path):
         for key in (
             "build_ms", "first_verify_ms", "warm_verify_ms",
             "cold_verify_ms", "cold_hyperdim_ms", "cold_check_ms", "star_ms",
-            "speed_before", "speed_after",
+            "parse_ms", "emit_ms", "speed_before", "speed_after",
         ):
             assert rung[key] > 0, (model, key)
     checks = record["cold_check_simplex_ms"]
