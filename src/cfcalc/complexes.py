@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, defaultdict
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from ._frozen import Frozen, cached
@@ -53,11 +54,6 @@ class Simplex(tuple):
             vertices = [vertices]  # a bare string is one vertex name
         return tuple.__new__(cls, _canonical_vertices(vertices))
 
-    @classmethod
-    def _raw(cls, sorted_vertices: tuple[str, ...]) -> "Simplex":
-        # fast path for internal callers that already hold a canonical tuple
-        return tuple.__new__(cls, sorted_vertices)
-
     @property
     def vertices(self) -> "Simplex":
         """The sorted vertex names, which is the simplex itself."""
@@ -72,6 +68,11 @@ class Simplex(tuple):
 
     def __str__(self) -> str:
         return " ".join(self)
+
+
+# fast path for internal callers that already hold a canonical tuple, called
+# without a Python frame: Simplex._raw(t) is tuple.__new__(Simplex, t)
+Simplex._raw = partial(tuple.__new__, Simplex)
 
 
 def simplex(*vertices) -> Simplex:

@@ -92,9 +92,26 @@ def _fail(path: str, message: str) -> NoReturn:
     raise SceneSemanticError(f"{path}: {message}")
 
 
-def _as_object(value, path: str) -> dict:
+def _under(path: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a library refusal worded as a scene error at path."""
+    try:
+        return fn(*args, **kwargs)
+    except ModelError as err:
+        _fail(path, str(err))
+
+
+def _as_object(value, path: str, required: tuple = (), optional: tuple | None = None) -> dict:
+    """value as an object holding every required key; given optional, it
+    holds no key outside the two, and otherwise any key."""
     if not isinstance(value, dict):
         _fail(path, "expected an object")
+    for key in required:
+        if key not in value:
+            _fail(path, f"missing key {key!r}")
+    if optional is not None:
+        for key in value:
+            if key not in required and key not in optional:
+                _fail(path, f"unknown key {key!r}")
     return value
 
 
@@ -130,15 +147,6 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
-def _check_keys(obj: dict, path: str, required: tuple, optional: tuple) -> None:
-    for key in required:
-        if key not in obj:
-            _fail(path, f"missing key {key!r}")
-    for key in obj:
-        if key not in required and key not in optional:
-            _fail(path, f"unknown key {key!r}")
-
-
 def _as_simplex(value, path: str) -> Simplex:
     # one pass over names that are sorted, distinct and text, as emitted;
     # anything else takes the checks below, which word every error
@@ -154,10 +162,7 @@ def _as_simplex(value, path: str) -> Simplex:
     verts = [
         _as_str(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))
     ]
-    try:
-        return Simplex(verts)
-    except ModelError as err:
-        _fail(path, str(err))
+    return _under(path, Simplex, verts)
 
 
 def _as_simplices(value, path: str) -> list[Simplex]:
@@ -170,7 +175,7 @@ def _as_entries(value, path: str, within, what: str) -> dict[Simplex, int]:
     out: dict[Simplex, int] = {}
     for i, entry in enumerate(_as_list(value, path)):
         e_path = f"{path}[{i}]"
-        _check_keys(_as_object(entry, e_path), e_path, ("at", "value"), ())
+        _as_object(entry, e_path, ("at", "value"), ())
         at = _as_simplex(entry["at"], f"{e_path}.at")
         if at not in within:
             _fail(f"{e_path}.at", f"{at} is not {what}")
@@ -206,24 +211,20 @@ _EXPECT_VALUE_KEYS = ("hyperfunction_index", "hyperfunction_dimension", "parity_
 
 
 def _scene_from_doc(doc: dict) -> Scene:
-    _check_keys(doc, "scene", _TOP_REQUIRED, ("comment",))
+    _as_object(doc, "scene", _TOP_REQUIRED, ("comment",))
     name = _as_str(doc["name"], "name")
     comment = doc.get("comment", "")
     if not isinstance(comment, str):
         _fail("comment", "expected a string")
     _as_text(comment, "comment")
 
-    complex_doc = _as_object(doc["complex"], "complex")
-    _check_keys(complex_doc, "complex", ("maximal_simplices",), ())
+    complex_doc = _as_object(doc["complex"], "complex", ("maximal_simplices",), ())
     maximal = _as_list(complex_doc["maximal_simplices"], "complex.maximal_simplices")
     if not maximal:
         _fail("complex.maximal_simplices", "needs at least one simplex")
     simplices = _as_simplices(maximal, "complex.maximal_simplices")
     budget = _closure_bound(set(simplices))
-    try:
-        _within_budget(budget, "face closure")
-    except ModelError as err:
-        _fail("complex.maximal_simplices", str(err))
+    _under("complex.maximal_simplices", _within_budget, budget, "face closure")
 
     # every simplex list is parsed, and all their closures bounded together,
     # before any is closed
@@ -236,10 +237,7 @@ def _scene_from_doc(doc: dict) -> Scene:
         gens = _as_simplices(gens_doc, f"subcomplexes.{sub_name}")
         sub_gens[sub_name] = gens
         budget += _closure_bound(set(gens))
-    try:
-        _within_budget(budget, "the complex and its subcomplexes together")
-    except ModelError as err:
-        _fail("subcomplexes", str(err))
+    _under("subcomplexes", _within_budget, budget, "the complex and its subcomplexes together")
     incidences = sum(3 ** len(s) - (1 << len(s)) for s in set(simplices))
     if incidences > MAX_INCIDENCES:
         _fail(
@@ -249,17 +247,13 @@ def _scene_from_doc(doc: dict) -> Scene:
         )
 
     ambient = build_complex(simplices)
-    subs: dict[str, Subcomplex] = {}
-    for sub_name, gens in sub_gens.items():
-        try:
-            subs[sub_name] = (
-                Subcomplex._of(ambient, ambient) if gens is None else subcomplex(ambient, gens)
-            )
-        except ModelError as err:
-            _fail(f"subcomplexes.{sub_name}", str(err))
+    subs: dict[str, Subcomplex] = {
+        sub_name: Subcomplex._of(ambient, ambient) if gens is None
+        else _under(f"subcomplexes.{sub_name}", subcomplex, ambient, gens)
+        for sub_name, gens in sub_gens.items()
+    }
 
-    rf_doc = _as_object(doc["real_form"], "real_form")
-    _check_keys(rf_doc, "real_form", ("M", "complex_dim"), ("conjugation",))
+    rf_doc = _as_object(doc["real_form"], "real_form", ("M", "complex_dim"), ("conjugation",))
     rf_name = _as_str(rf_doc["M"], "real_form.M")
     if rf_name not in subs:
         _fail("real_form.M", f"unresolved name {rf_name!r}")
@@ -276,19 +270,15 @@ def _scene_from_doc(doc: dict) -> Scene:
                 _as_str(w, f"real_form.conjugation.{v}")
             for v, w in cmap_doc.items()
         }
-        try:
-            conj = involution(ambient, cmap)
-        except ModelError as err:
-            _fail("real_form.conjugation", str(err))
+        conj = _under("real_form.conjugation", involution, ambient, cmap)
 
     strata: list[Stratum] = []
     support_names: dict[str, str] = {}
     taken: dict[frozenset, str] = {}  # support simplices -> stratum name
     for i, entry in enumerate(_as_list(doc["strata"], "strata")):
         path = f"strata[{i}]"
-        st_doc = _as_object(entry, path)
-        _check_keys(
-            st_doc, path,
+        st_doc = _as_object(
+            entry, path,
             ("codim", "multiplicity", "name", "support"),
             ("allow_empty_trace", "eu", "smooth"),
         )
@@ -311,8 +301,7 @@ def _scene_from_doc(doc: dict) -> Scene:
 
         overrides: dict[Simplex, int] = {}
         if "eu" in st_doc:
-            eu_doc = _as_object(st_doc["eu"], f"{path}.eu")
-            _check_keys(eu_doc, f"{path}.eu", ("default",), ("overrides",))
+            eu_doc = _as_object(st_doc["eu"], f"{path}.eu", ("default",), ("overrides",))
             if _as_int(eu_doc["default"], f"{path}.eu.default") != 1:
                 _fail(
                     f"{path}.eu.default",
@@ -347,19 +336,13 @@ def _scene_from_doc(doc: dict) -> Scene:
                 if eu.value(img) != eu.value(s):
                     _fail(f"{path}.eu", f"eu is not conjugation invariant at {s}")
 
-        try:
-            strata.append(
-                Stratum(st_name, support, codim, mult, eu,
-                        smooth=smooth, allow_empty_trace=allow_empty)
-            )
-        except ModelError as err:
-            _fail(path, str(err))
+        strata.append(_under(
+            path, Stratum, st_name, support, codim, mult, eu,
+            smooth=smooth, allow_empty_trace=allow_empty,
+        ))
         support_names[st_name] = sup_name
 
-    try:
-        cycle = CharacteristicCycle(strata)
-    except ModelError as err:
-        _fail("strata", str(err))
+    cycle = _under("strata", CharacteristicCycle, strata)
 
     probes: set[Simplex] = set()
     for i, p in enumerate(_as_simplices(doc["probes"], "probes")):
@@ -369,13 +352,9 @@ def _scene_from_doc(doc: dict) -> Scene:
             _fail(f"probes[{i}]", f"duplicate probe {p}")
         probes.add(p)
 
-    try:
-        pair = RealComplexPair(ambient, real_form, n, conj, tuple(probes))
-    except ModelError as err:
-        _fail("real_form", str(err))
+    pair = _under("real_form", RealComplexPair, ambient, real_form, n, conj, tuple(probes))
 
-    exp_doc = _as_object(doc["expect"], "expect")
-    _check_keys(exp_doc, "expect", (), _EXPECT_VALUE_KEYS + ("checks",))
+    exp_doc = _as_object(doc["expect"], "expect", (), _EXPECT_VALUE_KEYS + ("checks",))
 
     checks: list[str] = []
     for i, entry in enumerate(_as_list(exp_doc.get("checks", []), "expect.checks")):
