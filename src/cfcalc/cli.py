@@ -188,9 +188,12 @@ def _function_output(scene: Scene, label: str, phi, args, on_real_form: bool = F
 
 def _cmd_hyperdim(scene: Scene, args) -> int:
     hyper = hyperfunction_index(scene.pair, scene.cycle)
-    dimension = None
+    dimension, reason = None, "singular stratum"
     if all(st.smooth for st in scene.cycle):
-        dimension = hyperfunction_dimension(scene.pair, scene.cycle)
+        try:
+            dimension = hyperfunction_dimension(scene.pair, scene.cycle)
+        except ModelError as err:  # a stratum misses the real form
+            reason = str(err)
     if args.at is not None:
         at = _parse_at(args.at, scene)
         value = hyper.value(at)
@@ -211,7 +214,7 @@ def _cmd_hyperdim(scene: Scene, args) -> int:
     print("hyperfunction_index:")
     _print_table(hyper, args.all)
     if dimension is None:
-        print("hyperfunction_dimension: not applicable (singular stratum)")
+        print(f"hyperfunction_dimension: not applicable ({reason})")
     else:
         print("hyperfunction_dimension:")
         _print_table(dimension, args.all)

@@ -174,9 +174,11 @@ class RealComplexPair(Frozen):
                     "fixed point set of the conjugation is not the real form"
                 )
         probes = tuple(sorted(Simplex(p) for p in self.probes))
-        for p in probes:
+        for prev, p in zip((None,) + probes, probes):  # sorted: a repeat follows itself
             if p not in self.real_form.simplices:
                 raise ModelError(f"probe {p} is not a simplex of the real form")
+            if p == prev:
+                raise ModelError(f"duplicate probe {p}")
         object.__setattr__(self, "probes", probes)
 
     def real_complex(self) -> SimplicialComplex:
@@ -248,6 +250,10 @@ class Expectations(Frozen):
 
     _fields = ("hyperfunction_index", "hyperfunction_dimension", "parity_index", "checks")
     _defaults = dict.fromkeys(_fields, ())
+
+
+# the fields of Expectations that hold (simplex, value) pairs
+_EXPECT_VALUE_KEYS = Expectations._fields[:3]
 
 
 class CheckResult(Frozen):
@@ -346,12 +352,19 @@ def verify_scene(
 ) -> VerificationReport:
     """Run every structural check against a pair and cycle.
 
-    Failures become report entries, never exceptions; checks whose
-    preconditions do not hold are reported as not applicable with the
-    reason.  Entries are sorted, stably, by check name and then subject,
+    Failed checks become report entries; checks whose preconditions do
+    not hold are reported as not applicable with the reason.  Invalid
+    input raises ModelError, such as an expected value declared at a
+    simplex off the real form.  Entries are sorted, stably, by check name and then subject,
     and the whole report is deterministic for a fixed seed.
     """
     exp = expectations or Expectations()
+    for key in _EXPECT_VALUE_KEYS:
+        for p, _ in getattr(exp, key):
+            if p not in pair.real_form.simplices:
+                raise ModelError(
+                    f"{key} is declared at {Simplex(p)}, which is not a simplex of the real form"
+                )
     rows = _Rows()
     ambient = pair.ambient
     mc = pair.real_complex()

@@ -31,6 +31,7 @@ from .complexes import (
 )
 from .errors import ModelError, SceneSemanticError, SceneSyntaxError
 from .indices import (
+    _EXPECT_VALUE_KEYS,
     KNOWN_CHECKS,
     CharacteristicCycle,
     Expectations,
@@ -207,8 +208,6 @@ def emit_scene(scene: Scene) -> str:
 
 _TOP_REQUIRED = ("complex", "expect", "name", "probes", "real_form", "strata", "subcomplexes")
 
-_EXPECT_VALUE_KEYS = ("hyperfunction_index", "hyperfunction_dimension", "parity_index")
-
 
 def _scene_from_doc(doc: dict) -> Scene:
     _as_object(doc, "scene", _TOP_REQUIRED, ("comment",))
@@ -354,7 +353,7 @@ def _scene_from_doc(doc: dict) -> Scene:
 
     pair = _under("real_form", RealComplexPair, ambient, real_form, n, conj, tuple(probes))
 
-    exp_doc = _as_object(doc["expect"], "expect", (), _EXPECT_VALUE_KEYS + ("checks",))
+    exp_doc = _as_object(doc["expect"], "expect", (), Expectations._fields)
 
     checks: list[str] = []
     for i, entry in enumerate(_as_list(exp_doc.get("checks", []), "expect.checks")):

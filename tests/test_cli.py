@@ -578,6 +578,36 @@ class TestValues:
         assert code == 0
         assert "hyperfunction_dimension: not applicable (singular stratum)" in out
 
+    def test_hyperdim_with_a_stratum_off_the_real_form(self, capsys, tmp_path):
+        # the scene is valid and verifies; hyperdim prints the index and
+        # marks the dimension not applicable with the library's reason
+        path = tmp_path / "miss.json"
+        path.write_text(json.dumps({
+            "name": "miss", "complex": {"maximal_simplices": [["a", "b"], ["b", "c"], ["x"]]},
+            "subcomplexes": {"M": [["a", "b"]], "X": [["x"]]},
+            "real_form": {"M": "M", "complex_dim": 1},
+            "strata": [{"name": "s", "support": "X", "codim": 1, "multiplicity": 1}],
+            "probes": [], "expect": {},
+        }), encoding="utf-8")
+        scene = str(path)
+        reason = "stratum 's' misses the real form; flag allow_empty_trace to accept that"
+        code, out, _ = run(capsys, "check", scene)
+        assert code == 0 and out.endswith("\nok\n")
+        assert run(capsys, "verify", scene)[0] == 0
+        assert run(capsys, "hyperdim", scene) == (
+            0, f"hyperfunction_index:\nhyperfunction_dimension: not applicable ({reason})\n", "",
+        )
+        code, out, _ = run(capsys, "hyperdim", scene, "--json")
+        assert code == 0 and json.loads(out) == {
+            "scene": "miss", "hyperfunction_index": [], "hyperfunction_dimension": None,
+        }
+        assert run(capsys, "hyperdim", scene, "--at", "a") == (0, "0\n", "")
+        code, out, _ = run(capsys, "hyperdim", scene, "--at", "a", "--json")
+        assert code == 0 and json.loads(out) == {
+            "scene": "miss", "at": ["a"], "hyperfunction_index": 0,
+            "hyperfunction_dimension": None,
+        }
+
     def test_dual_of_interval_indicator(self, capsys, monkeypatch):
         original, ambients = cfcalc.cli.dual, []
 

@@ -85,6 +85,19 @@ REFUSALS = {
         lambda: refusal(RealComplexPair, EDGE, WHOLE, 1, involution(OTHER, {})),
         "conjugation does not act on the ambient complex",
     ),
+    "pair_with_a_repeated_probe": (
+        lambda: refusal(RealComplexPair, EDGE, WHOLE, 1, None, (simplex("a"), simplex("a"))),
+        "duplicate probe a",
+    ),
+    "expectation_off_the_real_form": (
+        lambda: refusal(
+            verify_scene,
+            RealComplexPair(EDGE, POINT, 1),
+            CharacteristicCycle([]),
+            Expectations(parity_index=((simplex("a", "b"), 1),)),
+        ),
+        "parity_index is declared at a b, which is not a simplex of the real form",
+    ),
     "solution_index_of_a_stratum_elsewhere": (
         lambda: refusal(
             solution_index,
