@@ -70,8 +70,8 @@ class Simplex(tuple):
         return " ".join(self)
 
 
-# fast path for internal callers that already hold a canonical tuple, called
-# without a Python frame: Simplex._raw(t) is tuple.__new__(Simplex, t)
+# Simplex._raw(t) is tuple.__new__(Simplex, t), run without a Python frame: the
+# fast path for internal callers that already hold a canonical tuple
 Simplex._raw = partial(tuple.__new__, Simplex)
 
 

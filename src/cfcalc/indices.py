@@ -355,8 +355,9 @@ def verify_scene(
     Failed checks become report entries; checks whose preconditions do
     not hold are reported as not applicable with the reason.  Invalid
     input raises ModelError, such as an expected value declared at a
-    simplex off the real form.  Entries are sorted, stably, by check name and then subject,
-    and the whole report is deterministic for a fixed seed.
+    simplex off the real form.  Entries are sorted, stably, by check name
+    and then subject, and the whole report is deterministic for a fixed
+    seed.
     """
     exp = expectations or Expectations()
     for key in _EXPECT_VALUE_KEYS:
