@@ -320,22 +320,24 @@ def _split_star(
     """triangle_decompose of the values x over the open star of the
     subcomplex M, in closed.star_order(); the parent's order is never built.
 
-    The costalk is D_M(g), g gathering (-1)^dim u x(u) onto the M-faces of
-    each star simplex u, which is D(phi) on M.  The boundary is -D_M(g_out),
-    g_out gathering only the u outside M, because for s in M and w outside
-    M the signs (-1)^dim u over the interval s <= u <= w sum to zero, so
-    their sum over the u outside M is minus their sum over the u in M.
+    g gathers (-1)^dim u x(u) of the star simplices u outside M onto the
+    faces in M of their trace, once per trace.  The boundary is -D_M(g):
+    for s in M and w outside M the signs (-1)^dim u over the interval
+    s <= u <= w sum to zero.  The costalk, D_M of D(phi) on M, is D_M of
+    g + D_M(x on M); D_M is an involution, so it is x on M + D_M(g).
     """
     space = closed.as_complex()
-    at = x.__getitem__
-    g, g_out = [], []
-    for even, odd, even_out, odd_out in closed.star()[2]:
-        out = sum(map(at, even_out)) - sum(map(at, odd_out))
-        g_out.append(out)
-        g.append(out + sum(map(at, even)) - sum(map(at, odd)))
-    order = space.ordered()
-    costalk = dual(ConstructibleFunction._of(space, _nonzero_items(order, g)))
-    return costalk, -dual(ConstructibleFunction._of(space, _nonzero_items(order, g_out)))
+    order, at = space.ordered(), x.__getitem__
+    _, position, groups = closed.star()
+    g = [0] * len(order)
+    for even, odd, faces in groups:
+        v = sum(map(at, even)) - sum(map(at, odd))
+        if v:
+            for j in faces:
+                g[j] += v
+    h = dual(ConstructibleFunction._of(space, _nonzero_items(order, g)))
+    on_m = ConstructibleFunction._of(space, _nonzero_items(order, [x[position[s]] for s in order]))
+    return on_m + h, -h
 
 
 def mod2_reduce(phi: ConstructibleFunction) -> ConstructibleFunction:

@@ -126,31 +126,25 @@ def _open_star(closed: "Subcomplex") -> tuple:
     """The open star of a subcomplex M, read from its parent's simplex set.
 
     Returns the parent simplices u with a vertex in M, in canonical order;
-    each one's position in that order; and for each position j of M's
-    canonical order four lists of star positions, of the u in M of even and
-    of odd dimension and of the u outside M of even and of odd dimension,
-    for every u whose M-faces include M's j-th simplex.  The M-faces of u
-    are the faces spanned by u's vertices in M, so the parent needs no
-    canonical order.
+    each one's position in that order; and, per trace w (u's vertices in
+    M) of the u outside M, the star positions of those u of even and of
+    odd dimension and the positions in M's order of w's faces in M.  The
+    parent needs no canonical order.
     """
     space = closed.as_complex()
-    inner = space.position()
-    lookup = inner.get
-    misses = space.vertices.isdisjoint
-    in_m = space.vertices.__contains__
-    order = tuple(sorted(itertools.filterfalse(misses, closed.parent.simplices)))
-    gather = [([], [], [], []) for _ in range(len(inner))]
+    lookup, in_m = space.position().get, space.vertices.__contains__
+    order = tuple(sorted(itertools.filterfalse(space.vertices.isdisjoint, closed.parent.simplices)))
+    groups = defaultdict(lambda: ([], []))
     for i, u in enumerate(order):
-        kind = (len(u) % 2 == 0) + 2 * (u not in inner)  # odd dimension, outside M
-        ws = tuple(filter(in_m, u))
-        if len(ws) == 1:  # most of the star meets M in one vertex
-            gather[inner[ws]][kind].append(i)
-            continue
-        for n in range(1, len(ws) + 1):
-            for j in map(lookup, itertools.combinations(ws, n)):
-                if j is not None:
-                    gather[j][kind].append(i)
-    return order, {u: i for i, u in enumerate(order)}, gather
+        if u not in space.simplices:
+            groups[tuple(filter(in_m, u))][len(u) % 2 == 0].append(i)
+    return order, {u: i for i, u in enumerate(order)}, [
+        (even, odd, [
+            j for n in range(1, len(w) + 1) for j in map(lookup, itertools.combinations(w, n))
+            if j is not None
+        ])
+        for w, (even, odd) in groups.items()
+    ]
 
 
 class SimplicialComplex(Frozen):
@@ -276,8 +270,8 @@ class Subcomplex(Frozen):
 
     @cached
     def star(self) -> tuple:
-        """The open star of the subcomplex in its parent, its positions and
-        its gather lists, as _open_star describes them."""
+        """The open star of the subcomplex in its parent, with its positions
+        and its groups by trace, as _open_star describes them."""
         return _open_star(self)
 
     def star_order(self) -> tuple[Simplex, ...]:

@@ -145,15 +145,20 @@ class TestComplexIndex:
 class TestStarAndSubcomplex:
     def test_star_of_disk_center(self):
         d = disk(3)
-        order, position, gather = subcomplex(d, [["c"]]).star()
+        order, position, groups = subcomplex(d, [["c"]]).star()
         assert len(order) == 13  # vertex + 6 spokes + 6 triangles
         assert position == {u: i for i, u in enumerate(order)}
-        # M is the one vertex c, a face of every star simplex: c itself is
-        # in M, the spokes and triangles are outside it
-        ((even, odd, even_out, odd_out),) = gather
-        assert [order[i] for i in even] == [("c",)] and odd == []
-        assert sorted(len(order[i]) for i in even_out) == [3] * 6
-        assert sorted(len(order[i]) for i in odd_out) == [2] * 6
+        # M is the one vertex c: the spokes and triangles are outside it,
+        # all with the trace c, whose one face in M is c itself
+        ((even, odd, faces),) = groups
+        assert sorted(len(order[i]) for i in even) == [3] * 6
+        assert sorted(len(order[i]) for i in odd) == [2] * 6
+        assert faces == [0]
+
+    def test_star_of_the_whole_parent_holds_no_group(self):
+        d = disk(3)
+        order, _, groups = subcomplex(d, d.maximal_simplices()).star()
+        assert order == d.ordered() and groups == []
 
     def test_subcomplex_closure_and_membership(self):
         d = disk(3)
