@@ -92,13 +92,15 @@ def _simplex_set(simplices: Iterable, parent: SimplicialComplex | None = None) -
 
 
 def _require_face_closed(sset: frozenset[Simplex], what: str) -> None:
-    """Raise ModelError(what), filled with {face} and {simplex}, at a facet
-    missing from the set; every facet of each member gives every face, by
-    induction on dimension."""
-    for s in sset:
-        for facet in itertools.combinations(s, s.dim):
-            if facet and facet not in sset:
-                raise ModelError(what.format(face=Simplex._raw(facet), simplex=s))
+    """Raise ModelError(what), filled with {face} and {simplex}, at the least
+    facet missing from the set of its least member missing one; every facet
+    of each member gives every face, by induction on dimension."""
+    missing = [
+        (s, f) for s in sset for f in itertools.combinations(s, s.dim) if f and f not in sset
+    ]
+    if missing:
+        s, facet = min(missing)
+        raise ModelError(what.format(face=Simplex._raw(facet), simplex=s))
 
 
 def _closure_bound(gens: set[Simplex]) -> int:
@@ -442,12 +444,11 @@ class SimplicialMap(Frozen):
         if bad_values:
             raise ModelError(f"vertex map hits non-vertices of the target: {bad_values}")
         super().__init__(source, target, tuple(sorted(vm.items())))
-        for s in source.simplices:
-            img = self.image(s)
-            if img not in target.simplices:
-                raise ModelError(
-                    f"image {img} of {s} is not a simplex of the target"
-                )
+        # the least stray simplex is named, whatever the set's hash order
+        stray = [s for s in source.simplices if self.image(s) not in target.simplices]
+        if stray:
+            s = min(stray)
+            raise ModelError(f"image {self.image(s)} of {s} is not a simplex of the target")
 
     @property
     def vertex_map(self) -> dict[str, str]:
@@ -514,11 +515,13 @@ class Involution(Frozen):
         bad = sorted(v for v in vm if vm[vm[v]] != v)
         if bad:
             raise ModelError(f"map is not self-inverse at vertices {bad}")
-        for s in underlying.source.simplices:
-            if underlying.image(s) == s and any(vm[v] != v for v in s):
-                raise ModelError(
-                    f"involution is not regular: {s} maps onto itself without fixing its vertices"
-                )
+        # the least irregular simplex is named, whatever the set's hash order
+        invariant = [s for s in underlying.source.simplices if underlying.image(s) == s]
+        s = min((s for s in invariant if any(vm[v] != v for v in s)), default=None)
+        if s is not None:
+            raise ModelError(
+                f"involution is not regular: {s} maps onto itself without fixing its vertices"
+            )
         super().__init__(underlying)
 
     @property

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -731,6 +732,39 @@ class TestDeterminism:
         code, out, _ = run(capsys, "verify", "pair_C_R", "--seed", "7")
         assert code == 0
         assert "seed=7" in out
+
+    def test_refusals_are_the_same_under_any_hash_seed(self, tmp_path):
+        # each conjugation has several bad simplices, and the least is named
+        pair = json.loads(emit_scene(build_model("pair_C_R")))
+        del pair["real_form"]["conjugation"]["b1"]
+        swaps = {
+            "name": "three_swapped_edges",
+            "complex": {"maximal_simplices": [["a0", "a1"], ["b0", "b1"], ["c0", "c1"]]},
+            "subcomplexes": {"M": [["a0"]]},
+            "real_form": {
+                "M": "M", "complex_dim": 1,
+                "conjugation": {v + i: v + str(1 - int(i)) for v in "abc" for i in "01"},
+            },
+            "strata": [], "probes": [], "expect": {},
+        }
+        for doc, line in (
+            (pair, "error: real_form.conjugation: image b1 b4 of b1 b2 is not a simplex"
+                   " of the target"),
+            (swaps, "error: real_form.conjugation: involution is not regular: a0 a1 maps"
+                    " onto itself without fixing its vertices"),
+        ):
+            path = tmp_path / f"{doc['name']}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            seen = set()
+            for hash_seed in ("0", "1", "2", "3"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "cfcalc", "check", str(path)],
+                    env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                    capture_output=True, text=True, timeout=60,
+                )
+                assert proc.returncode == 2
+                seen.add(proc.stderr)
+            assert seen == {line + "\n"}
 
 
 def test_module_entry_point():
