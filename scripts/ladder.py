@@ -32,8 +32,10 @@ check` on a scene file whose complex and real form are one simplex on n
 vertices, for n in ONE_SIMPLEX (the n = 14 complex has 16,383 simplices),
 timed as the other child processes and keyed by n; and
 cold_verify_simplex_ms: `python -m cfcalc verify` on the same files for n
-in VERIFY_SIMPLEX, where the calculus visits all 3^n - 2^n (face, simplex)
-pairs.
+in VERIFY_SIMPLEX.  The real form there is the whole simplex, so no star
+simplex lies outside it, the split gathers nothing and its one dual is of
+zero: these times follow the 2^n - 1 simplices, not the 3^n - 2^n (face,
+simplex) pairs.
 The file also records the Python version, the commit of the checkout the
 package was imported from and whether its sources differ from it.
 Neither the script nor its children write bytecode, so no cache is left

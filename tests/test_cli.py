@@ -743,7 +743,9 @@ class TestDeterminism:
             "subcomplexes": {"M": [["a0"]]},
             "real_form": {
                 "M": "M", "complex_dim": 1,
-                "conjugation": {v + i: v + str(1 - int(i)) for v in "abc" for i in "01"},
+                "conjugation": {
+                    "a0": "a1", "a1": "a0", "b0": "b1", "b1": "b0", "c0": "c1", "c1": "c0"
+                },
             },
             "strata": [], "probes": [], "expect": {},
         }
