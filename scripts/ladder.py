@@ -19,7 +19,8 @@ between two files cancels.
   - cold_hyperdim_ms: `python -m cfcalc hyperdim "MODEL(k=K)" --at c.c`
     as a child process, timed the same way;
   - cold_check_ms: `python -m cfcalc check "MODEL(k=K)"`, timed the same way;
-  - star_ms: the real form's star() on another fresh scene;
+  - star_ms: the calculus's star table of the real form (_open_star, which
+    triangle_decompose builds on first use) on another fresh scene;
   - parse_ms: parse_scene of a fresh scene's canonical text;
   - emit_ms: the canonical text of another fresh scene, which each scene
     writes on first use;
@@ -61,6 +62,7 @@ sys.path.insert(0, str(SRC))
 sys.path.insert(1, str(ROOT / "perfbench"))
 
 from cfcalc import build_model, emit_scene, parse_scene  # noqa: E402
+from cfcalc.calculus import _open_star  # noqa: E402
 from gauge import NOMINAL_S, reading, rescaled  # noqa: E402
 
 
@@ -127,7 +129,7 @@ def rung(model: str, k: int, repeats: int) -> dict:
             cold_ms("verify", spec),
             cold_ms("hyperdim", spec, "--at", "c.c"),
             cold_ms("check", spec),
-            timed(fresh.pair.real_form.star)[0],
+            timed(lambda: _open_star(fresh.pair.real_form))[0],
             timed(lambda: parse_scene(text))[0],
             timed(lambda: emit_scene(unwritten))[0],
         ))

@@ -8,7 +8,8 @@ arithmetic; there are no tolerances anywhere.
 
 from __future__ import annotations
 
-from itertools import combinations, compress
+from collections import defaultdict
+from itertools import combinations, compress, filterfalse
 from typing import Mapping, Sequence
 
 from ._frozen import Frozen, cached
@@ -306,7 +307,7 @@ def triangle_decompose(
     """
     if phi.ambient != closed.parent:
         raise ModelError("function does not live on the parent of the subcomplex")
-    position = closed.star()[1]
+    position = _open_star(closed)[1]
     x = [0] * len(position)
     for s, v in phi.items:
         if s in position:
@@ -314,21 +315,49 @@ def triangle_decompose(
     return _split_star(closed, x)
 
 
+@cached
+def _open_star(closed: Subcomplex) -> tuple:
+    """The open star of a subcomplex M in its parent, built on first use
+    from the parent's simplex set and kept on M.
+
+    Returns the parent simplices u with a vertex in M, in canonical order;
+    each one's position in that order; and, per trace w (u's vertices in
+    M) of the u outside M, the star positions of those u of even and of
+    odd dimension and the positions in M's order of w's faces in M.  The
+    parent needs no canonical order.
+    """
+    space = closed.as_complex()
+    lookup, in_m = space.position().get, space.vertices.__contains__
+    order = tuple(sorted(filterfalse(space.vertices.isdisjoint, closed.parent.simplices)))
+    groups = defaultdict(lambda: ([], []))
+    for i, u in enumerate(order):
+        if u not in space.simplices:
+            groups[tuple(filter(in_m, u))][len(u) % 2 == 0].append(i)
+    return order, {u: i for i, u in enumerate(order)}, [
+        (even, odd, [
+            j for n in range(1, len(w) + 1) for j in map(lookup, combinations(w, n))
+            if j is not None
+        ])
+        for w, (even, odd) in groups.items()
+    ]
+
+
 def _split_star(
     closed: Subcomplex, x: Sequence[int]
 ) -> tuple[ConstructibleFunction, ConstructibleFunction]:
     """triangle_decompose of the values x over the open star of the
-    subcomplex M, in closed.star_order(); the parent's order is never built.
+    subcomplex M, in _open_star's order; the parent's order is never built.
 
     g gathers (-1)^dim u x(u) of the star simplices u outside M onto the
     faces in M of their trace, once per trace.  The boundary is -D_M(g):
     for s in M and w outside M the signs (-1)^dim u over the interval
     s <= u <= w sum to zero.  The costalk, D_M of D(phi) on M, is D_M of
-    g + D_M(x on M); D_M is an involution, so it is x on M + D_M(g).
+    g + D_M(x on M); D_M is an involution, so it is x on M + D_M(g),
+    added up in one list over M's order.
     """
     space = closed.as_complex()
     order, at = space.ordered(), x.__getitem__
-    _, position, groups = closed.star()
+    _, position, groups = _open_star(closed)
     g = [0] * len(order)
     for even, odd, faces in groups:
         v = sum(map(at, even)) - sum(map(at, odd))
@@ -336,8 +365,10 @@ def _split_star(
             for j in faces:
                 g[j] += v
     h = dual(ConstructibleFunction._of(space, _nonzero_items(order, g)))
-    on_m = ConstructibleFunction._of(space, _nonzero_items(order, [x[position[s]] for s in order]))
-    return on_m + h, -h
+    costalk, spot = [x[position[s]] for s in order], space.position()
+    for s, v in h.items:
+        costalk[spot[s]] += v
+    return ConstructibleFunction._of(space, _nonzero_items(order, costalk)), -h
 
 
 def mod2_reduce(phi: ConstructibleFunction) -> ConstructibleFunction:

@@ -124,31 +124,6 @@ def _face_closure(gens: set[Simplex]) -> list[Simplex]:
     return list(map(Simplex._raw, faces))
 
 
-def _open_star(closed: "Subcomplex") -> tuple:
-    """The open star of a subcomplex M, read from its parent's simplex set.
-
-    Returns the parent simplices u with a vertex in M, in canonical order;
-    each one's position in that order; and, per trace w (u's vertices in
-    M) of the u outside M, the star positions of those u of even and of
-    odd dimension and the positions in M's order of w's faces in M.  The
-    parent needs no canonical order.
-    """
-    space = closed.as_complex()
-    lookup, in_m = space.position().get, space.vertices.__contains__
-    order = tuple(sorted(itertools.filterfalse(space.vertices.isdisjoint, closed.parent.simplices)))
-    groups = defaultdict(lambda: ([], []))
-    for i, u in enumerate(order):
-        if u not in space.simplices:
-            groups[tuple(filter(in_m, u))][len(u) % 2 == 0].append(i)
-    return order, {u: i for i, u in enumerate(order)}, [
-        (even, odd, [
-            j for n in range(1, len(w) + 1) for j in map(lookup, itertools.combinations(w, n))
-            if j is not None
-        ])
-        for w, (even, odd) in groups.items()
-    ]
-
-
 class SimplicialComplex(Frozen):
     """A finite set of simplices closed under taking faces (possibly empty)."""
 
@@ -270,25 +245,6 @@ class Subcomplex(Frozen):
         """The subcomplex as a complex of its own, made with it."""
         return self._space
 
-    @cached
-    def star(self) -> tuple:
-        """The open star of the subcomplex in its parent, with its positions
-        and its groups by trace, as _open_star describes them."""
-        return _open_star(self)
-
-    def star_order(self) -> tuple[Simplex, ...]:
-        """The simplices of the open star in canonical order; the parent's
-        own order is never built for it."""
-        return self.star()[0]
-
-    @cached
-    def _open(self) -> "OpenSubset":
-        # the complement of a face-closed set is coface-closed, so the
-        # OpenSubset check is skipped
-        opensub = object.__new__(OpenSubset)
-        Frozen.__init__(opensub, self.parent, self.parent.simplices - self.simplices)
-        return opensub
-
     def intersection(self, other: "Subcomplex") -> "Subcomplex":
         if self.parent != other.parent:
             raise ModelError("cannot intersect subcomplexes of different parents")
@@ -340,7 +296,11 @@ def complement_open(space: SimplicialComplex, closed: Subcomplex) -> OpenSubset:
     """The open complement of a subcomplex."""
     if closed.parent != space:
         raise ModelError("subcomplex does not live in the given complex")
-    return closed._open()
+    # the complement of a face-closed set is coface-closed, so the
+    # OpenSubset check is skipped
+    opensub = object.__new__(OpenSubset)
+    Frozen.__init__(opensub, space, space.simplices - closed.simplices)
+    return opensub
 
 
 def _staircase(left_tops, right_tops, left_order, right_order) -> list[list[str]]:

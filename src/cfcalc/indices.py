@@ -17,6 +17,7 @@ from ._frozen import Frozen
 from .calculus import (
     ConstructibleFunction,
     _nonzero_items,
+    _open_star,
     _split_star,
     _weighted_sum,
     euler_integral,
@@ -451,7 +452,7 @@ def verify_scene(
     # open star of M, so each is drawn there as a vector by star position,
     # in one call, and split as drawn; restrict reads it at M's positions
     rng = random.Random(seed)
-    star, position, _ = pair.real_form.star()
+    star, position, _ = _open_star(pair.real_form)
     in_m = [position[s] for s in mc.ordered()]
     triangles = [("solution_index", restricted, costalk + boundary, "")]
     for i in range(3):

@@ -46,10 +46,11 @@ from .indices import (
 MAX_VALUE = 2**62
 
 # Most (face, simplex) pairs a scene's complex may make the calculus list:
-# dual reaches every face of each simplex it touches, and a subcomplex's star
-# every face in M of each trace of its simplices outside M, 3^n - 2^n pairs on
-# one n-vertex simplex.  This admits one simplex of 14 vertices, and the plane
-# models' 24 * 36^2 * 211 = 6,562,944 at k = 36.
+# dual reaches every face of each simplex it touches, and the star table of a
+# subcomplex M (calculus._open_star) every face in M of each trace of the star
+# simplices outside M, 3^n - 2^n pairs on one n-vertex simplex.  This admits
+# one simplex of 14 vertices, and the plane models' 24 * 36^2 * 211 =
+# 6,562,944 at k = 36.
 MAX_INCIDENCES = 10**7
 
 # JSON can escape a UTF-16 surrogate without its pair, which no output encodes

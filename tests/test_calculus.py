@@ -439,7 +439,7 @@ def non_simplex_keys(space, phi, closed, f, psi) -> list:
     A plain vertex tuple equals the Simplex of the same vertices but prints
     as a tuple.  This looks at the item keys of every operator and of the
     arithmetic, and at the members of simplices, ordered(), position()
-    and star_order().  The operators are read from cfcalc.calculus at
+    and the order of the star table.  The operators are read from cfcalc.calculus at
     call time, so a fault planted there is seen.
     """
     calc = cfcalc.calculus
@@ -456,7 +456,7 @@ def non_simplex_keys(space, phi, closed, f, psi) -> list:
     for c in (space, closed.as_complex(), f.target):
         found += c.ordered()
         found += c.position()
-    found += closed.star_order()
+    found += calc._open_star(closed)[0]
     return [s for s in found if type(s) is not Simplex]
 
 

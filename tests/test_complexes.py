@@ -5,6 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cfcalc.calculus
 import cfcalc.complexes
 from cfcalc import (
     MissingSimplexError,
@@ -143,9 +144,10 @@ class TestComplexIndex:
 
 
 class TestStarAndSubcomplex:
+    # the star table is the calculus's, kept on the subcomplex
     def test_star_of_disk_center(self):
         d = disk(3)
-        order, position, groups = subcomplex(d, [["c"]]).star()
+        order, position, groups = cfcalc.calculus._open_star(subcomplex(d, [["c"]]))
         assert len(order) == 13  # vertex + 6 spokes + 6 triangles
         assert position == {u: i for i, u in enumerate(order)}
         # M is the one vertex c: the spokes and triangles are outside it,
@@ -157,7 +159,7 @@ class TestStarAndSubcomplex:
 
     def test_star_of_the_whole_parent_holds_no_group(self):
         d = disk(3)
-        order, _, groups = subcomplex(d, d.maximal_simplices()).star()
+        order, _, groups = cfcalc.calculus._open_star(subcomplex(d, d.maximal_simplices()))
         assert order == d.ordered() and groups == []
 
     def test_subcomplex_closure_and_membership(self):
@@ -209,13 +211,7 @@ class TestOpenSubset:
         u = complement_open(d, diameter(d))
         assert not u.is_empty
         assert u.has(["c", "b1"]) and not u.has(["c", "b0"])
-
-    def test_complement_is_cached(self):
-        d = disk(3)
-        axis = diameter(d)
-        u = complement_open(d, axis)
-        assert u is complement_open(d, axis)
-        assert u == OpenSubset(d, d.simplices - axis.simplices)
+        assert u == OpenSubset(d, d.simplices - diameter(d).simplices)
 
     def test_rejects_non_coface_closed(self):
         interval = build_complex([["p", "q"]])
@@ -283,9 +279,8 @@ CACHED = {
     "SimplicialComplex.maximal_simplices": (
         lambda: disk(3), "_maximal_simplices", lambda x: x.maximal_simplices()
     ),
-    "Subcomplex.star": (lambda: diameter(disk(3)), "_star", lambda x: x.star()),
-    "Subcomplex._open": (
-        lambda: diameter(disk(3)), "__open", lambda x: complement_open(x.parent, x)
+    "calculus._open_star": (
+        lambda: diameter(disk(3)), "__open_star", lambda x: cfcalc.calculus._open_star(x)
     ),
     "SimplicialMap._vertex_table": (
         lambda: SimplicialMap(build_complex([]), disk(3), {}),
@@ -312,9 +307,7 @@ def test_derived_values_are_built_on_first_use_and_kept(accessor):
 
 
 def test_star_order_is_the_sorted_star_table():
-    axis = diameter(disk(3))
-    order, position, _ = axis.star()
-    assert axis.star_order() is order
+    order, position, _ = cfcalc.calculus._open_star(diameter(disk(3)))
     assert order == tuple(sorted(position))
     assert [position[u] for u in order] == list(range(len(order)))
 

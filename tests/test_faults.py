@@ -102,12 +102,12 @@ def triangle_moves_one(decompose):
 
 
 def star_fault(change):
-    """Stars built from now on have each group (even, odd, faces) of their
-    simplices outside M replaced by change(group, own), own being the
-    position in M's order of the group's trace, None when the trace is not
-    a simplex of M."""
+    """The calculus's star table, wherever it was imported, has each group
+    (even, odd, faces) of the simplices outside M replaced by
+    change(group, own), own being the position in M's order of the group's
+    trace, None when the trace is not a simplex of M."""
     def plant(monkeypatch):
-        build = cfcalc.complexes._open_star
+        build = cfcalc.calculus._open_star
 
         def faulty(closed):
             order, position, groups = build(closed)
@@ -115,7 +115,9 @@ def star_fault(change):
             traces = [tuple(filter(in_m, order[(even + odd)[0]])) for even, odd, _ in groups]
             return order, position, [change(g, own(w)) for g, w in zip(groups, traces)]
 
-        monkeypatch.setattr(cfcalc.complexes, "_open_star", faulty)
+        for module in MODULES:
+            if getattr(module, "_open_star", None) is build:
+                monkeypatch.setattr(module, "_open_star", faulty)
     return plant
 
 
@@ -124,8 +126,8 @@ def star_fault(change):
 
 def verify_row(model, check):
     def catch(plant):
-        # a freshly parsed scene has no star yet, so a planted star fault
-        # reaches it
+        # a freshly parsed scene has no star table yet, so a planted star
+        # fault reaches it
         scene = parse_scene(build_model(model).canonical_text)
         plant()
         report = scene.verify()
