@@ -56,6 +56,9 @@ MAX_INCIDENCES = 10**7
 # JSON can escape a UTF-16 surrogate without its pair, which no output encodes
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
+# what the CLI's --at splits vertex names on, so no vertex name may hold it
+_SEPARATOR = re.compile(r"[,\s]")
+
 
 class Scene(Frozen):
     """A parsed, validated scenario.  Equality is by canonical emission,
@@ -135,6 +138,13 @@ def _as_str(value, path: str) -> str:
     return _as_text(value, path)
 
 
+def _as_vertex(value, path: str) -> str:
+    name = _as_str(value, path)
+    if _SEPARATOR.search(name):
+        _fail(path, f"vertex name {name!r} holds whitespace or a comma")
+    return name
+
+
 def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, "expected an integer")
@@ -159,10 +169,11 @@ def _as_simplex(value, path: str) -> Simplex:
             "" not in verts
             and all(map(str.__lt__, verts, verts[1:]))
             and (joined.isascii() or not _LONE_SURROGATE.search(joined))
+            and not _SEPARATOR.search(joined)
         ):
             return Simplex._raw(verts)
     verts = [
-        _as_str(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))
+        _as_vertex(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))
     ]
     return _under(path, Simplex, verts)
 

@@ -419,6 +419,24 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert err == f"error: {path}: holds a lone surrogate escape, which is not text\n"
 
+    @pytest.mark.parametrize(
+        "name, shown", [("x\ny", r"'x\ny'"), ("a b", "'a b'")], ids=["newline", "space"]
+    )
+    def test_vertex_name_holding_a_separator_refused(self, capsys, tmp_path, name, shown):
+        # --at splits on whitespace and commas, and a row prints a simplex
+        # as its names joined by spaces, so no vertex name may hold either
+        doc = json.loads(emit_scene(build_model("pair_C_R")))
+        tops = doc["complex"]["maximal_simplices"]
+        tops.append([name])
+        doc["probes"].append([name])
+        scene = tmp_path / "separator.json"
+        scene.write_text(json.dumps(doc), encoding="utf-8")
+        path = f"complex.maximal_simplices[{len(tops) - 1}][0]"
+        for command in ("check", "verify"):
+            code, out, err = run(capsys, command, str(scene))
+            assert code == 2 and out == ""
+            assert err == f"error: {path}: vertex name {shown} holds whitespace or a comma\n"
+
     def test_escaped_surrogate_pair_accepted(self, capsys, tmp_path):
         doc = json.loads(emit_scene(build_model("pair_C_R")))
         doc["name"] = "smile \ud83d\ude00"
