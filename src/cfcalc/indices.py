@@ -361,11 +361,15 @@ def verify_scene(
     seed.
     """
     exp = expectations or Expectations()
-    for key in _EXPECT_VALUE_KEYS:
-        for p, _ in getattr(exp, key):
+    # each key read as a simplex once, as RealComplexPair reads probes
+    hyper_at, dimension_at, parity_at = declared = [
+        [(Simplex(p), v) for p, v in getattr(exp, key)] for key in _EXPECT_VALUE_KEYS
+    ]
+    for key, values in zip(_EXPECT_VALUE_KEYS, declared):
+        for p, _ in values:
             if p not in pair.real_form.simplices:
                 raise ModelError(
-                    f"{key} is declared at {Simplex(p)}, which is not a simplex of the real form"
+                    f"{key} is declared at {p}, which is not a simplex of the real form"
                 )
     rows = _Rows()
     ambient = pair.ambient
@@ -391,11 +395,11 @@ def verify_scene(
             rows.skip("dimension_formula", "", str(err))
 
     # declared expected values at probes
-    for p, v in exp.hyperfunction_index:
+    for p, v in hyper_at:
         rows.compare("value[hyperfunction_index]", str(p), v, hyper.value(p))
-    for p, v in exp.parity_index:
+    for p, v in parity_at:
         rows.compare("value[parity_index]", str(p), v, parity.value(p))
-    for p, v in exp.hyperfunction_dimension:
+    for p, v in dimension_at:
         if dimension is None:
             rows.skip(
                 "value[hyperfunction_dimension]", str(p),

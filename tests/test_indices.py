@@ -279,6 +279,24 @@ class TestVerifyScene:
         assert entry.check == "value[hyperfunction_index]"
         assert entry.expected == "99" and entry.computed == "5"
 
+    def test_expected_values_are_keyed_by_simplex(self):
+        # an unsorted vertex tuple names the same simplex, in the check, the
+        # row and the message
+        scene = build_model("pair_C_R")
+        edge = simplex("b0", "c")
+        functions = (
+            hyperfunction_index(scene.pair, scene.cycle),
+            hyperfunction_dimension(scene.pair, scene.cycle),
+            parity_index(scene.pair, scene.cycle),
+        )
+        declared = Expectations(*[((("c", "b0"), phi.value(edge)),) for phi in functions])
+        report = verify_scene(scene.pair, scene.cycle, declared)
+        rows = [e for e in report.entries if e.check.startswith("value[")]
+        assert [(e.subject, e.status) for e in rows] == [("b0 c", "pass")] * 3
+        off = Expectations(parity_index=((("c", "b1"), 0),))
+        with pytest.raises(ModelError, match="^parity_index is declared at b1 c, which is not"):
+            verify_scene(scene.pair, scene.cycle, off)
+
     def test_declaring_inapplicable_check_fails(self):
         scene = build_model("kashiwara_point")
         bold = Expectations(checks=("covering_parity",))
