@@ -126,8 +126,7 @@ def star_fault(change):
 
 def verify_row(model, check):
     def catch(plant):
-        # a freshly parsed scene has no star table yet, so a planted star
-        # fault reaches it
+        # a freshly parsed scene keeps no table that an earlier test built
         scene = parse_scene(build_model(model).canonical_text)
         plant()
         report = scene.verify()
