@@ -10,25 +10,38 @@ input and 3 for an internal error, each failure with one line on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
+from collections.abc import Iterable
+from itertools import repeat
 
 from .calculus import ConstructibleFunction, dual, euler_integral, indicator
 from .complexes import Simplex
 from .errors import ModelError, SceneError, SceneSyntaxError
 from .indices import hyperfunction_dimension, hyperfunction_index, parity_index, solution_index
-from .scenes import Scene, _entry_list, build_model, list_models, parse_scene
+from .scenes import (
+    Scene, _entry_list, _quote_ascii, _write, build_model, list_models, parse_scene,
+)
 
 # name(key=value, ...): an ASCII name, and the whole spec must match, so a
 # trailing newline is refused too
 _MODEL_SPEC = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\((.*)\))?", re.DOTALL)
 # around keys and values, only the whitespace scene JSON allows
 _BLANK = " \t\n\r"
-# a parameter is written as scene JSON writes an integer: ASCII digits, with
-# no sign but a minus, no underscores and no other script's digits
+# a parameter, and --seed, is written as scene JSON writes an integer: ASCII
+# digits, with no sign but a minus, no underscores and no other script's digits
 _INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(value: str) -> int:
+    """value as an integer, else the usage error argparse prints for it"""
+    try:
+        if _INTEGER.fullmatch(value):
+            return int(value)  # past Python's digit limit, ValueError
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
 
 
 def _parse_params(raw: str, context: str) -> dict[str, int]:
@@ -44,10 +57,8 @@ def _parse_params(raw: str, context: str) -> dict[str, int]:
         if key in params:
             raise ModelError(f"parameter {key!r} given twice in {context}")
         try:
-            if not _INTEGER.fullmatch(value):
-                raise ValueError(value)
-            params[key] = int(value)  # past Python's digit limit, ValueError too
-        except ValueError:
+            params[key] = _integer(value)
+        except argparse.ArgumentTypeError:
             raise ModelError(f"parameter {key!r} needs an integer, got {value!r}") from None
     return params
 
@@ -80,23 +91,26 @@ def _parse_at(raw: str, scene: Scene | None = None) -> Simplex:
 
 
 def _json_out(obj) -> int:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(_write(obj, _quote_ascii))
     return 0
 
 
-def _value_rows(phi, include_zeros: bool) -> list[tuple[Simplex, int]]:
+def _value_out(args, value: int, doc: dict) -> int:
+    """One value: doc under --json, else the value alone."""
+    print(_write(doc, _quote_ascii) if args.json else value)
+    return 0
+
+
+def _value_rows(phi, include_zeros: bool) -> Iterable[tuple[Simplex, int]]:
+    """phi's (simplex, value) pairs in canonical order, zeros too with include_zeros"""
     if include_zeros:
-        return [(s, phi.value(s)) for s in phi.ambient.ordered()]
-    return list(phi.items)
+        order = phi.ambient.ordered()
+        return zip(order, map(phi._lookup().get, order, repeat(0)))
+    return phi.items
 
 
 def _print_table(phi, include_zeros: bool) -> None:
-    for s, v in _value_rows(phi, include_zeros):
-        print(f"{s}\t{v}")
-
-
-def _table_json(phi, include_zeros: bool) -> list[dict]:
-    return _entry_list(_value_rows(phi, include_zeros))
+    sys.stdout.writelines(f"{s}\t{v}\n" for s, v in _value_rows(phi, include_zeros))
 
 
 def _scene_function(scene: Scene, spec: str, allow_hyper: bool) -> tuple[str, ConstructibleFunction]:
@@ -107,10 +121,8 @@ def _scene_function(scene: Scene, spec: str, allow_hyper: bool) -> tuple[str, Co
     prefix, _, sub_name = spec.partition(":")
     if prefix == "indicator" and sub_name:
         return spec, indicator(scene.subcomplex(sub_name))
-    choices = "solution_index or indicator:NAME"
-    if allow_hyper:
-        choices = "solution_index, hyperfunction_index or indicator:NAME"
-    raise ModelError(f"unknown function {spec!r}; use {choices}")
+    hyper = ", hyperfunction_index" if allow_hyper else ""
+    raise ModelError(f"unknown function {spec!r}; use solution_index{hyper} or indicator:NAME")
 
 
 def _cmd_check(scene: Scene, args) -> int:
@@ -170,17 +182,13 @@ def _function_output(scene: Scene, label: str, phi, args, on_real_form: bool = F
     if args.at is not None:
         at = _parse_at(args.at, scene if on_real_form else None)
         value = phi.value(at)
-        if args.json:
-            return _json_out({
-                "scene": scene.name, "function": label,
-                "at": list(at), "value": value,
-            })
-        print(value)
-        return 0
+        return _value_out(args, value, {
+            "scene": scene.name, "function": label, "at": list(at), "value": value,
+        })
     if args.json:
         return _json_out({
             "scene": scene.name, "function": label,
-            "values": _table_json(phi, args.all),
+            "values": _entry_list(_value_rows(phi, args.all)),
         })
     _print_table(phi, args.all)
     return 0
@@ -197,19 +205,17 @@ def _cmd_hyperdim(scene: Scene, args) -> int:
     if args.at is not None:
         at = _parse_at(args.at, scene)
         value = hyper.value(at)
-        if args.json:
-            return _json_out({
-                "scene": scene.name, "at": list(at),
-                "hyperfunction_index": value,
-                "hyperfunction_dimension": None if dimension is None else dimension.value(at),
-            })
-        print(value)
-        return 0
+        return _value_out(args, value, {
+            "scene": scene.name, "at": list(at), "hyperfunction_index": value,
+            "hyperfunction_dimension": None if dimension is None else dimension.value(at),
+        })
     if args.json:
         return _json_out({
             "scene": scene.name,
-            "hyperfunction_index": _table_json(hyper, args.all),
-            "hyperfunction_dimension": None if dimension is None else _table_json(dimension, args.all),
+            "hyperfunction_index": _entry_list(_value_rows(hyper, args.all)),
+            "hyperfunction_dimension": (
+                None if dimension is None else _entry_list(_value_rows(dimension, args.all))
+            ),
         })
     print("hyperfunction_index:")
     _print_table(hyper, args.all)
@@ -224,10 +230,7 @@ def _cmd_hyperdim(scene: Scene, args) -> int:
 def _cmd_integrate(scene: Scene, args) -> int:
     label, phi = _scene_function(scene, args.function, allow_hyper=True)
     value = euler_integral(phi)
-    if args.json:
-        return _json_out({"scene": scene.name, "function": label, "value": value})
-    print(value)
-    return 0
+    return _value_out(args, value, {"scene": scene.name, "function": label, "value": value})
 
 
 def _internal_error(err: Exception) -> int:
@@ -240,10 +243,7 @@ def _cmd_verify(scene: Scene, args) -> int:
         report = scene.verify(seed=args.seed)
     except Exception as err:  # the scene parsed, so a failure here is the program's
         return _internal_error(err)
-    if args.json:
-        _json_out(report.to_json_obj())
-    else:
-        print(report.to_text())
+    print(_write(report.to_json_obj(), _quote_ascii) if args.json else report.to_text())
     return 0 if report.passed else 1
 
 
@@ -263,10 +263,8 @@ def _cmd_models(args) -> int:
         for info in list_models():
             print(f"{info.name}: {info.summary}")
             for p in info.params:
-                bounds = f"min {p.minimum}"
-                if p.maximum is not None:
-                    bounds += f", max {p.maximum}"
-                print(f"  {p.name}={p.default} ({bounds}): {p.meaning}")
+                maximum = "" if p.maximum is None else f", max {p.maximum}"
+                print(f"  {p.name}={p.default} (min {p.minimum}{maximum}): {p.meaning}")
         return 0
     # emit
     if args.name is None:
@@ -320,7 +318,7 @@ def main(argv=None) -> int:
     )
 
     p = _add_scene_command(sub, "verify", "run every check and report", at=False)
-    p.add_argument("--seed", type=int, default=0, help="seed for the randomized identities")
+    p.add_argument("--seed", type=_integer, default=0, help="seed for the randomized identities")
 
     p = sub.add_parser("models", help="list built-in models or emit one as a scene file")
     p.add_argument("action", nargs="?", choices=("list", "emit"), default="list")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from json.encoder import encode_basestring as _quote  # json.dumps' string writer
+from json.encoder import encode_basestring as _quote, encode_basestring_ascii as _quote_ascii
 from typing import Callable, NoReturn
 
 from ._frozen import Frozen, cached
@@ -172,9 +172,7 @@ def _as_simplex(value, path: str) -> Simplex:
             and not _SEPARATOR.search(joined)
         ):
             return Simplex._raw(verts)
-    verts = [
-        _as_vertex(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))
-    ]
+    verts = [_as_vertex(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))]
     return _under(path, Simplex, verts)
 
 
@@ -401,13 +399,13 @@ def _scene_from_doc(doc: dict) -> Scene:
     )
 
 
-def _write(value, newline: str = "\n") -> str:
-    """value as json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
-    writes it; newline is the line break plus the indent of value's level.
-    Only dict, list, str, int and bool are written: anything else, a float
-    included, raises TypeError."""
+def _write(value, quote=_quote, newline: str = "\n") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it, with
+    ensure_ascii=False under quote _quote and True under _quote_ascii;
+    newline is the line break plus the indent of value's level.  Only dict,
+    list, str, int, bool and None are written: a float raises TypeError."""
     if isinstance(value, str):
-        return _quote(value)
+        return quote(value)
     if value is True or value is False:
         return "true" if value else "false"
     if isinstance(value, int):
@@ -416,13 +414,16 @@ def _write(value, newline: str = "\n") -> str:
     if isinstance(value, list):
         if not value:
             return "[]"
-        return "[" + inner + ("," + inner).join([_write(v, inner) for v in value]) + newline + "]"
+        items = [_write(v, quote, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [_quote(k) + ": " + _write(v, inner) for k, v in sorted(value.items())]
+        items = [quote(k) + ": " + _write(v, quote, inner) for k, v in sorted(value.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise TypeError(f"the canonical text holds no {type(value).__name__}")
+    if value is None:  # after the containers: the scene text holds no null
+        return "null"
+    raise TypeError(f"cfcalc writes no {type(value).__name__} as JSON")
 
 
 def _simplex_list(sims) -> list[list[str]]:

@@ -544,6 +544,18 @@ def test_invalid_scene_names_its_path(capsys, tmp_path, case):
 
 
 class TestValues:
+    def test_all_reads_no_value_per_simplex(self, capsys, monkeypatch):
+        # --all lists every simplex, so each row must not pay value()'s checks
+        calls = []
+        value = ConstructibleFunction.value
+        monkeypatch.setattr(
+            ConstructibleFunction, "value", lambda phi, s: calls.append(s) or value(phi, s)
+        )
+        for argv in (["hyperdim", "node_curve", "--all", "--json"], ["dual", "node_curve", "--all"]):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out
+        assert calls == []
+
     def test_hyperdim_at_origin(self, capsys):
         code, out, _ = run(capsys, "hyperdim", "kashiwara_point", "--at", "c")
         assert code == 0
@@ -750,6 +762,15 @@ class TestDeterminism:
         code, out, _ = run(capsys, "verify", "pair_C_R", "--seed", "7")
         assert code == 0
         assert "seed=7" in out
+
+    @pytest.mark.parametrize("seed", ["\uff13", "1_0", "+7", " 7"])
+    def test_seed_is_written_as_a_model_parameter(self, capsys, seed):
+        # ASCII digits with at most a leading minus, as m=... in a model spec
+        with pytest.raises(SystemExit) as exited:
+            main(["verify", "pair_C_R", f"--seed={seed}"])
+        captured = capsys.readouterr()
+        assert exited.value.code == 2 and captured.out == ""
+        assert captured.err == f"error: cfcalc verify: argument --seed: invalid int value: {seed!r}\n"
 
     def test_refusals_are_the_same_under_any_hash_seed(self, tmp_path):
         # each conjugation has several bad simplices, and the least is named

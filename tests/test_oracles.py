@@ -58,7 +58,7 @@ from cfcalc import (
 )
 from cfcalc.cli import main
 from cfcalc.indices import _DRAW_TABLE
-from cfcalc.scenes import _write
+from cfcalc.scenes import _quote_ascii, _write
 from conftest import complexes, order_built
 
 BIG = 2**70
@@ -623,7 +623,7 @@ TEXT = st.text(
 )
 INTEGER = st.integers() | st.sampled_from([2**62, -(2**62), 2**62 + 1, 2**64, -(2**70)])
 DOCUMENT = st.recursive(
-    st.booleans() | INTEGER | TEXT,
+    st.none() | st.booleans() | INTEGER | TEXT,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
     max_leaves=25,
 )
@@ -636,9 +636,10 @@ DOCUMENT = st.recursive(
 def test_canonical_writer_writes_the_bytes_of_json_dumps(doc):
     expected = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
     assert _write(doc).encode() == expected.encode()
+    assert _write(doc, _quote_ascii) == json.dumps(doc, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("doc", [1.0, None, [1, 0.5], {"a": None}, {"a": [True, float("inf")]}])
+@pytest.mark.parametrize("doc", [1.0, [1, 0.5], {"a": [True, float("inf")]}])
 def test_canonical_writer_refuses_a_float_or_null(doc):
     with pytest.raises(TypeError):
         _write(doc)
