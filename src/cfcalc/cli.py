@@ -20,9 +20,7 @@ from .calculus import ConstructibleFunction, dual, euler_integral, indicator
 from .complexes import Simplex
 from .errors import ModelError, SceneError, SceneSyntaxError
 from .indices import hyperfunction_dimension, hyperfunction_index, parity_index, solution_index
-from .scenes import (
-    Scene, _entry_list, _quote_ascii, _write, build_model, list_models, parse_scene,
-)
+from .scenes import Scene, _entry_list, _quote_ascii, _write, build_model, list_models, parse_scene
 
 # name(key=value, ...): an ASCII name, and the whole spec must match, so a
 # trailing newline is refused too

@@ -172,7 +172,9 @@ def _as_simplex(value, path: str) -> Simplex:
             and not _SEPARATOR.search(joined)
         ):
             return Simplex._raw(verts)
-    verts = [_as_vertex(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))]
+    verts = [
+        _as_vertex(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))
+    ]
     return _under(path, Simplex, verts)
 
 
