@@ -639,7 +639,15 @@ def test_canonical_writer_writes_the_bytes_of_json_dumps(doc):
     assert _write(doc, _quote_ascii) == json.dumps(doc, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("doc", [1.0, [1, 0.5], {"a": [True, float("inf")]}])
+# the ids are those the rows had when the writer still refused None as well
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param(1.0, id="1.0"),
+        pytest.param([1, 0.5], id="doc2"),
+        pytest.param({"a": [True, float("inf")]}, id="doc4"),
+    ],
+)
 def test_canonical_writer_refuses_a_float_or_null(doc):
     with pytest.raises(TypeError):
         _write(doc)
