@@ -36,7 +36,10 @@ cold_verify_simplex_ms: `python -m cfcalc verify` on the same files for n
 in VERIFY_SIMPLEX.  The real form there is the whole simplex, so no star
 simplex lies outside it, the split gathers nothing and its one dual is of
 zero: these times follow the 2^n - 1 simplices, not the 3^n - 2^n (face,
-simplex) pairs.
+simplex) pairs.  cold_verify_disjoint_ms is `python -m cfcalc verify` on a
+scene file of DISJOINT disjoint 4-simplices (124,000 simplices) whose real
+form is the whole complex, with one codim-0 stratum on one of them: every
+star simplex lies in M, so this time follows the size of M.
 The file also records the Python version, the commit of the checkout the
 package was imported from and whether its sources differ from it.
 Neither the script nor its children write bytecode, so no cache is left
@@ -106,6 +109,7 @@ FIELDS = (
 )
 ONE_SIMPLEX = (10, 12, 14)
 VERIFY_SIMPLEX = (10, 12)
+DISJOINT = 4000
 
 
 def speed() -> float:
@@ -166,6 +170,25 @@ def one_simplex_children(repeats: int) -> tuple[dict, dict]:
     return checks, verifies
 
 
+def disjoint_child(repeats: int) -> float:
+    """Median cold `cfcalc verify` CPU time on DISJOINT disjoint 4-simplices,
+    the real form the whole complex."""
+    simplices = [[f"v{i}_{j}" for j in range(5)] for i in range(DISJOINT)]
+    doc = {
+        "name": f"disjoint{DISJOINT}", "complex": {"maximal_simplices": simplices},
+        "subcomplexes": {"all": simplices, "one": simplices[:1]},
+        "real_form": {"M": "all", "complex_dim": 2},
+        "strata": [{"name": "one", "support": "one", "codim": 0, "multiplicity": 1}],
+        "probes": [], "expect": {},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "disjoint.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return round(statistics.median(
+            [cold_ms("verify", str(path)) for _ in range(repeats)]
+        ), 2)
+
+
 def git(*args: str) -> str:
     proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else ""
@@ -193,6 +216,7 @@ def main(argv=None) -> int:
     record["cold_check_simplex_ms"], record["cold_verify_simplex_ms"] = (
         one_simplex_children(args.repeats)
     )
+    record["cold_verify_disjoint_ms"] = disjoint_child(args.repeats)
     out = args.out_dir / f"BENCH_ladder_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(out)

@@ -54,6 +54,7 @@ def test_ladder_writes_its_record_at_k_3(tmp_path):
     verifies = record["cold_verify_simplex_ms"]
     assert sorted(verifies, key=int) == ["10", "12"]
     assert all(ms > 0 for ms in verifies.values()), verifies
+    assert record["cold_verify_disjoint_ms"] > 0
 
 
 def _literal(path: Path, name: str):
