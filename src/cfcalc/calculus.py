@@ -307,7 +307,7 @@ def triangle_decompose(
     """
     if phi.ambient != closed.parent:
         raise ModelError("function does not live on the parent of the subcomplex")
-    position = _open_star(closed)[1]
+    position = _open_star(closed)[0]
     x = [0] * len(position)
     for s, v in phi.items:
         if s in position:
@@ -320,20 +320,22 @@ def _open_star(closed: Subcomplex) -> tuple:
     """The open star of a subcomplex M in its parent, built on first use
     from the parent's simplex set and kept on M.
 
-    Returns the parent simplices u with a vertex in M, in canonical order;
-    each one's position in that order; and, per trace w (u's vertices in
-    M) of the u outside M, the star positions of those u of even and of
-    odd dimension and the positions in M's order of w's faces in M.  The
-    parent needs no canonical order.
+    Returns the position of each parent simplex u with a vertex in M in a
+    vector over the star: M's n simplices first, at their places in M's
+    canonical order, then the u outside M in canonical order from n on;
+    and, per trace w (u's vertices in M) of the u outside M, the star
+    positions of those u of even and of odd dimension and the positions
+    in M's order of w's faces in M.  The parent needs no canonical order.
     """
     space = closed.as_complex()
-    lookup, in_m = space.position().get, space.vertices.__contains__
-    order = tuple(sorted(filterfalse(space.vertices.isdisjoint, closed.parent.simplices)))
-    groups = defaultdict(lambda: ([], []))
-    for i, u in enumerate(order):
-        if u not in space.simplices:
-            groups[tuple(filter(in_m, u))][len(u) % 2 == 0].append(i)
-    return order, {u: i for i, u in enumerate(order)}, [
+    lookup, of_m = space.position().get, space.vertices.__contains__
+    star = filterfalse(space.vertices.isdisjoint, closed.parent.simplices)
+    outside = sorted(filterfalse(space.simplices.__contains__, star))
+    position, groups = dict(space.position()), defaultdict(lambda: ([], []))
+    for i, u in enumerate(outside, len(position)):
+        position[u] = i
+        groups[tuple(filter(of_m, u))][len(u) % 2 == 0].append(i)
+    return position, [
         (even, odd, [
             j for n in range(1, len(w) + 1) for j in map(lookup, combinations(w, n))
             if j is not None
@@ -346,7 +348,8 @@ def _split_star(
     closed: Subcomplex, x: Sequence[int]
 ) -> tuple[ConstructibleFunction, ConstructibleFunction]:
     """triangle_decompose of the values x over the open star of the
-    subcomplex M, in _open_star's order; the parent's order is never built.
+    subcomplex M, laid out as _open_star places them, so x on M is the
+    prefix x[:n]; the parent's order is never built.
 
     g gathers (-1)^dim u x(u) of the star simplices u outside M onto the
     faces in M of their trace, once per trace.  The boundary is -D_M(g):
@@ -357,15 +360,14 @@ def _split_star(
     """
     space = closed.as_complex()
     order, at = space.ordered(), x.__getitem__
-    _, position, groups = _open_star(closed)
     g = [0] * len(order)
-    for even, odd, faces in groups:
+    for even, odd, faces in _open_star(closed)[1]:
         v = sum(map(at, even)) - sum(map(at, odd))
         if v:
             for j in faces:
                 g[j] += v
     h = dual(ConstructibleFunction._of(space, _nonzero_items(order, g)))
-    costalk, spot = [x[position[s]] for s in order], space.position()
+    costalk, spot = x[:len(order)], space.position()
     for s, v in h.items:
         costalk[spot[s]] += v
     return ConstructibleFunction._of(space, _nonzero_items(order, costalk)), -h

@@ -454,16 +454,14 @@ def verify_scene(
     # restriction = costalk + boundary, exactly, for the solution index and
     # for three random functions; both sides read a function only on the
     # open star of M, so each is drawn there as a vector by star position,
-    # in one call, and split as drawn; restrict reads it at M's positions
+    # in one call, and split as drawn; restrict reads it on M, its prefix
     rng = random.Random(seed)
-    star, position, _ = _open_star(pair.real_form)
-    in_m = [position[s] for s in mc.ordered()]
+    size = len(_open_star(pair.real_form)[0])
     triangles = [("solution_index", restricted, costalk + boundary, "")]
     for i in range(3):
-        x = memoryview(rng.randbytes(len(star)).translate(_DRAW_TABLE)).cast("b").tolist()
+        x = memoryview(rng.randbytes(size).translate(_DRAW_TABLE)).cast("b").tolist()
         terms = _split_star(pair.real_form, x)
-        on_m = [x[j] for j in in_m]
-        phi = ConstructibleFunction._of(ambient, _nonzero_items(mc.ordered(), on_m))
+        phi = ConstructibleFunction._of(ambient, _nonzero_items(mc.ordered(), x[:len(mc)]))
         triangles.append(
             (f"random[{i}]", restrict(phi, pair.real_form), terms[0] + terms[1], f"seed={seed}")
         )

@@ -147,20 +147,21 @@ class TestStarAndSubcomplex:
     # the star table is the calculus's, kept on the subcomplex
     def test_star_of_disk_center(self):
         d = disk(3)
-        order, position, groups = cfcalc.calculus._open_star(subcomplex(d, [["c"]]))
-        assert len(order) == 13  # vertex + 6 spokes + 6 triangles
-        assert position == {u: i for i, u in enumerate(order)}
-        # M is the one vertex c: the spokes and triangles are outside it,
-        # all with the trace c, whose one face in M is c itself
+        position, groups = cfcalc.calculus._open_star(subcomplex(d, [["c"]]))
+        star = sorted(position, key=position.get)
+        assert sorted(position.values()) == list(range(13))  # vertex + 6 spokes + 6 triangles
+        # M is the one vertex c, at position 0: the spokes and triangles are
+        # outside it, all with the trace c, whose one face in M is c itself
+        assert star[0] == ("c",)
         ((even, odd, faces),) = groups
-        assert sorted(len(order[i]) for i in even) == [3] * 6
-        assert sorted(len(order[i]) for i in odd) == [2] * 6
+        assert sorted(len(star[i]) for i in even) == [3] * 6
+        assert sorted(len(star[i]) for i in odd) == [2] * 6
         assert faces == [0]
 
     def test_star_of_the_whole_parent_holds_no_group(self):
         d = disk(3)
-        order, _, groups = cfcalc.calculus._open_star(subcomplex(d, d.maximal_simplices()))
-        assert order == d.ordered() and groups == []
+        position, groups = cfcalc.calculus._open_star(subcomplex(d, d.maximal_simplices()))
+        assert position == d.position() and groups == []
 
     def test_subcomplex_closure_and_membership(self):
         d = disk(3)
@@ -307,9 +308,13 @@ def test_derived_values_are_built_on_first_use_and_kept(accessor):
 
 
 def test_star_order_is_the_sorted_star_table():
-    order, position, _ = cfcalc.calculus._open_star(diameter(disk(3)))
-    assert order == tuple(sorted(position))
-    assert [position[u] for u in order] == list(range(len(order)))
+    # M's simplices at their places in M's order, then the rest sorted
+    closed = diameter(disk(3))
+    position, _ = cfcalc.calculus._open_star(closed)
+    star, n = sorted(position, key=position.get), len(closed.simplices)
+    assert sorted(position.values()) == list(range(len(star)))
+    assert star[:n] == list(closed.as_complex().ordered())
+    assert star[n:] == sorted(set(star) - closed.simplices)
 
 
 class TestMaps:

@@ -110,10 +110,11 @@ def star_fault(change):
         build = cfcalc.calculus._open_star
 
         def faulty(closed):
-            order, position, groups = build(closed)
+            position, groups = build(closed)
+            star = sorted(position, key=position.get)
             own, in_m = closed.as_complex().position().get, closed.vertices.__contains__
-            traces = [tuple(filter(in_m, order[(even + odd)[0]])) for even, odd, _ in groups]
-            return order, position, [change(g, own(w)) for g, w in zip(groups, traces)]
+            traces = [tuple(filter(in_m, star[(even + odd)[0]])) for even, odd, _ in groups]
+            return position, [change(g, own(w)) for g, w in zip(groups, traces)]
 
         for module in MODULES:
             if getattr(module, "_open_star", None) is build:
