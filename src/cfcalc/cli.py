@@ -20,7 +20,9 @@ from .calculus import ConstructibleFunction, dual, euler_integral, indicator
 from .complexes import Simplex
 from .errors import ModelError, SceneError, SceneSyntaxError
 from .indices import hyperfunction_dimension, hyperfunction_index, parity_index, solution_index
-from .scenes import Scene, _entry_list, _quote_ascii, _write, build_model, list_models, parse_scene
+from .scenes import (
+    _SEPARATOR, Scene, _entry_list, _quote_ascii, _write, build_model, list_models, parse_scene,
+)
 
 # name(key=value, ...): an ASCII name, and the whole spec must match, so a
 # trailing newline is refused too
@@ -79,7 +81,7 @@ def load_scene(spec: str) -> Scene:
 
 def _parse_at(raw: str, scene: Scene | None = None) -> Simplex:
     """The simplex --at names; given the scene, it must lie on its real form."""
-    vertices = [v for v in re.split(r"[,\s]+", raw.strip()) if v]
+    vertices = list(filter(None, _SEPARATOR.split(raw)))
     if not vertices:
         raise ModelError("--at needs at least one vertex name")
     at = Simplex(vertices)
@@ -124,6 +126,7 @@ def _scene_function(scene: Scene, spec: str, allow_hyper: bool) -> tuple[str, Co
 
 
 def _cmd_check(scene: Scene, args) -> int:
+    """parse and validate a scene, print a summary"""
     strata = sorted(st.name for st in scene.cycle)
     conj = scene.pair.conjugation is not None
     if args.json:
@@ -162,16 +165,19 @@ def _cmd_check(scene: Scene, args) -> int:
 
 
 def _cmd_index(scene: Scene, args) -> int:
+    """solution index on the ambient complex"""
     phi = solution_index(scene.cycle, scene.ambient)
     return _function_output(scene, "solution_index", phi, args)
 
 
 def _cmd_parity(scene: Scene, args) -> int:
+    """mod-2 parity function on the real form"""
     alpha = parity_index(scene.pair, scene.cycle)
     return _function_output(scene, "parity_index", alpha, args, on_real_form=True)
 
 
 def _cmd_dual(scene: Scene, args) -> int:
+    """combinatorial dual of a scene function"""
     label, phi = _scene_function(scene, args.function, allow_hyper=False)
     return _function_output(scene, f"dual[{label}]", dual(phi), args)
 
@@ -193,6 +199,7 @@ def _function_output(scene: Scene, label: str, phi, args, on_real_form: bool = F
 
 
 def _cmd_hyperdim(scene: Scene, args) -> int:
+    """hyperfunction index and dimension on the real form"""
     hyper = hyperfunction_index(scene.pair, scene.cycle)
     dimension, reason = None, "singular stratum"
     if all(st.smooth for st in scene.cycle):
@@ -226,6 +233,7 @@ def _cmd_hyperdim(scene: Scene, args) -> int:
 
 
 def _cmd_integrate(scene: Scene, args) -> int:
+    """Euler integral of a scene function"""
     label, phi = _scene_function(scene, args.function, allow_hyper=True)
     value = euler_integral(phi)
     return _value_out(args, value, {"scene": scene.name, "function": label, "value": value})
@@ -237,6 +245,7 @@ def _internal_error(err: Exception) -> int:
 
 
 def _cmd_verify(scene: Scene, args) -> int:
+    """run every check and report"""
     try:
         report = scene.verify(seed=args.seed)
     except Exception as err:  # the scene parsed, so a failure here is the program's
@@ -247,6 +256,8 @@ def _cmd_verify(scene: Scene, args) -> int:
 
 def _cmd_models(args) -> int:
     if args.action == "list":
+        if args.name is not None:
+            raise ModelError(f"models list takes no model name or parameters, got {args.name!r}")
         if args.json:
             return _json_out([
                 {
@@ -268,13 +279,15 @@ def _cmd_models(args) -> int:
     if args.name is None:
         raise ModelError("models emit needs a model name")
     params = _parse_params(",".join(args.params), f"models emit {args.name}")
-    scene = build_model(args.name, **params)
-    sys.stdout.write(scene.canonical_text)
+    sys.stdout.write(build_model(args.name, **params).canonical_text)
     return 0
 
 
-def _add_scene_command(sub, name: str, help_text: str, at: bool = True):
-    p = sub.add_parser(name, help=help_text)
+def _add_scene_command(sub, name: str, handler, at: bool = True):
+    """The subcommand name, run by handler(scene, args) and described by
+    its docstring."""
+    p = sub.add_parser(name, help=handler.__doc__)
+    p.set_defaults(handler=lambda args: handler(load_scene(args.scene), args))
     p.add_argument("scene", help="scene file or model spec like name(k=v, ...)")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     if at:
@@ -298,27 +311,28 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_scene_command(sub, "check", "parse and validate a scene, print a summary", at=False)
-    _add_scene_command(sub, "index", "solution index on the ambient complex")
-    _add_scene_command(sub, "hyperdim", "hyperfunction index and dimension on the real form")
-    _add_scene_command(sub, "parity", "mod-2 parity function on the real form")
+    _add_scene_command(sub, "check", _cmd_check, at=False)
+    _add_scene_command(sub, "index", _cmd_index)
+    _add_scene_command(sub, "hyperdim", _cmd_hyperdim)
+    _add_scene_command(sub, "parity", _cmd_parity)
 
-    p = _add_scene_command(sub, "dual", "combinatorial dual of a scene function")
+    p = _add_scene_command(sub, "dual", _cmd_dual)
     p.add_argument(
         "--function", default="solution_index",
         help="solution_index (default) or indicator:NAME",
     )
 
-    p = _add_scene_command(sub, "integrate", "Euler integral of a scene function", at=False)
+    p = _add_scene_command(sub, "integrate", _cmd_integrate, at=False)
     p.add_argument(
         "--function", default="solution_index",
         help="solution_index (default), hyperfunction_index or indicator:NAME",
     )
 
-    p = _add_scene_command(sub, "verify", "run every check and report", at=False)
+    p = _add_scene_command(sub, "verify", _cmd_verify, at=False)
     p.add_argument("--seed", type=_integer, default=0, help="seed for the randomized identities")
 
     p = sub.add_parser("models", help="list built-in models or emit one as a scene file")
+    p.set_defaults(handler=_cmd_models)
     p.add_argument("action", nargs="?", choices=("list", "emit"), default="list")
     p.add_argument("name", nargs="?", help="model name (emit only)")
     p.add_argument("params", nargs="*", help="parameter overrides like k=4 (emit only)")
@@ -326,19 +340,15 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "models":
-            return _cmd_models(args)
-        scene = load_scene(args.scene)
-        handler = {
-            "check": _cmd_check,
-            "index": _cmd_index,
-            "hyperdim": _cmd_hyperdim,
-            "parity": _cmd_parity,
-            "dual": _cmd_dual,
-            "integrate": _cmd_integrate,
-            "verify": _cmd_verify,
-        }[args.command]
-        return handler(scene, args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: no message, and stdout goes to devnull so
+        # the flush at exit cannot fail again; 141 is 128 + SIGPIPE, the
+        # status a shell reports for a tool that SIGPIPE ends
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (SceneError, ModelError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

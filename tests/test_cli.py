@@ -746,6 +746,13 @@ class TestModelsCommand:
         assert code == 2
         assert "needs a model name" in err
 
+    @pytest.mark.parametrize("extra", [["node_curve"], ["k=3"], ["node_curve", "k=3"]])
+    def test_list_refuses_a_name_or_parameters(self, capsys, extra):
+        # a name and parameters are for emit only
+        code, out, err = run(capsys, "models", "list", *extra)
+        message = f"models list takes no model name or parameters, got {extra[0]!r}"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestDeterminism:
     def test_verify_output_is_stable(self, capsys):
@@ -815,6 +822,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "node_curve" in proc.stdout
+
+
+def test_a_closed_stdout_ends_quietly_with_the_sigpipe_status():
+    # the table is larger than a pipe buffer, so a write fails once the
+    # reader has gone; 141 is 128 + SIGPIPE, as a shell reports it
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cfcalc", "dual", "node_curve(k=6)", "--all"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"b0.b0\t0\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_cold_start_imports_no_code_generation():
