@@ -279,7 +279,8 @@ def _cmd_models(args) -> int:
     if args.name is None:
         raise ModelError("models emit needs a model name")
     params = _parse_params(",".join(args.params), f"models emit {args.name}")
-    sys.stdout.write(build_model(args.name, **params).canonical_text)
+    scene = build_model(args.name, **params)
+    sys.stdout.write(scene.canonical_text)
     return 0
 
 
