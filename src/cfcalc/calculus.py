@@ -345,7 +345,7 @@ def _open_star(closed: Subcomplex) -> tuple:
 
 
 def _split_star(
-    closed: Subcomplex, x: Sequence[int]
+    closed: Subcomplex, x: list[int]
 ) -> tuple[ConstructibleFunction, ConstructibleFunction]:
     """triangle_decompose of the values x over the open star of the
     subcomplex M, laid out as _open_star places them, so x on M is the
