@@ -9,7 +9,11 @@ scene tests/golden/scene_unicode.json, whose vertex names, scene name
 and comment are not ASCII (one vertex name holds a character JSON
 escapes as a surrogate pair), goes through `check --json`,
 `index --all --json`, `hyperdim --all --json`, `dual --all --json`,
-`verify --json` and `hyperdim --all`.  The .txt files in tests/golden/
+`verify --json` and `hyperdim --all`.  Crafted scenes reach every
+report row that the models leave passing: each tests/golden/scene_X.json
+of CRAFTED goes through `verify` and `verify --json` at seeds 0 and 7,
+and between them they hold every not-applicable note and a failed row in
+every check family a scene file can fail.  The .txt files in tests/golden/
 hold the expected stdout of each case and exit_codes.json the expected
 status.  To rewrite them from the current code (only when a change of
 output is intended):
@@ -40,6 +44,11 @@ UNICODE = (
     "check_json", "index_all_json", "hyperdim_all_json", "dual_all_json", "verify_json",
     "hyperdim_all",
 )
+CRAFTED = (
+    "antipodal_square", "kashiwara_point_covering", "node_curve_dimension",
+    "pair_C_R_no_probes", "pair_C_R_rim_vertex", "pair_C_R_wedge", "pair_C_R_wrong_value",
+)
+SEEDS = (0, 7)
 
 
 def _argv(command: str, model: str, k: int) -> list[str]:
@@ -74,6 +83,14 @@ CASES = [
     for command in EVERY_K + (FIRST_K if k == KS[0] else ())
 ] + [
     (f"unicode.{command}", _scene_argv(command, str(UNICODE_SCENE))) for command in UNICODE
+] + [
+    (
+        f"{stem}.{command}_seed{seed}",
+        _scene_argv(command, str(GOLDEN / f"scene_{stem}.json")) + ["--seed", str(seed)],
+    )
+    for stem in CRAFTED
+    for command in ("verify", "verify_json")
+    for seed in SEEDS
 ] + [
     ("models_list", ["models", "list"]),
     ("models_list_json", ["models", "list", "--json"]),
