@@ -21,7 +21,8 @@ from .complexes import Simplex
 from .errors import ModelError, SceneError, SceneSyntaxError
 from .indices import hyperfunction_dimension, hyperfunction_index, parity_index, solution_index
 from .scenes import (
-    _SEPARATOR, Scene, _entry_list, _quote_ascii, _write, build_model, list_models, parse_scene,
+    MAX_SCENE_CHARS, _SEPARATOR, Scene, _entry_list, _quote_ascii, _write, build_model,
+    list_models, parse_scene,
 )
 
 # name(key=value, ...): an ASCII name, and the whole spec must match, so a
@@ -68,9 +69,13 @@ def load_scene(spec: str) -> Scene:
     if os.path.exists(spec):
         try:
             with open(spec, encoding="utf-8") as fh:
-                text = fh.read()
+                text = fh.read(MAX_SCENE_CHARS + 1)
         except UnicodeDecodeError as err:
             raise SceneSyntaxError(f"scene file is not UTF-8 text: {err.reason}") from None
+        if len(text) > MAX_SCENE_CHARS:
+            raise SceneSyntaxError(
+                f"scene file holds more than the limit of {MAX_SCENE_CHARS} characters"
+            )
         return parse_scene(text)
     match = _MODEL_SPEC.fullmatch(spec)
     if match is None:

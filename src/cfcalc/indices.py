@@ -310,17 +310,36 @@ class VerificationReport(Frozen):
 
 
 class _Rows:
-    def __init__(self) -> None:
+    """The report rows, the probes they are read at, and the check families
+    (the name before any "[") that some row passed or failed."""
+
+    def __init__(self, probes: tuple[Simplex, ...]) -> None:
         self.rows: list[CheckResult] = []
+        self.probes = probes
+        self.applied: set[str] = set()
 
     def compare(self, check: str, subject: str, expected, computed, note: str = "") -> None:
         status = "pass" if expected == computed else "fail"
+        self.applied.add(check.partition("[")[0])
         self.rows.append(
             CheckResult(check, subject, str(expected), str(computed), status, note)
         )
 
     def skip(self, check: str, subject: str, note: str) -> None:
         self.rows.append(CheckResult(check, subject, "", "", "not_applicable", note))
+
+    def at_probes(self, check: str, row) -> None:
+        """One row per probe: row(p) gives (expected, computed), or the
+        reason the check does not apply at p; with no probes, one
+        not-applicable row."""
+        if not self.probes:
+            self.skip(check, "", "no interior probes declared")
+        for p in self.probes:
+            got = row(p)
+            if isinstance(got, str):
+                self.skip(check, str(p), got)
+            else:
+                self.compare(check, str(p), *got)
 
 
 def _first_mismatch(left: ConstructibleFunction, right: ConstructibleFunction) -> str:
@@ -362,7 +381,7 @@ def verify_scene(
     """
     exp = expectations or Expectations()
     # each key read as a simplex once, as RealComplexPair reads probes
-    hyper_at, dimension_at, parity_at = declared = [
+    declared = [
         [(Simplex(p), v) for p, v in getattr(exp, key)] for key in _EXPECT_VALUE_KEYS
     ]
     for key, values in zip(_EXPECT_VALUE_KEYS, declared):
@@ -371,10 +390,9 @@ def verify_scene(
                 raise ModelError(
                     f"{key} is declared at {p}, which is not a simplex of the real form"
                 )
-    rows = _Rows()
+    rows = _Rows(pair.probes)
     ambient = pair.ambient
     mc = pair.real_complex()
-    probes = pair.probes
     strata = sorted(cycle, key=lambda st: st.name)
 
     # the costalk and boundary of the solution index, computed once, give
@@ -384,65 +402,49 @@ def verify_scene(
     costalk, boundary = triangle_decompose(pair.real_form, sol)
     hyper = _sign(pair.complex_dim) * costalk
     parity = mod2_reduce(restricted)
-    singular = [st.name for st in strata if not st.smooth]
-    all_smooth = not singular
-
-    dimension: ConstructibleFunction | None = None
-    if all_smooth:
-        try:
-            dimension = hyperfunction_dimension(pair, cycle)
-        except ModelError as err:
-            rows.skip("dimension_formula", "", str(err))
-
-    # declared expected values at probes
-    for p, v in hyper_at:
-        rows.compare("value[hyperfunction_index]", str(p), v, hyper.value(p))
-    for p, v in parity_at:
-        rows.compare("value[parity_index]", str(p), v, parity.value(p))
-    for p, v in dimension_at:
-        if dimension is None:
-            rows.skip(
-                "value[hyperfunction_dimension]", str(p),
-                "dimension formula not applicable",
-            )
-        else:
-            rows.compare("value[hyperfunction_dimension]", str(p), v, dimension.value(p))
 
     # hyperfunction index equals the dimension count (smooth strata only)
-    if not all_smooth:
+    singular = [st.name for st in strata if not st.smooth]
+    dimension: ConstructibleFunction | None = None
+    if singular:
         rows.skip(
             "dimension_formula", "",
             f"not applicable (singular stratum: {', '.join(singular)})",
         )
-    elif dimension is not None:
-        if not probes:
-            rows.skip("dimension_formula", "", "no interior probes declared")
-        for p in probes:
-            rows.compare("dimension_formula", str(p), dimension.value(p), hyper.value(p))
+    else:
+        try:
+            dimension = hyperfunction_dimension(pair, cycle)
+        except ModelError as err:
+            rows.skip("dimension_formula", "", str(err))
+        else:
+            rows.at_probes("dimension_formula", lambda p: (dimension.value(p), hyper.value(p)))
+
+    # declared expected values at probes
+    for key, values, function in zip(_EXPECT_VALUE_KEYS, declared, (hyper, dimension, parity)):
+        for p, v in values:
+            if function is None:
+                rows.skip(f"value[{key}]", str(p), "dimension formula not applicable")
+            else:
+                rows.compare(f"value[{key}]", str(p), v, function.value(p))
 
     # hyperfunction index mod 2 equals the parity function
-    if not probes:
-        rows.skip("parity_formula", "", "no interior probes declared")
-    for p in probes:
-        rows.compare("parity_formula", str(p), parity.value(p), hyper.value(p) % 2)
+    rows.at_probes("parity_formula", lambda p: (parity.value(p), hyper.value(p) % 2))
 
     # per stratum, from its trace on the real form: the costalk of its
     # indicator against the signed trace, and extension by zero from it
     # commuting with costalk restriction
     for st in strata:
         trace, into_m = st._trace_on(pair.real_form)
-        check = f"shriek_indicator[{st.name}]"
-        if not probes:
-            rows.skip(check, "", "no interior probes declared")
-        else:
+        if pair.probes:  # the costalk is read at probes only
             shr = shriek_restrict(pair.real_form, indicator(st.support))
-            sign = _sign(pair.complex_dim - st.codim)
-            for p in probes:
-                if st.support.has(p) and st.eu.value(p) != 1:
-                    rows.skip(check, str(p), "probe at a non-generic point of the stratum")
-                    continue
-                expected = sign if trace.has(p) else 0
-                rows.compare(check, str(p), expected, shr.value(p))
+        sign = _sign(pair.complex_dim - st.codim)
+
+        def shriek_row(p):
+            if st.support.has(p) and st.eu.value(p) != 1:
+                return "probe at a non-generic point of the stratum"
+            return (sign if trace.has(p) else 0), shr.value(p)
+
+        rows.at_probes(f"shriek_indicator[{st.name}]", shriek_row)
 
         # eu is supported on the support, so its extension by zero from
         # there is eu itself
@@ -469,26 +471,21 @@ def verify_scene(
         rows.compare("triangle_identity", subject, "exact", _first_mismatch(plain, split), note)
 
     # conjugation-dependent checks
-    if pair.conjugation is None:
-        rows.skip("conjugation_invariance", "", "no conjugation declared")
-        rows.skip("boundary_parity", "", "no conjugation declared")
-        rows.skip("covering_parity", "", "no conjugation declared")
+    conj = pair.conjugation
+    if conj is None:
+        for check in ("conjugation_invariance", "boundary_parity", "covering_parity"):
+            rows.skip(check, "", "no conjugation declared")
     else:
-        conj = pair.conjugation
         rows.compare(
             "conjugation_invariance", "solution_index", "invariant",
             "invariant" if pullback(conj.underlying, sol) == sol else "not invariant",
         )
 
-        if not probes:
-            rows.skip("boundary_parity", "", "no interior probes declared")
-        else:
-            for p in probes:
-                v = boundary.value(p)
-                rows.compare(
-                    "boundary_parity", str(p), "even",
-                    "even" if v % 2 == 0 else f"odd ({v})",
-                )
+        def boundary_row(p):
+            v = boundary.value(p)
+            return "even", "even" if v % 2 == 0 else f"odd ({v})"
+
+        rows.at_probes("boundary_parity", boundary_row)
 
         if not is_strongly_free(conj):
             rows.skip("covering_parity", "", "conjugation has fixed points")
@@ -509,14 +506,10 @@ def verify_scene(
                 )
 
     # every check the scene declares must actually have been applicable
-    for declared in exp.checks:
-        applicable = any(
-            r.check.split("[")[0] == declared and r.status != "not_applicable"
-            for r in rows.rows
-        )
+    for check in exp.checks:
         rows.compare(
-            "declared_checks", declared, "applicable",
-            "applicable" if applicable else "not applicable",
+            "declared_checks", check, "applicable",
+            "applicable" if check in rows.applied else "not applicable",
         )
 
     entries = tuple(sorted(rows.rows, key=lambda e: (e.check, e.subject)))

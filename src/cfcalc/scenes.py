@@ -53,6 +53,11 @@ MAX_VALUE = 2**62
 # 6,562,944 at k = 36.
 MAX_INCIDENCES = 10**7
 
+# Most characters a scene file may hold, refused before it is parsed: over
+# four times the largest built-in emission, node_curve at k = 36 with the
+# largest m (6,449,992 characters), so wider indentation still fits.
+MAX_SCENE_CHARS = 3 * 10**7
+
 # JSON can escape a UTF-16 surrogate without its pair, which no output encodes
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 

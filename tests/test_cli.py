@@ -256,6 +256,53 @@ class TestExitCodes:
             "5505004 simplices, more than the limit of 1000000\n"
         )
 
+    def test_scene_file_past_the_size_bound_refused_before_parsing(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        text = emit_scene(build_model("pair_C_R"))
+        path = tmp_path / "pair.json"
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(cfcalc.cli, "MAX_SCENE_CHARS", len(text))
+        assert run(capsys, "check", str(path))[0] == 0  # a file at the bound is read
+
+        def no_parse(text):
+            raise AssertionError("the scene was parsed")
+
+        monkeypatch.setattr(cfcalc.cli, "MAX_SCENE_CHARS", len(text) - 1)
+        monkeypatch.setattr(cfcalc.cli, "parse_scene", no_parse)
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: scene file holds more than the limit of {len(text) - 1} characters\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_scene_file_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(cfcalc.cli, "MAX_SCENE_CHARS", 1000)
+        start = time.process_time()
+        code, out, err = run(capsys, "check", "/dev/zero")
+        assert time.process_time() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: scene file holds more than the limit of 1000 characters\n"
+
+    def test_disjoint_simplices_as_their_own_real_form_verify_quickly(self, capsys, tmp_path):
+        # the worst input both budgets admit is 32,000 disjoint 4-simplices
+        # whose real form is the whole complex (3.9 MB); this is the same
+        # file at 1,000 simplices, where verify takes about 0.2 s of CPU
+        simplices = [[f"v{i}_{j}" for j in range(5)] for i in range(1000)]
+        doc = {
+            "name": "disjoint", "complex": {"maximal_simplices": simplices},
+            "subcomplexes": {"all": simplices, "one": simplices[:1]},
+            "real_form": {"M": "all", "complex_dim": 2},
+            "strata": [{"name": "one", "support": "one", "codim": 0, "multiplicity": 1}],
+            "probes": [], "expect": {},
+        }
+        path = tmp_path / "disjoint.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.process_time()
+        code, out, err = run(capsys, "verify", str(path))
+        assert time.process_time() - start < 1.0
+        assert (code, err) == (0, "")
+        assert out.endswith("\nresult: PASS (5 pass, 0 fail, 6 not applicable)\n")
+
     def test_strata_on_one_support_refused_before_their_work(self, capsys, tmp_path):
         # entries that repeat the complex's list cost the budget nothing, so a
         # second stratum on the same simplices is refused before its eu is built
