@@ -48,7 +48,6 @@ CRAFTED = (
     "antipodal_square", "kashiwara_point_covering", "node_curve_dimension",
     "pair_C_R_no_probes", "pair_C_R_rim_vertex", "pair_C_R_wedge", "pair_C_R_wrong_value",
 )
-SEEDS = (0, 7)
 
 
 def _argv(command: str, model: str, k: int) -> list[str]:
@@ -90,7 +89,7 @@ CASES = [
     )
     for stem in CRAFTED
     for command in ("verify", "verify_json")
-    for seed in SEEDS
+    for seed in (0, 7)
 ] + [
     ("models_list", ["models", "list"]),
     ("models_list_json", ["models", "list", "--json"]),
