@@ -40,6 +40,10 @@ simplex) pairs.  cold_verify_disjoint_ms is `python -m cfcalc verify` on a
 scene file of DISJOINT disjoint 4-simplices (124,000 simplices) whose real
 form is the whole complex, with one codim-0 stratum on one of them: every
 star simplex lies in M, so this time follows the size of M.
+Beside each cold_* field, <field>_spread is the distance between the
+quartiles of its repeats as a share of their median, as perfbench's
+run.py spread takes it (Infinity from one repeat), so a before/after
+pair shows whether a cold difference lies inside the noise.
 The file also records the Python version, the commit of the checkout the
 package was imported from and whether its sources differ from it.
 Neither the script nor its children write bytecode, so no cache is left
@@ -67,6 +71,7 @@ sys.path.insert(1, str(ROOT / "perfbench"))
 from cfcalc import build_model, emit_scene, parse_scene  # noqa: E402
 from cfcalc.calculus import _open_star  # noqa: E402
 from gauge import NOMINAL_S, reading, rescaled  # noqa: E402
+from run import spread  # noqa: E402
 
 
 def timed(fn):
@@ -112,6 +117,14 @@ VERIFY_SIMPLEX = (10, 12)
 DISJOINT = 4000
 
 
+def median(ms) -> float:
+    return round(statistics.median(ms), 2)
+
+
+def spread_of(ms) -> float:
+    return round(spread(ms), 3)
+
+
 def speed() -> float:
     """The machine's speed relative to the gauge's nominal."""
     return round(NOMINAL_S / reading(3), 3)
@@ -137,18 +150,20 @@ def rung(model: str, k: int, repeats: int) -> dict:
             timed(lambda: parse_scene(text))[0],
             timed(lambda: emit_scene(unwritten))[0],
         ))
+    columns = dict(zip(FIELDS, zip(*runs)))
     return {
         "k": k,
         "simplices": len(scene.ambient),
-        **{key: round(statistics.median(ms), 2) for key, ms in zip(FIELDS, zip(*runs))},
+        **{key: median(ms) for key, ms in columns.items()},
+        **{f"{key}_spread": spread_of(ms) for key, ms in columns.items() if key.startswith("cold_")},
         "speed_before": before,
         "speed_after": speed(),
     }
 
 
 def one_simplex_children(repeats: int) -> tuple[dict, dict]:
-    """Median cold `cfcalc check` and `cfcalc verify` CPU times on one
-    n-vertex simplex, each keyed by n."""
+    """Cold `cfcalc check` and `cfcalc verify` CPU times on one n-vertex
+    simplex, a list of repeats each, keyed by n."""
     checks, verifies = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for n in ONE_SIMPLEX:
@@ -160,19 +175,15 @@ def one_simplex_children(repeats: int) -> tuple[dict, dict]:
             }
             path = Path(tmp) / f"simplex{n}.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
-            checks[str(n)] = round(statistics.median(
-                [cold_ms("check", str(path)) for _ in range(repeats)]
-            ), 2)
+            checks[str(n)] = [cold_ms("check", str(path)) for _ in range(repeats)]
             if n in VERIFY_SIMPLEX:
-                verifies[str(n)] = round(statistics.median(
-                    [cold_ms("verify", str(path)) for _ in range(repeats)]
-                ), 2)
+                verifies[str(n)] = [cold_ms("verify", str(path)) for _ in range(repeats)]
     return checks, verifies
 
 
-def disjoint_child(repeats: int) -> float:
-    """Median cold `cfcalc verify` CPU time on DISJOINT disjoint 4-simplices,
-    the real form the whole complex."""
+def disjoint_child(repeats: int) -> list[float]:
+    """Cold `cfcalc verify` CPU times on DISJOINT disjoint 4-simplices, the
+    real form the whole complex, one per repeat."""
     simplices = [[f"v{i}_{j}" for j in range(5)] for i in range(DISJOINT)]
     doc = {
         "name": f"disjoint{DISJOINT}", "complex": {"maximal_simplices": simplices},
@@ -184,9 +195,7 @@ def disjoint_child(repeats: int) -> float:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "disjoint.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        return round(statistics.median(
-            [cold_ms("verify", str(path)) for _ in range(repeats)]
-        ), 2)
+        return [cold_ms("verify", str(path)) for _ in range(repeats)]
 
 
 def git(*args: str) -> str:
@@ -213,10 +222,13 @@ def main(argv=None) -> int:
         "unit": "ms of CPU time at the gauge's nominal speed, median",
         **{model: [rung(model, k, args.repeats) for k in args.ks] for model in MODELS},
     }
-    record["cold_check_simplex_ms"], record["cold_verify_simplex_ms"] = (
-        one_simplex_children(args.repeats)
-    )
-    record["cold_verify_disjoint_ms"] = disjoint_child(args.repeats)
+    checks, verifies = one_simplex_children(args.repeats)
+    for field, runs in (("cold_check_simplex_ms", checks), ("cold_verify_simplex_ms", verifies)):
+        record[field] = {n: median(ms) for n, ms in runs.items()}
+        record[f"{field}_spread"] = {n: spread_of(ms) for n, ms in runs.items()}
+    disjoint = disjoint_child(args.repeats)
+    record["cold_verify_disjoint_ms"] = median(disjoint)
+    record["cold_verify_disjoint_ms_spread"] = spread_of(disjoint)
     out = args.out_dir / f"BENCH_ladder_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(out)

@@ -18,7 +18,7 @@ from itertools import repeat
 
 from .calculus import ConstructibleFunction, dual, euler_integral, indicator
 from .complexes import Simplex
-from .errors import ModelError, SceneError, SceneSyntaxError
+from .errors import ModelError, SceneSyntaxError
 from .indices import hyperfunction_dimension, hyperfunction_index, parity_index, solution_index
 from .scenes import (
     MAX_SCENE_CHARS, _SEPARATOR, Scene, _entry_list, _quote_ascii, _write, build_model,
@@ -132,39 +132,38 @@ def _scene_function(scene: Scene, spec: str, allow_hyper: bool) -> tuple[str, Co
 
 def _cmd_check(scene: Scene, args) -> int:
     """parse and validate a scene, print a summary"""
-    strata = sorted(st.name for st in scene.cycle)
-    conj = scene.pair.conjugation is not None
+    summary = {
+        "scene": scene.name,
+        "valid": True,
+        "vertices": len(scene.ambient.vertices),
+        "simplices": len(scene.ambient),
+        "dimension": scene.ambient.dim,
+        "real_form": {
+            "name": scene.real_form_name,
+            "simplices": len(scene.pair.real_form.simplices),
+            "complex_dim": scene.pair.complex_dim,
+            "conjugation": scene.pair.conjugation is not None,
+        },
+        "strata": sorted(st.name for st in scene.cycle),
+        "probes": len(scene.pair.probes),
+        "checks": list(scene.expect.checks),
+    }
     if args.json:
-        return _json_out({
-            "scene": scene.name,
-            "valid": True,
-            "vertices": len(scene.ambient.vertices),
-            "simplices": len(scene.ambient),
-            "dimension": scene.ambient.dim,
-            "real_form": {
-                "name": scene.real_form_name,
-                "simplices": len(scene.pair.real_form.simplices),
-                "complex_dim": scene.pair.complex_dim,
-                "conjugation": conj,
-            },
-            "strata": strata,
-            "probes": len(scene.pair.probes),
-            "checks": list(scene.expect.checks),
-        })
-    print(f"scene: {scene.name}")
+        return _json_out(summary)
+    rf = summary["real_form"]
+    print(f"scene: {summary['scene']}")
     print(
-        f"complex: {len(scene.ambient.vertices)} vertices, "
-        f"{len(scene.ambient)} simplices, dimension {scene.ambient.dim}"
+        f"complex: {summary['vertices']} vertices, "
+        f"{summary['simplices']} simplices, dimension {summary['dimension']}"
     )
     print(
-        f"real form: {scene.real_form_name} "
-        f"({len(scene.pair.real_form.simplices)} simplices), "
-        f"complex_dim {scene.pair.complex_dim}, "
-        f"conjugation {'present' if conj else 'none'}"
+        f"real form: {rf['name']} ({rf['simplices']} simplices), "
+        f"complex_dim {rf['complex_dim']}, "
+        f"conjugation {'present' if rf['conjugation'] else 'none'}"
     )
-    print(f"strata: {', '.join(strata) if strata else 'none'}")
-    print(f"probes: {len(scene.pair.probes)}")
-    print(f"declared checks: {', '.join(scene.expect.checks) if scene.expect.checks else 'none'}")
+    print(f"strata: {', '.join(summary['strata']) or 'none'}")
+    print(f"probes: {summary['probes']}")
+    print(f"declared checks: {', '.join(summary['checks']) or 'none'}")
     print("ok")
     return 0
 
@@ -277,8 +276,7 @@ def _cmd_models(args) -> int:
         for info in list_models():
             print(f"{info.name}: {info.summary}")
             for p in info.params:
-                maximum = "" if p.maximum is None else f", max {p.maximum}"
-                print(f"  {p.name}={p.default} (min {p.minimum}{maximum}): {p.meaning}")
+                print(f"  {p.name}={p.default} (min {p.minimum}, max {p.maximum}): {p.meaning}")
         return 0
     # emit
     if args.name is None:
@@ -355,7 +353,7 @@ def main(argv=None) -> int:
         # status a shell reports for a tool that SIGPIPE ends
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (SceneError, ModelError, OSError) as err:
+    except (ModelError, OSError) as err:  # SceneError included
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:

@@ -58,6 +58,16 @@ MAX_INCIDENCES = 10**7
 # largest m (6,449,992 characters), so wider indentation still fits.
 MAX_SCENE_CHARS = 3 * 10**7
 
+# Most "[" and "{" a scene text may hold, counted before it is parsed: the
+# JSON reader builds every container before the scene's first key is read,
+# at 70 to 200 bytes each, so the 10^7 empty objects a text of
+# MAX_SCENE_CHARS can hold would take about 770 MB.  This leaves room for
+# the 10^6 one-vertex generators the closure budget admits and as many
+# probes, each a list, and is 32 times the 62,482 of the largest built-in
+# emission.  Brackets inside strings count too, so this bounds the
+# containers from above.
+MAX_SCENE_BRACKETS = 2 * MAX_SIMPLICES
+
 # JSON can escape a UTF-16 surrogate without its pair, which no output encodes
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
@@ -204,6 +214,12 @@ def _as_entries(value, path: str, within, what: str) -> dict[Simplex, int]:
 
 
 def parse_scene(text: str) -> Scene:
+    brackets = text.count("[") + text.count("{")
+    if brackets > MAX_SCENE_BRACKETS:
+        raise SceneSyntaxError(
+            f"scene text holds {brackets} '[' and '{{', "
+            f"more than the limit of {MAX_SCENE_BRACKETS}"
+        )
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -498,10 +514,9 @@ def _canonical_doc(scene: Scene) -> dict:
 
 
 class ModelParam(Frozen):
-    """An integer parameter of a model; maximum None means unbounded."""
+    """An integer parameter of a model, from minimum to maximum."""
 
     _fields = ("name", "default", "minimum", "meaning", "maximum")
-    _defaults = {"maximum": None}
 
 
 class ModelInfo(Frozen):
@@ -515,11 +530,6 @@ def _disk_doc(k: int) -> list[list[str]]:
 
 def _axis_doc(k: int) -> list[list[str]]:
     return [["b0", "c"], [f"b{k}", "c"]]
-
-
-def _reflection(k: int) -> dict[str, str]:
-    rim = 2 * k
-    return {f"b{i}": f"b{(rim - i) % rim}" for i in range(1, rim) if i != k}
 
 
 def _expect(
@@ -536,28 +546,10 @@ def _expect(
     return expect
 
 
-def _disk_scene_doc(comment, k, strata, probes, expect) -> dict:
-    return {
-        "comment": comment,
-        "complex": {"maximal_simplices": _disk_doc(k)},
-        "subcomplexes": {
-            "ambient": _disk_doc(k),
-            "origin": [["c"]],
-            "real_line": _axis_doc(k),
-        },
-        "real_form": {
-            "M": "real_line",
-            "complex_dim": 1,
-            "conjugation": _reflection(k),
-        },
-        "strata": strata,
-        "probes": probes,
-        "expect": expect,
-    }
-
-
-def _kashiwara_point_doc(p: dict) -> dict:
-    d0, d1, k = p["d0"], p["d1"], p["k"]
+def _disk_scene_doc(comment: str, k: int, d0: int, d1: int) -> dict:
+    """One complex variable on a disk of 2k rim vertices, with a point
+    stratum of multiplicity d0 at the center and a flat one of multiplicity
+    d1, each omitted at 0."""
     strata = []
     if d0:
         strata.append({"name": "origin", "support": "origin", "codim": 1, "multiplicity": d0})
@@ -570,33 +562,46 @@ def _kashiwara_point_doc(p: dict) -> dict:
     ]
     if strata:
         checks += ["base_change", "shriek_indicator"]
-    expect = _expect(probes, [d0 + d1, d1, d1], checks)
+    rim = 2 * k
+    return {
+        "comment": comment,
+        "complex": {"maximal_simplices": _disk_doc(k)},
+        "subcomplexes": {"ambient": _disk_doc(k), "origin": [["c"]], "real_line": _axis_doc(k)},
+        "real_form": {
+            "M": "real_line",
+            "complex_dim": 1,
+            "conjugation": {f"b{i}": f"b{(rim - i) % rim}" for i in range(1, rim) if i != k},
+        },
+        "strata": strata,
+        "probes": probes,
+        "expect": _expect(probes, [d0 + d1, d1, d1], checks),
+    }
+
+
+def _kashiwara_point_doc(p: dict) -> dict:
     comment = (
         "One complex variable: a point module of multiplicity d0 at the "
         "origin on top of a flat piece of multiplicity d1.  The local count "
         "at the center is d0 + d1 and it drops to d1 on the punctured axis."
     )
-    return _disk_scene_doc(comment, k, strata, probes, expect)
+    return _disk_scene_doc(comment, p["k"], p["d0"], p["d1"])
 
 
 def _pair_C_R_doc(p: dict) -> dict:
-    m, k = p["m"], p["k"]
-    strata = [{"name": "ambient", "support": "ambient", "codim": 0, "multiplicity": m}]
-    probes = [["c"], ["b0", "c"], [f"b{k}", "c"]]
-    checks = [
-        "base_change", "boundary_parity", "conjugation_invariance",
-        "dimension_formula", "parity_formula", "shriek_indicator",
-        "triangle_identity",
-    ]
-    expect = _expect(probes, [m, m, m], checks)
     comment = (
         "The flat complexification pair in one variable; every local count "
         "equals the multiplicity of the single full-dimensional stratum."
     )
-    return _disk_scene_doc(comment, k, strata, probes, expect)
+    return _disk_scene_doc(comment, p["k"], 0, p["m"])
 
 
-def _plane_pair_doc(comment, k, extra_subs, strata, probes, expect) -> dict:
+def _plane_pair_doc(
+    comment: str, k: int, stratum: dict, hyper: list[int], checks: list[str]
+) -> dict:
+    """Two complex variables on the product of two disks, with one codim-1
+    stratum, on the first coordinate line or on the node, the union of both
+    lines; hyper[i] is the hyperfunction index at the i-th probe, declared
+    as its dimension too when the stratum is smooth."""
     disk, axis, pt = _disk_doc(k), _axis_doc(k), [["c"]]
     order = sorted({v for t in disk for v in t})  # the order product uses
     ambient = _staircase(disk, disk, order, order)
@@ -605,21 +610,9 @@ def _plane_pair_doc(comment, k, extra_subs, strata, probes, expect) -> dict:
         "real_plane": _staircase(axis, axis, order, order),
         "complex_line": _staircase(disk, pt, order, order),
     }
-    if "column" in extra_subs:
+    if stratum["support"] == "node":
         subs["node"] = subs["complex_line"] + _staircase(pt, disk, order, order)
-    return {
-        "comment": comment,
-        "complex": {"maximal_simplices": ambient},
-        "subcomplexes": subs,
-        "real_form": {"M": "real_plane", "complex_dim": 2},
-        "strata": strata,
-        "probes": probes,
-        "expect": expect,
-    }
-
-
-def _plane_probes(k: int) -> list[list[str]]:
-    return [
+    probes = [
         ["c.c"],
         ["b0.c", "c.c"],
         [f"b{k}.c", "c.c"],
@@ -627,40 +620,33 @@ def _plane_probes(k: int) -> list[list[str]]:
         [f"c.b{k}", "c.c"],
         ["b0.b0", "b0.c", "c.c"],
     ]
+    return {
+        "comment": comment,
+        "complex": {"maximal_simplices": ambient},
+        "subcomplexes": subs,
+        "real_form": {"M": "real_plane", "complex_dim": 2},
+        "strata": [stratum],
+        "probes": probes,
+        "expect": _expect(probes, hyper, checks, dimension=stratum.get("smooth", True)),
+    }
 
 
 def _smooth_line_doc(p: dict) -> dict:
-    m, k = p["m"], p["k"]
-    probes = _plane_probes(k)
-    expect = _expect(probes, [m, m, m, 0, 0, 0], [
-        "base_change", "dimension_formula", "parity_formula",
-        "shriek_indicator", "triangle_identity",
-    ])
-    strata = [{
-        "name": "complex_line", "support": "complex_line",
-        "codim": 1, "multiplicity": m,
-    }]
+    m = p["m"]
     comment = (
         "Two complex variables with a smooth hypersurface, the first "
         "coordinate line.  Local counts equal the multiplicity along the "
         "real trace of the line and vanish away from it."
     )
-    return _plane_pair_doc(comment, k, (), strata, probes, expect)
+    stratum = {"name": "complex_line", "support": "complex_line", "codim": 1, "multiplicity": m}
+    return _plane_pair_doc(comment, p["k"], stratum, [m, m, m, 0, 0, 0], [
+        "base_change", "dimension_formula", "parity_formula",
+        "shriek_indicator", "triangle_identity",
+    ])
 
 
 def _node_curve_doc(p: dict) -> dict:
-    m, k = p["m"], p["k"]
-    probes = _plane_probes(k)
-    expect = _expect(
-        probes, [2 * m, m, m, m, m, 0],
-        ["base_change", "parity_formula", "shriek_indicator", "triangle_identity"],
-        dimension=False,
-    )
-    strata = [{
-        "name": "node", "support": "node", "codim": 1, "multiplicity": m,
-        "smooth": False,
-        "eu": {"default": 1, "overrides": [{"at": ["c.c"], "value": 2}]},
-    }]
+    m = p["m"]
     comment = (
         "Two complex variables with the union of the two coordinate lines, "
         "singular at the center where the two branches cross.  The link of "
@@ -669,7 +655,14 @@ def _node_curve_doc(p: dict) -> dict:
         "the crossing; no dimension values are declared because the "
         "dimension count needs smooth strata."
     )
-    return _plane_pair_doc(comment, k, ("column",), strata, probes, expect)
+    stratum = {
+        "name": "node", "support": "node", "codim": 1, "multiplicity": m,
+        "smooth": False,
+        "eu": {"default": 1, "overrides": [{"at": ["c.c"], "value": 2}]},
+    }
+    return _plane_pair_doc(comment, p["k"], stratum, [2 * m, m, m, m, m, 0], [
+        "base_change", "parity_formula", "shriek_indicator", "triangle_identity",
+    ])
 
 
 def _antipodal_cover_doc(p: dict) -> dict:
@@ -714,8 +707,8 @@ _K = ModelParam(
 )
 
 _MODELS: dict[str, tuple[ModelInfo, Callable[[dict], dict]]] = {
-    "kashiwara_point": (
-        ModelInfo(
+    info.name: (info, builder) for info, builder in (
+        (ModelInfo(
             "kashiwara_point",
             "point module plus flat piece at the origin of one complex variable",
             (
@@ -729,41 +722,28 @@ _MODELS: dict[str, tuple[ModelInfo, Callable[[dict], dict]]] = {
                 ),
                 _K,
             ),
-        ),
-        _kashiwara_point_doc,
-    ),
-    "pair_C_R": (
-        ModelInfo(
+        ), _kashiwara_point_doc),
+        (ModelInfo(
             "pair_C_R",
             "flat complexification pair in one variable",
             (ModelParam("m", 1, 1, "multiplicity of the flat stratum", maximum=MAX_VALUE), _K),
-        ),
-        _pair_C_R_doc,
-    ),
-    "smooth_line_in_C2": (
-        ModelInfo(
+        ), _pair_C_R_doc),
+        (ModelInfo(
             "smooth_line_in_C2",
             "smooth coordinate line inside two complex variables",
             (ModelParam("m", 4, 1, "multiplicity along the line", maximum=MAX_VALUE), _K),
-        ),
-        _smooth_line_doc,
-    ),
-    "node_curve": (
-        ModelInfo(
+        ), _smooth_line_doc),
+        (ModelInfo(
             "node_curve",
             "two crossing coordinate lines, singular at the center",
             (ModelParam("m", 1, 1, "multiplicity along the curve", maximum=MAX_VALUE // 2), _K),
-        ),
-        _node_curve_doc,
-    ),
-    "antipodal_cover": (
-        ModelInfo(
+        ), _node_curve_doc),
+        (ModelInfo(
             "antipodal_cover",
             "circle with the free antipodal conjugation and empty real form",
             (ModelParam("m", 1, 1, "multiplicity of the full stratum", maximum=MAX_VALUE), _K),
-        ),
-        _antipodal_cover_doc,
-    ),
+        ), _antipodal_cover_doc),
+    )
 }
 
 
@@ -790,7 +770,7 @@ def build_model(name: str, **params: int) -> Scene:
             raise ModelError(f"parameter {key!r} must be an integer")
         if val < known[key].minimum:
             raise ModelError(f"parameter {key!r} must be at least {known[key].minimum}")
-        if known[key].maximum is not None and val > known[key].maximum:
+        if val > known[key].maximum:
             raise ModelError(f"parameter {key!r} must be at most {known[key].maximum}")
         values[key] = val
     try:

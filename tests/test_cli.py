@@ -15,11 +15,10 @@ import cfcalc.cli
 import cfcalc.complexes
 import cfcalc.indices
 from cfcalc import (
-    ConstructibleFunction, ModelParam, build_model, emit_scene, euler_integral,
+    ConstructibleFunction, build_model, emit_scene, euler_integral,
     hyperfunction_index, list_models, parse_scene,
 )
 from cfcalc.cli import load_scene, main
-from cfcalc.scenes import ModelInfo
 
 
 def run(capsys, *argv):
@@ -273,6 +272,37 @@ class TestExitCodes:
         code, out, err = run(capsys, "check", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: scene file holds more than the limit of {len(text) - 1} characters\n"
+
+    def test_container_dense_scene_file_refused_before_parsing(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the JSON reader builds every container before the scene is read,
+        # so a text past the bracket bound is refused before it: the
+        # MAX_SCENE_CHARS-character file of 10^7 empty objects, scaled to
+        # one object past the bound, and at small bounds a text at and past
+        # its own bound
+        bound = cfcalc.scenes.MAX_SCENE_BRACKETS
+        dense = tmp_path / "dense.json"
+        dense.write_text('{"x": [' + ",".join(["{}"] * (bound - 1)) + "]}", encoding="utf-8")
+        small = tmp_path / "small.json"
+        small.write_text('{"x": [{}, {}]}', encoding="utf-8")
+        monkeypatch.setattr(cfcalc.scenes, "MAX_SCENE_BRACKETS", 4)
+        assert run(capsys, "check", str(small)) == (2, "", "error: scene: missing key 'complex'\n")
+
+        def no_parse(text):
+            raise AssertionError("the scene was parsed")
+
+        monkeypatch.setattr(cfcalc.scenes.json, "loads", no_parse)
+        for path, limit in ((small, 3), (dense, bound)):
+            monkeypatch.setattr(cfcalc.scenes, "MAX_SCENE_BRACKETS", limit)
+            start = time.process_time()
+            code, out, err = run(capsys, "check", str(path))
+            assert time.process_time() - start < 1.0
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: scene text holds {limit + 1} '[' and '{{', "
+                f"more than the limit of {limit}\n"
+            )
 
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
     def test_endless_scene_file_refused(self, capsys, monkeypatch):
@@ -774,14 +804,6 @@ class TestModelsCommand:
         }
         assert listed["node_curve", "k"] == 36
         assert listed["kashiwara_point", "d1"] == 2**61
-
-    def test_unbounded_parameter_lists_no_maximum(self, capsys, monkeypatch):
-        info = ModelInfo("free", "one unbounded parameter", (ModelParam("n", 1, 0, "count"),))
-        monkeypatch.setattr(cfcalc.cli, "list_models", lambda: (info,))
-        code, out, _ = run(capsys, "models", "list")
-        assert code == 0 and out == "free: one unbounded parameter\n  n=1 (min 0): count\n"
-        code, out, _ = run(capsys, "models", "list", "--json")
-        assert code == 0 and json.loads(out)[0]["params"][0]["maximum"] is None
 
     def test_emit_round_trips(self, capsys):
         code, out, _ = run(capsys, "models", "emit", "node_curve", "k=4")

@@ -433,7 +433,7 @@ class TestValueClasses:
             (smooth_stratum("o", origin, 1, 2), smooth_stratum("o", origin, 1, 2)),
             (Expectations(checks=("parity_formula",)), Expectations(checks=("parity_formula",))),
             (CheckResult("c", "s", "1", "1", "pass"), CheckResult("c", "s", "1", "1", "pass")),
-            (ModelParam("k", 3, 3, "size"), ModelParam("k", 3, 3, "size")),
+            (ModelParam("k", 3, 3, "size", 9), ModelParam("k", 3, 3, "size", 9)),
         ]
         for a, b in pairs:
             assert a is not b and a == b and hash(a) == hash(b)
@@ -441,7 +441,7 @@ class TestValueClasses:
         assert smooth_stratum("o", origin, 1, 2) != smooth_stratum("o", origin, 1, 3)
         assert Expectations() != Expectations(checks=("parity_formula",))
         assert CheckResult("c", "s", "1", "1", "pass") != CheckResult("c", "s", "1", "2", "fail")
-        assert ModelParam("k", 3, 3, "size") != ModelParam("k", 3, 3, "size", maximum=9)
+        assert ModelParam("k", 3, 3, "size", 9) != ModelParam("k", 3, 3, "size", 10)
 
     def test_keyword_constructors_and_defaults(self):
         d = disk(3)
@@ -450,16 +450,16 @@ class TestValueClasses:
         assert (st.smooth, st.allow_empty_trace) == (True, False)
         pair = RealComplexPair(ambient=d, real_form=diameter(d), complex_dim=1)
         assert (pair.conjugation, pair.probes) == (None, ())
-        param = ModelParam(name="k", default=3, minimum=3, meaning="size")
-        assert repr(param) == (
-            "ModelParam(name='k', default=3, minimum=3, meaning='size', maximum=None)"
+        param = ModelParam(name="k", default=3, minimum=3, meaning="size", maximum=9)
+        row = CheckResult(check="c", subject="s", expected="", computed="", status="pass")
+        assert repr(row) == (
+            "CheckResult(check='c', subject='s', expected='', computed='', status='pass', note='')"
         )
-        row = CheckResult("c", "s", "", "", "pass")
         # each plain value class, values for its fields, and the fields it
         # may leave out, whose values here are their defaults
         cases = [
             (Scene, build_model("pair_C_R")._values(), ()),
-            (ModelParam, param._values(), ("maximum",)),
+            (ModelParam, param._values(), ()),
             (ModelInfo, ("m", "a model", (param,)), ()),
             (Expectations, ((), (), (), ()), Expectations._fields),
             (CheckResult, row._values(), ("note",)),

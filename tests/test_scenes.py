@@ -101,15 +101,17 @@ class TestModels:
 
     @pytest.mark.parametrize("name", ALL_MODELS)
     def test_each_model_fits_the_scene_budget_at_its_maximum_k(self, name, monkeypatch):
-        # The budget is checked for the complex, then for the whole scene,
-        # then the complex's (face, simplex) pairs, before anything is
-        # closed; the build stops at the complex's closure, since a plane
-        # model at k = 36 takes about a second to build.
+        # Every parameter at its maximum.  The budget is checked for the
+        # complex, then for the whole scene, then the complex's (face,
+        # simplex) pairs, before anything is closed; the build stops at the
+        # complex's closure, since a plane model at k = 36 takes about a
+        # second to build.  The document the model writes holds the lists
+        # and objects of its emission, so its brackets are the emission's.
         class Admitted(Exception):
             pass
 
-        figures = []
-        within = cfcalc.scenes._within_budget
+        figures, docs = [], []
+        within, read = cfcalc.scenes._within_budget, cfcalc.scenes._scene_from_doc
 
         def spy(bound, what):
             within(bound, what)
@@ -119,17 +121,34 @@ class TestModels:
             figures.append(sum(3 ** len(s) - 2 ** len(s) for s in set(map(tuple, gens))))
             raise Admitted
 
+        def capture(doc):
+            docs.append(doc)
+            return read(doc)
+
         (info,) = [info for info in list_models() if info.name == name]
-        (k,) = [p.maximum for p in info.params if p.name == "k"]
+        params = {p.name: p.maximum for p in info.params}
         monkeypatch.setattr(cfcalc.scenes, "_within_budget", spy)
         monkeypatch.setattr(cfcalc.scenes, "build_complex", stop)
+        monkeypatch.setattr(cfcalc.scenes, "_scene_from_doc", capture)
         with pytest.raises(Admitted):
-            build_model(name, k=k)
-        assert k == 36 and len(figures) == 3
+            build_model(name, **params)
+        assert params["k"] == 36 and len(figures) == 3
         assert figures[1] <= cfcalc.complexes.MAX_SIMPLICES
         assert figures[2] <= cfcalc.scenes.MAX_INCIDENCES
+        text = json.dumps(docs[0])
+        brackets = text.count("[") + text.count("{")
+        assert brackets <= cfcalc.scenes.MAX_SCENE_BRACKETS
         if name == "node_curve":  # the largest: 744 k^2 faces, 24 k^2 * 211 pairs
-            assert figures == [964_224, 965_792, 6_562_944]
+            assert figures == [964_224, 965_792, 6_562_944] and brackets == 62_482
+
+    @pytest.mark.parametrize("m, k", [(1, 3), (6, 4), (2**61, 36)])
+    def test_pair_C_R_is_the_kashiwara_point_scene_without_the_point(self, m, k):
+        pair = json.loads(emit_scene(build_model("pair_C_R", m=m, k=k)))
+        point = json.loads(emit_scene(build_model("kashiwara_point", d0=0, d1=m, k=k)))
+        assert pair.pop("name") == f"pair_C_R(k={k}, m={m})"
+        assert point.pop("name") == f"kashiwara_point(d0=0, d1={m}, k={k})"
+        assert pair.pop("comment") != point.pop("comment")
+        assert pair == point
 
     def test_zero_multiplicity_drops_stratum(self):
         scene = build_model("kashiwara_point", d0=0)

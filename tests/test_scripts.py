@@ -3,6 +3,7 @@ resolves on the package exist."""
 
 import ast
 import json
+import math
 import re
 import subprocess
 import sys
@@ -30,10 +31,11 @@ def test_script_exits_zero(argv):
 
 
 def test_ladder_writes_its_record_at_k_3(tmp_path):
+    # two repeats, the fewest that give each cold field a finite spread
     proc = subprocess.run(
         [sys.executable, "scripts/ladder.py", "--label", "smoke", "--ks", "3",
-         "--repeats", "1", "--out-dir", str(tmp_path)],
-        cwd=ROOT, capture_output=True, text=True, timeout=60,
+         "--repeats", "2", "--out-dir", str(tmp_path)],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     record = json.loads((tmp_path / "BENCH_ladder_smoke.json").read_text(encoding="utf-8"))
@@ -48,13 +50,16 @@ def test_ladder_writes_its_record_at_k_3(tmp_path):
             "parse_ms", "emit_ms", "speed_before", "speed_after",
         ):
             assert rung[key] > 0, (model, key)
-    checks = record["cold_check_simplex_ms"]
-    assert sorted(checks, key=int) == ["10", "12", "14"]
-    assert all(ms > 0 for ms in checks.values()), checks
-    verifies = record["cold_verify_simplex_ms"]
-    assert sorted(verifies, key=int) == ["10", "12"]
-    assert all(ms > 0 for ms in verifies.values()), verifies
+        for key in ("cold_verify_ms", "cold_hyperdim_ms", "cold_check_ms"):
+            assert 0 <= rung[f"{key}_spread"] < math.inf, (model, key)
+    for field, ns in (("cold_check_simplex_ms", ["10", "12", "14"]),
+                      ("cold_verify_simplex_ms", ["10", "12"])):
+        assert sorted(record[field], key=int) == ns
+        assert all(ms > 0 for ms in record[field].values()), field
+        assert sorted(record[f"{field}_spread"], key=int) == ns
+        assert all(0 <= s < math.inf for s in record[f"{field}_spread"].values()), field
     assert record["cold_verify_disjoint_ms"] > 0
+    assert 0 <= record["cold_verify_disjoint_ms_spread"] < math.inf
 
 
 def _literal(path: Path, name: str):
