@@ -13,7 +13,9 @@ between two files cancels.
   - build_ms: build_model(MODEL, k=k), which builds a new scene;
   - first_verify_ms: the first Scene.verify on that fresh scene, which
     builds every per-complex table it needs;
-  - warm_verify_ms: Scene.verify again on the same scene;
+  - warm_verify_ms: Scene.verify again, at another seed, on the same
+    scene, which keeps the rows that do not depend on the seed, so this
+    times only the three seeded triangle rows;
   - cold_verify_ms: `python -m cfcalc verify "MODEL(k=K)"` as a child
     process, its user plus system time;
   - cold_hyperdim_ms: `python -m cfcalc hyperdim "MODEL(k=K)" --at c.c`

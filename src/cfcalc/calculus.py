@@ -9,7 +9,7 @@ arithmetic; there are no tolerances anywhere.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import combinations, compress, filterfalse
+from itertools import combinations, compress, count, filterfalse
 from typing import Mapping, Sequence
 
 from ._frozen import Frozen, cached
@@ -322,26 +322,28 @@ def _open_star(closed: Subcomplex) -> tuple:
 
     Returns the position of each parent simplex u with a vertex in M in a
     vector over the star: M's n simplices first, at their places in M's
-    canonical order, then the u outside M in canonical order from n on;
-    and, per trace w (u's vertices in M) of the u outside M, the star
-    positions of those u of even and of odd dimension and the positions
-    in M's order of w's faces in M.  The parent needs no canonical order.
+    canonical order, then the u outside M from n on by trace w (u's vertices
+    in M), even dimension first, then u; and, per trace, the slices of the
+    star holding its u of even and of odd dimension, one run each with the
+    odd run starting where the even one stops, and the positions in M's
+    order of w's faces in M.  The parent needs no canonical order.
     """
     space = closed.as_complex()
     lookup, of_m = space.position().get, space.vertices.__contains__
     star = filterfalse(space.vertices.isdisjoint, closed.parent.simplices)
-    outside = sorted(filterfalse(space.simplices.__contains__, star))
-    position, groups = dict(space.position()), defaultdict(lambda: ([], []))
-    for i, u in enumerate(outside, len(position)):
-        position[u] = i
-        groups[tuple(filter(of_m, u))][len(u) % 2 == 0].append(i)
-    return position, [
-        (even, odd, [
+    runs = defaultdict(lambda: ([], []))
+    for u in filterfalse(space.simplices.__contains__, star):
+        runs[tuple(filter(of_m, u))][len(u) % 2 == 0].append(u)
+    position, groups = dict(space.position()), []
+    for w in sorted(runs):
+        even, odd = map(sorted, runs[w])
+        start, turn = len(position), len(position) + len(even)
+        position.update(zip(even + odd, count(start)))
+        groups.append((slice(start, turn), slice(turn, len(position)), [
             j for n in range(1, len(w) + 1) for j in map(lookup, combinations(w, n))
             if j is not None
-        ])
-        for w, (even, odd) in groups.items()
-    ]
+        ]))
+    return position, groups
 
 
 def _split_star(
@@ -349,7 +351,8 @@ def _split_star(
 ) -> tuple[ConstructibleFunction, ConstructibleFunction]:
     """triangle_decompose of the values x over the open star of the
     subcomplex M, laid out as _open_star places them, so x on M is the
-    prefix x[:n]; the parent's order is never built.
+    prefix x[:n] and each trace's star simplices of one parity a slice;
+    the parent's order is never built.
 
     g gathers (-1)^dim u x(u) of the star simplices u outside M onto the
     faces in M of their trace, once per trace.  The boundary is -D_M(g):
@@ -359,10 +362,10 @@ def _split_star(
     added up in one list over M's order.
     """
     space = closed.as_complex()
-    order, at = space.ordered(), x.__getitem__
+    order = space.ordered()
     g = [0] * len(order)
     for even, odd, faces in _open_star(closed)[1]:
-        v = sum(map(at, even)) - sum(map(at, odd))
+        v = sum(x[even]) - sum(x[odd])
         if v:
             for j in faces:
                 g[j] += v

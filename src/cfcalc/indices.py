@@ -377,8 +377,13 @@ def verify_scene(
     input raises ModelError, such as an expected value declared at a
     simplex off the real form.  Entries are sorted, stably, by check name
     and then subject, and the whole report is deterministic for a fixed
-    seed.
+    seed.  Only the three random triangle rows depend on the seed, so a
+    Scene keeps the rest, _scene_rows, and adds them in _with_seeded_rows.
     """
+    return _with_seeded_rows(name, pair, _scene_rows(pair, cycle, expectations), seed)
+
+
+def _scene_rows(pair: RealComplexPair, cycle: CharacteristicCycle, expectations) -> tuple:
     exp = expectations or Expectations()
     # each key read as a simplex once, as RealComplexPair reads probes
     declared = [
@@ -391,13 +396,11 @@ def verify_scene(
                     f"{key} is declared at {p}, which is not a simplex of the real form"
                 )
     rows = _Rows(pair.probes)
-    ambient = pair.ambient
-    mc = pair.real_complex()
     strata = sorted(cycle, key=lambda st: st.name)
 
     # the costalk and boundary of the solution index, computed once, give
     # the hyperfunction index, the parity and their triangle and boundary rows
-    sol = solution_index(cycle, ambient)
+    sol = solution_index(cycle, pair.ambient)
     restricted = restrict(sol, pair.real_form)
     costalk, boundary = triangle_decompose(pair.real_form, sol)
     hyper = _sign(pair.complex_dim) * costalk
@@ -453,22 +456,9 @@ def verify_scene(
         right = pushforward(into_m, shriek_restrict(trace, psi))
         rows.compare(f"base_change[{st.name}]", "", "exact", _first_mismatch(left, right))
 
-    # restriction = costalk + boundary, exactly, for the solution index and
-    # for three random functions; both sides read a function only on the
-    # open star of M, so each is drawn there as a vector by star position,
-    # in one call, and split as drawn; restrict reads it on M, its prefix
-    rng = random.Random(seed)
-    size = len(_open_star(pair.real_form)[0])
-    triangles = [("solution_index", restricted, costalk + boundary, "")]
-    for i in range(3):
-        x = memoryview(rng.randbytes(size).translate(_DRAW_TABLE)).cast("b").tolist()
-        terms = _split_star(pair.real_form, x)
-        phi = ConstructibleFunction._of(ambient, _nonzero_items(mc.ordered(), x[:len(mc)]))
-        triangles.append(
-            (f"random[{i}]", restrict(phi, pair.real_form), terms[0] + terms[1], f"seed={seed}")
-        )
-    for subject, plain, split, note in triangles:
-        rows.compare("triangle_identity", subject, "exact", _first_mismatch(plain, split), note)
+    # restriction = costalk + boundary, exactly; _with_seeded_rows adds random phi
+    rows.compare("triangle_identity", "solution_index", "exact",
+                 _first_mismatch(restricted, costalk + boundary))
 
     # conjugation-dependent checks
     conj = pair.conjugation
@@ -512,5 +502,20 @@ def verify_scene(
             "applicable" if check in rows.applied else "not applicable",
         )
 
-    entries = tuple(sorted(rows.rows, key=lambda e: (e.check, e.subject)))
-    return VerificationReport(name, entries)
+    return tuple(rows.rows)
+
+
+def _with_seeded_rows(name, pair: RealComplexPair, rows: tuple, seed: int) -> VerificationReport:
+    """The report of the rows and the triangle rows of three random functions
+    drawn from the seed, each in one call as a vector over the open star of M,
+    all that both sides read, and split as drawn; restrict reads its prefix."""
+    rng, drawn, mc = random.Random(seed), _Rows(pair.probes), pair.real_complex()
+    size = len(_open_star(pair.real_form)[0])
+    for i in range(3):
+        x = memoryview(rng.randbytes(size).translate(_DRAW_TABLE)).cast("b").tolist()
+        terms = _split_star(pair.real_form, x)
+        phi = ConstructibleFunction._of(pair.ambient, _nonzero_items(mc.ordered(), x[:len(mc)]))
+        mismatch = _first_mismatch(restrict(phi, pair.real_form), terms[0] + terms[1])
+        drawn.compare("triangle_identity", f"random[{i}]", "exact", mismatch, f"seed={seed}")
+    entries = sorted(rows + tuple(drawn.rows), key=lambda e: (e.check, e.subject))
+    return VerificationReport(name, tuple(entries))

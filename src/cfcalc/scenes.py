@@ -38,7 +38,8 @@ from .indices import (
     RealComplexPair,
     Stratum,
     VerificationReport,
-    verify_scene,
+    _scene_rows,
+    _with_seeded_rows,
 )
 
 # Largest magnitude of an integer a scene carries; every value the calculus
@@ -53,10 +54,10 @@ MAX_VALUE = 2**62
 # 6,562,944 at k = 36.
 MAX_INCIDENCES = 10**7
 
-# Most characters a scene file may hold, refused before it is parsed: over
-# four times the largest built-in emission, node_curve at k = 36 with the
-# largest m (6,449,992 characters), so wider indentation still fits.
-MAX_SCENE_CHARS = 3 * 10**7
+# Most characters a scene file may hold, refused before it is parsed: three times
+# the largest built-in emission, 6,449,992 characters, rounded up; the densest
+# ASCII text admitted ({"":0} to the bracket bound, then "ab") peaks near 490 MB.
+MAX_SCENE_CHARS = 3 * 6_450_000
 
 # Most "[" and "{" a scene text may hold, counted before it is parsed: the
 # JSON reader builds every container before the scene's first key is read,
@@ -77,7 +78,8 @@ _SEPARATOR = re.compile(r"[,\s]")
 
 class Scene(Frozen):
     """A parsed, validated scenario.  Equality is by canonical emission,
-    built on first use; support_names maps stratum to support names."""
+    built on first use, as are verify's rows that do not depend on the
+    seed; support_names maps stratum to support names."""
 
     _fields = (
         "name", "comment", "ambient", "subcomplexes", "real_form_name", "pair", "cycle",
@@ -96,8 +98,12 @@ class Scene(Frozen):
         known = ", ".join(nm for nm, _ in self.subcomplexes)
         raise ModelError(f"no subcomplex named {name!r}; scene has: {known}")
 
+    @cached
+    def _rows(self) -> tuple:
+        return _scene_rows(self.pair, self.cycle, self.expect)
+
     def verify(self, seed: int = 0) -> VerificationReport:
-        return verify_scene(self.pair, self.cycle, self.expect, seed=seed, name=self.name)
+        return _with_seeded_rows(self.name, self.pair, self._rows(), seed)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scene):

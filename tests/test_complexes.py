@@ -151,11 +151,13 @@ class TestStarAndSubcomplex:
         star = sorted(position, key=position.get)
         assert sorted(position.values()) == list(range(13))  # vertex + 6 spokes + 6 triangles
         # M is the one vertex c, at position 0: the spokes and triangles are
-        # outside it, all with the trace c, whose one face in M is c itself
+        # outside it, all with the trace c, whose one face in M is c itself;
+        # the triangles, of even dimension, come first, then the spokes
         assert star[0] == ("c",)
         ((even, odd, faces),) = groups
-        assert sorted(len(star[i]) for i in even) == [3] * 6
-        assert sorted(len(star[i]) for i in odd) == [2] * 6
+        assert (even, odd) == (slice(1, 7), slice(7, 13))
+        assert [len(u) for u in star[even]] == [3] * 6
+        assert [len(u) for u in star[odd]] == [2] * 6
         assert faces == [0]
 
     def test_star_of_the_whole_parent_holds_no_group(self):
@@ -294,6 +296,9 @@ CACHED = {
         "_canonical_text",
         lambda x: x.canonical_text,
     ),
+    "Scene._rows": (
+        lambda: parse_scene(emit_scene(build_model("pair_C_R"))), "__rows", lambda x: x._rows()
+    ),
 }
 
 
@@ -308,13 +313,26 @@ def test_derived_values_are_built_on_first_use_and_kept(accessor):
 
 
 def test_star_order_is_the_sorted_star_table():
-    # M's simplices at their places in M's order, then the rest sorted
+    # M's simplices at their places in M's order, then the rest sorted by
+    # trace, even dimension first, and simplex, one run per group and parity
     closed = diameter(disk(3))
-    position, _ = cfcalc.calculus._open_star(closed)
+    position, groups = cfcalc.calculus._open_star(closed)
     star, n = sorted(position, key=position.get), len(closed.simplices)
     assert sorted(position.values()) == list(range(len(star)))
     assert star[:n] == list(closed.as_complex().ordered())
-    assert star[n:] == sorted(set(star) - closed.simplices)
+
+    def trace(u):
+        return tuple(filter(closed.vertices.__contains__, u))
+
+    assert star[n:] == sorted(
+        set(star) - closed.simplices, key=lambda u: (trace(u), u.dim % 2, u)
+    )
+    runs = [range(even.start, odd.stop) for even, odd, _ in groups]
+    assert [i for run in runs for i in run] == list(range(n, len(star)))
+    for even, odd, _ in groups:
+        assert even.stop == odd.start
+        assert len({trace(u) for u in star[even.start:odd.stop]}) == 1
+        assert all(u.dim % 2 == 0 for u in star[even]) and all(u.dim % 2 for u in star[odd])
 
 
 class TestMaps:

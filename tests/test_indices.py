@@ -29,6 +29,7 @@ from cfcalc import (
     indicator,
     involution,
     parity_index,
+    parse_scene,
     simplex,
     smooth_stratum,
     solution_index,
@@ -308,6 +309,40 @@ class TestVerifyScene:
         scene = build_model("pair_C_R")
         for seed in (0, 1, 99):
             assert scene.verify(seed=seed).passed
+
+    def test_a_second_verify_runs_only_the_seeded_rows(self, monkeypatch):
+        # the scene keeps its seed-independent rows, so a second verify
+        # splits the three drawn functions and computes nothing else
+        scene = build_model("node_curve", k=3)
+        scene.verify(seed=0)
+        calls = defaultdict(int)
+
+        def spy(name, original):
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+            return call
+
+        for module in (cfcalc.calculus, cfcalc.indices):
+            for name in (
+                "_split_star", "triangle_decompose", "shriek_restrict", "solution_index",
+                "pushforward",
+            ):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        assert scene.verify(seed=1).passed
+        assert calls == {"_split_star": 3}
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+    @pytest.mark.parametrize("name", [info.name for info in list_models()])
+    def test_a_scene_verified_twice_reports_as_verify_scene(self, name, seed):
+        scene = build_model(name, k=3)
+        scene.verify(seed=seed + 1)
+        twice = scene.verify(seed=seed)
+        fresh = parse_scene(scene.canonical_text)
+        once = verify_scene(fresh.pair, fresh.cycle, fresh.expect, seed=seed, name=fresh.name)
+        assert twice.to_text() == once.to_text()
+        assert twice.to_json_obj() == once.to_json_obj()
 
     def test_covering_parity_reduces_a_nonzero_euler_integral(self):
         # the octahedron's boundary is a sphere, so its Euler integral is 2;

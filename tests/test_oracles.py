@@ -218,10 +218,17 @@ def test_split_star_is_the_definitional_triangle_on_star_vectors(data):
 
 def open_star(pair) -> list:
     """Every ambient simplex with a vertex in the real form M: the simplices
-    of M in canonical order, then the others in canonical order."""
+    of M in canonical order, then the others by their trace (their vertices
+    in M), even dimension before odd, and canonical order.  A simplex of M
+    is its own trace, so one key orders both parts."""
     m_vertices = {v for s in pair.real_form.simplices for v in s.vertices}
     star = [s for s in pair.ambient.simplices if not m_vertices.isdisjoint(s.vertices)]
-    return sorted(star, key=lambda s: (s not in pair.real_form.simplices, s))
+    return sorted(star, key=lambda s: (
+        s not in pair.real_form.simplices,
+        tuple(v for v in s.vertices if v in m_vertices),
+        s.dim % 2,
+        s,
+    ))
 
 
 def signed(byte: int) -> int:
