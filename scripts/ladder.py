@@ -36,8 +36,13 @@ vertices, for n in ONE_SIMPLEX (the n = 14 complex has 16,383 simplices),
 timed as the other child processes and keyed by n; and
 cold_verify_simplex_ms: `python -m cfcalc verify` on the same files for n
 in VERIFY_SIMPLEX.  The real form there is the whole simplex, so no star
-simplex lies outside it, the split gathers nothing and its one dual is of
-zero: these times follow the 2^n - 1 simplices, not the 3^n - 2^n (face,
+simplex lies outside it and the split has no trace to sum.
+cold_verify_facet_ms is `python -m cfcalc verify`, for n in VERIFY_SIMPLEX,
+on the n-vertex simplex whose real form is its facet on the first n - 1
+vertices: each of the 2^(n-1) - 1 simplices of the facet is the trace of
+the one star simplex that adds the last vertex to it, so the split sums
+one value per trace, and a facet is a full subcomplex, so it takes no
+dual.  These times follow the 2^n - 1 simplices, not the 3^n - 2^n (face,
 simplex) pairs.  cold_verify_disjoint_ms is `python -m cfcalc verify` on a
 scene file of DISJOINT disjoint 4-simplices (124,000 simplices) whose real
 form is the whole complex, with one codim-0 stratum on one of them: every
@@ -163,24 +168,34 @@ def rung(model: str, k: int, repeats: int) -> dict:
     }
 
 
-def one_simplex_children(repeats: int) -> tuple[dict, dict]:
+def simplex_file(tmp: str, n: int, m: int) -> str:
+    """A scene file whose complex is one simplex on n vertices and whose
+    real form is its face on the first m of them."""
+    vertices = [f"v{i}" for i in range(n)]
+    doc = {
+        "name": f"simplex{n}", "complex": {"maximal_simplices": [vertices]},
+        "subcomplexes": {"M": [vertices[:m]]}, "real_form": {"M": "M", "complex_dim": 1},
+        "strata": [], "probes": [], "expect": {},
+    }
+    path = Path(tmp) / f"simplex{n}_{m}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def one_simplex_children(repeats: int) -> tuple[dict, dict, dict]:
     """Cold `cfcalc check` and `cfcalc verify` CPU times on one n-vertex
-    simplex, a list of repeats each, keyed by n."""
-    checks, verifies = {}, {}
+    simplex as its own real form, and cold `cfcalc verify` over its facet,
+    a list of repeats each, keyed by n."""
+    checks, verifies, facets = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for n in ONE_SIMPLEX:
-            vertices = [f"v{i}" for i in range(n)]
-            doc = {
-                "name": f"simplex{n}", "complex": {"maximal_simplices": [vertices]},
-                "subcomplexes": {"M": [vertices]}, "real_form": {"M": "M", "complex_dim": 1},
-                "strata": [], "probes": [], "expect": {},
-            }
-            path = Path(tmp) / f"simplex{n}.json"
-            path.write_text(json.dumps(doc), encoding="utf-8")
-            checks[str(n)] = [cold_ms("check", str(path)) for _ in range(repeats)]
+            whole = simplex_file(tmp, n, n)
+            checks[str(n)] = [cold_ms("check", whole) for _ in range(repeats)]
             if n in VERIFY_SIMPLEX:
-                verifies[str(n)] = [cold_ms("verify", str(path)) for _ in range(repeats)]
-    return checks, verifies
+                verifies[str(n)] = [cold_ms("verify", whole) for _ in range(repeats)]
+                facet = simplex_file(tmp, n, n - 1)
+                facets[str(n)] = [cold_ms("verify", facet) for _ in range(repeats)]
+    return checks, verifies, facets
 
 
 def disjoint_child(repeats: int) -> list[float]:
@@ -224,8 +239,11 @@ def main(argv=None) -> int:
         "unit": "ms of CPU time at the gauge's nominal speed, median",
         **{model: [rung(model, k, args.repeats) for k in args.ks] for model in MODELS},
     }
-    checks, verifies = one_simplex_children(args.repeats)
-    for field, runs in (("cold_check_simplex_ms", checks), ("cold_verify_simplex_ms", verifies)):
+    checks, verifies, facets = one_simplex_children(args.repeats)
+    for field, runs in (
+        ("cold_check_simplex_ms", checks), ("cold_verify_simplex_ms", verifies),
+        ("cold_verify_facet_ms", facets),
+    ):
         record[field] = {n: median(ms) for n, ms in runs.items()}
         record[f"{field}_spread"] = {n: spread_of(ms) for n, ms in runs.items()}
     disjoint = disjoint_child(args.repeats)

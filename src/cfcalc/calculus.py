@@ -323,13 +323,14 @@ def _open_star(closed: Subcomplex) -> tuple:
     Returns the position of each parent simplex u with a vertex in M in a
     vector over the star: M's n simplices first, at their places in M's
     canonical order, then the u outside M from n on by trace w (u's vertices
-    in M), even dimension first, then u; and, per trace, the slices of the
-    star holding its u of even and of odd dimension, one run each with the
-    odd run starting where the even one stops, and the positions in M's
-    order of w's faces in M.  The parent needs no canonical order.
+    in M), even dimension first, then u; per trace w, in canonical order,
+    the slices of the star holding its u of even and of odd dimension, the
+    odd run starting where the even one stops, and w; and F, the parent's
+    simplices with all vertices in M (M and the traces outside it) as a
+    complex, M's own exactly when M is full.  No parent order is built.
     """
     space = closed.as_complex()
-    lookup, of_m = space.position().get, space.vertices.__contains__
+    of_m = space.vertices.__contains__
     star = filterfalse(space.vertices.isdisjoint, closed.parent.simplices)
     runs = defaultdict(lambda: ([], []))
     for u in filterfalse(space.simplices.__contains__, star):
@@ -339,11 +340,10 @@ def _open_star(closed: Subcomplex) -> tuple:
         even, odd = map(sorted, runs[w])
         start, turn = len(position), len(position) + len(even)
         position.update(zip(even + odd, count(start)))
-        groups.append((slice(start, turn), slice(turn, len(position)), [
-            j for n in range(1, len(w) + 1) for j in map(lookup, combinations(w, n))
-            if j is not None
-        ]))
-    return position, groups
+        groups.append((slice(start, turn), slice(turn, len(position)), Simplex._raw(w)))
+    outside = [w for _, _, w in groups if w not in space.simplices]
+    full = SimplicialComplex._closed(space.simplices.union(outside)) if outside else space
+    return position, groups, full
 
 
 def _split_star(
@@ -351,29 +351,29 @@ def _split_star(
 ) -> tuple[ConstructibleFunction, ConstructibleFunction]:
     """triangle_decompose of the values x over the open star of the
     subcomplex M, laid out as _open_star places them, so x on M is the
-    prefix x[:n] and each trace's star simplices of one parity a slice;
-    the parent's order is never built.
+    prefix x[:n] and each trace's star simplices of one parity a slice.
 
-    g gathers (-1)^dim u x(u) of the star simplices u outside M onto the
-    faces in M of their trace, once per trace.  The boundary is -D_M(g):
-    for s in M and w outside M the signs (-1)^dim u over the interval
-    s <= u <= w sum to zero.  The costalk, D_M of D(phi) on M, is D_M of
-    g + D_M(x on M); D_M is an involution, so it is x on M + D_M(g),
-    added up in one list over M's order.
+    Each trace w gets h0(w) = (-1)^dim w v(w), v(w) the sum of (-1)^dim u
+    x(u) over its u outside M, so for s in M D_F(h0)(s) sums v over the
+    traces containing s.  With h = D_M(D_F(h0) on M), h0 itself when F is M
+    (D_M is an involution), the boundary is -h, as the signs (-1)^dim u over
+    s <= u <= w cancel for s in M and w outside M, and the costalk, D_M of
+    D(phi) on M, is x on M + h.
     """
     space = closed.as_complex()
-    order = space.ordered()
-    g = [0] * len(order)
-    for even, odd, faces in _open_star(closed)[1]:
+    _, groups, full = _open_star(closed)
+    h0 = []
+    for even, odd, w in groups:
         v = sum(x[even]) - sum(x[odd])
         if v:
-            for j in faces:
-                g[j] += v
-    h = dual(ConstructibleFunction._of(space, _nonzero_items(order, g)))
-    costalk, spot = x[:len(order)], space.position()
+            h0.append((w, v if len(w) % 2 else -v))
+    h = ConstructibleFunction._of(full, tuple(h0))
+    if full is not space:
+        h = dual(restrict(dual(h), Subcomplex._of(full, space)))
+    costalk, spot = x[:len(space)], space.position()
     for s, v in h.items:
         costalk[spot[s]] += v
-    return ConstructibleFunction._of(space, _nonzero_items(order, costalk)), -h
+    return ConstructibleFunction._of(space, _nonzero_items(space.ordered(), costalk)), -h
 
 
 def mod2_reduce(phi: ConstructibleFunction) -> ConstructibleFunction:

@@ -72,9 +72,14 @@ def load_scene(spec: str) -> Scene:
                 text = fh.read(MAX_SCENE_CHARS + 1)
         except UnicodeDecodeError as err:
             raise SceneSyntaxError(f"scene file is not UTF-8 text: {err.reason}") from None
-        if len(text) > MAX_SCENE_CHARS:
+        # Python holds an ASCII text at one byte a character and any other at
+        # 1, 2 or 4 bytes a character, by its widest one, behind a longer
+        # header: the bound weighs the text as it is held
+        if sys.getsizeof(text) - sys.getsizeof("") > MAX_SCENE_CHARS:
             raise SceneSyntaxError(
                 f"scene file holds more than the limit of {MAX_SCENE_CHARS} characters"
+                if text.isascii() else
+                f"scene file takes more than the limit of {MAX_SCENE_CHARS} bytes as text"
             )
         return parse_scene(text)
     match = _MODEL_SPEC.fullmatch(spec)

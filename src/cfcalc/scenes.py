@@ -47,16 +47,18 @@ from .indices import (
 MAX_VALUE = 2**62
 
 # Most (face, simplex) pairs a scene's complex may make the calculus list:
-# dual reaches every face of each simplex it touches, and the star table of a
-# subcomplex M (calculus._open_star) every face in M of each trace of the star
-# simplices outside M, 3^n - 2^n pairs on one n-vertex simplex.  This admits
-# one simplex of 14 vertices, and the plane models' 24 * 36^2 * 211 =
-# 6,562,944 at k = 36.
+# dual reaches every face of each simplex it touches, 3^n - 2^n pairs on one
+# n-vertex simplex.  The star split lists none, and reaches dual only when M
+# is not a full subcomplex.  This admits one simplex of 14 vertices, and the
+# plane models' 24 * 36^2 * 211 = 6,562,944 at k = 36.
 MAX_INCIDENCES = 10**7
 
 # Most characters a scene file may hold, refused before it is parsed: three times
 # the largest built-in emission, 6,449,992 characters, rounded up; the densest
 # ASCII text admitted ({"":0} to the bracket bound, then "ab") peaks near 490 MB.
+# A text that is not ASCII is weighed as Python holds it, at 1, 2 or 4 bytes a
+# character by its widest one, so one character past the Basic Multilingual
+# Plane makes every character count four times.
 MAX_SCENE_CHARS = 3 * 6_450_000
 
 # Most "[" and "{" a scene text may hold, counted before it is parsed: the

@@ -273,6 +273,32 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"error: scene file holds more than the limit of {len(text) - 1} characters\n"
 
+    def test_wide_scene_file_weighed_as_held_and_refused_before_parsing(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # one character past the Basic Multilingual Plane makes Python hold
+        # the whole text at four bytes a character, and the bound weighs it
+        # so: a file of fewer characters than the bound is refused
+        doc = json.loads(emit_scene(build_model("pair_C_R")))
+        doc["name"] = "pair \U0001F600"
+        text = json.dumps(doc, ensure_ascii=False)
+        path = tmp_path / "wide.json"
+        path.write_text(text, encoding="utf-8")
+        held = sys.getsizeof(text) - sys.getsizeof("")
+        assert held > 4 * len(text)
+        monkeypatch.setattr(cfcalc.cli, "MAX_SCENE_CHARS", held)
+        assert run(capsys, "check", str(path))[0] == 0  # a file at the bound is read
+
+        def no_parse(text):
+            raise AssertionError("the scene was parsed")
+
+        monkeypatch.setattr(cfcalc.cli, "parse_scene", no_parse)
+        for limit in (held - 1, 2 * len(text), len(text)):
+            monkeypatch.setattr(cfcalc.cli, "MAX_SCENE_CHARS", limit)
+            code, out, err = run(capsys, "check", str(path))
+            assert (code, out) == (2, "")
+            assert err == f"error: scene file takes more than the limit of {limit} bytes as text\n"
+
     def test_container_dense_scene_file_refused_before_parsing(
         self, capsys, tmp_path, monkeypatch
     ):

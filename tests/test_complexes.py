@@ -147,23 +147,37 @@ class TestStarAndSubcomplex:
     # the star table is the calculus's, kept on the subcomplex
     def test_star_of_disk_center(self):
         d = disk(3)
-        position, groups = cfcalc.calculus._open_star(subcomplex(d, [["c"]]))
+        closed = subcomplex(d, [["c"]])
+        position, groups, full = cfcalc.calculus._open_star(closed)
         star = sorted(position, key=position.get)
         assert sorted(position.values()) == list(range(13))  # vertex + 6 spokes + 6 triangles
         # M is the one vertex c, at position 0: the spokes and triangles are
-        # outside it, all with the trace c, whose one face in M is c itself;
-        # the triangles, of even dimension, come first, then the spokes
+        # outside it, all with the trace c; the triangles, of even
+        # dimension, come first, then the spokes; a vertex is a full
+        # subcomplex, so F is M
         assert star[0] == ("c",)
-        ((even, odd, faces),) = groups
+        ((even, odd, trace),) = groups
         assert (even, odd) == (slice(1, 7), slice(7, 13))
         assert [len(u) for u in star[even]] == [3] * 6
         assert [len(u) for u in star[odd]] == [2] * 6
-        assert faces == [0]
+        assert trace == ("c",) and type(trace) is Simplex
+        assert full is closed.as_complex()
 
     def test_star_of_the_whole_parent_holds_no_group(self):
         d = disk(3)
-        position, groups = cfcalc.calculus._open_star(subcomplex(d, d.maximal_simplices()))
+        closed = subcomplex(d, d.maximal_simplices())
+        position, groups, full = cfcalc.calculus._open_star(closed)
         assert position == d.position() and groups == []
+        assert full is closed.as_complex()
+
+    def test_star_of_a_rim_path_spans_the_triangle_it_bends_round(self):
+        # the rim path b0 b1 c is not full: its vertices span the triangle
+        # b0 b1 c and the edge b0 c, so F adds those two to M
+        d = disk(3)
+        closed = subcomplex(d, [["b0", "b1"], ["b1", "c"]])
+        _, groups, full = cfcalc.calculus._open_star(closed)
+        assert full.simplices == closed.simplices | {("b0", "c"), ("b0", "b1", "c")}
+        assert {trace for _, _, trace in groups} >= {("b0", "c"), ("b0", "b1", "c")}
 
     def test_subcomplex_closure_and_membership(self):
         d = disk(3)
@@ -314,9 +328,11 @@ def test_derived_values_are_built_on_first_use_and_kept(accessor):
 
 def test_star_order_is_the_sorted_star_table():
     # M's simplices at their places in M's order, then the rest sorted by
-    # trace, even dimension first, and simplex, one run per group and parity
+    # trace, even dimension first, and simplex, one run per group and
+    # parity, each group carrying its trace; F is every parent simplex
+    # whose vertices all lie in M
     closed = diameter(disk(3))
-    position, groups = cfcalc.calculus._open_star(closed)
+    position, groups, full = cfcalc.calculus._open_star(closed)
     star, n = sorted(position, key=position.get), len(closed.simplices)
     assert sorted(position.values()) == list(range(len(star)))
     assert star[:n] == list(closed.as_complex().ordered())
@@ -329,10 +345,12 @@ def test_star_order_is_the_sorted_star_table():
     )
     runs = [range(even.start, odd.stop) for even, odd, _ in groups]
     assert [i for run in runs for i in run] == list(range(n, len(star)))
-    for even, odd, _ in groups:
+    assert [w for _, _, w in groups] == sorted({trace(u) for u in star[n:]})
+    for even, odd, w in groups:
         assert even.stop == odd.start
-        assert len({trace(u) for u in star[even.start:odd.stop]}) == 1
+        assert {trace(u) for u in star[even.start:odd.stop]} == {w}
         assert all(u.dim % 2 == 0 for u in star[even]) and all(u.dim % 2 for u in star[odd])
+    assert full.simplices == {u for u in star if trace(u) == u}
 
 
 class TestMaps:

@@ -1,0 +1,97 @@
+"""dual and triangle_decompose on every complex on at most four vertices.
+
+Both operators are linear in the function, so checking one complex K on
+the indicator of each of its simplices proves dual on every integer
+function on K, and checking a pair (K, M) so proves triangle_decompose
+there.  The complexes are every nonempty face-closed family of subsets of
+the vertices a, b, c, d, and M every nonempty subcomplex of each.  A
+relabelling of a-d carries each operator's input and output alike, so one
+pair per orbit of the 24 relabellings is checked.  The references are
+those of tests/test_oracles.py, written straight from the definitions,
+and the operators are called through cfcalc.calculus, where
+tests/test_faults.py plants its faults.
+"""
+
+from itertools import combinations, permutations
+
+import cfcalc.calculus
+from cfcalc import ConstructibleFunction, SimplicialComplex, Subcomplex
+from test_oracles import reference_dual, reference_triangle, values
+
+VERTICES = "abcd"
+SETS = [s for n in range(1, 5) for s in combinations(VERTICES, n)]
+RELABELLINGS = [dict(zip(VERTICES, p)) for p in permutations(VERTICES)]
+
+
+def down_sets(sets):
+    """Every face-closed family of the given vertex tuples, which are listed
+    by size, as a sorted tuple."""
+    def grow(i, chosen):
+        if i == len(sets):
+            yield tuple(sorted(chosen))
+            return
+        s = sets[i]
+        yield from grow(i + 1, chosen)
+        if len(s) == 1 or all(f in chosen for f in combinations(s, len(s) - 1)):
+            yield from grow(i + 1, chosen | {s})
+    return list(grow(0, frozenset()))
+
+
+def relabel(family, p):
+    return tuple(sorted(tuple(sorted(p[v] for v in s)) for s in family))
+
+
+def orbit_pairs():
+    """One (K, M) per orbit of the relabellings, and the numbers of labelled
+    complexes and pairs: each complex is taken in its least relabelling,
+    and its subcomplexes up to the relabellings fixing it."""
+    pairs, labelled_complexes, labelled_pairs = [], 0, 0
+    for space in down_sets(SETS):
+        if not space:
+            continue
+        labelled_complexes += 1
+        subs = [m for m in down_sets(sorted(space, key=len)) if m]
+        labelled_pairs += len(subs)
+        if space != min(relabel(space, p) for p in RELABELLINGS):
+            continue
+        fixing = [p for p in RELABELLINGS if relabel(space, p) == space]
+        for m in {min(relabel(m, p) for p in fixing) for m in subs}:
+            pairs.append((space, m))
+    return sorted(pairs), labelled_complexes, labelled_pairs
+
+
+PAIRS, LABELLED_COMPLEXES, LABELLED_PAIRS = orbit_pairs()
+
+
+def indicators(space):
+    return [ConstructibleFunction(space, {s: 1}) for s in space.ordered()]
+
+
+def test_the_enumeration_counts_every_complex_and_pair():
+    # 166 nonempty complexes on at most four labelled vertices (the
+    # Dedekind number 168 less the empty family and the empty complex)
+    assert (LABELLED_COMPLEXES, LABELLED_PAIRS) == (166, 7246)
+    # and 28 complexes and 561 pairs up to relabelling, as a scan of all
+    # 2^15 families of nonempty vertex sets and 24 relabellings counts them
+    assert len({k for k, _ in PAIRS}) == 28
+    assert len(PAIRS) == len(set(PAIRS)) == 561
+
+
+def test_dual_on_every_complex():
+    for space in sorted({k for k, _ in PAIRS}):
+        complex_ = SimplicialComplex(space)
+        for phi in indicators(complex_):
+            assert values(cfcalc.calculus.dual(phi)) == reference_dual(phi)
+
+
+def test_triangle_decompose_on_every_pair():
+    full = 0
+    for space, m in PAIRS:
+        complex_ = SimplicialComplex(space)
+        closed = Subcomplex(complex_, m)
+        full += cfcalc.calculus._open_star(closed)[2] is closed.as_complex()
+        for phi in indicators(complex_):
+            split = cfcalc.calculus.triangle_decompose(closed, phi)
+            assert split == reference_triangle(closed, phi)
+    # both ways of the split, one value per trace and dual on the span
+    assert 0 < full < len(PAIRS)

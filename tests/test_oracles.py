@@ -350,6 +350,55 @@ def test_verify_and_hyperfunction_index_take_no_ambient_dual(name, monkeypatch):
     assert ambient_duals == []
 
 
+def counted_duals(monkeypatch) -> list:
+    """The arguments of every later call of calculus.dual, in call order."""
+    original, calls = cfcalc.calculus.dual, []
+    monkeypatch.setattr(cfcalc.calculus, "dual", lambda phi: calls.append(phi) or original(phi))
+    return calls
+
+
+@pytest.mark.parametrize("name", [info.name for info in list_models()])
+def test_full_real_forms_split_with_no_dual(name, monkeypatch, capsys):
+    # every built-in real form is a full subcomplex, so each split reads
+    # one signed value per trace and dual is never called
+    scene = parse_scene(build_model(name, k=3).canonical_text)
+    calls = counted_duals(monkeypatch)
+    assert scene.verify().passed
+    assert main(["hyperdim", f"{name}(k=3)"]) == 0
+    assert calls == []
+
+
+def bent_line_scene():
+    """pair_C_R(k=3) without its conjugation, with the rim edge b0 b3 added
+    to the ambient, so the real line b0 - c - b3 is no longer full, and the
+    stratum on the disk alone."""
+    doc = json.loads(build_model("pair_C_R", k=3).canonical_text)
+    disk = doc["complex"]["maximal_simplices"]
+    doc["complex"]["maximal_simplices"] = disk + [["b0", "b3"]]
+    doc["subcomplexes"]["ambient"] = disk
+    del doc["real_form"]["conjugation"]
+    doc["expect"]["checks"] = [
+        check for check in doc["expect"]["checks"]
+        if check not in ("boundary_parity", "conjugation_invariance")
+    ]
+    return parse_scene(json.dumps(doc))
+
+
+def test_a_real_form_that_is_not_full_splits_through_dual(monkeypatch):
+    scene = bent_line_scene()
+    closed = scene.pair.real_form
+    assert cfcalc.calculus._open_star(closed)[2].simplices == closed.simplices | {("b0", "b3")}
+    calls = counted_duals(monkeypatch)
+    report = scene.verify(seed=7)
+    assert report.passed and calls
+    plain = build_model("pair_C_R", k=3)
+    assert hyperfunction_index(scene.pair, scene.cycle).items == (
+        hyperfunction_index(plain.pair, plain.cycle).items
+    )
+    for phi in [solution_index(scene.cycle, scene.ambient)] + draws(scene.pair, 7):
+        assert triangle_decompose(closed, phi) == reference_triangle(closed, phi)
+
+
 def reference_solution_index(cycle, ambient) -> ConstructibleFunction:
     """The sum over strata of (-1)^codim times multiplicity times eu, added
     up with the function arithmetic."""

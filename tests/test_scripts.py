@@ -53,7 +53,8 @@ def test_ladder_writes_its_record_at_k_3(tmp_path):
         for key in ("cold_verify_ms", "cold_hyperdim_ms", "cold_check_ms"):
             assert 0 <= rung[f"{key}_spread"] < math.inf, (model, key)
     for field, ns in (("cold_check_simplex_ms", ["10", "12", "14"]),
-                      ("cold_verify_simplex_ms", ["10", "12"])):
+                      ("cold_verify_simplex_ms", ["10", "12"]),
+                      ("cold_verify_facet_ms", ["10", "12"])):
         assert sorted(record[field], key=int) == ns
         assert all(ms > 0 for ms in record[field].values()), field
         assert sorted(record[f"{field}_spread"], key=int) == ns
