@@ -254,6 +254,7 @@ FAULTS = {
         verify_row("smooth_line_in_C2", "shriek_indicator"),
     ),
     "star_table_without_self": (
+        # each trace's value lands on the trace's first vertex, not on itself
         star_fault(lambda group: (group[0], group[1], Simplex(group[2][:1]))),
         verify_row("kashiwara_point", "value"),
     ),

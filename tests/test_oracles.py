@@ -334,22 +334,6 @@ def test_verify_draws_the_same_functions_under_any_hash_seed():
         assert proc.stdout.strip() == expected
 
 
-@pytest.mark.parametrize("name", [info.name for info in list_models()])
-def test_verify_and_hyperfunction_index_take_no_ambient_dual(name, monkeypatch):
-    scene = build_model(name, k=3)
-    original, ambient_duals = cfcalc.calculus.dual, []
-
-    def counting(phi):
-        if phi.ambient is scene.ambient:
-            ambient_duals.append(phi)
-        return original(phi)
-
-    monkeypatch.setattr(cfcalc.calculus, "dual", counting)
-    assert scene.verify().passed
-    hyperfunction_index(scene.pair, scene.cycle)
-    assert ambient_duals == []
-
-
 def counted_duals(monkeypatch) -> list:
     """The arguments of every later call of calculus.dual, in call order."""
     original, calls = cfcalc.calculus.dual, []
@@ -358,19 +342,21 @@ def counted_duals(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("name", [info.name for info in list_models()])
-def test_full_real_forms_split_with_no_dual(name, monkeypatch, capsys):
-    # every built-in real form is a full subcomplex, so each split reads
-    # one signed value per trace and dual is never called
-    scene = parse_scene(build_model(name, k=3).canonical_text)
+def test_verify_and_hyperfunction_index_take_no_ambient_dual(name, monkeypatch, capsys):
+    # no dual is taken on the ambient, and every built-in real form is a
+    # full subcomplex, so each split reads one signed value per trace and
+    # takes no dual on M either
+    scene = build_model(name, k=3)
     calls = counted_duals(monkeypatch)
     assert scene.verify().passed
+    hyperfunction_index(scene.pair, scene.cycle)
     assert main(["hyperdim", f"{name}(k=3)"]) == 0
     assert calls == []
 
 
 def bent_line_scene():
-    """pair_C_R(k=3) without its conjugation, with the rim edge b0 b3 added
-    to the ambient, so the real line b0 - c - b3 is no longer full, and the
+    """pair_C_R(k=3) without its conjugation, with the chord b0 b3 added to
+    the ambient, so the real line b0 - c - b3 is no longer full, and the
     stratum on the disk alone."""
     doc = json.loads(build_model("pair_C_R", k=3).canonical_text)
     disk = doc["complex"]["maximal_simplices"]
