@@ -23,6 +23,10 @@ between two files cancels.
   - cold_check_ms: `python -m cfcalc check "MODEL(k=K)"`, timed the same way;
   - star_ms: the calculus's star table of the real form (_open_star, which
     triangle_decompose builds on first use) on another fresh scene;
+  - dual_ms: the first dual on a fresh scene, which builds the ambient's
+    order and drop table, of the solution index (solution_index, a sparse
+    support) and of the ambient's indicator (indicator, every simplex),
+    each on a scene of its own;
   - parse_ms: parse_scene of a fresh scene's canonical text;
   - emit_ms: the canonical text of another fresh scene, which each scene
     writes on first use;
@@ -42,8 +46,10 @@ on the n-vertex simplex whose real form is its facet on the first n - 1
 vertices: each of the 2^(n-1) - 1 simplices of the facet is the trace of
 the one star simplex that adds the last vertex to it, so the split sums
 one value per trace, and a facet is a full subcomplex, so it takes no
-dual.  These times follow the 2^n - 1 simplices, not the 3^n - 2^n (face,
-simplex) pairs.  cold_verify_disjoint_ms is `python -m cfcalc verify` on a
+dual.  cold_dual_facet_ms is `python -m cfcalc dual --function
+indicator:M` on the same files, which sums over cofaces one vertex at a
+time.  These times follow the n 2^(n-1) vertex incidences of the 2^n - 1
+simplices.  cold_verify_disjoint_ms is `python -m cfcalc verify` on a
 scene file of DISJOINT disjoint 4-simplices (124,000 simplices) whose real
 form is the whole complex, with one codim-0 stratum on one of them: every
 star simplex lies in M, so this time follows the size of M.
@@ -75,7 +81,7 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 sys.path.insert(1, str(ROOT / "perfbench"))
 
-from cfcalc import build_model, emit_scene, parse_scene  # noqa: E402
+from cfcalc import build_model, dual, emit_scene, indicator, parse_scene, solution_index  # noqa: E402
 from cfcalc.calculus import _open_star  # noqa: E402
 from gauge import NOMINAL_S, reading, rescaled  # noqa: E402
 from run import spread  # noqa: E402
@@ -119,6 +125,7 @@ FIELDS = (
     "cold_verify_ms", "cold_hyperdim_ms", "cold_check_ms", "star_ms",
     "parse_ms", "emit_ms",
 )
+DUALS = ("solution_index", "indicator")
 ONE_SIMPLEX = (10, 12, 14)
 VERIFY_SIMPLEX = (10, 12)
 DISJOINT = 4000
@@ -148,6 +155,8 @@ def rung(model: str, k: int, repeats: int) -> dict:
         fresh = build_model(model, k=k)
         text = emit_scene(build_model(model, k=k))
         unwritten = build_model(model, k=k)
+        sparse, dense = build_model(model, k=k), build_model(model, k=k)
+        index, ones = solution_index(sparse.cycle, sparse.ambient), indicator(dense.ambient)
         runs.append((
             build, first, warm,
             cold_ms("verify", spec),
@@ -156,12 +165,15 @@ def rung(model: str, k: int, repeats: int) -> dict:
             timed(lambda: _open_star(fresh.pair.real_form))[0],
             timed(lambda: parse_scene(text))[0],
             timed(lambda: emit_scene(unwritten))[0],
+            timed(lambda: dual(index))[0],
+            timed(lambda: dual(ones))[0],
         ))
-    columns = dict(zip(FIELDS, zip(*runs)))
+    columns = dict(zip(FIELDS + DUALS, zip(*runs)))
     return {
         "k": k,
         "simplices": len(scene.ambient),
-        **{key: median(ms) for key, ms in columns.items()},
+        **{key: median(columns[key]) for key in FIELDS},
+        "dual_ms": {key: median(columns[key]) for key in DUALS},
         **{f"{key}_spread": spread_of(ms) for key, ms in columns.items() if key.startswith("cold_")},
         "speed_before": before,
         "speed_after": speed(),
@@ -182,11 +194,11 @@ def simplex_file(tmp: str, n: int, m: int) -> str:
     return str(path)
 
 
-def one_simplex_children(repeats: int) -> tuple[dict, dict, dict]:
+def one_simplex_children(repeats: int) -> tuple[dict, dict, dict, dict]:
     """Cold `cfcalc check` and `cfcalc verify` CPU times on one n-vertex
-    simplex as its own real form, and cold `cfcalc verify` over its facet,
-    a list of repeats each, keyed by n."""
-    checks, verifies, facets = {}, {}, {}
+    simplex as its own real form, and cold `cfcalc verify` and `cfcalc dual`
+    over its facet, a list of repeats each, keyed by n."""
+    checks, verifies, facets, duals = {}, {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for n in ONE_SIMPLEX:
             whole = simplex_file(tmp, n, n)
@@ -195,7 +207,10 @@ def one_simplex_children(repeats: int) -> tuple[dict, dict, dict]:
                 verifies[str(n)] = [cold_ms("verify", whole) for _ in range(repeats)]
                 facet = simplex_file(tmp, n, n - 1)
                 facets[str(n)] = [cold_ms("verify", facet) for _ in range(repeats)]
-    return checks, verifies, facets
+                duals[str(n)] = [
+                    cold_ms("dual", facet, "--function", "indicator:M") for _ in range(repeats)
+                ]
+    return checks, verifies, facets, duals
 
 
 def disjoint_child(repeats: int) -> list[float]:
@@ -239,10 +254,10 @@ def main(argv=None) -> int:
         "unit": "ms of CPU time at the gauge's nominal speed, median",
         **{model: [rung(model, k, args.repeats) for k in args.ks] for model in MODELS},
     }
-    checks, verifies, facets = one_simplex_children(args.repeats)
+    checks, verifies, facets, duals = one_simplex_children(args.repeats)
     for field, runs in (
         ("cold_check_simplex_ms", checks), ("cold_verify_simplex_ms", verifies),
-        ("cold_verify_facet_ms", facets),
+        ("cold_verify_facet_ms", facets), ("cold_dual_facet_ms", duals),
     ):
         record[field] = {n: median(ms) for n, ms in runs.items()}
         record[f"{field}_spread"] = {n: spread_of(ms) for n, ms in runs.items()}

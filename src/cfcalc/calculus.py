@@ -9,7 +9,7 @@ arithmetic; there are no tolerances anywhere.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import combinations, compress, count, filterfalse
+from itertools import compress, count, filterfalse
 from typing import Mapping, Sequence
 
 from ._frozen import Frozen, cached
@@ -211,19 +211,20 @@ def dual(phi: ConstructibleFunction) -> ConstructibleFunction:
 
     The dual at a simplex sums (-1)^dim(t) * phi(t) over all cofaces t.
     Applying it twice is the identity, and it sends the indicator of a
-    closed d-manifold subcomplex to (-1)^d times itself.  Implemented by
-    scattering each support simplex onto its faces, which is the same sum
-    grouped the other way: the faces are listed as vertex combinations
-    and looked up in the ambient's canonical order.
+    closed d-manifold subcomplex to (-1)^d times itself.  Implemented as a
+    superset sum taken one vertex at a time (Yates): from the signed values,
+    the pass for each vertex v in the ambient's drop_table adds the value at
+    every simplex holding v into its face without v.  Every set between a
+    simplex and a coface is a face of the coface, so the passes stay in the
+    complex, and the work is the ambient's vertex incidences.
     """
     order, position = phi.ambient.ordered(), phi.ambient.position()
     acc = [0] * len(order)
     for t, v in phi.items:
-        if not len(t) % 2:
-            v = -v
-        for n in range(1, len(t) + 1):
-            for face in combinations(t, n):
-                acc[position[face]] += v
+        acc[position[t]] = v if len(t) % 2 else -v
+    for tops, faces in phi.ambient.drop_table():
+        for i, j in zip(tops, faces):
+            acc[j] += acc[i]
     return ConstructibleFunction._of(phi.ambient, _nonzero_items(order, acc))
 
 

@@ -179,6 +179,18 @@ class SimplicialComplex(Frozen):
         return {s: i for i, s in enumerate(self.ordered())}
 
     @cached
+    def drop_table(self) -> list[tuple[list[int], list[int]]]:
+        """Per vertex v, the places in ordered() of the simplices s that hold
+        v and another vertex, and in step the places of their faces s - v."""
+        position, tops, faces = self.position(), defaultdict(list), defaultdict(list)
+        for i, s in enumerate(self.ordered()):
+            if s.dim:  # combinations drops the last vertex first
+                for v, face in zip(reversed(s), itertools.combinations(s, s.dim)):
+                    tops[v].append(i)
+                    faces[v].append(position[face])
+        return [(tops[v], faces[v]) for v in tops]
+
+    @cached
     def maximal_simplices(self) -> tuple[Simplex, ...]:
         """The simplices that are no member's proper face, in canonical
         order: the generators, when the package closed distinct simplices

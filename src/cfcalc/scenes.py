@@ -46,13 +46,6 @@ from .indices import (
 # makes of such integers within MAX_SIMPLICES stays printable.
 MAX_VALUE = 2**62
 
-# Most (face, simplex) pairs a scene's complex may make the calculus list:
-# dual reaches every face of each simplex it touches, 3^n - 2^n pairs on one
-# n-vertex simplex.  The star split lists none, and reaches dual only when M
-# is not a full subcomplex.  This admits one simplex of 14 vertices, and the
-# plane models' 24 * 36^2 * 211 = 6,562,944 at k = 36.
-MAX_INCIDENCES = 10**7
-
 # Most characters a scene file may hold, refused before it is parsed: three times
 # the largest built-in emission, 6,449,992 characters, rounded up; the densest
 # ASCII text admitted ({"":0} to the bracket bound, then "ab") peaks near 490 MB.
@@ -278,13 +271,6 @@ def _scene_from_doc(doc: dict) -> Scene:
         sub_gens[sub_name] = gens
         budget += _closure_bound(set(gens))
     _under("subcomplexes", _within_budget, budget, "the complex and its subcomplexes together")
-    incidences = sum(3 ** len(s) - (1 << len(s)) for s in set(simplices))
-    if incidences > MAX_INCIDENCES:
-        _fail(
-            "complex.maximal_simplices",
-            f"may make the calculus list up to {incidences} (face, simplex) pairs, "
-            f"more than the limit of {MAX_INCIDENCES}",
-        )
 
     ambient = build_complex(simplices)
     subs: dict[str, Subcomplex] = {

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,6 +137,18 @@ class TestDuality:
         d = dual(indicator(interval))
         assert d.value("p") == 0 and d.value("q") == 0
         assert d.value(["p", "q"]) == -1
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 14])
+    def test_closed_simplex(self, n):
+        # (-1)^(n-1) at the top simplex, 0 below.  At n = 14 the transform
+        # adds along the 114,674 (simplex, vertex) incidences of the 16,383
+        # simplices, where summing each face of each simplex takes 3^14 - 2^14
+        top = Simplex([f"v{i}" for i in range(n)])
+        phi = indicator(build_complex([top]))
+        start = time.process_time()
+        d = dual(phi)
+        assert time.process_time() - start < 0.3
+        assert d.items == ((top, (-1) ** (n - 1)),)
 
     def test_closed_one_manifold(self):
         one = indicator(polygon(6))

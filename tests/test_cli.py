@@ -27,15 +27,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def one_simplex_scene(tmp_path, n: int, copies: int = 0, whole: bool = False) -> str:
+def one_simplex_scene(tmp_path, n: int, copies: int = 0, real: int = 1) -> str:
     """A scene file whose complex is one simplex on n vertices, with copies
     more subcomplexes that each list that simplex in reverse order; its
-    real form is the vertex v0, or the whole simplex when whole is set."""
+    real form M is its face on the first real vertices, by default v0."""
     vertices = [f"v{i}" for i in range(n)]
     doc = {
         "name": f"simplex{n}", "complex": {"maximal_simplices": [vertices]},
         "subcomplexes": {
-            "M": [vertices if whole else ["v0"]],
+            "M": [vertices[:real]],
             **{f"S{i}": [vertices[::-1]] for i in range(copies)},
         },
         "real_form": {"M": "M", "complex_dim": 1},
@@ -204,19 +204,20 @@ class TestExitCodes:
             "simplices, more than the limit of 1000000\n"
         )
 
-    def test_sixteen_vertex_simplex_refused_before_the_calculus(self, capsys, tmp_path):
-        # 65,535 faces fit the closure budget, but dual and the star table
-        # would visit 3^16 - 2^16 (face, simplex) pairs
-        path = one_simplex_scene(tmp_path, 16, whole=True)
-        assert Path(path).stat().st_size < 400
+    def test_fifteen_vertex_simplex_verifies_and_dualizes_over_its_facet(self, capsys, tmp_path):
+        # 32,767 faces fit the closure budget, the one bound on a scene's
+        # size; dual takes a pass per vertex over the simplices holding it
+        path = one_simplex_scene(tmp_path, 15, real=14)
         start = time.process_time()
         code, out, err = run(capsys, "verify", path)
-        assert time.process_time() - start < 1.0
-        assert (code, out) == (2, "")
-        assert err == (
-            "error: complex.maximal_simplices: may make the calculus list up to 42981185 "
-            "(face, simplex) pairs, more than the limit of 10000000\n"
-        )
+        assert time.process_time() - start < 1.5
+        assert (code, err) == (0, "") and out.startswith("scene: simplex15\n")
+        start = time.process_time()
+        code, out, err = run(capsys, "dual", path, "--function", "indicator:M")
+        assert time.process_time() - start < 1.5
+        # the facet's closed 13-simplex: (-1)^13 at its top, 0 below
+        facet = " ".join(sorted(f"v{i}" for i in range(14)))
+        assert (code, out, err) == (0, f"{facet}\t-1\n", "")
 
     def test_many_probes_are_checked_in_linear_time(self, capsys, tmp_path):
         # a path on 10,889 vertices: every one of its 21,777 simplices is a

@@ -82,6 +82,7 @@ def test_dual_on_every_complex():
         complex_ = SimplicialComplex(space)
         for phi in indicators(complex_):
             assert values(cfcalc.calculus.dual(phi)) == reference_dual(phi)
+            assert cfcalc.calculus.dual(cfcalc.calculus.dual(phi)) == phi
 
 
 def test_triangle_decompose_on_every_pair():

@@ -50,11 +50,14 @@ def test_ladder_writes_its_record_at_k_3(tmp_path):
             "parse_ms", "emit_ms", "speed_before", "speed_after",
         ):
             assert rung[key] > 0, (model, key)
+        assert sorted(rung["dual_ms"]) == ["indicator", "solution_index"], model
+        assert all(ms > 0 for ms in rung["dual_ms"].values()), model
         for key in ("cold_verify_ms", "cold_hyperdim_ms", "cold_check_ms"):
             assert 0 <= rung[f"{key}_spread"] < math.inf, (model, key)
     for field, ns in (("cold_check_simplex_ms", ["10", "12", "14"]),
                       ("cold_verify_simplex_ms", ["10", "12"]),
-                      ("cold_verify_facet_ms", ["10", "12"])):
+                      ("cold_verify_facet_ms", ["10", "12"]),
+                      ("cold_dual_facet_ms", ["10", "12"])):
         assert sorted(record[field], key=int) == ns
         assert all(ms > 0 for ms in record[field].values()), field
         assert sorted(record[f"{field}_spread"], key=int) == ns
