@@ -212,11 +212,10 @@ def dual(phi: ConstructibleFunction) -> ConstructibleFunction:
     The dual at a simplex sums (-1)^dim(t) * phi(t) over all cofaces t.
     Applying it twice is the identity, and it sends the indicator of a
     closed d-manifold subcomplex to (-1)^d times itself.  Implemented as a
-    superset sum taken one vertex at a time (Yates): from the signed values,
-    the pass for each vertex v in the ambient's drop_table adds the value at
-    every simplex holding v into its face without v.  Every set between a
-    simplex and a coface is a face of the coface, so the passes stay in the
-    complex, and the work is the ambient's vertex incidences.
+    superset sum taken one vertex at a time (Yates), as the complex is face
+    closed: from the signed values, the pass for each vertex v of the
+    ambient's drop_table adds the value at each simplex holding v into its
+    face without v, so the work is the ambient's vertex incidences.
     """
     order, position = phi.ambient.ordered(), phi.ambient.position()
     acc = [0] * len(order)
@@ -359,7 +358,8 @@ def _split_star(
     traces containing s.  With h = D_M(D_F(h0) on M), h0 itself when F is M
     (D_M is an involution), the boundary is -h, as the signs (-1)^dim u over
     s <= u <= w cancel for s in M and w outside M, and the costalk, D_M of
-    D(phi) on M, is x on M + h.
+    D(phi) on M, is x on M + h.  Otherwise D_M of a function on M is D_F of
+    it restricted to M, so both duals take F's drop table.
     """
     space = closed.as_complex()
     _, groups, full = _open_star(closed)
@@ -370,7 +370,8 @@ def _split_star(
             h0.append((w, v if len(w) % 2 else -v))
     h = ConstructibleFunction._of(full, tuple(h0))
     if full is not space:
-        h = dual(restrict(dual(h), Subcomplex._of(full, space)))
+        m = Subcomplex._of(full, space)
+        h = restrict(dual(ConstructibleFunction._of(full, restrict(dual(h), m).items)), m)
     costalk, spot = x[:len(space)], space.position()
     for s, v in h.items:
         costalk[spot[s]] += v

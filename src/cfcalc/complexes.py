@@ -184,10 +184,10 @@ class SimplicialComplex(Frozen):
         v and another vertex, and in step the places of their faces s - v."""
         position, tops, faces = self.position(), defaultdict(list), defaultdict(list)
         for i, s in enumerate(self.ordered()):
-            if s.dim:  # combinations drops the last vertex first
-                for v, face in zip(reversed(s), itertools.combinations(s, s.dim)):
+            if s.dim:
+                for k, v in enumerate(s):
                     tops[v].append(i)
-                    faces[v].append(position[face])
+                    faces[v].append(position[s[:k] + s[k + 1:]])
         return [(tops[v], faces[v]) for v in tops]
 
     @cached

@@ -20,7 +20,6 @@ from .calculus import ConstructibleFunction
 from .complexes import (
     MAX_SIMPLICES,
     Simplex,
-    SimplicialComplex,
     Subcomplex,
     _closure_bound,
     _staircase,
