@@ -104,8 +104,9 @@ class TestModels:
         # Every parameter at its maximum.  The budget is checked for the
         # complex, then for the whole scene, before anything is closed; the
         # build stops at the complex's closure, since a plane model at k = 36
-        # takes about a second to build.  The document the model writes holds the lists
-        # and objects of its emission, so its brackets are the emission's.
+        # takes about a second to build.  The document the model writes holds
+        # the lists and objects of its emission, so its brackets are the
+        # emission's.
         class Admitted(Exception):
             pass
 
