@@ -7,9 +7,11 @@
 For node_curve and smooth_line_in_C2 (MODEL below) at each k it records,
 as medians over --repeats runs, CPU time in milliseconds at the nominal
 speed of perfbench's gauge: each measurement is rescaled by NOMINAL_S over
-the mean of two gauge readings taken just before and just after it, as
+the mean of the gauge readings taken just before and just after it, as
 gauge.rescaled does, so a change of the machine's speed between repeats or
-between two files cancels.
+between two files cancels.  Neighbouring measurements share a reading: the
+one after a measurement is the one before the next, and untimed work, such
+as building a fresh scene or writing a file, is followed by a fresh one.
   - build_ms: build_model(MODEL, k=k), which builds a new scene;
   - first_verify_ms: the first Scene.verify on that fresh scene, which
     builds every per-complex table it needs;
@@ -30,8 +32,8 @@ between two files cancels.
   - parse_ms: parse_scene of a fresh scene's canonical text;
   - emit_ms: the canonical text of another fresh scene, which each scene
     writes on first use;
-  - speed_before, speed_after: the machine's speed just before and just
-    after the rung, NOMINAL_S over the gauge's reading(3) (2.0: the
+  - speed_before, speed_after: the machine's speed at the rung's first
+    and last readings, NOMINAL_S over the gauge's reading(3) (2.0: the
     gauge's kernel runs twice as fast as on the box its nominal time was
     taken on); the times above are already rescaled.
 Apart from the ladder it records cold_check_simplex_ms: `python -m cfcalc
@@ -73,6 +75,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from time import process_time
 
 sys.dont_write_bytecode = True
 
@@ -83,14 +86,8 @@ sys.path.insert(1, str(ROOT / "perfbench"))
 
 from cfcalc import build_model, dual, emit_scene, indicator, parse_scene, solution_index  # noqa: E402
 from cfcalc.calculus import _open_star  # noqa: E402
-from gauge import NOMINAL_S, reading, rescaled  # noqa: E402
+from gauge import NOMINAL_S, reading  # noqa: E402
 from run import spread  # noqa: E402
-
-
-def timed(fn):
-    """fn's CPU time in milliseconds at the gauge's nominal speed, and its result."""
-    result, seconds = rescaled(fn)
-    return seconds * 1e3, result
 
 
 def children_cpu_s() -> float:
@@ -98,25 +95,39 @@ def children_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def cold_ms(*args: str) -> float:
-    """The CPU time of `python -m cfcalc ARGS` as a child process, in
-    milliseconds at the gauge's nominal speed.
+class Readings:
+    """The gauge's readings; the last one is where the next measurement starts."""
 
-    gauge.rescaled counts only this process's CPU time, so the child's is
-    taken here between two readings and rescaled by the same formula.
-    """
+    def __init__(self) -> None:
+        self.fresh()
+
+    def fresh(self) -> None:
+        """Take a new reading, as after untimed work."""
+        self.last = reading(3)
+
+    def timed(self, fn, clock=process_time):
+        """fn's CPU time by clock (this process's, or children_cpu_s for
+        child processes) in milliseconds at the gauge's nominal speed, and
+        fn's result: rescaled by the mean of the last reading and a fresh one."""
+        start = clock()
+        result = fn()
+        spent = clock() - start
+        before = self.last
+        self.fresh()
+        return spent * NOMINAL_S / ((before + self.last) / 2.0) * 1e3, result
+
+
+def cold_ms(gauge: Readings, *args: str) -> float:
+    """The CPU time of `python -m cfcalc ARGS` as a child process, in
+    milliseconds at the gauge's nominal speed."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
-    gauge_before = reading(3)
-    before = children_cpu_s()
-    proc = subprocess.run(
+    ms, proc = gauge.timed(lambda: subprocess.run(
         [sys.executable, "-m", "cfcalc", *args],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-    )
-    spent = children_cpu_s() - before
-    gauge_after = reading(3)
+    ), children_cpu_s)
     if proc.returncode != 0:
         raise RuntimeError(f"cfcalc {' '.join(args)} exited {proc.returncode}: {proc.stderr}")
-    return spent * NOMINAL_S / ((gauge_before + gauge_after) / 2.0) * 1e3
+    return ms
 
 
 MODELS = ("node_curve", "smooth_line_in_C2")
@@ -139,34 +150,35 @@ def spread_of(ms) -> float:
     return round(spread(ms), 3)
 
 
-def speed() -> float:
-    """The machine's speed relative to the gauge's nominal."""
-    return round(NOMINAL_S / reading(3), 3)
+def speed(gauge_reading: float) -> float:
+    """The machine's speed at a gauge reading, relative to the gauge's nominal."""
+    return round(NOMINAL_S / gauge_reading, 3)
 
 
-def rung(model: str, k: int, repeats: int) -> dict:
+def rung(gauge: Readings, model: str, k: int, repeats: int) -> dict:
     spec = f"{model}(k={k})"
-    before = speed()
+    before = gauge.last
     runs = []  # one tuple of FIELDS per repeat
     for r in range(repeats):
-        build, scene = timed(lambda: build_model(model, k=k))
-        first = timed(lambda: scene.verify(seed=0))[0]
-        warm = timed(lambda: scene.verify(seed=r + 1))[0]
+        build, scene = gauge.timed(lambda: build_model(model, k=k))
+        first = gauge.timed(lambda: scene.verify(seed=0))[0]
+        warm = gauge.timed(lambda: scene.verify(seed=r + 1))[0]
         fresh = build_model(model, k=k)
         text = emit_scene(build_model(model, k=k))
         unwritten = build_model(model, k=k)
         sparse, dense = build_model(model, k=k), build_model(model, k=k)
         index, ones = solution_index(sparse.cycle, sparse.ambient), indicator(dense.ambient)
+        gauge.fresh()
         runs.append((
             build, first, warm,
-            cold_ms("verify", spec),
-            cold_ms("hyperdim", spec, "--at", "c.c"),
-            cold_ms("check", spec),
-            timed(lambda: _open_star(fresh.pair.real_form))[0],
-            timed(lambda: parse_scene(text))[0],
-            timed(lambda: emit_scene(unwritten))[0],
-            timed(lambda: dual(index))[0],
-            timed(lambda: dual(ones))[0],
+            cold_ms(gauge, "verify", spec),
+            cold_ms(gauge, "hyperdim", spec, "--at", "c.c"),
+            cold_ms(gauge, "check", spec),
+            gauge.timed(lambda: _open_star(fresh.pair.real_form))[0],
+            gauge.timed(lambda: parse_scene(text))[0],
+            gauge.timed(lambda: emit_scene(unwritten))[0],
+            gauge.timed(lambda: dual(index))[0],
+            gauge.timed(lambda: dual(ones))[0],
         ))
     columns = dict(zip(FIELDS + DUALS, zip(*runs)))
     return {
@@ -175,8 +187,8 @@ def rung(model: str, k: int, repeats: int) -> dict:
         **{key: median(columns[key]) for key in FIELDS},
         "dual_ms": {key: median(columns[key]) for key in DUALS},
         **{f"{key}_spread": spread_of(ms) for key, ms in columns.items() if key.startswith("cold_")},
-        "speed_before": before,
-        "speed_after": speed(),
+        "speed_before": speed(before),
+        "speed_after": speed(gauge.last),
     }
 
 
@@ -194,7 +206,7 @@ def simplex_file(tmp: str, n: int, m: int) -> str:
     return str(path)
 
 
-def one_simplex_children(repeats: int) -> tuple[dict, dict, dict, dict]:
+def one_simplex_children(gauge: Readings, repeats: int) -> tuple[dict, dict, dict, dict]:
     """Cold `cfcalc check` and `cfcalc verify` CPU times on one n-vertex
     simplex as its own real form, and cold `cfcalc verify` and `cfcalc dual`
     over its facet, a list of repeats each, keyed by n."""
@@ -202,18 +214,21 @@ def one_simplex_children(repeats: int) -> tuple[dict, dict, dict, dict]:
     with tempfile.TemporaryDirectory() as tmp:
         for n in ONE_SIMPLEX:
             whole = simplex_file(tmp, n, n)
-            checks[str(n)] = [cold_ms("check", whole) for _ in range(repeats)]
+            gauge.fresh()
+            checks[str(n)] = [cold_ms(gauge, "check", whole) for _ in range(repeats)]
             if n in VERIFY_SIMPLEX:
-                verifies[str(n)] = [cold_ms("verify", whole) for _ in range(repeats)]
+                verifies[str(n)] = [cold_ms(gauge, "verify", whole) for _ in range(repeats)]
                 facet = simplex_file(tmp, n, n - 1)
-                facets[str(n)] = [cold_ms("verify", facet) for _ in range(repeats)]
+                gauge.fresh()
+                facets[str(n)] = [cold_ms(gauge, "verify", facet) for _ in range(repeats)]
                 duals[str(n)] = [
-                    cold_ms("dual", facet, "--function", "indicator:M") for _ in range(repeats)
+                    cold_ms(gauge, "dual", facet, "--function", "indicator:M")
+                    for _ in range(repeats)
                 ]
     return checks, verifies, facets, duals
 
 
-def disjoint_child(repeats: int) -> list[float]:
+def disjoint_child(gauge: Readings, repeats: int) -> list[float]:
     """Cold `cfcalc verify` CPU times on DISJOINT disjoint 4-simplices, the
     real form the whole complex, one per repeat."""
     simplices = [[f"v{i}_{j}" for j in range(5)] for i in range(DISJOINT)]
@@ -227,7 +242,8 @@ def disjoint_child(repeats: int) -> list[float]:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "disjoint.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        return [cold_ms("verify", str(path)) for _ in range(repeats)]
+        gauge.fresh()
+        return [cold_ms(gauge, "verify", str(path)) for _ in range(repeats)]
 
 
 def git(*args: str) -> str:
@@ -252,16 +268,18 @@ def main(argv=None) -> int:
         "sources_differ": bool(git("status", "--porcelain", "--", "src")),
         "repeats": args.repeats,
         "unit": "ms of CPU time at the gauge's nominal speed, median",
-        **{model: [rung(model, k, args.repeats) for k in args.ks] for model in MODELS},
     }
-    checks, verifies, facets, duals = one_simplex_children(args.repeats)
+    gauge = Readings()
+    for model in MODELS:
+        record[model] = [rung(gauge, model, k, args.repeats) for k in args.ks]
+    checks, verifies, facets, duals = one_simplex_children(gauge, args.repeats)
     for field, runs in (
         ("cold_check_simplex_ms", checks), ("cold_verify_simplex_ms", verifies),
         ("cold_verify_facet_ms", facets), ("cold_dual_facet_ms", duals),
     ):
         record[field] = {n: median(ms) for n, ms in runs.items()}
         record[f"{field}_spread"] = {n: spread_of(ms) for n, ms in runs.items()}
-    disjoint = disjoint_child(args.repeats)
+    disjoint = disjoint_child(gauge, args.repeats)
     record["cold_verify_disjoint_ms"] = median(disjoint)
     record["cold_verify_disjoint_ms_spread"] = spread_of(disjoint)
     out = args.out_dir / f"BENCH_ladder_{args.label}.json"

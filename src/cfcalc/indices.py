@@ -99,19 +99,6 @@ class Stratum(Frozen):
                 f"stratum {self.name!r} is flagged smooth, so eu must be identically 1 on it"
             )
 
-    def _trace_on(self, real_form: Subcomplex) -> tuple:
-        """The support's trace on a real form M, as a subcomplex of the
-        support and by its inclusion into M, kept per M: verify reads both and
-        the first one's star on every call, hyperfunction_dimension the first."""
-        kept = self.__dict__.setdefault("_traces", {})
-        if real_form not in kept:
-            trace = self.support.intersection(real_form).as_complex()
-            kept[real_form] = (
-                Subcomplex._of(self.support.as_complex(), trace),
-                inclusion_map(Subcomplex._of(real_form.as_complex(), trace)),
-            )
-        return kept[real_form]
-
 
 def smooth_stratum(name: str, support: Subcomplex, codim: int, multiplicity: int) -> Stratum:
     return Stratum(name, support, codim, multiplicity, indicator(support), smooth=True)
@@ -216,15 +203,15 @@ def hyperfunction_dimension(pair: RealComplexPair, cycle: CharacteristicCycle) -
             raise ModelError(
                 f"dimension formula needs smooth strata, but {st.name!r} is singular"
             )
-        trace = st._trace_on(pair.real_form)[0]
-        if trace.is_empty:
+        trace = st.support.simplices & pair.real_form.simplices
+        if not trace:
             if st.allow_empty_trace:
                 continue
             raise ModelError(
                 f"stratum {st.name!r} misses the real form; "
                 "flag allow_empty_trace to accept that"
             )
-        terms.append((st.multiplicity, [(s, 1) for s in trace.simplices]))
+        terms.append((st.multiplicity, [(s, 1) for s in trace]))
     return _weighted_sum(pair.real_complex(), terms)
 
 
@@ -437,7 +424,9 @@ def _scene_rows(pair: RealComplexPair, cycle: CharacteristicCycle, expectations)
     # indicator against the signed trace, and extension by zero from it
     # commuting with costalk restriction
     for st in strata:
-        trace, into_m = st._trace_on(pair.real_form)
+        meet = st.support.intersection(pair.real_form).as_complex()
+        trace = Subcomplex._of(st.support.as_complex(), meet)
+        into_m = inclusion_map(Subcomplex._of(pair.real_form.as_complex(), meet))
         if pair.probes:  # the costalk is read at probes only
             shr = shriek_restrict(pair.real_form, indicator(st.support))
         sign = _sign(pair.complex_dim - st.codim)

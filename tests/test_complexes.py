@@ -292,6 +292,7 @@ class TestProduct:
 CACHED = {
     "SimplicialComplex.ordered": (lambda: disk(3), "_ordered", lambda x: x.ordered()),
     "SimplicialComplex.position": (lambda: disk(3), "_position", lambda x: x.position()),
+    "SimplicialComplex.drop_table": (lambda: disk(3), "_drop_table", lambda x: x.drop_table()),
     "SimplicialComplex.vertices": (lambda: disk(3), "_vertices", lambda x: x.vertices),
     "SimplicialComplex.maximal_simplices": (
         lambda: disk(3), "_maximal_simplices", lambda x: x.maximal_simplices()

@@ -1,26 +1,41 @@
-"""dual and triangle_decompose on every complex on at most four vertices.
+"""The calculus on every complex on at most four vertices.
 
-Both operators are linear in the function, so checking one complex K on
-the indicator of each of its simplices proves dual on every integer
-function on K, and checking a pair (K, M) so proves triangle_decompose
-there.  The complexes are every nonempty face-closed family of subsets of
-the vertices a, b, c, d, and M every nonempty subcomplex of each.  A
-relabelling of a-d carries each operator's input and output alike, so one
-pair per orbit of the 24 relabellings is checked.  The references are
-those of tests/test_oracles.py, written straight from the definitions,
-and the operators are called through cfcalc.calculus, where
-tests/test_faults.py plants its faults.
+dual, restrict, triangle_decompose, pushforward and pullback are linear in
+the function, so checking one complex K on the indicator of each of its
+simplices proves dual on every integer function on K, checking a pair
+(K, M) so proves restrict and triangle_decompose there, and checking a
+map f so proves pushforward along f and, on the indicators of the
+target's simplices, pullback; pushforward is also checked on the
+constant 1, where a fibre sum that is not additive shows.  The complexes
+are every nonempty face-closed family of subsets of the vertices a, b, c,
+d, and M every nonempty subcomplex of each.  A relabelling of a-d carries
+each operator's input and output alike, so one pair per orbit of the 24
+relabellings is checked; the maps go from each such complex to the
+closed triangle on x, y, z, one per orbit of the triangle's 6
+relabellings.  The references are those of tests/test_oracles.py, written
+straight from the definitions, and the operators are called through
+cfcalc.calculus, where tests/test_faults.py plants its faults.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import cfcalc.calculus
-from cfcalc import ConstructibleFunction, SimplicialComplex, Subcomplex
-from test_oracles import reference_dual, reference_triangle, values
+from cfcalc import (
+    ConstructibleFunction,
+    Simplex,
+    SimplicialComplex,
+    Subcomplex,
+    build_complex,
+    indicator,
+    simplicial_map,
+)
+from test_oracles import reference_dual, reference_pushforward, reference_triangle, values
 
 VERTICES = "abcd"
 SETS = [s for n in range(1, 5) for s in combinations(VERTICES, n)]
 RELABELLINGS = [dict(zip(VERTICES, p)) for p in permutations(VERTICES)]
+TRIANGLE = "xyz"
+TRIANGLE_RELABELLINGS = [dict(zip(TRIANGLE, p)) for p in permutations(TRIANGLE)]
 
 
 def down_sets(sets):
@@ -96,3 +111,48 @@ def test_triangle_decompose_on_every_pair():
             assert split == reference_triangle(closed, phi)
     # both ways of the split, one value per trace and dual on the span
     assert 0 < full < len(PAIRS)
+
+
+def test_restrict_on_every_pair():
+    checks = 0
+    for space, m in PAIRS:
+        complex_ = SimplicialComplex(space)
+        closed = Subcomplex(complex_, m)
+        for phi in indicators(complex_):
+            ((s, _),) = phi.items
+            got = cfcalc.calculus.restrict(phi, closed)
+            assert got.ambient is closed.as_complex()
+            assert got.items == (((s, 1),) if s in closed.simplices else ())
+            assert all(type(t) is Simplex for t, _ in got.items)
+            checks += 1
+    assert checks == 5463
+
+
+def vertex_maps(vertices):
+    """One map of the vertices into x, y, z per orbit of the 6 relabellings
+    of x, y, z, as the least relabelling of each image tuple."""
+    images = {
+        min(tuple(p[t] for t in image) for p in TRIANGLE_RELABELLINGS)
+        for image in product(TRIANGLE, repeat=len(vertices))
+    }
+    return [dict(zip(vertices, image)) for image in sorted(images)]
+
+
+def test_pushforward_and_pullback_along_every_map_to_the_triangle():
+    triangle = build_complex([list(TRIANGLE)])
+    maps = checks = 0
+    for space in sorted({k for k, _ in PAIRS}):
+        complex_ = SimplicialComplex(space)
+        for vmap in vertex_maps(sorted(complex_.vertices)):
+            f = simplicial_map(complex_, triangle, vmap)
+            maps += 1
+            # and the constant 1, whose fibre sums add several terms
+            for phi in indicators(complex_) + [indicator(complex_)]:
+                assert values(cfcalc.calculus.pushforward(f, phi)) == reference_pushforward(f, phi)
+                checks += 1
+            for psi in indicators(triangle):
+                ((t, _),) = psi.items
+                expected = {s: int(tuple(sorted({vmap[v] for v in s})) == t) for s in space}
+                assert values(cfcalc.calculus.pullback(f, psi)) == expected
+                checks += 1
+    assert (maps, checks) == (310, 5136)

@@ -333,6 +333,18 @@ class TestVerifyScene:
         assert scene.verify(seed=1).passed
         assert calls == {"_split_star": 3}
 
+    @pytest.mark.parametrize("name", [info.name for info in list_models()])
+    def test_verify_and_the_dimension_formula_leave_strata_as_made(self, name):
+        # each real trace is computed where it is read, and none is kept
+        scene = build_model(name, k=3)
+        scene.verify()
+        try:
+            hyperfunction_dimension(scene.pair, scene.cycle)
+        except ModelError:  # a singular stratum
+            pass
+        for st in scene.cycle:
+            assert set(vars(st)) == set(Stratum._fields), st.name
+
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
     @pytest.mark.parametrize("name", [info.name for info in list_models()])
     def test_a_scene_verified_twice_reports_as_verify_scene(self, name, seed):

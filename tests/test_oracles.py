@@ -3,10 +3,12 @@
 The oracles below are written straight from the definitions, with no
 index, star table or shortcut: the dual as the signed sum over the star,
 the costalk restriction as duality conjugating the restriction, the
-pushforward as the signed sum over each fibre, the solution index and
-the hyperfunction dimension as sums of whole functions, face closure and
-maximality by listing every face, the product by listing every chain,
-and the canonical text as json.dumps writes it.
+costalk and boundary terms as signed sums of the dual over the cofaces
+inside and outside the subcomplex, with dicts, the pushforward as the
+signed sum over each fibre, the solution index and the hyperfunction
+dimension as sums of whole functions, face closure and maximality by
+listing every face, the product by listing every chain, and the
+canonical text as json.dumps writes it.
 Values include +-2^70, so any arithmetic that wrapped at 64 bits would
 show.
 """
@@ -37,19 +39,16 @@ from cfcalc import (
     Subcomplex,
     build_complex,
     build_model,
-    complement_open,
     dual,
     hyperfunction_dimension,
     hyperfunction_index,
     inclusion_map,
     indicator,
     list_models,
-    open_pushforward,
     parse_scene,
     product,
     pushforward,
     restrict,
-    restrict_open,
     shriek_restrict,
     simplicial_map,
     solution_index,
@@ -146,14 +145,35 @@ def test_pushforward_commutes_with_duality(data):
     assert dual(pushforward(f, phi)) == pushforward(f, dual(phi))
 
 
+def cofaces(space) -> dict:
+    """Each simplex and the simplices having it as a face, itself
+    included, found by listing every face of every simplex."""
+    up = {s: [] for s in space.simplices}
+    for u in space.simplices:
+        for n in range(1, len(u) + 1):
+            for t in itertools.combinations(u, n):
+                up[t].append(u)
+    return up
+
+
 def reference_triangle(closed: Subcomplex, phi: ConstructibleFunction):
-    """The costalk and boundary terms as their definitions compose them on
-    the whole ambient: duality conjugating the restriction, and the
-    restriction of the open pushforward from the complement U of the
-    subcomplex."""
-    u = complement_open(closed.parent, closed)
-    boundary = restrict(open_pushforward(u, restrict_open(phi, u)), closed)
-    return dual(restrict(dual(phi), closed)), boundary
+    """The costalk and boundary terms of phi at each simplex s of M, from
+    the definitions with dicts.  With D(phi)(t) the sum over the cofaces u
+    of t of (-1)^dim(u) phi(u), the costalk is the sum of
+    (-1)^dim(t) D(phi)(t) over the cofaces t of s in M, duality conjugating
+    the restriction, and the boundary is the same sum over the cofaces
+    outside M: the open pushforward from U = K - M, since every coface of
+    a simplex outside M is outside M.  Together they are DD(phi)(s) = phi(s)."""
+    up, value = cofaces(phi.ambient), dict(phi.items)
+    d = {t: sum(_sign(u.dim) * value.get(u, 0) for u in us) for t, us in up.items()}
+    costalk, boundary = {}, {}
+    for s in closed.simplices:
+        terms = [(t in closed.simplices, _sign(t.dim) * d[t]) for t in up[s]]
+        costalk[s] = sum(v for inside, v in terms if inside)
+        boundary[s] = sum(v for inside, v in terms if not inside)
+        assert costalk[s] + boundary[s] == value.get(s, 0)
+    space = closed.as_complex()
+    return ConstructibleFunction(space, costalk), ConstructibleFunction(space, boundary)
 
 
 @st.composite
