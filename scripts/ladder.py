@@ -51,9 +51,12 @@ one value per trace, and a facet is a full subcomplex, so it takes no
 dual.  cold_dual_facet_ms is `python -m cfcalc dual --function
 indicator:M` on the same files, which sums over cofaces one vertex at a
 time.  These times follow the n 2^(n-1) vertex incidences of the 2^n - 1
-simplices.  cold_verify_disjoint_ms is `python -m cfcalc verify` on a
-scene file of DISJOINT disjoint 4-simplices (124,000 simplices) whose real
-form is the whole complex, with one codim-0 stratum on one of them: every
+simplices.  star_facet_ms is the in-process star table (_open_star) of
+that facet, for n in VERIFY_SIMPLEX, each on a freshly built complex:
+every trace holds one star simplex, the star table's worst case.
+cold_verify_disjoint_ms is `python -m cfcalc verify` on a scene file of
+DISJOINT disjoint 4-simplices (124,000 simplices) whose real form is the
+whole complex, with one codim-0 stratum on one of them: every
 star simplex lies in M, so this time follows the size of M.
 Beside each cold_* field, <field>_spread is the distance between the
 quartiles of its repeats as a share of their median, as perfbench's
@@ -84,7 +87,10 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 sys.path.insert(1, str(ROOT / "perfbench"))
 
-from cfcalc import build_model, dual, emit_scene, indicator, parse_scene, solution_index  # noqa: E402
+from cfcalc import (  # noqa: E402
+    build_complex, build_model, dual, emit_scene, indicator, parse_scene, solution_index,
+    subcomplex,
+)
 from cfcalc.calculus import _open_star  # noqa: E402
 from gauge import NOMINAL_S, reading  # noqa: E402
 from run import spread  # noqa: E402
@@ -228,6 +234,19 @@ def one_simplex_children(gauge: Readings, repeats: int) -> tuple[dict, dict, dic
     return checks, verifies, facets, duals
 
 
+def star_facets(gauge: Readings, repeats: int) -> dict:
+    """In-process _open_star of the n-vertex simplex's facet on its first
+    n - 1 vertices, each on a fresh complex, a list of repeats keyed by n."""
+    facets = {}
+    for n in VERIFY_SIMPLEX:
+        vertices = [f"v{i}" for i in range(n)]
+        facets[str(n)] = [
+            subcomplex(build_complex([vertices]), [vertices[:-1]]) for _ in range(repeats)
+        ]
+    gauge.fresh()
+    return {n: [gauge.timed(lambda: _open_star(m))[0] for m in ms] for n, ms in facets.items()}
+
+
 def disjoint_child(gauge: Readings, repeats: int) -> list[float]:
     """Cold `cfcalc verify` CPU times on DISJOINT disjoint 4-simplices, the
     real form the whole complex, one per repeat."""
@@ -279,6 +298,7 @@ def main(argv=None) -> int:
     ):
         record[field] = {n: median(ms) for n, ms in runs.items()}
         record[f"{field}_spread"] = {n: spread_of(ms) for n, ms in runs.items()}
+    record["star_facet_ms"] = {n: median(ms) for n, ms in star_facets(gauge, args.repeats).items()}
     disjoint = disjoint_child(gauge, args.repeats)
     record["cold_verify_disjoint_ms"] = median(disjoint)
     record["cold_verify_disjoint_ms_spread"] = spread_of(disjoint)

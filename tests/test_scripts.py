@@ -62,6 +62,8 @@ def test_ladder_writes_its_record_at_k_3(tmp_path):
         assert all(ms > 0 for ms in record[field].values()), field
         assert sorted(record[f"{field}_spread"], key=int) == ns
         assert all(0 <= s < math.inf for s in record[f"{field}_spread"].values()), field
+    assert sorted(record["star_facet_ms"], key=int) == ["10", "12"]
+    assert all(ms > 0 for ms in record["star_facet_ms"].values())
     assert record["cold_verify_disjoint_ms"] > 0
     assert 0 <= record["cold_verify_disjoint_ms_spread"] < math.inf
 
