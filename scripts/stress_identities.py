@@ -119,9 +119,17 @@ def stress_products(rng, rounds) -> None:
         )
 
 
+def nonnegative(text: str) -> int:
+    """A --rounds value: a whole number, zero or more."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {n}")
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rounds", type=int, default=500)
+    parser.add_argument("--rounds", type=nonnegative, default=500)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 

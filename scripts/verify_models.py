@@ -16,7 +16,10 @@ from cfcalc import build_model, list_models
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", action="append", help="model name, repeatable")
+    parser.add_argument(
+        "--only", action="append", choices=[info.name for info in list_models()],
+        help="model name, repeatable",
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--quiet", action="store_true", help="one line per model")
     args = parser.parse_args(argv)

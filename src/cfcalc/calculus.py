@@ -303,15 +303,17 @@ def triangle_decompose(
     pushforward of phi from the complement).  Their sum is the plain
     restriction, exactly, on every subcomplex and every function.  Both
     depend only on phi on the open star of the subcomplex, so phi is
-    written there as a vector by star position for _split_star.
+    written there as a vector by star position for _split_star, signed by
+    (-1)^dim outside the subcomplex.
     """
     if phi.ambient != closed.parent:
         raise ModelError("function does not live on the parent of the subcomplex")
-    position = _open_star(closed)[0]
+    position, n = _open_star(closed)[0], len(closed.simplices)
     x = [0] * len(position)
     for s, v in phi.items:
         if s in position:
-            x[position[s]] = v
+            i = position[s]
+            x[i] = v if i < n or len(s) % 2 else -v
     return _split_star(closed, x)
 
 
@@ -323,25 +325,23 @@ def _open_star(closed: Subcomplex) -> tuple:
     Returns the position of each parent simplex u with a vertex in M in a
     vector over the star: M's n simplices first, at their places in M's
     canonical order, then the u outside M from n on by trace w (u's vertices
-    in M), even dimension first, then u; per trace w, in canonical order,
-    the slices of the star holding its u of even and of odd dimension, the
-    odd run starting where the even one stops, and w; and F, the parent's
-    simplices with all vertices in M (M and the traces outside it) as a
-    complex, M's own exactly when M is full.  No parent order is built.
+    in M), then u; per trace w, in canonical order, the run of the star
+    holding its u, as a slice, and w; and F, the parent's simplices with
+    all vertices in M (M and the traces outside it) as a complex, M's own
+    exactly when M is full.  No parent order is built.
     """
     space = closed.as_complex()
     of_m = space.vertices.__contains__
     star = filterfalse(space.vertices.isdisjoint, closed.parent.simplices)
-    runs = defaultdict(lambda: ([], []))
+    runs = defaultdict(list)
     for u in filterfalse(space.simplices.__contains__, star):
-        runs[tuple(filter(of_m, u))][len(u) % 2 == 0].append(u)
+        runs[tuple(filter(of_m, u))].append(u)
     position, groups = dict(space.position()), []
     for w in sorted(runs):
-        even, odd = map(sorted, runs[w])
-        start, turn = len(position), len(position) + len(even)
-        position.update(zip(even + odd, count(start)))
-        groups.append((slice(start, turn), slice(turn, len(position)), Simplex._raw(w)))
-    outside = [w for _, _, w in groups if w not in space.simplices]
+        start = len(position)
+        position.update(zip(sorted(runs[w]), count(start)))
+        groups.append((slice(start, len(position)), Simplex._raw(w)))
+    outside = [w for _, w in groups if w not in space.simplices]
     full = SimplicialComplex._closed(space.simplices.union(outside)) if outside else space
     return position, groups, full
 
@@ -351,12 +351,13 @@ def _split_star(
 ) -> tuple[ConstructibleFunction, ConstructibleFunction]:
     """triangle_decompose of the values x over the open star of the
     subcomplex M, laid out as _open_star places them, so x on M is the
-    prefix x[:n] and each trace's star simplices of one parity a slice.
+    prefix x[:n] of phi's values and each trace's star simplices a run
+    holding (-1)^dim u phi(u).
 
-    Each trace w gets h0(w) = (-1)^dim w v(w), v(w) the sum of (-1)^dim u
-    x(u) over its u outside M, so for s in M D_F(h0)(s) sums v over the
-    traces containing s.  With h = D_M(D_F(h0) on M), h0 itself when F is M
-    (D_M is an involution), the boundary is -h, as the signs (-1)^dim u over
+    Each trace w gets h0(w) = (-1)^dim w v(w), v(w) the sum of x over its
+    run, so for s in M D_F(h0)(s) sums v over the traces containing s.
+    With h = D_M(D_F(h0) on M), h0 itself when F is M (D_M is an
+    involution), the boundary is -h, as the signs (-1)^dim u over
     s <= u <= w cancel for s in M and w outside M, and the costalk, D_M of
     D(phi) on M, is x on M + h.  Otherwise D_M of a function on M is D_F of
     it restricted to M, so both duals take F's drop table.
@@ -364,8 +365,8 @@ def _split_star(
     space = closed.as_complex()
     _, groups, full = _open_star(closed)
     h0 = []
-    for even, odd, w in groups:
-        v = sum(x[even]) - sum(x[odd])
+    for run, w in groups:
+        v = sum(x[run])
         if v:
             h0.append((w, v if len(w) % 2 else -v))
     h = ConstructibleFunction._of(full, tuple(h0))

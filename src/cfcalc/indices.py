@@ -497,7 +497,10 @@ def _scene_rows(pair: RealComplexPair, cycle: CharacteristicCycle, expectations)
 def _with_seeded_rows(name, pair: RealComplexPair, rows: tuple, seed: int) -> VerificationReport:
     """The report of the rows and the triangle rows of three random functions
     drawn from the seed, each in one call as a vector over the open star of M,
-    all that both sides read, and split as drawn; restrict reads its prefix."""
+    all that both sides read, and split as drawn; restrict reads its prefix.
+    Outside M the vector holds (-1)^dim u phi(u), as _split_star reads it, so
+    phi carries that sign there; the draw table is symmetric, so phi's law is
+    the same."""
     rng, drawn, mc = random.Random(seed), _Rows(pair.probes), pair.real_complex()
     size = len(_open_star(pair.real_form)[0])
     for i in range(3):

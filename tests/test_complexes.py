@@ -152,14 +152,14 @@ class TestStarAndSubcomplex:
         star = sorted(position, key=position.get)
         assert sorted(position.values()) == list(range(13))  # vertex + 6 spokes + 6 triangles
         # M is the one vertex c, at position 0: the spokes and triangles are
-        # outside it, all with the trace c; the triangles, of even
-        # dimension, come first, then the spokes; a vertex is a full
-        # subcomplex, so F is M
+        # outside it, all with the trace c, in one run in canonical order,
+        # triangles and spokes interleaved; a vertex is a full subcomplex,
+        # so F is M
         assert star[0] == ("c",)
-        ((even, odd, trace),) = groups
-        assert (even, odd) == (slice(1, 7), slice(7, 13))
-        assert [len(u) for u in star[even]] == [3] * 6
-        assert [len(u) for u in star[odd]] == [2] * 6
+        ((run, trace),) = groups
+        assert run == slice(1, 13)
+        assert star[run] == sorted(u for u in d.simplices if "c" in u and len(u) > 1)
+        assert [len(u) for u in star[run]] == [3, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 2]
         assert trace == ("c",) and type(trace) is Simplex
         assert full is closed.as_complex()
 
@@ -177,7 +177,7 @@ class TestStarAndSubcomplex:
         closed = subcomplex(d, [["b0", "b1"], ["b1", "c"]])
         _, groups, full = cfcalc.calculus._open_star(closed)
         assert full.simplices == closed.simplices | {("b0", "c"), ("b0", "b1", "c")}
-        assert {trace for _, _, trace in groups} >= {("b0", "c"), ("b0", "b1", "c")}
+        assert {trace for _, trace in groups} >= {("b0", "c"), ("b0", "b1", "c")}
 
     def test_subcomplex_closure_and_membership(self):
         d = disk(3)
@@ -327,31 +327,34 @@ def test_derived_values_are_built_on_first_use_and_kept(accessor):
     assert get(owner) is first
 
 
-def test_star_order_is_the_sorted_star_table():
-    # M's simplices at their places in M's order, then the rest sorted by
-    # trace, even dimension first, and simplex, one run per group and
-    # parity, each group carrying its trace; F is every parent simplex
-    # whose vertices all lie in M
-    closed = diameter(disk(3))
+def assert_star_table(closed):
+    """_open_star's layout on M = closed: every parent simplex with a vertex
+    in M at one position of range(len(star)), M's simplices first in M's
+    order, then one run per trace, contiguous to the end, in increasing
+    trace order, each holding exactly the simplices outside M with that
+    trace in canonical order and carrying the trace; F is every parent
+    simplex whose vertices all lie in M."""
     position, groups, full = cfcalc.calculus._open_star(closed)
     star, n = sorted(position, key=position.get), len(closed.simplices)
-    assert sorted(position.values()) == list(range(len(star)))
-    assert star[:n] == list(closed.as_complex().ordered())
 
     def trace(u):
         return tuple(filter(closed.vertices.__contains__, u))
 
-    assert star[n:] == sorted(
-        set(star) - closed.simplices, key=lambda u: (trace(u), u.dim % 2, u)
-    )
-    runs = [range(even.start, odd.stop) for even, odd, _ in groups]
-    assert [i for run in runs for i in run] == list(range(n, len(star)))
-    assert [w for _, _, w in groups] == sorted({trace(u) for u in star[n:]})
-    for even, odd, w in groups:
-        assert even.stop == odd.start
-        assert {trace(u) for u in star[even.start:odd.stop]} == {w}
-        assert all(u.dim % 2 == 0 for u in star[even]) and all(u.dim % 2 for u in star[odd])
+    assert set(star) == {u for u in closed.parent.simplices if trace(u)}
+    assert sorted(position.values()) == list(range(len(star)))
+    assert star[:n] == list(closed.as_complex().ordered())
+    outside = set(star) - closed.simplices
+    assert [w for _, w in groups] == sorted({trace(u) for u in outside})
+    places = range(len(star))
+    assert [i for run, _ in groups for i in places[run]] == list(range(n, len(star)))
+    for run, w in groups:
+        assert type(w) is Simplex
+        assert star[run] == sorted(u for u in outside if trace(u) == w)
     assert full.simplices == {u for u in star if trace(u) == u}
+
+
+def test_star_order_is_the_sorted_star_table():
+    assert_star_table(diameter(disk(3)))
 
 
 class TestMaps:

@@ -12,9 +12,13 @@ d, and M every nonempty subcomplex of each.  A relabelling of a-d carries
 each operator's input and output alike, so one pair per orbit of the 24
 relabellings is checked; the maps go from each such complex to the
 closed triangle on x, y, z, one per orbit of the triangle's 6
-relabellings.  The references are those of tests/test_oracles.py, written
-straight from the definitions, and the operators are called through
-cfcalc.calculus, where tests/test_faults.py plants its faults.
+relabellings.  On each pair the star table has the layout
+tests/test_complexes.py states, and the split of each unit vector over
+the open star is the triangle of the function it stands for, so that
+convention, which verify's random vectors rely on, holds for every
+integer vector.  The references are those of tests/test_oracles.py,
+written straight from the definitions, and the operators are called
+through cfcalc.calculus, where tests/test_faults.py plants its faults.
 """
 
 from itertools import combinations, permutations, product
@@ -29,6 +33,7 @@ from cfcalc import (
     indicator,
     simplicial_map,
 )
+from test_complexes import assert_star_table
 from test_oracles import reference_dual, reference_pushforward, reference_triangle, values
 
 VERTICES = "abcd"
@@ -111,6 +116,24 @@ def test_triangle_decompose_on_every_pair():
             assert split == reference_triangle(closed, phi)
     # both ways of the split, one value per trace and dual on the span
     assert 0 < full < len(PAIRS)
+
+
+def test_star_table_and_split_star_on_every_pair():
+    units = 0
+    for space, m in PAIRS:
+        complex_ = SimplicialComplex(space)
+        closed = Subcomplex(complex_, m)
+        assert_star_table(closed)
+        position = cfcalc.calculus._open_star(closed)[0]
+        for u, i in position.items():
+            x = [0] * len(position)
+            x[i] = 1
+            # a unit outside M stands for (-1)^dim u 1_u, one in M for 1_u
+            sign = 1 if u in closed.simplices or u.dim % 2 == 0 else -1
+            expected = reference_triangle(closed, ConstructibleFunction(complex_, {u: sign}))
+            assert cfcalc.calculus._split_star(closed, x) == expected
+            units += 1
+    assert units == 4867  # the open stars of the 561 pairs
 
 
 def test_restrict_on_every_pair():

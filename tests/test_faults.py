@@ -104,9 +104,8 @@ def triangle_moves_one(decompose):
 
 def star_fault(change):
     """The calculus's star table, wherever it was imported, has each group
-    (even, odd, trace) of the simplices outside M, two slices of the star
-    with the second starting where the first stops and the trace they
-    share, replaced by change(group)."""
+    (run, trace) of the simplices outside M, the slice of the star holding
+    the simplices with that trace and the trace, replaced by change(group)."""
     def plant(monkeypatch):
         build = cfcalc.calculus._open_star
 
@@ -118,6 +117,20 @@ def star_fault(change):
             if getattr(module, "_open_star", None) is build:
                 monkeypatch.setattr(module, "_open_star", faulty)
     return plant
+
+
+def star_values_unsigned(monkeypatch):
+    """The star split, wherever it was imported, reads the values outside M
+    with their sign flipped, so each trace's sum comes out negated."""
+    split = cfcalc.calculus._split_star
+
+    def faulty(closed, x):
+        n = len(closed.simplices)
+        return split(closed, x[:n] + [-v for v in x[n:]])
+
+    for module in MODULES:
+        if getattr(module, "_split_star", None) is split:
+            monkeypatch.setattr(module, "_split_star", faulty)
 
 
 # --- catchers: each takes a `plant` callback and reports whether it fired ---
@@ -238,11 +251,11 @@ FAULTS = {
         open_pushforward_oracle,
     ),
     "star_table_drops_outside": (
-        star_fault(lambda group: (slice(0, 0), slice(0, 0), group[2])),
+        star_fault(lambda group: (slice(0, 0), group[1])),
         verify_row("pair_C_R", "dimension_formula"),
     ),
-    "star_table_swaps_parity": (
-        star_fault(lambda group: (group[1], group[0], group[2])),
+    "star_values_unsigned": (
+        star_values_unsigned,
         verify_row("smooth_line_in_C2", "shriek_indicator"),
     ),
     "indicator_drops_vertices": (
@@ -255,7 +268,7 @@ FAULTS = {
     ),
     "star_table_without_self": (
         # each trace's value lands on the trace's first vertex, not on itself
-        star_fault(lambda group: (group[0], group[1], Simplex(group[2][:1]))),
+        star_fault(lambda group: (group[0], Simplex(group[1][:1]))),
         verify_row("kashiwara_point", "value"),
     ),
     "mod2_reduce_unreduced": (

@@ -208,13 +208,22 @@ def test_triangle_decompose_is_the_definitional_composition(data):
         assert triangle_decompose(closed, psi) == reference_triangle(closed, psi)
 
 
+def star_function(space, m, star, x) -> ConstructibleFunction:
+    """The function on space that a vector x over the open star of M, whose
+    simplices are m, stands for: x(u) at u in M, (-1)^dim u x(u) outside."""
+    return ConstructibleFunction(space, {
+        u: v if u in m or u.dim % 2 == 0 else -v for u, v in zip(star, x)
+    })
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_split_star_is_the_definitional_triangle_on_star_vectors(data):
     """The kernel on values x over the open star of M, against the
-    definition and against triangle_decompose on the function x gives,
-    with M empty, a vertex, generated by a few simplices or everything,
-    and x sparse or dense."""
+    definition and against triangle_decompose on the function x stands
+    for, x on M and (-1)^dim u x(u) at u outside M, with M empty, a
+    vertex, generated by a few simplices or everything, and x sparse or
+    dense."""
     space, _ = data.draw(complex_with_cf())
     if data.draw(st.booleans()):
         closed = subcomplex(space, [[data.draw(st.sampled_from(sorted(space.vertices)))]])
@@ -230,7 +239,7 @@ def test_split_star_is_the_definitional_triangle_on_star_vectors(data):
         if star:
             for i in data.draw(st.lists(st.integers(0, len(star) - 1), max_size=3)):
                 x[i] = data.draw(value)
-    phi = ConstructibleFunction(space, dict(zip(star, x)))
+    phi = star_function(space, closed.simplices, star, x)
     split = cfcalc.calculus._split_star(closed, x)
     assert split == reference_triangle(closed, phi)
     assert split == triangle_decompose(closed, phi)
@@ -239,14 +248,13 @@ def test_split_star_is_the_definitional_triangle_on_star_vectors(data):
 def open_star(pair) -> list:
     """Every ambient simplex with a vertex in the real form M: the simplices
     of M in canonical order, then the others by their trace (their vertices
-    in M), even dimension before odd, and canonical order.  A simplex of M
-    is its own trace, so one key orders both parts."""
+    in M) and canonical order.  A simplex of M is its own trace, so one key
+    orders both parts."""
     m_vertices = {v for s in pair.real_form.simplices for v in s.vertices}
     star = [s for s in pair.ambient.simplices if not m_vertices.isdisjoint(s.vertices)]
     return sorted(star, key=lambda s: (
         s not in pair.real_form.simplices,
         tuple(v for v in s.vertices if v in m_vertices),
-        s.dim % 2,
         s,
     ))
 
@@ -258,15 +266,16 @@ def signed(byte: int) -> int:
 def draws(pair, seed: int) -> list[ConstructibleFunction]:
     """The three random functions of verify's triangle rows, drawn as the
     definition reads: per function, one seeded random byte for each simplex
-    of the open star of the real form, in open_star's order, mapped through
-    the draw table and read as a signed byte."""
-    rng = random.Random(seed)
+    u of the open star of the real form M, in open_star's order, mapped
+    through the draw table and read as a signed byte, times (-1)^dim u
+    outside M."""
+    rng, m = random.Random(seed), pair.real_form.simplices
     star = open_star(pair)
     return [
-        ConstructibleFunction(
-            pair.ambient,
-            dict(zip(star, [signed(_DRAW_TABLE[b]) for b in rng.randbytes(len(star))])),
-        )
+        ConstructibleFunction(pair.ambient, {
+            u: signed(_DRAW_TABLE[b]) * (1 if u in m or u.dim % 2 == 0 else -1)
+            for u, b in zip(star, rng.randbytes(len(star)))
+        })
         for _ in range(3)
     ]
 
@@ -303,7 +312,8 @@ def test_triangle_decompose_matches_the_definition_on_the_models(name):
 
 
 # prints a digest of the random functions verify draws on node_curve(k=3),
-# each a vector over the real form's star that verify splits
+# each a vector over the real form's star that verify splits, signed by
+# (-1)^dim outside the real form
 VERIFY_DRAWS = """
 import hashlib, sys
 import cfcalc.indices
@@ -314,8 +324,13 @@ cfcalc.indices._split_star = lambda closed, x: seen.append(x) or split(closed, x
 scene = build_model("node_curve", k=3)
 scene.verify(seed=int(sys.argv[1]))
 position = cfcalc.calculus._open_star(scene.pair.real_form)[0]
-star = sorted(position, key=position.get)
-drawn = [ConstructibleFunction(scene.ambient, dict(zip(star, x))) for x in seen]
+star, m = sorted(position, key=position.get), scene.pair.real_form.simplices
+drawn = [
+    ConstructibleFunction(scene.ambient, {
+        u: v if u in m or u.dim % 2 == 0 else -v for u, v in zip(star, x)
+    })
+    for x in seen
+]
 print(hashlib.sha256(repr([phi.items for phi in drawn]).encode()).hexdigest())
 """
 
@@ -337,7 +352,7 @@ def test_verify_draws_its_random_functions_as_defined(seed, monkeypatch):
     position = cfcalc.calculus._open_star(scene.pair.real_form)[0]
     star = sorted(position, key=position.get)
     assert all(len(x) == len(star) for x in seen)
-    drawn = [ConstructibleFunction(scene.ambient, dict(zip(star, x))) for x in seen]
+    drawn = [star_function(scene.ambient, scene.pair.real_form.simplices, star, x) for x in seen]
     assert drawn == draws(scene.pair, seed)
 
 

@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ["scripts/verify_models.py", "--quiet"],
         ["scripts/stress_identities.py", "--rounds", "20", "--seed", "1"],
+        ["scripts/stress_identities.py", "--rounds", "0"],
     ],
 )
 def test_script_exits_zero(argv):
@@ -28,6 +29,21 @@ def test_script_exits_zero(argv):
         [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scripts/verify_models.py", "--only", "nosuch"], "invalid choice: 'nosuch'"),
+        (["scripts/stress_identities.py", "--rounds", "-3"], "must be at least 0, not -3"),
+    ],
+)
+def test_script_refuses_a_bad_argument_with_a_usage_error(argv, message):
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_ladder_writes_its_record_at_k_3(tmp_path):
