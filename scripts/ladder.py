@@ -58,6 +58,11 @@ cold_verify_disjoint_ms is `python -m cfcalc verify` on a scene file of
 DISJOINT disjoint 4-simplices (124,000 simplices) whose real form is the
 whole complex, with one codim-0 stratum on one of them: every
 star simplex lies in M, so this time follows the size of M.
+cold_verify_conj_ms is `python -m cfcalc verify` on a scene file of CONJ
+disjoint 4-simplices (24,800 simplices) that the conjugation swaps in
+pairs, with an empty real form and no strata: the conjugation rows check
+the involution, pull back along it and push forward to its quotient, so
+this time follows the images of every simplex under those maps.
 Beside each cold_* field, <field>_spread is the distance between the
 quartiles of its repeats as a share of their median, as perfbench's
 run.py spread takes it (Infinity from one repeat), so a before/after
@@ -146,6 +151,7 @@ DUALS = ("solution_index", "indicator")
 ONE_SIMPLEX = (10, 12, 14)
 VERIFY_SIMPLEX = (10, 12)
 DISJOINT = 4000
+CONJ = 800  # even: simplex 2i and simplex 2i + 1 are swapped
 
 
 def median(ms) -> float:
@@ -247,19 +253,37 @@ def star_facets(gauge: Readings, repeats: int) -> dict:
     return {n: [gauge.timed(lambda: _open_star(m))[0] for m in ms] for n, ms in facets.items()}
 
 
-def disjoint_child(gauge: Readings, repeats: int) -> list[float]:
-    """Cold `cfcalc verify` CPU times on DISJOINT disjoint 4-simplices, the
-    real form the whole complex, one per repeat."""
-    simplices = [[f"v{i}_{j}" for j in range(5)] for i in range(DISJOINT)]
-    doc = {
+def disjoint_simplices(count: int) -> list[list[str]]:
+    return [[f"v{i}_{j}" for j in range(5)] for i in range(count)]
+
+
+def disjoint_doc() -> dict:
+    """DISJOINT disjoint 4-simplices, the real form the whole complex."""
+    simplices = disjoint_simplices(DISJOINT)
+    return {
         "name": f"disjoint{DISJOINT}", "complex": {"maximal_simplices": simplices},
         "subcomplexes": {"all": simplices, "one": simplices[:1]},
         "real_form": {"M": "all", "complex_dim": 2},
         "strata": [{"name": "one", "support": "one", "codim": 0, "multiplicity": 1}],
         "probes": [], "expect": {},
     }
+
+
+def conj_doc() -> dict:
+    """CONJ disjoint 4-simplices swapped in pairs, the real form empty."""
+    conjugation = {f"v{i}_{j}": f"v{i ^ 1}_{j}" for i in range(CONJ) for j in range(5)}
+    return {
+        "name": f"conj{CONJ}", "complex": {"maximal_simplices": disjoint_simplices(CONJ)},
+        "subcomplexes": {"M": []},
+        "real_form": {"M": "M", "complex_dim": 2, "conjugation": conjugation},
+        "strata": [], "probes": [], "expect": {},
+    }
+
+
+def verify_children(gauge: Readings, repeats: int, doc: dict) -> list[float]:
+    """Cold `cfcalc verify` CPU times on the scene doc, one per repeat."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "disjoint.json"
+        path = Path(tmp) / "scene.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         gauge.fresh()
         return [cold_ms(gauge, "verify", str(path)) for _ in range(repeats)]
@@ -299,9 +323,11 @@ def main(argv=None) -> int:
         record[field] = {n: median(ms) for n, ms in runs.items()}
         record[f"{field}_spread"] = {n: spread_of(ms) for n, ms in runs.items()}
     record["star_facet_ms"] = {n: median(ms) for n, ms in star_facets(gauge, args.repeats).items()}
-    disjoint = disjoint_child(gauge, args.repeats)
-    record["cold_verify_disjoint_ms"] = median(disjoint)
-    record["cold_verify_disjoint_ms_spread"] = spread_of(disjoint)
+    for field, doc in (("cold_verify_disjoint_ms", disjoint_doc()),
+                       ("cold_verify_conj_ms", conj_doc())):
+        ms = verify_children(gauge, args.repeats, doc)
+        record[field] = median(ms)
+        record[f"{field}_spread"] = spread_of(ms)
     out = args.out_dir / f"BENCH_ladder_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(out)

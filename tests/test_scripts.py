@@ -80,8 +80,9 @@ def test_ladder_writes_its_record_at_k_3(tmp_path):
         assert all(0 <= s < math.inf for s in record[f"{field}_spread"].values()), field
     assert sorted(record["star_facet_ms"], key=int) == ["10", "12"]
     assert all(ms > 0 for ms in record["star_facet_ms"].values())
-    assert record["cold_verify_disjoint_ms"] > 0
-    assert 0 <= record["cold_verify_disjoint_ms_spread"] < math.inf
+    for field in ("cold_verify_disjoint_ms", "cold_verify_conj_ms"):
+        assert record[field] > 0, field
+        assert 0 <= record[f"{field}_spread"] < math.inf, field
 
 
 def _literal(path: Path, name: str):
