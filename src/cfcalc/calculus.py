@@ -20,6 +20,7 @@ from .complexes import (
     SimplicialComplex,
     SimplicialMap,
     Subcomplex,
+    _images,
     quotient_by_involution,
 )
 from .errors import MissingSimplexError, ModelError
@@ -180,14 +181,9 @@ def pullback(f: SimplicialMap, psi: ConstructibleFunction) -> ConstructibleFunct
     """Composition with the map: value at a simplex is the value at its image."""
     if psi.ambient != f.target:
         raise ModelError("function does not live on the target of the map")
-    table = psi._lookup()
-    image = f.image_vertices
-    items = []
-    for s in f.source.ordered():
-        v = table.get(image(s))
-        if v:
-            items.append((s, v))
-    return ConstructibleFunction._of(f.source, tuple(items))
+    order = f.source.ordered()
+    values = map(psi._lookup().get, _images(f._vertex_table(), order))
+    return ConstructibleFunction._of(f.source, tuple([(s, v) for s, v in zip(order, values) if v]))
 
 
 def pushforward(f: SimplicialMap, phi: ConstructibleFunction) -> ConstructibleFunction:
@@ -198,10 +194,9 @@ def pushforward(f: SimplicialMap, phi: ConstructibleFunction) -> ConstructibleFu
     if phi.ambient != f.source:
         raise ModelError("function does not live on the source of the map")
     order, position = f.target.ordered(), f.target.position()
-    image = f.image_vertices
+    images = _images(f._vertex_table(), [s for s, _ in phi.items])
     acc = [0] * len(order)
-    for s, v in phi.items:
-        t = image(s)
+    for (s, v), t in zip(phi.items, images):
         acc[position[t]] += -v if (len(s) - len(t)) % 2 else v
     return ConstructibleFunction._of(f.target, _nonzero_items(order, acc))
 

@@ -391,6 +391,12 @@ def product(
     return space, proj_left, proj_right
 
 
+def _images(table: Mapping[str, str], simplices: Iterable[tuple]) -> list[tuple[str, ...]]:
+    """The sorted vertex tuple of the image of each simplex under a vertex
+    table, in one pass that makes no Python call per simplex."""
+    return [tuple(sorted(set(map(table.__getitem__, s)))) for s in simplices]
+
+
 class SimplicialMap(Frozen):
     """A vertex map under which the image of every simplex spans a target simplex."""
 
@@ -416,11 +422,12 @@ class SimplicialMap(Frozen):
         if bad_values:
             raise ModelError(f"vertex map hits non-vertices of the target: {bad_values}")
         super().__init__(source, target, tuple(sorted(vm.items())))
-        # the least stray simplex is named, whatever the set's hash order
-        stray = [s for s in source.simplices if self.image(s) not in target.simplices]
-        if stray:
-            s = min(stray)
-            raise ModelError(f"image {self.image(s)} of {s} is not a simplex of the target")
+        images = _images(vm, source.simplices)
+        if not target.simplices.issuperset(images):
+            # the least stray simplex is named, whatever the set's hash order
+            stray = zip(source.simplices, images)
+            s, t = min((s, t) for s, t in stray if t not in target.simplices)
+            raise ModelError(f"image {Simplex._raw(t)} of {s} is not a simplex of the target")
 
     @property
     def vertex_map(self) -> dict[str, str]:
@@ -438,14 +445,9 @@ class SimplicialMap(Frozen):
 
     def image(self, s: Simplex) -> Simplex:
         try:
-            return Simplex._raw(self.image_vertices(s))
+            return Simplex._raw(_images(self._vertex_table(), (s,))[0])
         except KeyError as err:
             raise MissingSimplexError(f"{err.args[0]!r} is not a vertex of the source") from None
-
-    def image_vertices(self, vertices: tuple[str, ...]) -> tuple[str, ...]:
-        """The sorted vertex tuple of the image of a source simplex."""
-        table = self._vertex_table()
-        return tuple(sorted({table[v] for v in vertices}))
 
 
 def simplicial_map(source, target, vertex_map) -> SimplicialMap:
@@ -463,11 +465,8 @@ def compose(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
     """The composite simplicial map, outer after inner."""
     if inner.target != outer.source:
         raise ModelError("maps are not composable: target and source differ")
-    return SimplicialMap(
-        inner.source,
-        outer.target,
-        {v: outer.vertex(inner.vertex(v)) for v in inner.source.vertices},
-    )
+    table = outer._vertex_table()
+    return SimplicialMap(inner.source, outer.target, {v: table[w] for v, w in inner.vertex_pairs})
 
 
 class Involution(Frozen):
@@ -488,7 +487,8 @@ class Involution(Frozen):
         if bad:
             raise ModelError(f"map is not self-inverse at vertices {bad}")
         # the least irregular simplex is named, whatever the set's hash order
-        invariant = [s for s in underlying.source.simplices if underlying.image(s) == s]
+        simplices = underlying.source.simplices
+        invariant = [s for s, t in zip(simplices, _images(vm, simplices)) if s == t]
         s = min((s for s in invariant if any(vm[v] != v for v in s)), default=None)
         if s is not None:
             raise ModelError(
@@ -528,10 +528,12 @@ def fixed_point_set(tau: Involution) -> Subcomplex:
 
 def is_strongly_free(tau: Involution) -> bool:
     """True when every simplex is vertex-disjoint from its image."""
-    return all(
-        set(tau.image(s)).isdisjoint(s)
-        for s in tau.space.simplices
-    )
+    # An involution is regular, so a simplex s meets tau(s) only if s holds
+    # a fixed vertex: a vertex y of s in tau(s) is tau(x) for an x in s, and
+    # x != y would make the edge {x, y}, a face of s, a simplex that tau maps
+    # onto itself without fixing its vertices.  A fixed vertex meets its own
+    # image, so tau is strongly free exactly when it fixes no vertex.
+    return all(v != w for v, w in tau.underlying.vertex_pairs)
 
 
 def quotient_by_involution(
@@ -548,17 +550,20 @@ def quotient_by_involution(
         raise ModelError(
             "involution is not strongly free: some simplex meets its image"
         )
-    orbit = {v: min(v, tau.vertex(v)) for v in tau.space.vertices}
+    orbit = {v: min(v, w) for v, w in tau.underlying.vertex_pairs}
     groups: dict[Simplex, set[Simplex]] = defaultdict(set)
-    for s in tau.space.simplices:
-        groups[Simplex(orbit[v] for v in s)].add(s)
-    for img, grp in sorted(groups.items()):
-        rep = next(iter(grp))
-        if grp != {rep, tau.image(rep)}:
-            raise ModelError(
-                f"orbit map does not give a simplicial quotient at {img}: "
-                f"{len(grp)} simplices share one image; refine the model (e.g. subdivide)"
-            )
+    simplices = tau.space.simplices
+    for s, t in zip(simplices, _images(orbit, simplices)):
+        groups[Simplex._raw(t)].add(s)
+    # the group of s holds tau(s), which is not s, so it is the orbit of s
+    # exactly when it holds two simplices
+    crowded = [img for img, grp in groups.items() if len(grp) != 2]
+    if crowded:
+        img = min(crowded)
+        raise ModelError(
+            f"orbit map does not give a simplicial quotient at {img}: "
+            f"{len(groups[img])} simplices share one image; refine the model (e.g. subdivide)"
+        )
     quotient = SimplicialComplex._closed(groups.keys())
     projection = SimplicialMap(tau.space, quotient, orbit)
     return quotient, projection

@@ -287,8 +287,9 @@ class TestProduct:
 
 
 # Every value derived on first use and kept: (a fresh owner, its key in the
-# owner's instance dict, the accessor).  A map checks each image through its
-# vertex table, so only a map from the empty complex reaches it unused.
+# owner's instance dict, the accessor).  A map checks its images through the
+# vertex map it is given, so a fresh map, here one from the empty complex,
+# has not built its vertex table yet.
 CACHED = {
     "SimplicialComplex.ordered": (lambda: disk(3), "_ordered", lambda x: x.ordered()),
     "SimplicialComplex.position": (lambda: disk(3), "_position", lambda x: x.position()),

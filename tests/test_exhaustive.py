@@ -12,7 +12,12 @@ d, and M every nonempty subcomplex of each.  A relabelling of a-d carries
 each operator's input and output alike, so one pair per orbit of the 24
 relabellings is checked; the maps go from each such complex to the
 closed triangle on x, y, z, one per orbit of the triangle's 6
-relabellings.  On each pair the star table has the layout
+relabellings; along each map the image of every simplex is its vertex
+set's image, and the map composed with a fold of the triangle onto an
+edge is the composite vertex map and pushes forward as the two maps in
+turn.  Every vertex involution of every labelled complex is checked
+against the definitions of regularity, strong freeness and the quotient.
+On each pair the star table has the layout
 tests/test_complexes.py states, and the split of each unit vector over
 the open star is the triangle of the function it stands for, so that
 convention, which verify's random vectors rely on, holds for every
@@ -21,16 +26,25 @@ written straight from the definitions, and the operators are called
 through cfcalc.calculus, where tests/test_faults.py plants its faults.
 """
 
+from collections import defaultdict
 from itertools import combinations, permutations, product
+
+import pytest
 
 import cfcalc.calculus
 from cfcalc import (
     ConstructibleFunction,
+    ModelError,
     Simplex,
     SimplicialComplex,
+    SimplicialMap,
     Subcomplex,
     build_complex,
+    compose,
     indicator,
+    involution,
+    is_strongly_free,
+    quotient_by_involution,
     simplicial_map,
 )
 from test_complexes import assert_star_table
@@ -163,19 +177,91 @@ def vertex_maps(vertices):
 
 def test_pushforward_and_pullback_along_every_map_to_the_triangle():
     triangle = build_complex([list(TRIANGLE)])
+    # g folds the triangle onto an edge, so g after f collapses more than f
+    g = simplicial_map(triangle, build_complex([["p", "q"]]), {"x": "p", "y": "p", "z": "q"})
     maps = checks = 0
     for space in sorted({k for k, _ in PAIRS}):
         complex_ = SimplicialComplex(space)
         for vmap in vertex_maps(sorted(complex_.vertices)):
             f = simplicial_map(complex_, triangle, vmap)
             maps += 1
+            for s in complex_.ordered():
+                image = f.image(s)
+                assert type(image) is Simplex and image == Simplex({vmap[v] for v in s})
+                checks += 1
+            gf = compose(g, f)
+            assert gf == SimplicialMap(complex_, g.target, {v: g.vertex(vmap[v]) for v in vmap})
+            checks += 1
             # and the constant 1, whose fibre sums add several terms
             for phi in indicators(complex_) + [indicator(complex_)]:
                 assert values(cfcalc.calculus.pushforward(f, phi)) == reference_pushforward(f, phi)
+                checks += 1
+            for phi in indicators(complex_):
+                pushed = cfcalc.calculus.pushforward(g, cfcalc.calculus.pushforward(f, phi))
+                assert cfcalc.calculus.pushforward(gf, phi) == pushed
                 checks += 1
             for psi in indicators(triangle):
                 ((t, _),) = psi.items
                 expected = {s: int(tuple(sorted({vmap[v] for v in s})) == t) for s in space}
                 assert values(cfcalc.calculus.pullback(f, psi)) == expected
                 checks += 1
-    assert (maps, checks) == (310, 5136)
+    assert (maps, checks) == (310, 10758)
+
+
+VERTEX_INVOLUTIONS = [p for p in RELABELLINGS if all(p[p[v]] == v for v in VERTICES)]
+
+
+def test_involutions_of_every_complex():
+    """Every vertex involution of every complex on at most four vertices
+    under which each simplex's image is a simplex: involution accepts it
+    exactly when it is regular, is_strongly_free agrees with the
+    per-simplex definition, and quotient_by_involution returns the orbit
+    images exactly when each of them is the image of one orbit, and names
+    the least one that is not otherwise."""
+    kinds = defaultdict(int)
+    for space in down_sets(SETS):
+        if not space:
+            continue
+        complex_ = SimplicialComplex(space)
+        vertices = sorted(complex_.vertices)
+        maps = {tuple((v, p[v]) for v in vertices) for p in VERTEX_INVOLUTIONS}
+        for pairs in sorted(maps):
+            vmap = dict(pairs)
+            image = {s: tuple(sorted(vmap[v] for v in s)) for s in space}
+            if not set(image.values()) <= set(space):
+                kinds["not simplicial"] += 1
+                continue
+            if any(image[s] == s and any(vmap[v] != v for v in s) for s in space):
+                with pytest.raises(ModelError, match="not regular"):
+                    involution(complex_, vmap)
+                kinds["irregular"] += 1
+                continue
+            tau = involution(complex_, vmap)
+            free = all(set(image[s]).isdisjoint(s) for s in space)
+            assert is_strongly_free(tau) == free
+            if not free:
+                with pytest.raises(ModelError, match="not strongly free"):
+                    quotient_by_involution(tau)
+                kinds["fixed points"] += 1
+                continue
+            orbit = {s: tuple(sorted({min(v, vmap[v]) for v in s})) for s in space}
+            groups = defaultdict(set)
+            for s in space:
+                groups[orbit[s]].add(s)
+            shared = sorted(t for t in groups if groups[t] != {min(groups[t]), image[min(groups[t])]})
+            if shared:
+                t = shared[0]
+                message = f"at {Simplex(t)}: {len(groups[t])} simplices share one image"
+                with pytest.raises(ModelError, match=message):
+                    quotient_by_involution(tau)
+                kinds["no quotient"] += 1
+                continue
+            quotient, projection = quotient_by_involution(tau)
+            assert quotient.simplices == set(groups)
+            assert all(projection.image(s) == orbit[s] for s in space)
+            kinds["quotient"] += 1
+    # 262 regular involutions, 18 of them strongly free
+    assert kinds == {
+        "not simplicial": 1116, "irregular": 234, "fixed points": 244,
+        "no quotient": 3, "quotient": 15,
+    }

@@ -2,8 +2,8 @@
 
 Every entry of FAULTS swaps one kernel piece for a wrong version and names
 the check that must notice it: a failing verify row on a built-in model,
-an oracle of tests/test_oracles.py or tests/test_calculus.py, or a golden
-output of tests/test_golden.py.  A fault on a function is planted in every
+an oracle of tests/test_oracles.py or tests/test_calculus.py, a test of
+tests/test_exhaustive.py, or a golden output of tests/test_golden.py.  A fault on a function is planted in every
 cfcalc module that imported the name, so callers inside the package see it
 too.  Each catcher is also run on the healthy kernel, where it must stay
 quiet, so a catcher that fires on everything proves nothing.
@@ -16,6 +16,7 @@ import cfcalc.calculus
 import cfcalc.cli
 from cfcalc import (
     ConstructibleFunction,
+    ModelError,
     Simplex,
     build_complex,
     build_model,
@@ -25,6 +26,7 @@ from cfcalc import (
     simplicial_map,
     subcomplex,
 )
+import test_exhaustive
 from test_calculus import non_simplex_keys
 from test_golden import CASES, GOLDEN, _run
 from test_oracles import reference_pushforward, values
@@ -44,11 +46,12 @@ def keep(phi, wanted):
     return ConstructibleFunction(phi.ambient, {s: v for s, v in phi.items if wanted(s)})
 
 
-def function_fault(name, make):
-    """Replace the cfcalc function <name>, from calculus or complexes, by
-    make(original) wherever it was imported."""
+def function_fault(name, make, home=cfcalc):
+    """Replace the cfcalc function <name>, from calculus or complexes (or a
+    private one from its home module), by make(original) wherever it was
+    imported."""
     def plant(monkeypatch):
-        original = getattr(cfcalc, name)
+        original = getattr(home, name)
         fake = make(original)
         for module in MODULES:
             if getattr(module, name, None) is original:
@@ -84,12 +87,18 @@ def pushforward_overwrites(_):
     """A pushforward that stores each fibre term instead of adding it."""
     def faulty(f, phi):
         order, position = f.target.ordered(), f.target.position()
+        images = cfcalc.complexes._images(f._vertex_table(), [s for s, _ in phi.items])
         acc = [0] * len(order)
-        for s, v in phi.items:
-            t = f.image_vertices(s.vertices)
-            acc[position[t]] = -v if (len(s.vertices) - len(t)) % 2 else v
+        for (s, v), t in zip(phi.items, images):
+            acc[position[t]] = -v if (len(s) - len(t)) % 2 else v
         return ConstructibleFunction(f.target, dict(zip(order, acc)))
     return faulty
+
+
+def images_keep_repeats(_):
+    """The image helper without the set: a simplex the map collapses keeps
+    its repeated vertices."""
+    return lambda table, simplices: [tuple(sorted(map(table.__getitem__, s))) for s in simplices]
 
 
 def triangle_moves_one(decompose):
@@ -183,6 +192,19 @@ def simplex_keys(plant):
     return non_simplex_keys(space, phi, closed, f, psi) != []
 
 
+def failing(test):
+    """A test function, run on the planted kernel: it fires when the test
+    fails an assertion or the kernel refuses an input the test gives it."""
+    def catch(plant):
+        plant()
+        try:
+            test()
+        except (AssertionError, ModelError):
+            return True
+        return False
+    return catch
+
+
 def golden(name):
     argv = dict(CASES)[name]
 
@@ -199,8 +221,10 @@ def golden(name):
 # vertex tuple equals its Simplex, so keys of the wrong type pass every
 # check that compares values, the costalk is built as the restriction
 # minus the boundary, so triangle_identity sees no fault of dual or the star,
-# and verify reaches dual only on a real form that is not a full
-# subcomplex, which no built-in model has
+# verify reaches dual only on a real form that is not a full subcomplex,
+# which no built-in model has, and an image that keeps repeated vertices
+# makes a map that collapses a simplex refuse itself, as the fold of the
+# triangle in the exhaustive map test does
 FAULTS = {
     "dual_drops_own_term": (
         function_fault("dual", lambda dual: lambda phi: dual(phi) - twist(phi)),
@@ -219,6 +243,10 @@ FAULTS = {
     "pushforward_overwrites_fibre_sums": (
         function_fault("pushforward", pushforward_overwrites),
         verify_row("antipodal_cover", "covering_parity"),
+    ),
+    "image_keeps_repeats": (
+        function_fault("_images", images_keep_repeats, cfcalc.complexes),
+        failing(test_exhaustive.test_pushforward_and_pullback_along_every_map_to_the_triangle),
     ),
     "is_strongly_free_never": (
         function_fault("is_strongly_free", lambda _: lambda tau: False),
