@@ -394,7 +394,8 @@ def product(
 def _images(table: Mapping[str, str], simplices: Iterable[tuple]) -> list[tuple[str, ...]]:
     """The sorted vertex tuple of the image of each simplex under a vertex
     table, in one pass that makes no Python call per simplex."""
-    return [tuple(sorted(set(map(table.__getitem__, s)))) for s in simplices]
+    get = table.__getitem__
+    return [tuple(sorted(set(map(get, s)))) for s in simplices]
 
 
 class SimplicialMap(Frozen):
@@ -422,10 +423,12 @@ class SimplicialMap(Frozen):
         if bad_values:
             raise ModelError(f"vertex map hits non-vertices of the target: {bad_values}")
         super().__init__(source, target, tuple(sorted(vm.items())))
-        images = _images(vm, source.simplices)
-        if not target.simplices.issuperset(images):
+        # the image of a face is a face of its simplex's image, and the target
+        # is face closed, so the simplices a complex was closed from stand for it
+        tops = source.__dict__.get("_generators", source.simplices)
+        if not target.simplices.issuperset(_images(vm, tops)):
             # the least stray simplex is named, whatever the set's hash order
-            stray = zip(source.simplices, images)
+            stray = zip(source.simplices, _images(vm, source.simplices))
             s, t = min((s, t) for s, t in stray if t not in target.simplices)
             raise ModelError(f"image {Simplex._raw(t)} of {s} is not a simplex of the target")
 

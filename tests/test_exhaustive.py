@@ -15,8 +15,11 @@ closed triangle on x, y, z, one per orbit of the triangle's 6
 relabellings; along each map the image of every simplex is its vertex
 set's image, and the map composed with a fold of the triangle onto an
 edge is the composite vertex map and pushes forward as the two maps in
-turn.  Every vertex involution of every labelled complex is checked
-against the definitions of regularity, strong freeness and the quotient.
+turn.  Every vertex map into the path x - y - z is refused exactly when
+an image is not a path simplex, whether the complex was closed from
+generators or not.  Every vertex involution of every labelled complex is
+checked against the definitions of regularity, strong freeness and the
+quotient.
 On each pair the star table has the layout
 tests/test_complexes.py states, and the split of each unit vector over
 the open star is the triangle of the function it stands for, so that
@@ -206,6 +209,36 @@ def test_pushforward_and_pullback_along_every_map_to_the_triangle():
                 assert values(cfcalc.calculus.pullback(f, psi)) == expected
                 checks += 1
     assert (maps, checks) == (310, 10758)
+
+
+def test_every_vertex_map_to_a_path_is_checked():
+    """Each complex, made from all its simplices and closed from its
+    maximal ones, and each vertex map into the path x - y - z: the map is
+    refused exactly when some simplex's image is not a simplex of the
+    path, and the refusal names the least such simplex."""
+    path = build_complex([["x", "y"], ["y", "z"]])
+    outcomes = defaultdict(int)
+    for space in sorted({k for k, _ in PAIRS}):
+        tops = [s for s in space if not any(set(s) < set(u) for u in space)]
+        vertices = sorted({v for s in space for v in s})
+        for complex_ in (SimplicialComplex(space), build_complex(tops)):
+            for image in product(TRIANGLE, repeat=len(vertices)):
+                vmap = dict(zip(vertices, image))
+                stray = [
+                    (s, t) for s in space
+                    if (t := Simplex({vmap[v] for v in s})) not in path.simplices
+                ]
+                if stray:
+                    s, t = min(stray)
+                    message = f"^image {t} of {Simplex(s)} is not a simplex of the target$"
+                    with pytest.raises(ModelError, match=message):
+                        simplicial_map(complex_, path, vmap)
+                    outcomes["refused"] += 1
+                else:
+                    assert simplicial_map(complex_, path, vmap).vertex_map == vmap
+                    outcomes["accepted"] += 1
+    # 1,776 maps of 28 complexes, each made both ways
+    assert outcomes == {"accepted": 1852, "refused": 1700}
 
 
 VERTEX_INVOLUTIONS = [p for p in RELABELLINGS if all(p[p[v]] == v for v in VERTICES)]
