@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from functools import partial
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._frozen import Frozen, cached
 from .errors import MissingSimplexError, ModelError
@@ -391,11 +391,12 @@ def product(
     return space, proj_left, proj_right
 
 
-def _images(table: Mapping[str, str], simplices: Iterable[tuple]) -> list[tuple[str, ...]]:
+def _images(table: Mapping[str, str], simplices: Iterable[tuple]) -> Iterator[tuple[str, ...]]:
     """The sorted vertex tuple of the image of each simplex under a vertex
-    table, in one pass that makes no Python call per simplex."""
+    table, in one generator that makes no Python call per simplex and
+    keeps no image past its use."""
     get = table.__getitem__
-    return [tuple(sorted(set(map(get, s)))) for s in simplices]
+    return (tuple(sorted(set(map(get, s)))) for s in simplices)
 
 
 class SimplicialMap(Frozen):
@@ -448,7 +449,7 @@ class SimplicialMap(Frozen):
 
     def image(self, s: Simplex) -> Simplex:
         try:
-            return Simplex._raw(_images(self._vertex_table(), (s,))[0])
+            return Simplex._raw(next(_images(self._vertex_table(), (s,))))
         except KeyError as err:
             raise MissingSimplexError(f"{err.args[0]!r} is not a vertex of the source") from None
 
