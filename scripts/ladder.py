@@ -67,6 +67,9 @@ Beside each cold_* field, <field>_spread is the distance between the
 quartiles of its repeats as a share of their median, as perfbench's
 run.py spread takes it (Infinity from one repeat), so a before/after
 pair shows whether a cold difference lies inside the noise.
+The in-process measurements run with the cycle collector on, as a library
+caller has it (recorded as gc_in_process); the cold children run the CLI,
+which turns it off while it runs.
 The file also records the Python version, the commit of the checkout the
 package was imported from and whether its sources differ from it.
 Neither the script nor its children write bytecode, so no cache is left
@@ -74,6 +77,7 @@ under src/ and every cold child compiles the package from source.
 """
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -310,6 +314,7 @@ def main(argv=None) -> int:
         "commit": git("rev-parse", "HEAD") or "unknown",
         "sources_differ": bool(git("status", "--porcelain", "--", "src")),
         "repeats": args.repeats,
+        "gc_in_process": gc.isenabled(),
         "unit": "ms of CPU time at the gauge's nominal speed, median",
     }
     gauge = Readings()

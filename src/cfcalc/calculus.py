@@ -333,8 +333,11 @@ def _open_star(closed: Subcomplex) -> tuple:
         runs[tuple(filter(of_m, u))].append(u)
     position, groups = dict(space.position()), []
     for w in sorted(runs):
-        start = len(position)
-        position.update(zip(sorted(runs[w]), count(start)))
+        run, start = runs[w], len(position)
+        if len(run) == 1:  # most traces of a simplex over its facet
+            position[run[0]] = start
+        else:
+            position.update(zip(sorted(run), count(start)))
         groups.append((slice(start, len(position)), Simplex._raw(w)))
     outside = [w for _, w in groups if w not in space.simplices]
     full = SimplicialComplex._closed(space.simplices.union(outside)) if outside else space

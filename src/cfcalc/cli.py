@@ -10,6 +10,7 @@ input and 3 for an internal error, each failure with one line on stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import re
 import sys
@@ -314,6 +315,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
+    """Run one command.  A run builds one scene, reads it and ends, and
+    makes no reference cycle it needs freed, yet each full pass of the
+    cycle collector walks every face again: the collector is off while main
+    runs, and the caller's setting is back when it returns."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser = _Parser(
         prog="cfcalc",
         description="exact local index calculations on finite simplicial complexes",

@@ -116,12 +116,17 @@ def _within_budget(bound: int, what: str) -> None:
         )
 
 
-def _face_closure(gens: set[Simplex]) -> list[Simplex]:
-    """Every face of the distinct generators once; refused
-    before listing any face when the closure could exceed MAX_SIMPLICES."""
-    _within_budget(_closure_bound(gens), "face closure")
+def _face_closure(gens: set[Simplex]) -> frozenset[Simplex]:
+    """Every face of the distinct generators once, whose closure the caller
+    has bounded by _closure_bound and _within_budget."""
     faces = {f for s in gens for n in range(1, len(s) + 1) for f in itertools.combinations(s, n)}
-    return list(map(Simplex._raw, faces))
+    return frozenset(map(Simplex._raw, faces))
+
+
+def _close(gens: set[Simplex]) -> "SimplicialComplex":
+    """The complex closed from distinct generators whose closure the caller
+    has bounded."""
+    return SimplicialComplex._closed(_face_closure(gens), gens)
 
 
 class SimplicialComplex(Frozen):
@@ -209,7 +214,8 @@ class SimplicialComplex(Frozen):
 def build_complex(maximal_simplices: Iterable) -> SimplicialComplex:
     """Face closure of the given simplices.  An empty list gives the empty complex."""
     gens = set(map(Simplex, maximal_simplices))
-    return SimplicialComplex._closed(_face_closure(gens), gens)
+    _within_budget(_closure_bound(gens), "face closure")
+    return _close(gens)
 
 
 def point_complex(name: str = "pt") -> SimplicialComplex:
@@ -276,6 +282,7 @@ def subcomplex(space: SimplicialComplex, generators: Iterable) -> Subcomplex:
                 f"generator {s} is not a simplex of the parent complex"
             )
     tops = set(gens)
+    _within_budget(_closure_bound(tops), "face closure")
     faces = _face_closure(tops)
     if len(faces) == len(space.simplices):  # faces of the parent, so all of them
         return Subcomplex._of(space, space)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 import re
+from itertools import chain
+from operator import ge, itemgetter
 from json.encoder import encode_basestring as _quote, encode_basestring_ascii as _quote_ascii
 from typing import Callable, NoReturn
 
@@ -21,10 +23,10 @@ from .complexes import (
     MAX_SIMPLICES,
     Simplex,
     Subcomplex,
+    _close,
     _closure_bound,
     _staircase,
     _within_budget,
-    build_complex,
     involution,
     subcomplex,
 )
@@ -175,36 +177,48 @@ def _as_bool(value, path: str) -> bool:
 
 
 def _as_simplex(value, path: str) -> Simplex:
-    # one pass over names that are sorted, distinct and text, as emitted;
-    # anything else takes the checks below, which word every error
-    if value.__class__ is list and value and all(v.__class__ is str for v in value):
-        verts = tuple(value)
-        joined = "".join(verts)
-        if (
-            "" not in verts
-            and all(map(str.__lt__, verts, verts[1:]))
-            and (joined.isascii() or not _LONE_SURROGATE.search(joined))
-            and not _SEPARATOR.search(joined)
-        ):
-            return Simplex._raw(verts)
     verts = [
         _as_vertex(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))
     ]
     return _under(path, Simplex, verts)
 
 
+def _simplices(value: list) -> list[Simplex] | None:
+    """The items of value as simplices when each is a nonempty list of
+    names in strictly increasing order, as emitted, each a nonempty exact
+    str that no vertex check refuses: a few passes over all the names at
+    once.  Else None, and _as_simplex reads each item and words its error."""
+    if {*map(type, value)} != {list} or not all(value):
+        return None
+    names = [*chain.from_iterable(value)]
+    if {*map(type, names)} != {str} or not all(names):
+        return None
+    # each list increases exactly when every pair of neighbouring names that
+    # does not is a seam, where one list ends and the next begins
+    seams = map(ge, map(itemgetter(-1), value), map(itemgetter(0), value[1:]))
+    if sum(map(ge, names, names[1:])) != sum(seams):
+        return None
+    joined = "".join(names)
+    if _SEPARATOR.search(joined) or not joined.isascii() and _LONE_SURROGATE.search(joined):
+        return None
+    return [*map(Simplex._raw, map(tuple, value))]
+
+
 def _as_simplices(value, path: str) -> list[Simplex]:
-    return [_as_simplex(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))]
+    value = _as_list(value, path)
+    return _simplices(value) or [_as_simplex(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def _as_entries(value, path: str, within, what: str) -> dict[Simplex, int]:
     """An {at, value} list as a dict in list order: each at a simplex of
     within, what names that set, and no at twice."""
+    entries = _as_list(value, path)
+    ats = _simplices([e.get("at") if e.__class__ is dict else None for e in entries])
     out: dict[Simplex, int] = {}
-    for i, entry in enumerate(_as_list(value, path)):
+    for i, entry in enumerate(entries):
         e_path = f"{path}[{i}]"
         _as_object(entry, e_path, ("at", "value"), ())
-        at = _as_simplex(entry["at"], f"{e_path}.at")
+        at = ats[i] if ats else _as_simplex(entry["at"], f"{e_path}.at")
         if at not in within:
             _fail(f"{e_path}.at", f"{at} is not {what}")
         if at in out:
@@ -254,8 +268,8 @@ def _scene_from_doc(doc: dict) -> Scene:
     maximal = _as_list(complex_doc["maximal_simplices"], "complex.maximal_simplices")
     if not maximal:
         _fail("complex.maximal_simplices", "needs at least one simplex")
-    simplices = _as_simplices(maximal, "complex.maximal_simplices")
-    budget = _closure_bound(set(simplices))
+    tops = set(_as_simplices(maximal, "complex.maximal_simplices"))
+    budget = _closure_bound(tops)
     _under("complex.maximal_simplices", _within_budget, budget, "face closure")
 
     # every simplex list is parsed, and all their closures bounded together,
@@ -271,7 +285,7 @@ def _scene_from_doc(doc: dict) -> Scene:
         budget += _closure_bound(set(gens))
     _under("subcomplexes", _within_budget, budget, "the complex and its subcomplexes together")
 
-    ambient = build_complex(simplices)
+    ambient = _close(tops)
     subs: dict[str, Subcomplex] = {
         sub_name: Subcomplex._of(ambient, ambient) if gens is None
         else _under(f"subcomplexes.{sub_name}", subcomplex, ambient, gens)
@@ -430,8 +444,24 @@ def _write(value, quote=_quote, newline: str = "\n") -> str:
     if isinstance(value, list):
         if not value:
             return "[]"
-        items = [_write(v, quote, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        # a list of names, or of name lists, takes one join per list; quote
+        # raises TypeError at the first item that is not a string, and the
+        # list is then written item by item
+        try:
+            if value[0].__class__ is list:
+                deeper = inner + "  "
+                start, sep, end = "[" + deeper, "," + deeper, inner + "]"
+                items = [
+                    start + sep.join(map(quote, v)) + end if v.__class__ is list and v
+                    else _write(v, quote, inner)
+                    for v in value
+                ]
+            else:
+                items = map(quote, value)
+            text = ("," + inner).join(items)
+        except TypeError:
+            text = ("," + inner).join([_write(v, quote, inner) for v in value])
+        return "[" + inner + text + newline + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -470,8 +500,9 @@ def _canonical_doc(scene: Scene) -> dict:
             "smooth": st.smooth,
             "support": support_names[st.name],
         }
+        eu = st.eu._lookup().get
         overrides = _entry_list(
-            (s, st.eu.value(s)) for s in sorted(st.support.simplices) if st.eu.value(s) != 1
+            (s, v) for s in sorted(st.support.simplices) if (v := eu(s, 0)) != 1
         )
         if overrides:
             entry["eu"] = {"default": 1, "overrides": overrides}

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -1100,3 +1101,46 @@ class TestOptionFuzz:
     @given(models_argvs())
     def test_models_commands(self, argv):
         assert_exit_contract(argv)
+
+
+class TestCollector:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_runs_without_the_collector_and_restores_it(self, capsys, monkeypatch, enabled):
+        seen = []
+        load = cfcalc.cli.load_scene
+
+        def spy(spec):
+            seen.append(gc.isenabled())
+            return load(spec)
+
+        monkeypatch.setattr(cfcalc.cli, "load_scene", spy)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            after = [run(capsys, "check", "kashiwara_point")[0], gc.isenabled()]
+            after += [run(capsys, "check", "no_such_model")[0], gc.isenabled()]
+            with pytest.raises(SystemExit):  # a usage error leaves main through argparse
+                main(["check"])
+            after.append(gc.isenabled())
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False, False]
+        assert after == [0, enabled, 2, enabled, enabled]
+
+    def test_a_verify_leaves_no_cycle_for_the_collector(self):
+        # the CLI runs without the collector because nothing it builds
+        # needs one to be freed
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            build_model("node_curve", k=6).verify()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            found = [o for o in gc.garbage if type(o).__module__.startswith("cfcalc")]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was:
+                gc.enable()
+        assert found == []

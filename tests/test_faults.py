@@ -10,6 +10,9 @@ run on the healthy kernel, where it must stay quiet, so a catcher that
 fires on everything proves nothing.
 """
 
+import json
+from functools import partial
+
 import pytest
 
 import cfcalc
@@ -28,6 +31,7 @@ from cfcalc import (
     subcomplex,
 )
 import test_exhaustive
+import test_scenes
 from test_calculus import non_simplex_keys
 from test_golden import CASES, GOLDEN, _run
 from test_oracles import reference_pushforward, values
@@ -143,6 +147,23 @@ def star_values_unsigned(monkeypatch):
             monkeypatch.setattr(module, "_split_star", faulty)
 
 
+def bulk_reader_skips_order(monkeypatch):
+    """The bulk simplex reader without its order check: no pair of names
+    counts as out of order, so a name list is taken as given."""
+    monkeypatch.setattr(cfcalc.scenes, "ge", lambda a, b: False)
+
+
+def write_without_fallback(write):
+    """The writer's per-list join with no fallback: a list whose items are
+    not all strings raises the TypeError that quote raises."""
+    def faulty(value, quote=cfcalc.scenes._quote, newline="\n"):
+        if value.__class__ is list and value:
+            inner = newline + "  "
+            return "[" + inner + ("," + inner).join(map(quote, value)) + newline + "]"
+        return write(value, quote, newline)
+    return faulty
+
+
 # --- catchers: each takes a `plant` callback and reports whether it fired ---
 
 
@@ -191,6 +212,17 @@ def simplex_keys(plant):
     psi = indicator(f.target)
     plant()
     return non_simplex_keys(space, phi, closed, f, psi) != []
+
+
+def writer_oracle(plant):
+    """test_writer_joins_name_lists_as_json_dumps_writes_them, on a name
+    list holding an integer."""
+    doc = {"at": ["a", 7]}
+    plant()
+    try:
+        return cfcalc.scenes._write(doc) != json.dumps(doc, indent=2, sort_keys=True)
+    except TypeError:
+        return True
 
 
 def failing(test):
@@ -299,6 +331,14 @@ FAULTS = {
         # each trace's value lands on the trace's first vertex, not on itself
         star_fault(lambda group: (group[0], Simplex(group[1][:1]))),
         verify_row("kashiwara_point", "value"),
+    ),
+    "bulk_reader_skips_order": (
+        bulk_reader_skips_order,
+        failing(partial(test_scenes.test_simplex_lists_read_in_bulk_as_one_by_one, "duplicate", 2)),
+    ),
+    "writer_without_fallback": (
+        function_fault("_write", write_without_fallback, cfcalc.scenes),
+        writer_oracle,
     ),
     "mod2_reduce_unreduced": (
         function_fault("mod2_reduce", lambda _: lambda phi: phi),

@@ -57,7 +57,7 @@ from cfcalc import (
 )
 from cfcalc.cli import main
 from cfcalc.indices import _DRAW_TABLE
-from cfcalc.scenes import _quote_ascii, _write
+from cfcalc.scenes import _quote, _quote_ascii, _write
 from conftest import complexes, order_built
 
 BIG = 2**70
@@ -731,6 +731,51 @@ def test_canonical_writer_writes_the_bytes_of_json_dumps(doc):
 def test_canonical_writer_refuses_a_float_or_null(doc):
     with pytest.raises(TypeError):
         _write(doc)
+
+
+def planted(lists, stray):
+    """A list drawn from lists with one item drawn from stray put in at a
+    random place."""
+    return st.tuples(lists, stray, st.integers(0, 5)).map(
+        lambda t: t[0][: t[2]] + [t[1]] + t[0][t[2]:]
+    )
+
+
+# Name lists and simplex lists, as the writer joins them, some with one item
+# that is not a string, in a name list or among them, at a random place, so
+# every way out of the writer's per-list join is taken.
+NAMES = st.lists(TEXT, min_size=1, max_size=5)
+NOT_A_NAME = (
+    st.integers() | st.booleans() | st.none() | st.lists(TEXT, max_size=2)
+    | st.dictionaries(TEXT, st.integers(), max_size=2) | st.just([]) | st.just([[]])
+)
+SOME_NAMES = NAMES | planted(NAMES, NOT_A_NAME)
+NAME_LISTS = (
+    SOME_NAMES | st.lists(SOME_NAMES, min_size=1, max_size=5)
+    | planted(st.lists(SOME_NAMES, max_size=4), NOT_A_NAME)
+)
+FLOAT = st.floats(allow_nan=False)
+FLOAT_LISTS = (
+    planted(NAMES, FLOAT) | st.lists(planted(NAMES, FLOAT), min_size=1, max_size=3)
+    | planted(st.lists(NAMES, max_size=4), FLOAT)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(NAME_LISTS)
+def test_writer_joins_name_lists_as_json_dumps_writes_them(value):
+    for doc in (value, {"at": value, "value": [value]}):
+        expected = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
+        assert _write(doc) == expected
+        assert _write(doc, _quote_ascii) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(FLOAT_LISTS)
+def test_writer_refuses_a_float_among_names(value):
+    for quote in (_quote, _quote_ascii):
+        with pytest.raises(TypeError):
+            _write(value, quote)
 
 
 # sha256 of `cfcalc models emit NAME k=12` as the product over every pair of

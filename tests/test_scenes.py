@@ -127,7 +127,7 @@ class TestModels:
         (info,) = [info for info in list_models() if info.name == name]
         params = {p.name: p.maximum for p in info.params}
         monkeypatch.setattr(cfcalc.scenes, "_within_budget", spy)
-        monkeypatch.setattr(cfcalc.scenes, "build_complex", stop)
+        monkeypatch.setattr(cfcalc.scenes, "_close", stop)
         monkeypatch.setattr(cfcalc.scenes, "_scene_from_doc", capture)
         with pytest.raises(Admitted):
             build_model(name, **params)
@@ -450,6 +450,93 @@ class TestParseErrors:
         doc["expect"] = {}
         with pytest.raises(SceneSemanticError, match="conjugation"):
             reparse(doc)
+
+
+# --- simplex lists are read in bulk exactly as one simplex at a time ---
+
+
+def read(fn, *args):
+    """fn(*args), or the text of the SceneSemanticError it raises."""
+    try:
+        return fn(*args)
+    except SceneSemanticError as err:
+        return f"refused: {err}"
+
+
+def one_by_one(value: list, path: str) -> list:
+    """The simplices of value read one at a time, the reader every refusal
+    takes."""
+    return [cfcalc.scenes._as_simplex(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+class Anywhere:
+    """The simplices an entry list may name: all of them."""
+
+    def __contains__(self, simplex) -> bool:
+        return True
+
+
+VALID = [["a", "b"], ["b", "c"], ["c"], ["a", "b", "c"]]
+# one item of each kind the bulk checks doubt; only the unsorted one is read
+STRAYS = {
+    "empty_simplex": [],
+    "empty_name": ["", "c"],
+    "unsorted": ["c", "a"],
+    "duplicate": ["c", "c"],
+    "unsorted_duplicate": ["c", "a", "c"],
+    "comma": ["a", "c,d"],
+    "whitespace": ["a\tb"],
+    "lone_surrogate": ["a", "b\udc00"],
+    "not_a_string": ["a", 7],
+    "null_name": [None],
+    "not_a_list": "c",
+}
+
+
+@pytest.mark.parametrize("place", [0, 2, 4])
+@pytest.mark.parametrize("kind", sorted(STRAYS))
+def test_simplex_lists_read_in_bulk_as_one_by_one(kind, place):
+    value = VALID[:place] + [STRAYS[kind]] + VALID[place:]
+    bulk = read(cfcalc.scenes._as_simplices, value, "p")
+    assert bulk == read(one_by_one, value, "p")
+    assert isinstance(bulk, str) == (kind != "unsorted")
+    # the at lists of an entry list: the same simplices, or the same refusal
+    # under the entry's at
+    doc = [{"at": v, "value": i} for i, v in enumerate(value)]
+    expected = (
+        bulk.replace(f"p[{place}]", f"p[{place}].at", 1) if isinstance(bulk, str)
+        else dict(zip(bulk, range(len(value))))
+    )
+    assert read(cfcalc.scenes._as_entries, doc, "p", Anywhere(), "x") == expected
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_emitted_simplex_lists_are_read_in_bulk(name):
+    doc = json.loads(emit_scene(build_model(name)))
+    lists = [doc["complex"]["maximal_simplices"], doc["probes"], *doc["subcomplexes"].values()]
+    lists += [[e["at"] for e in entries] for key, entries in doc["expect"].items()
+              if key != "checks"]
+    for value in filter(None, lists):
+        simplices = cfcalc.scenes._simplices(value)
+        assert simplices == one_by_one(value, "p")
+        assert {type(s) for s in simplices} == {cfcalc.complexes.Simplex}
+
+
+NAME = st.sampled_from(["a", "b", "c", "d", "", "a b", "c,d", "e\udc00", 7, None, True, ["a"]])
+ITEM = (
+    st.lists(NAME, max_size=4)
+    | st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True).map(sorted)
+    | st.sampled_from(["a", 1, None, {"a": 1}])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ITEM, max_size=6))
+def test_random_simplex_lists_read_in_bulk_as_one_by_one(value):
+    bulk = read(cfcalc.scenes._as_simplices, value, "p")
+    assert bulk == read(one_by_one, value, "p")
+    if not isinstance(bulk, str):
+        assert all(type(s) is cfcalc.complexes.Simplex for s in bulk)
 
 
 class TestSceneAccessors:

@@ -57,6 +57,7 @@ def test_ladder_writes_its_record_at_k_3(tmp_path):
     record = json.loads((tmp_path / "BENCH_ladder_smoke.json").read_text(encoding="utf-8"))
     assert record["label"] == "smoke" and record["python"] and record["commit"]
     assert record["unit"] == "ms of CPU time at the gauge's nominal speed, median"
+    assert record["gc_in_process"] is True
     for model in ("node_curve", "smooth_line_in_C2"):
         (rung,) = record[model]
         assert rung["k"] == 3 and rung["simplices"] == 1921, model
