@@ -3,11 +3,11 @@
 Every entry of FAULTS swaps one kernel piece for a wrong version and names
 the check that must notice it: a failing verify row on a built-in model,
 an oracle of tests/test_oracles.py or tests/test_calculus.py, a test of
-tests/test_exhaustive.py, or a golden output of tests/test_golden.py.  A
-fault on a function is planted in every cfcalc module that imported the
-name, so callers inside the package see it too.  Each catcher is also
-run on the healthy kernel, where it must stay quiet, so a catcher that
-fires on everything proves nothing.
+tests/test_exhaustive.py or tests/test_scenes.py, or a golden output of
+tests/test_golden.py.  A fault on a function is planted in every cfcalc
+module that imported the name, so callers inside the package see it too.
+Each catcher is also run on the healthy kernel, where it must stay quiet,
+so a catcher that fires on everything proves nothing.
 """
 
 import json
