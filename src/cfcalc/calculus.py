@@ -345,12 +345,13 @@ def _open_star(closed: Subcomplex) -> tuple:
 
 
 def _split_star(
-    closed: Subcomplex, x: list[int]
+    closed: Subcomplex, x: list[int] | bytes, offset: int = 0
 ) -> tuple[ConstructibleFunction, ConstructibleFunction]:
     """triangle_decompose of the values x over the open star of the
     subcomplex M, laid out as _open_star places them, so x on M is the
     prefix x[:n] of phi's values and each trace's star simplices a run
-    holding (-1)^dim u phi(u).
+    holding (-1)^dim u phi(u).  x is a list, or verify's draw: bytes holding
+    each value plus offset, of which only the prefix becomes a list.
 
     Each trace w gets h0(w) = (-1)^dim w v(w), v(w) the sum of x over its
     run, so for s in M D_F(h0)(s) sums v over the traces containing s.
@@ -364,14 +365,15 @@ def _split_star(
     _, groups, full = _open_star(closed)
     h0 = []
     for run, w in groups:
-        v = sum(x[run])
+        v = sum(x[run]) - offset * (run.stop - run.start) if offset else sum(x[run])
         if v:
             h0.append((w, v if len(w) % 2 else -v))
     h = ConstructibleFunction._of(full, tuple(h0))
     if full is not space:
         m = Subcomplex._of(full, space)
         h = restrict(dual(ConstructibleFunction._of(full, restrict(dual(h), m).items)), m)
-    costalk, spot = x[:len(space)], space.position()
+    spot = space.position()
+    costalk = [v - offset for v in x[:len(space)]] if offset else x[:len(space)]
     for s, v in h.items:
         costalk[spot[s]] += v
     return ConstructibleFunction._of(space, _nonzero_items(space.ordered(), costalk)), -h

@@ -152,7 +152,7 @@ def _cmd_check(scene: Scene, args) -> int:
         },
         "strata": sorted(st.name for st in scene.cycle),
         "probes": len(scene.pair.probes),
-        "checks": list(scene.expect.checks),
+        "checks": scene.expect.checks,
     }
     if args.json:
         return _json_out(summary)
@@ -197,7 +197,7 @@ def _function_output(scene: Scene, label: str, phi, args, on_real_form: bool = F
         at = _parse_at(args.at, scene if on_real_form else None)
         value = phi.value(at)
         return _value_out(args, value, {
-            "scene": scene.name, "function": label, "at": list(at), "value": value,
+            "scene": scene.name, "function": label, "at": at, "value": value,
         })
     if args.json:
         return _json_out({
@@ -221,7 +221,7 @@ def _cmd_hyperdim(scene: Scene, args) -> int:
         at = _parse_at(args.at, scene)
         value = hyper.value(at)
         return _value_out(args, value, {
-            "scene": scene.name, "at": list(at), "hyperfunction_index": value,
+            "scene": scene.name, "at": at, "hyperfunction_index": value,
             "hyperfunction_dimension": None if dimension is None else dimension.value(at),
         })
     if args.json:

@@ -270,10 +270,7 @@ class VerificationReport(Frozen):
             (e.check, e.subject or "-", e.expected or "-", e.computed or "-", e.status, e.note)
             for e in self.entries
         ]
-        widths = [
-            max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-            for i, h in enumerate(headers)
-        ]
+        widths = [max(map(len, column)) for column in zip(headers, *rows)]
         lines = [f"scene: {self.scene}"] + [
             "  ".join(map(str.ljust, r, widths)).rstrip() for r in [headers, *rows]
         ]
@@ -344,10 +341,12 @@ def _first_mismatch(left: ConstructibleFunction, right: ConstructibleFunction) -
     return f"mismatch at {s} ({lv.get(s, 0)} vs {rv.get(s, 0)})"
 
 
-# the values of verify's random functions, one random byte per simplex
-# mapped through this table and read as a signed byte: 0 with probability
-# 160/256 = 5/8 and each of -3..-1, 1..3 with probability 16/256 = 1/16
+# the values of verify's random functions, one random byte per simplex mapped
+# through _DRAW_TABLE and read as a signed byte: 0 with probability 160/256 =
+# 5/8 and each of -3..-1, 1..3 with 16/256 = 1/16; _OFFSET_TABLE adds 3 (0..6)
 _DRAW_TABLE = bytes(v % 256 for v in (0,) * 160 + (-3, -2, -1, 1, 2, 3) * 16)
+_DRAW_OFFSET = 3
+_OFFSET_TABLE = bytes(v + _DRAW_OFFSET for v in memoryview(_DRAW_TABLE).cast("b"))
 
 
 def verify_scene(
@@ -496,17 +495,18 @@ def _scene_rows(pair: RealComplexPair, cycle: CharacteristicCycle, expectations)
 
 def _with_seeded_rows(name, pair: RealComplexPair, rows: tuple, seed: int) -> VerificationReport:
     """The report of the rows and the triangle rows of three random functions
-    drawn from the seed, each in one call as a vector over the open star of M,
-    all that both sides read, and split as drawn; restrict reads its prefix.
-    Outside M the vector holds (-1)^dim u phi(u), as _split_star reads it, so
-    phi carries that sign there; the draw table is symmetric, so phi's law is
-    the same."""
+    drawn from the seed, each in one call as bytes over the open star of M
+    holding value + _DRAW_OFFSET, all that both sides read, split as drawn;
+    only the prefix on M, which restrict reads, becomes a list.  Outside M
+    they hold (-1)^dim u phi(u), as _split_star reads them, so phi carries
+    that sign there; the draw table is symmetric, so phi's law is the same."""
     rng, drawn, mc = random.Random(seed), _Rows(pair.probes), pair.real_complex()
     size = len(_open_star(pair.real_form)[0])
     for i in range(3):
-        x = memoryview(rng.randbytes(size).translate(_DRAW_TABLE)).cast("b").tolist()
-        terms = _split_star(pair.real_form, x)
-        phi = ConstructibleFunction._of(pair.ambient, _nonzero_items(mc.ordered(), x[:len(mc)]))
+        raw = rng.randbytes(size)
+        terms = _split_star(pair.real_form, raw.translate(_OFFSET_TABLE), _DRAW_OFFSET)
+        x = memoryview(raw[:len(mc)].translate(_DRAW_TABLE)).cast("b").tolist()
+        phi = ConstructibleFunction._of(pair.ambient, _nonzero_items(mc.ordered(), x))
         mismatch = _first_mismatch(restrict(phi, pair.real_form), terms[0] + terms[1])
         drawn.compare("triangle_identity", f"random[{i}]", "exact", mismatch, f"seed={seed}")
     entries = sorted(rows + tuple(drawn.rows), key=lambda e: (e.check, e.subject))

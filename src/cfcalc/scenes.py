@@ -433,7 +433,8 @@ def _write(value, quote=_quote, newline: str = "\n") -> str:
     """value as json.dumps(value, indent=2, sort_keys=True) writes it, with
     ensure_ascii=False under quote _quote and True under _quote_ascii;
     newline is the line break plus the indent of value's level.  Only dict,
-    list, str, int, bool and None are written: a float raises TypeError."""
+    list, tuple (a Simplex too, as a list), str, int, bool and None are
+    written: a float raises TypeError."""
     if isinstance(value, str):
         return quote(value)
     if value is True or value is False:
@@ -441,18 +442,18 @@ def _write(value, quote=_quote, newline: str = "\n") -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     inner = newline + "  "
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         # a list of names, or of name lists, takes one join per list; quote
         # raises TypeError at the first item that is not a string, and the
         # list is then written item by item
         try:
-            if value[0].__class__ is list:
+            if isinstance(value[0], (list, tuple)):
                 deeper = inner + "  "
                 start, sep, end = "[" + deeper, "," + deeper, inner + "]"
                 items = [
-                    start + sep.join(map(quote, v)) + end if v.__class__ is list and v
+                    start + sep.join(map(quote, v)) + end if isinstance(v, (list, tuple)) and v
                     else _write(v, quote, inner)
                     for v in value
                 ]
@@ -472,13 +473,9 @@ def _write(value, quote=_quote, newline: str = "\n") -> str:
     raise TypeError(f"cfcalc writes no {type(value).__name__} as JSON")
 
 
-def _simplex_list(sims) -> list[list[str]]:
-    return [list(s) for s in sorted(sims)]
-
-
 def _entry_list(items) -> list[dict]:
     """(simplex, value) pairs as an {at, value} list, in their order."""
-    return [{"at": list(s), "value": v} for s, v in items]
+    return [{"at": s, "value": v} for s, v in items]
 
 
 def _canonical_doc(scene: Scene) -> dict:
@@ -516,17 +513,17 @@ def _canonical_doc(scene: Scene) -> dict:
         if values:
             exp_doc[key] = _entry_list(values)
     if expect.checks:
-        exp_doc["checks"] = list(expect.checks)
+        exp_doc["checks"] = expect.checks
 
     doc = {
-        "complex": {"maximal_simplices": _simplex_list(ambient.maximal_simplices())},
+        "complex": {"maximal_simplices": sorted(ambient.maximal_simplices())},
         "expect": exp_doc,
         "name": scene.name,
-        "probes": _simplex_list(pair.probes),
+        "probes": pair.probes,
         "real_form": rf,
         "strata": strata_doc,
         "subcomplexes": {
-            nm: _simplex_list(sub.maximal_simplices()) for nm, sub in scene.subcomplexes
+            nm: sorted(sub.maximal_simplices()) for nm, sub in scene.subcomplexes
         },
     }
     if scene.comment:

@@ -31,6 +31,7 @@ from cfcalc import (
     subcomplex,
 )
 import test_exhaustive
+import test_oracles
 import test_scenes
 from test_calculus import non_simplex_keys
 from test_golden import CASES, GOLDEN, _run
@@ -133,18 +134,21 @@ def star_fault(change):
     return plant
 
 
-def star_values_unsigned(monkeypatch):
-    """The star split, wherever it was imported, reads the values outside M
-    with their sign flipped, so each trace's sum comes out negated."""
-    split = cfcalc.calculus._split_star
+def star_split_fault(change):
+    """The star split, wherever it was imported, with each item b of x
+    outside M (a value, or a byte holding value plus offset) replaced by
+    change(b, offset)."""
+    def plant(monkeypatch):
+        split = cfcalc.calculus._split_star
 
-    def faulty(closed, x):
-        n = len(closed.simplices)
-        return split(closed, x[:n] + [-v for v in x[n:]])
+        def faulty(closed, x, offset=0):
+            n = len(closed.simplices)
+            return split(closed, x[:n] + type(x)(change(b, offset) for b in x[n:]), offset)
 
-    for module in MODULES:
-        if getattr(module, "_split_star", None) is split:
-            monkeypatch.setattr(module, "_split_star", faulty)
+        for module in MODULES:
+            if getattr(module, "_split_star", None) is split:
+                monkeypatch.setattr(module, "_split_star", faulty)
+    return plant
 
 
 def bulk_reader_skips_order(monkeypatch):
@@ -257,7 +261,9 @@ def golden(name):
 # verify reaches dual only on a real form that is not a full subcomplex,
 # which no built-in model has, and an image that keeps repeated vertices
 # makes a map that collapses a simplex refuse itself, as the fold of the
-# triangle in the exhaustive map test does
+# triangle in the exhaustive map test does; verify's random rows see no
+# fault of a trace's sum, as costalk + boundary is x on M + h - h whatever
+# h is, and its other rows split lists, which carry no offset
 FAULTS = {
     "dual_drops_own_term": (
         function_fault("dual", lambda dual: lambda phi: dual(phi) - twist(phi)),
@@ -316,8 +322,16 @@ FAULTS = {
         verify_row("pair_C_R", "dimension_formula"),
     ),
     "star_values_unsigned": (
-        star_values_unsigned,
+        # each trace's sum comes out negated
+        star_split_fault(lambda b, offset: 2 * offset - b),
         verify_row("smooth_line_in_C2", "shriek_indicator"),
+    ),
+    "star_sums_ignore_offset": (
+        # each value outside M is read as offset more than it is, as a run's
+        # sum that does not take the offset off reads it
+        star_split_fault(lambda b, offset: b + offset),
+        failing(partial(test_oracles.test_split_of_an_offset_draw_is_the_split_of_its_values,
+                        "node_curve", 0)),
     ),
     "indicator_drops_vertices": (
         function_fault(

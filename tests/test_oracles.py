@@ -34,6 +34,7 @@ from cfcalc import (
     ModelError,
     OpenSubset,
     RealComplexPair,
+    Simplex,
     SimplicialComplex,
     Stratum,
     Subcomplex,
@@ -56,7 +57,7 @@ from cfcalc import (
     triangle_decompose,
 )
 from cfcalc.cli import main
-from cfcalc.indices import _DRAW_TABLE
+from cfcalc.indices import _DRAW_OFFSET, _DRAW_TABLE, _OFFSET_TABLE
 from cfcalc.scenes import _quote, _quote_ascii, _write
 from conftest import complexes, order_built
 
@@ -289,6 +290,32 @@ def test_draw_table_gives_0_with_probability_5_8_and_each_other_value_1_16():
     }
 
 
+def test_offset_table_is_the_draw_table_plus_3():
+    """verify splits a draw as bytes holding each value plus 3, 0..6."""
+    assert _DRAW_OFFSET == 3
+    assert list(_OFFSET_TABLE) == [signed(v) + 3 for v in _DRAW_TABLE]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+@pytest.mark.parametrize("name", [info.name for info in list_models()])
+def test_split_of_an_offset_draw_is_the_split_of_its_values(name, seed):
+    """The three draws of verify's seed, each split as bytes holding value
+    plus 3, give the terms of the same draw split as a list of its signed
+    values, and the definition's terms of the function that list stands
+    for."""
+    scene = build_model(name, k=3)
+    closed = scene.pair.real_form
+    position = cfcalc.calculus._open_star(closed)[0]
+    star, rng = sorted(position, key=position.get), random.Random(seed)
+    for _ in range(3):
+        raw = rng.randbytes(len(star))
+        x = [signed(_DRAW_TABLE[b]) for b in raw]
+        split = cfcalc.calculus._split_star(closed, raw.translate(_OFFSET_TABLE), _DRAW_OFFSET)
+        assert split == cfcalc.calculus._split_star(closed, x)
+        phi = star_function(scene.ambient, closed.simplices, star, x)
+        assert split == reference_triangle(closed, phi)
+
+
 @pytest.mark.parametrize("name", [info.name for info in list_models()])
 def test_star_table_order_is_the_open_star_in_canonical_order(name):
     # a freshly parsed scene, so no earlier test has built the ambient's order
@@ -312,15 +339,17 @@ def test_triangle_decompose_matches_the_definition_on_the_models(name):
 
 
 # prints a digest of the random functions verify draws on node_curve(k=3),
-# each a vector over the real form's star that verify splits, signed by
-# (-1)^dim outside the real form
+# each a vector over the real form's star that verify splits, as bytes
+# holding each value plus the offset, signed by (-1)^dim outside the real form
 VERIFY_DRAWS = """
 import hashlib, sys
 import cfcalc.indices
 from cfcalc import ConstructibleFunction, build_model
 
 seen, split = [], cfcalc.indices._split_star
-cfcalc.indices._split_star = lambda closed, x: seen.append(x) or split(closed, x)
+cfcalc.indices._split_star = lambda closed, x, offset=0: (
+    seen.append([v - offset for v in x]) or split(closed, x, offset)
+)
 scene = build_model("node_curve", k=3)
 scene.verify(seed=int(sys.argv[1]))
 position = cfcalc.calculus._open_star(scene.pair.real_form)[0]
@@ -340,7 +369,8 @@ def test_verify_draws_its_random_functions_as_defined(seed, monkeypatch):
     scene = build_model("node_curve", k=3)
     seen, split = [], cfcalc.indices._split_star
     monkeypatch.setattr(
-        cfcalc.indices, "_split_star", lambda closed, x: seen.append(x) or split(closed, x)
+        cfcalc.indices, "_split_star",
+        lambda closed, x, offset=0: seen.append((x, offset)) or split(closed, x, offset),
     )
     decomposed, decompose = [], cfcalc.indices.triangle_decompose
     monkeypatch.setattr(
@@ -351,7 +381,10 @@ def test_verify_draws_its_random_functions_as_defined(seed, monkeypatch):
     assert decomposed == [solution_index(scene.cycle, scene.ambient)]
     position = cfcalc.calculus._open_star(scene.pair.real_form)[0]
     star = sorted(position, key=position.get)
-    assert all(len(x) == len(star) for x in seen)
+    # each draw reaches the split as bytes holding its values plus the offset
+    assert all(type(x) is bytes and offset == _DRAW_OFFSET for x, offset in seen)
+    assert all(len(x) == len(star) for x, _ in seen)
+    seen = [[v - offset for v in x] for x, offset in seen]
     drawn = [star_function(scene.ambient, scene.pair.real_form.simplices, star, x) for x in seen]
     assert drawn == draws(scene.pair, seed)
 
@@ -743,26 +776,35 @@ def planted(lists, stray):
 
 # Name lists and simplex lists, as the writer joins them, some with one item
 # that is not a string, in a name list or among them, at a random place, so
-# every way out of the writer's per-list join is taken.
+# every way out of the writer's per-list join is taken; a name list, or a
+# list of them, may be a tuple, as a Simplex is, which json.dumps writes as
+# a list.
 NAMES = st.lists(TEXT, min_size=1, max_size=5)
 NOT_A_NAME = (
     st.integers() | st.booleans() | st.none() | st.lists(TEXT, max_size=2)
     | st.dictionaries(TEXT, st.integers(), max_size=2) | st.just([]) | st.just([[]])
+    | st.just(()) | st.tuples(TEXT, st.integers())
 )
 SOME_NAMES = NAMES | planted(NAMES, NOT_A_NAME)
+SOME_NAMES = SOME_NAMES | SOME_NAMES.map(tuple)
 NAME_LISTS = (
     SOME_NAMES | st.lists(SOME_NAMES, min_size=1, max_size=5)
+    | st.lists(SOME_NAMES, min_size=1, max_size=5).map(tuple)
     | planted(st.lists(SOME_NAMES, max_size=4), NOT_A_NAME)
 )
 FLOAT = st.floats(allow_nan=False)
 FLOAT_LISTS = (
-    planted(NAMES, FLOAT) | st.lists(planted(NAMES, FLOAT), min_size=1, max_size=3)
+    planted(NAMES, FLOAT) | planted(NAMES, FLOAT).map(tuple)
+    | st.lists(planted(NAMES, FLOAT), min_size=1, max_size=3)
     | planted(st.lists(NAMES, max_size=4), FLOAT)
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(NAME_LISTS)
+@example(Simplex(["b", "a"])).via("one simplex")
+@example([Simplex(["a", "b"]), Simplex(["c"])]).via("sorted simplices")
+@example((Simplex(["a"]), ["b", "c"], ("d", 1))).via("tuple of mixed name lists")
 def test_writer_joins_name_lists_as_json_dumps_writes_them(value):
     for doc in (value, {"at": value, "value": [value]}):
         expected = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
