@@ -23,12 +23,16 @@ as building a fresh scene or writing a file, is followed by a fresh one.
   - cold_hyperdim_ms: `python -m cfcalc hyperdim "MODEL(k=K)" --at c.c`
     as a child process, timed the same way;
   - cold_check_ms: `python -m cfcalc check "MODEL(k=K)"`, timed the same way;
-  - star_ms: the calculus's star table of the real form (_open_star, which
-    triangle_decompose builds on first use) on another fresh scene;
+  - star_ms: the two tables kept on the real form M that walk the open
+    star, built together on another fresh scene: verify's run table
+    (indices._star_runs, one run per trace, which only the seeded rows
+    read) and the span F of M's vertices (calculus._span, which
+    triangle_decompose reads; it builds no run table and lists no star);
   - dual_ms: the first dual on a fresh scene, which builds the ambient's
     order and drop table, of the solution index (solution_index, a sparse
     support) and of the ambient's indicator (indicator, every simplex),
-    each on a scene of its own;
+    each on a scene of its own; triangle_decompose takes no dual of the
+    ambient, so first_verify_ms holds none of this;
   - parse_ms: parse_scene of a fresh scene's canonical text;
   - emit_ms: the canonical text of another fresh scene, which each scene
     writes on first use;
@@ -51,9 +55,10 @@ one value per trace, and a facet is a full subcomplex, so it takes no
 dual.  cold_dual_facet_ms is `python -m cfcalc dual --function
 indicator:M` on the same files, which sums over cofaces one vertex at a
 time.  These times follow the n 2^(n-1) vertex incidences of the 2^n - 1
-simplices.  star_facet_ms is the in-process star table (_open_star) of
-that facet, for n in VERIFY_SIMPLEX, each on a freshly built complex:
-every trace holds one star simplex, the star table's worst case.
+simplices.  star_facet_ms is the in-process run table and span, as
+star_ms builds them, of that facet, for n in VERIFY_SIMPLEX, each on a
+freshly built complex: every trace holds one star simplex, so the run
+table holds one run per star simplex, its worst case.
 cold_verify_disjoint_ms is `python -m cfcalc verify` on a scene file of
 DISJOINT disjoint 4-simplices (124,000 simplices) whose real form is the
 whole complex, with one codim-0 stratum on one of them: every
@@ -100,7 +105,8 @@ from cfcalc import (  # noqa: E402
     build_complex, build_model, dual, emit_scene, indicator, parse_scene, solution_index,
     subcomplex,
 )
-from cfcalc.calculus import _open_star  # noqa: E402
+from cfcalc.calculus import _span  # noqa: E402
+from cfcalc.indices import _star_runs  # noqa: E402
 from gauge import NOMINAL_S, reading  # noqa: E402
 from run import spread  # noqa: E402
 
@@ -171,6 +177,11 @@ def speed(gauge_reading: float) -> float:
     return round(NOMINAL_S / gauge_reading, 3)
 
 
+def star_tables(closed) -> tuple:
+    """verify's run table and the span of the subcomplex, as first built."""
+    return _star_runs(closed), _span(closed)
+
+
 def rung(gauge: Readings, model: str, k: int, repeats: int) -> dict:
     spec = f"{model}(k={k})"
     before = gauge.last
@@ -190,7 +201,7 @@ def rung(gauge: Readings, model: str, k: int, repeats: int) -> dict:
             cold_ms(gauge, "verify", spec),
             cold_ms(gauge, "hyperdim", spec, "--at", "c.c"),
             cold_ms(gauge, "check", spec),
-            gauge.timed(lambda: _open_star(fresh.pair.real_form))[0],
+            gauge.timed(lambda: star_tables(fresh.pair.real_form))[0],
             gauge.timed(lambda: parse_scene(text))[0],
             gauge.timed(lambda: emit_scene(unwritten))[0],
             gauge.timed(lambda: dual(index))[0],
@@ -245,7 +256,7 @@ def one_simplex_children(gauge: Readings, repeats: int) -> tuple[dict, dict, dic
 
 
 def star_facets(gauge: Readings, repeats: int) -> dict:
-    """In-process _open_star of the n-vertex simplex's facet on its first
+    """In-process star_tables of the n-vertex simplex's facet on its first
     n - 1 vertices, each on a fresh complex, a list of repeats keyed by n."""
     facets = {}
     for n in VERIFY_SIMPLEX:
@@ -254,7 +265,7 @@ def star_facets(gauge: Readings, repeats: int) -> dict:
             subcomplex(build_complex([vertices]), [vertices[:-1]]) for _ in range(repeats)
         ]
     gauge.fresh()
-    return {n: [gauge.timed(lambda: _open_star(m))[0] for m in ms] for n, ms in facets.items()}
+    return {n: [gauge.timed(lambda: star_tables(m))[0] for m in ms] for n, ms in facets.items()}
 
 
 def disjoint_simplices(count: int) -> list[list[str]]:

@@ -9,7 +9,7 @@ arithmetic; there are no tolerances anywhere.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import compress, count, filterfalse
+from itertools import compress
 from typing import Mapping, Sequence
 
 from ._frozen import Frozen, cached
@@ -236,9 +236,9 @@ def shriek_restrict(closed: Subcomplex, phi: ConstructibleFunction) -> Construct
     """Restriction conjugated by duality on both sides, D_M(restrict(D(phi))).
 
     This is the costalk-weighted restriction: the first term of
-    triangle_decompose, which gathers phi over the open star of the
-    subcomplex M by star position and needs no canonical order of the
-    parent.
+    triangle_decompose, which reads phi on the subcomplex M and one signed
+    sum per trace of the open star of M, and needs no canonical order of
+    the parent.
     """
     return triangle_decompose(closed, phi)[0]
 
@@ -297,83 +297,56 @@ def triangle_decompose(
     Returns (shriek_restrict(closed, phi), restriction of the open
     pushforward of phi from the complement).  Their sum is the plain
     restriction, exactly, on every subcomplex and every function.  Both
-    depend only on phi on the open star of the subcomplex, so phi is
-    written there as a vector by star position for _split_star, signed by
-    (-1)^dim outside the subcomplex.
+    depend only on what _split_star reads, gathered in one pass over phi's
+    support: phi on the subcomplex M, and for each trace w (the vertices in
+    M of a simplex u outside M) the sum of (-1)^dim u phi(u) over its u.
     """
     if phi.ambient != closed.parent:
         raise ModelError("function does not live on the parent of the subcomplex")
-    position, n = _open_star(closed)[0], len(closed.simplices)
-    x = [0] * len(position)
-    for s, v in phi.items:
-        if s in position:
-            i = position[s]
-            x[i] = v if i < n or len(s) % 2 else -v
-    return _split_star(closed, x)
+    space = closed.as_complex()
+    spot, of_m, apart = space.position(), space.vertices.__contains__, space.vertices.isdisjoint
+    on_m, sums = [0] * len(spot), defaultdict(int)
+    for u, v in phi.items:
+        if u in spot:
+            on_m[spot[u]] = v
+        elif not apart(u):  # a plain tuple per simplex, a Simplex per trace
+            sums[tuple(filter(of_m, u))] += v if len(u) % 2 else -v
+    return _split_star(closed, on_m, [(Simplex._raw(w), v) for w, v in sorted(sums.items())])
 
 
 @cached
-def _open_star(closed: Subcomplex) -> tuple:
-    """The open star of a subcomplex M in its parent, built on first use
-    from the parent's simplex set and kept on M.
-
-    Returns the position of each parent simplex u with a vertex in M in a
-    vector over the star: M's n simplices first, at their places in M's
-    canonical order, then the u outside M from n on by trace w (u's vertices
-    in M), then u; per trace w, in canonical order, the run of the star
-    holding its u, as a slice, and w; and F, the parent's simplices with
-    all vertices in M (M and the traces outside it) as a complex, M's own
-    exactly when M is full.  No parent order is built.
-    """
+def _span(closed: Subcomplex) -> SimplicialComplex:
+    """F, the parent's simplices with all vertices in the subcomplex M, as a
+    complex: M and the traces outside it, M's own complex exactly when M is
+    full.  Found in one pass over the parent's simplex set on first use and
+    kept on M."""
     space = closed.as_complex()
-    of_m = space.vertices.__contains__
-    star = filterfalse(space.vertices.isdisjoint, closed.parent.simplices)
-    runs = defaultdict(list)
-    for u in filterfalse(space.simplices.__contains__, star):
-        runs[tuple(filter(of_m, u))].append(u)
-    position, groups = dict(space.position()), []
-    for w in sorted(runs):
-        run, start = runs[w], len(position)
-        if len(run) == 1:  # most traces of a simplex over its facet
-            position[run[0]] = start
-        else:
-            position.update(zip(sorted(run), count(start)))
-        groups.append((slice(start, len(position)), Simplex._raw(w)))
-    outside = [w for _, w in groups if w not in space.simplices]
-    full = SimplicialComplex._closed(space.simplices.union(outside)) if outside else space
-    return position, groups, full
+    span = frozenset(filter(space.vertices.issuperset, closed.parent.simplices))
+    return space if len(span) == len(space) else SimplicialComplex._closed(span)
 
 
 def _split_star(
-    closed: Subcomplex, x: list[int] | bytes, offset: int = 0
+    closed: Subcomplex, on_m: Sequence[int], sums: Sequence[tuple[Simplex, int]]
 ) -> tuple[ConstructibleFunction, ConstructibleFunction]:
-    """triangle_decompose of the values x over the open star of the
-    subcomplex M, laid out as _open_star places them, so x on M is the
-    prefix x[:n] of phi's values and each trace's star simplices a run
-    holding (-1)^dim u phi(u).  x is a list, or verify's draw: bytes holding
-    each value plus offset, of which only the prefix becomes a list.
+    """triangle_decompose from phi's values on the subcomplex M, on_m in M's
+    canonical order, and the pairs (w, v(w)) in canonical trace order, v(w)
+    the sum of (-1)^dim u phi(u) over the simplices u outside M whose
+    vertices in M are w.
 
-    Each trace w gets h0(w) = (-1)^dim w v(w), v(w) the sum of x over its
-    run, so for s in M D_F(h0)(s) sums v over the traces containing s.
-    With h = D_M(D_F(h0) on M), h0 itself when F is M (D_M is an
-    involution), the boundary is -h, as the signs (-1)^dim u over
-    s <= u <= w cancel for s in M and w outside M, and the costalk, D_M of
-    D(phi) on M, is x on M + h.  Otherwise D_M of a function on M is D_F of
-    it restricted to M, so both duals take F's drop table.
+    Each trace w gets h0(w) = (-1)^dim w v(w), so for s in M D_F(h0)(s) sums
+    v over the traces containing s, F = _span(M).  With h = D_M(D_F(h0) on
+    M), h0 itself when F is M (D_M is an involution), the boundary is -h, as
+    the signs (-1)^dim u over s <= u <= w cancel for s in M and w outside M,
+    and the costalk, D_M of D(phi) on M, is phi on M + h.  Otherwise D_M of
+    a function on M is D_F of it restricted to M, so both duals take F's
+    drop table.
     """
-    space = closed.as_complex()
-    _, groups, full = _open_star(closed)
-    h0 = []
-    for run, w in groups:
-        v = sum(x[run]) - offset * (run.stop - run.start) if offset else sum(x[run])
-        if v:
-            h0.append((w, v if len(w) % 2 else -v))
-    h = ConstructibleFunction._of(full, tuple(h0))
+    space, full = closed.as_complex(), _span(closed)
+    h = ConstructibleFunction._of(full, tuple([(w, v if len(w) % 2 else -v) for w, v in sums if v]))
     if full is not space:
         m = Subcomplex._of(full, space)
         h = restrict(dual(ConstructibleFunction._of(full, restrict(dual(h), m).items)), m)
-    spot = space.position()
-    costalk = [v - offset for v in x[:len(space)]] if offset else x[:len(space)]
+    spot, costalk = space.position(), list(on_m)
     for s, v in h.items:
         costalk[spot[s]] += v
     return ConstructibleFunction._of(space, _nonzero_items(space.ordered(), costalk)), -h

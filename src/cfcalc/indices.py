@@ -11,13 +11,14 @@ structural identities behind them.
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import filterfalse
 from typing import Iterable, Iterator
 
-from ._frozen import Frozen
+from ._frozen import Frozen, cached
 from .calculus import (
     ConstructibleFunction,
     _nonzero_items,
-    _open_star,
     _split_star,
     _weighted_sum,
     euler_integral,
@@ -343,10 +344,32 @@ def _first_mismatch(left: ConstructibleFunction, right: ConstructibleFunction) -
 
 # the values of verify's random functions, one random byte per simplex mapped
 # through _DRAW_TABLE and read as a signed byte: 0 with probability 160/256 =
-# 5/8 and each of -3..-1, 1..3 with 16/256 = 1/16; _OFFSET_TABLE adds 3 (0..6)
+# 5/8 and each of -3..-1, 1..3 with 16/256 = 1/16; _OFFSET_TABLE adds
+# _DRAW_OFFSET = 3 (0..6), so one sum() over a run of its bytes is the run's
+# values' sum plus 3 per byte
 _DRAW_TABLE = bytes(v % 256 for v in (0,) * 160 + (-3, -2, -1, 1, 2, 3) * 16)
 _DRAW_OFFSET = 3
 _OFFSET_TABLE = bytes(v + _DRAW_OFFSET for v in memoryview(_DRAW_TABLE).cast("b"))
+
+
+@cached
+def _star_runs(closed: Subcomplex) -> list[tuple[slice, Simplex]]:
+    """The layout of verify's draws over the open star of the subcomplex M
+    (every parent simplex with a vertex in M): M's n simplices first, in
+    M's canonical order, then one run per trace w, the vertices in M of a
+    star simplex outside M, in canonical trace order, one place per star
+    simplex with that trace.  Each run as a slice of the draw, with its w,
+    counted in one pass over the parent's simplex set on first use and kept
+    on M."""
+    space = closed.as_complex()
+    of_m = space.vertices.__contains__
+    star = filterfalse(space.vertices.isdisjoint, closed.parent.simplices)
+    traces = Counter(tuple(filter(of_m, u)) for u in filterfalse(space.simplices.__contains__, star))
+    runs, start = [], len(space)
+    for w in sorted(traces):
+        runs.append((slice(start, start + traces[w]), Simplex._raw(w)))
+        start += traces[w]
+    return runs
 
 
 def verify_scene(
@@ -495,19 +518,23 @@ def _scene_rows(pair: RealComplexPair, cycle: CharacteristicCycle, expectations)
 
 def _with_seeded_rows(name, pair: RealComplexPair, rows: tuple, seed: int) -> VerificationReport:
     """The report of the rows and the triangle rows of three random functions
-    drawn from the seed, each in one call as bytes over the open star of M
-    holding value + _DRAW_OFFSET, all that both sides read, split as drawn;
-    only the prefix on M, which restrict reads, becomes a list.  Outside M
-    they hold (-1)^dim u phi(u), as _split_star reads them, so phi carries
-    that sign there; the draw table is symmetric, so phi's law is the same."""
+    drawn from the seed, each in one call as bytes laid out by _star_runs.
+    The prefix on M, read through _DRAW_TABLE, is phi on M, the only list of
+    ints made; each run, read through _OFFSET_TABLE, gives its trace's sum
+    as one sum() less _DRAW_OFFSET per byte.  So phi is the drawn value times
+    (-1)^dim u at a star simplex u outside M, as _split_star reads it there;
+    the draw table is symmetric, so phi's law is the same."""
     rng, drawn, mc = random.Random(seed), _Rows(pair.probes), pair.real_complex()
-    size = len(_open_star(pair.real_form)[0])
+    runs, n = _star_runs(pair.real_form), len(mc)
+    size = runs[-1][0].stop if runs else n
     for i in range(3):
         raw = rng.randbytes(size)
-        terms = _split_star(pair.real_form, raw.translate(_OFFSET_TABLE), _DRAW_OFFSET)
-        x = memoryview(raw[:len(mc)].translate(_DRAW_TABLE)).cast("b").tolist()
-        phi = ConstructibleFunction._of(pair.ambient, _nonzero_items(mc.ordered(), x))
-        mismatch = _first_mismatch(restrict(phi, pair.real_form), terms[0] + terms[1])
+        on_m = memoryview(raw[:n].translate(_DRAW_TABLE)).cast("b").tolist()
+        star = raw.translate(_OFFSET_TABLE)
+        sums = [(w, sum(star[run]) - _DRAW_OFFSET * (run.stop - run.start)) for run, w in runs]
+        phi = ConstructibleFunction._of(pair.ambient, _nonzero_items(mc.ordered(), on_m))
+        costalk, boundary = _split_star(pair.real_form, on_m, sums)
+        mismatch = _first_mismatch(restrict(phi, pair.real_form), costalk + boundary)
         drawn.compare("triangle_identity", f"random[{i}]", "exact", mismatch, f"seed={seed}")
     entries = sorted(rows + tuple(drawn.rows), key=lambda e: (e.check, e.subject))
     return VerificationReport(name, tuple(entries))

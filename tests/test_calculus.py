@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cfcalc.calculus
+import cfcalc.indices
 from cfcalc import (
     ConstructibleFunction,
     MissingSimplexError,
@@ -451,20 +452,25 @@ def non_simplex_keys(space, phi, closed, f, psi) -> list:
     call time, so a fault planted there is seen.
     """
     calc = cfcalc.calculus
-    dphi = calc.dual(phi)
+    dphi, sums, split = calc.dual(phi), [], calc._split_star
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            calc, "_split_star", lambda c, on_m, s: sums.extend(s) or split(c, on_m, s)
+        )
+        terms = calc.triangle_decompose(closed, phi)
     functions = [
         dphi, calc.pushforward(f, phi), calc.pullback(f, psi), calc.restrict(phi, closed),
-        *calc.triangle_decompose(closed, phi), phi + dphi, phi - dphi, phi * dphi, 3 * phi, -phi,
+        *terms, phi + dphi, phi - dphi, phi * dphi, 3 * phi, -phi,
         calc.indicator(space), calc.indicator(closed),
         calc.indicator(complement_open(space, closed)), calc.mod2_reduce(phi),
     ]
     found = [s for g in functions for s, _ in g.items]
     for c in (space, closed, closed.as_complex(), f.target):
         found += c.simplices
-    for c in (space, closed.as_complex(), f.target):
+    for c in (space, closed.as_complex(), calc._span(closed), f.target):
         found += c.ordered()
         found += c.position()
-    found += calc._open_star(closed)[0]
+    found += [w for w, _ in sums] + [w for _, w in cfcalc.indices._star_runs(closed)]
     return [s for s in found if type(s) is not Simplex]
 
 

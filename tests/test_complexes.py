@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import cfcalc.calculus
 import cfcalc.complexes
+import cfcalc.indices
 from cfcalc import (
     MissingSimplexError,
     ModelError,
@@ -35,6 +36,7 @@ from cfcalc import (
     subcomplex,
 )
 from conftest import antipodal, complexes, diameter, disk, polygon, reflection
+from test_oracles import star_traces
 
 
 def face_closure_size(maximal) -> int:
@@ -144,40 +146,33 @@ class TestComplexIndex:
 
 
 class TestStarAndSubcomplex:
-    # the star table is the calculus's, kept on the subcomplex
+    # verify's run table and the span F of M's vertices, kept on the subcomplex
     def test_star_of_disk_center(self):
         d = disk(3)
         closed = subcomplex(d, [["c"]])
-        position, groups, full = cfcalc.calculus._open_star(closed)
-        star = sorted(position, key=position.get)
-        assert sorted(position.values()) == list(range(13))  # vertex + 6 spokes + 6 triangles
-        # M is the one vertex c, at position 0: the spokes and triangles are
-        # outside it, all with the trace c, in one run in canonical order,
-        # triangles and spokes interleaved; a vertex is a full subcomplex,
-        # so F is M
-        assert star[0] == ("c",)
-        ((run, trace),) = groups
+        # M is the one vertex c, at place 0 of the draw: the 6 spokes and 6
+        # triangles are outside it, all with the trace c, in one run of 12;
+        # a vertex is a full subcomplex, so F is M
+        ((run, trace),) = cfcalc.indices._star_runs(closed)
         assert run == slice(1, 13)
-        assert star[run] == sorted(u for u in d.simplices if "c" in u and len(u) > 1)
-        assert [len(u) for u in star[run]] == [3, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 2]
         assert trace == ("c",) and type(trace) is Simplex
-        assert full is closed.as_complex()
+        assert cfcalc.calculus._span(closed) is closed.as_complex()
 
-    def test_star_of_the_whole_parent_holds_no_group(self):
+    def test_star_of_the_whole_parent_holds_no_run(self):
         d = disk(3)
         closed = subcomplex(d, d.maximal_simplices())
-        position, groups, full = cfcalc.calculus._open_star(closed)
-        assert position == d.position() and groups == []
-        assert full is closed.as_complex()
+        assert cfcalc.indices._star_runs(closed) == []
+        assert cfcalc.calculus._span(closed) is closed.as_complex()
 
     def test_star_of_a_rim_path_spans_the_triangle_it_bends_round(self):
         # the rim path b0 b1 c is not full: its vertices span the triangle
         # b0 b1 c and the edge b0 c, so F adds those two to M
         d = disk(3)
         closed = subcomplex(d, [["b0", "b1"], ["b1", "c"]])
-        _, groups, full = cfcalc.calculus._open_star(closed)
-        assert full.simplices == closed.simplices | {("b0", "c"), ("b0", "b1", "c")}
-        assert {trace for _, trace in groups} >= {("b0", "c"), ("b0", "b1", "c")}
+        span = cfcalc.calculus._span(closed)
+        assert span.simplices == closed.simplices | {("b0", "c"), ("b0", "b1", "c")}
+        traces = {trace for _, trace in cfcalc.indices._star_runs(closed)}
+        assert traces >= {("b0", "c"), ("b0", "b1", "c")}
 
     def test_subcomplex_closure_and_membership(self):
         d = disk(3)
@@ -298,8 +293,11 @@ CACHED = {
     "SimplicialComplex.maximal_simplices": (
         lambda: disk(3), "_maximal_simplices", lambda x: x.maximal_simplices()
     ),
-    "calculus._open_star": (
-        lambda: diameter(disk(3)), "__open_star", lambda x: cfcalc.calculus._open_star(x)
+    "calculus._span": (
+        lambda: diameter(disk(3)), "__span", lambda x: cfcalc.calculus._span(x)
+    ),
+    "indices._star_runs": (
+        lambda: diameter(disk(3)), "__star_runs", lambda x: cfcalc.indices._star_runs(x)
     ),
     "SimplicialMap._vertex_table": (
         lambda: SimplicialMap(build_complex([]), disk(3), {}),
@@ -328,34 +326,25 @@ def test_derived_values_are_built_on_first_use_and_kept(accessor):
     assert get(owner) is first
 
 
-def assert_star_table(closed):
-    """_open_star's layout on M = closed: every parent simplex with a vertex
-    in M at one position of range(len(star)), M's simplices first in M's
-    order, then one run per trace, contiguous to the end, in increasing
-    trace order, each holding exactly the simplices outside M with that
-    trace in canonical order and carrying the trace; F is every parent
-    simplex whose vertices all lie in M."""
-    position, groups, full = cfcalc.calculus._open_star(closed)
-    star, n = sorted(position, key=position.get), len(closed.simplices)
-
-    def trace(u):
-        return tuple(filter(closed.vertices.__contains__, u))
-
-    assert set(star) == {u for u in closed.parent.simplices if trace(u)}
-    assert sorted(position.values()) == list(range(len(star)))
-    assert star[:n] == list(closed.as_complex().ordered())
-    outside = set(star) - closed.simplices
-    assert [w for _, w in groups] == sorted({trace(u) for u in outside})
-    places = range(len(star))
-    assert [i for run, _ in groups for i in places[run]] == list(range(n, len(star)))
-    for run, w in groups:
-        assert type(w) is Simplex
-        assert star[run] == sorted(u for u in outside if trace(u) == w)
-    assert full.simplices == {u for u in star if trace(u) == u}
+def assert_runs_and_span(closed):
+    """verify's run table and F on M = closed, against the definitions:
+    after M's simplices, one run per trace w (the vertices in M of a parent
+    simplex outside M with a vertex in M), contiguous to the end, in
+    canonical trace order, each as long as the number of simplices outside
+    M with that trace and carrying w as a Simplex; F is every parent simplex
+    whose vertices all lie in M, as a complex, M's own when that is M."""
+    runs, span = cfcalc.indices._star_runs(closed), cfcalc.calculus._span(closed)
+    traces = star_traces(closed)
+    stops = list(itertools.accumulate(map(len, traces.values()), initial=len(closed.simplices)))
+    assert runs == [(slice(a, b), w) for a, b, w in zip(stops, stops[1:], traces)]
+    assert all(type(w) is Simplex for _, w in runs)
+    m_vertices = {v for s in closed.simplices for v in s}
+    assert span.simplices == {u for u in closed.parent.simplices if m_vertices.issuperset(u)}
+    assert (span is closed.as_complex()) == (span.simplices == closed.simplices)
 
 
-def test_star_order_is_the_sorted_star_table():
-    assert_star_table(diameter(disk(3)))
+def test_runs_and_span_of_a_diameter():
+    assert_runs_and_span(diameter(disk(3)))
 
 
 class TestMaps:

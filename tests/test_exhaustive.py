@@ -20,11 +20,12 @@ an image is not a path simplex, whether the complex was closed from
 generators or not.  Every vertex involution of every labelled complex is
 checked against the definitions of regularity, strong freeness and the
 quotient.
-On each pair the star table has the layout
-tests/test_complexes.py states, and the split of each unit vector over
-the open star is the triangle of the function it stands for, so that
-convention, which verify's random vectors rely on, holds for every
-integer vector.  The references are those of tests/test_oracles.py,
+On each pair verify's run table and the span F of M's vertices are as
+tests/test_complexes.py states, and the split of each unit input, a 1 at
+one simplex of M or one trace's sum, is the triangle of the function it
+stands for, at every simplex of the open star outside M with that trace,
+so that the split reads only phi on M and one sum per trace holds for
+every integer function.  The references are those of tests/test_oracles.py,
 written straight from the definitions, and the operators are called
 through cfcalc.calculus, where tests/test_faults.py plants its faults.
 """
@@ -50,8 +51,10 @@ from cfcalc import (
     quotient_by_involution,
     simplicial_map,
 )
-from test_complexes import assert_star_table
-from test_oracles import reference_dual, reference_pushforward, reference_triangle, values
+from test_complexes import assert_runs_and_span
+from test_oracles import (
+    reference_dual, reference_pushforward, reference_triangle, star_traces, values,
+)
 
 VERTICES = "abcd"
 SETS = [s for n in range(1, 5) for s in combinations(VERTICES, n)]
@@ -127,7 +130,7 @@ def test_triangle_decompose_on_every_pair():
     for space, m in PAIRS:
         complex_ = SimplicialComplex(space)
         closed = Subcomplex(complex_, m)
-        full += cfcalc.calculus._open_star(closed)[2] is closed.as_complex()
+        full += cfcalc.calculus._span(closed) is closed.as_complex()
         for phi in indicators(complex_):
             split = cfcalc.calculus.triangle_decompose(closed, phi)
             assert split == reference_triangle(closed, phi)
@@ -140,16 +143,22 @@ def test_star_table_and_split_star_on_every_pair():
     for space, m in PAIRS:
         complex_ = SimplicialComplex(space)
         closed = Subcomplex(complex_, m)
-        assert_star_table(closed)
-        position = cfcalc.calculus._open_star(closed)[0]
-        for u, i in position.items():
-            x = [0] * len(position)
-            x[i] = 1
-            # a unit outside M stands for (-1)^dim u 1_u, one in M for 1_u
-            sign = 1 if u in closed.simplices or u.dim % 2 == 0 else -1
-            expected = reference_triangle(closed, ConstructibleFunction(complex_, {u: sign}))
-            assert cfcalc.calculus._split_star(closed, x) == expected
+        assert_runs_and_span(closed)
+        order, traces = sorted(closed.simplices), star_traces(closed)
+        zero, no_sums = [0] * len(order), [(w, 0) for w in traces]
+        for i, s in enumerate(order):
+            on_m = zero.copy()
+            on_m[i] = 1
+            expected = reference_triangle(closed, ConstructibleFunction(complex_, {s: 1}))
+            assert cfcalc.calculus._split_star(closed, on_m, no_sums) == expected
             units += 1
+        for w, us in traces.items():
+            split = cfcalc.calculus._split_star(closed, zero, [(t, int(t == w)) for t in traces])
+            # a unit sum at w stands for (-1)^dim u 1_u at each u with trace w
+            for u in us:
+                unit = ConstructibleFunction(complex_, {u: 1 if u.dim % 2 == 0 else -1})
+                assert split == reference_triangle(closed, unit)
+                units += 1
     assert units == 4867  # the open stars of the 561 pairs
 
 

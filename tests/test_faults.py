@@ -18,6 +18,7 @@ import pytest
 import cfcalc
 import cfcalc.calculus
 import cfcalc.cli
+import cfcalc.indices
 from cfcalc import (
     ConstructibleFunction,
     ModelError,
@@ -117,38 +118,37 @@ def triangle_moves_one(decompose):
     return faulty
 
 
-def star_fault(change):
-    """The calculus's star table, wherever it was imported, has each group
-    (run, trace) of the simplices outside M, the slice of the star holding
-    the simplices with that trace and the trace, replaced by change(group)."""
+def runs_fault(change):
+    """verify's run table with each run (run, trace), the slice of a draw
+    holding the star simplices outside M with that trace and the trace,
+    replaced by change(run, trace)."""
     def plant(monkeypatch):
-        build = cfcalc.calculus._open_star
-
-        def faulty(closed):
-            position, groups, full = build(closed)
-            return position, [change(g) for g in groups], full
-
-        for module in MODULES:
-            if getattr(module, "_open_star", None) is build:
-                monkeypatch.setattr(module, "_open_star", faulty)
+        build = cfcalc.indices._star_runs
+        monkeypatch.setattr(
+            cfcalc.indices, "_star_runs", lambda closed: [change(*run) for run in build(closed)]
+        )
     return plant
 
 
-def star_split_fault(change):
-    """The star split, wherever it was imported, with each item b of x
-    outside M (a value, or a byte holding value plus offset) replaced by
-    change(b, offset)."""
+def split_sums_fault(change):
+    """The star split, wherever it was imported, with each pair (w, v) of a
+    trace and its sum replaced by change(w, v)."""
     def plant(monkeypatch):
         split = cfcalc.calculus._split_star
 
-        def faulty(closed, x, offset=0):
-            n = len(closed.simplices)
-            return split(closed, x[:n] + type(x)(change(b, offset) for b in x[n:]), offset)
+        def faulty(closed, on_m, sums):
+            return split(closed, on_m, [change(w, v) for w, v in sums])
 
         for module in MODULES:
             if getattr(module, "_split_star", None) is split:
                 monkeypatch.setattr(module, "_split_star", faulty)
     return plant
+
+
+def draw_sums_keep_offset(monkeypatch):
+    """verify's draw with its offset taken as 0 where the runs are summed:
+    each trace's sum keeps 3 per byte of its run."""
+    monkeypatch.setattr(cfcalc.indices, "_DRAW_OFFSET", 0)
 
 
 def bulk_reader_skips_order(monkeypatch):
@@ -257,13 +257,14 @@ def golden(name):
 # map of antipodal_cover), verify never calls restrict_open, a plain
 # vertex tuple equals its Simplex, so keys of the wrong type pass every
 # check that compares values, the costalk is built as the restriction
-# minus the boundary, so triangle_identity sees no fault of dual or the star,
-# verify reaches dual only on a real form that is not a full subcomplex,
-# which no built-in model has, and an image that keeps repeated vertices
-# makes a map that collapses a simplex refuse itself, as the fold of the
-# triangle in the exhaustive map test does; verify's random rows see no
-# fault of a trace's sum, as costalk + boundary is x on M + h - h whatever
-# h is, and its other rows split lists, which carry no offset
+# minus the boundary, so triangle_identity sees no fault of dual or the
+# split, verify reaches dual only on a real form that is not a full
+# subcomplex, which no built-in model has, and an image that keeps
+# repeated vertices makes a map that collapses a simplex refuse itself, as
+# the fold of the triangle in the exhaustive map test does; verify's
+# random rows see no fault of a trace's sum, as costalk + boundary is phi
+# on M + h - h whatever h is, and only they read the run table and the
+# offset, so the draw oracles catch those plants
 FAULTS = {
     "dual_drops_own_term": (
         function_fault("dual", lambda dual: lambda phi: dual(phi) - twist(phi)),
@@ -318,19 +319,18 @@ FAULTS = {
         open_pushforward_oracle,
     ),
     "star_table_drops_outside": (
-        star_fault(lambda group: (slice(0, 0), group[1])),
-        verify_row("pair_C_R", "dimension_formula"),
+        # each trace's run of the draw is empty, so its sum is 0
+        runs_fault(lambda run, w: (slice(run.stop, run.stop), w)),
+        failing(partial(test_oracles.assert_verify_splits_the_draws, "node_curve", 0)),
     ),
     "star_values_unsigned": (
         # each trace's sum comes out negated
-        star_split_fault(lambda b, offset: 2 * offset - b),
+        split_sums_fault(lambda w, v: (w, -v)),
         verify_row("smooth_line_in_C2", "shriek_indicator"),
     ),
     "star_sums_ignore_offset": (
-        # each value outside M is read as offset more than it is, as a run's
-        # sum that does not take the offset off reads it
-        star_split_fault(lambda b, offset: b + offset),
-        failing(partial(test_oracles.test_split_of_an_offset_draw_is_the_split_of_its_values,
+        draw_sums_keep_offset,
+        failing(partial(test_oracles.test_verify_run_sums_are_the_signed_sums_of_its_draw,
                         "node_curve", 0)),
     ),
     "indicator_drops_vertices": (
@@ -342,9 +342,9 @@ FAULTS = {
         verify_row("smooth_line_in_C2", "shriek_indicator"),
     ),
     "star_table_without_self": (
-        # each trace's value lands on the trace's first vertex, not on itself
-        star_fault(lambda group: (group[0], Simplex(group[1][:1]))),
-        verify_row("kashiwara_point", "value"),
+        # each trace's sum lands on the trace's first vertex, not on itself
+        runs_fault(lambda run, w: (run, Simplex(w[:1]))),
+        failing(partial(test_oracles.assert_verify_splits_the_draws, "node_curve", 0)),
     ),
     "bulk_reader_skips_order": (
         bulk_reader_skips_order,

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cfcalc
-
+import cfcalc.calculus
+import cfcalc.indices
 from cfcalc import (
     CharacteristicCycle,
     CheckResult,
@@ -332,6 +333,32 @@ class TestVerifyScene:
                     monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
         assert scene.verify(seed=1).passed
         assert calls == {"_split_star": 3}
+
+    def test_the_real_form_keeps_one_run_per_trace_and_no_star(self, monkeypatch):
+        # node_curve(k=6): M has 33 simplices and its open star 4,401; after
+        # a verify M keeps F and, for the draws, one run per trace, and
+        # nothing with a place per star simplex
+        scene = build_model("node_curve", k=6)
+        assert scene.verify().passed
+        m = scene.pair.real_form
+        kept = {key: v for key, v in vars(m).items() if key not in ("parent", "simplices")}
+        assert set(kept) == {"_space", "__span", "__star_runs"}
+        assert kept["__span"] is kept["_space"] and len(kept["_space"]) == 33
+        runs = kept["__star_runs"]
+        assert len(runs) == 33 and runs[-1][0].stop == 4401
+        # the calculus on a fresh scene never builds the run table
+        fresh = parse_scene(scene.canonical_text)
+        calls, build = [], cfcalc.indices._star_runs
+        for module in (cfcalc.calculus, cfcalc.indices):
+            monkeypatch.setattr(
+                module, "_star_runs", lambda closed: calls.append(closed) or build(closed),
+                raising=False,
+            )
+        cfcalc.calculus.triangle_decompose(
+            fresh.pair.real_form, solution_index(fresh.cycle, fresh.ambient)
+        )
+        hyperfunction_index(fresh.pair, fresh.cycle)
+        assert calls == [] and "__star_runs" not in vars(fresh.pair.real_form)
 
     @pytest.mark.parametrize("name", [info.name for info in list_models()])
     def test_verify_and_the_dimension_formula_leave_strata_as_made(self, name):

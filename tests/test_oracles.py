@@ -209,39 +209,63 @@ def test_triangle_decompose_is_the_definitional_composition(data):
         assert triangle_decompose(closed, psi) == reference_triangle(closed, psi)
 
 
-def star_function(space, m, star, x) -> ConstructibleFunction:
-    """The function on space that a vector x over the open star of M, whose
-    simplices are m, stands for: x(u) at u in M, (-1)^dim u x(u) outside."""
-    return ConstructibleFunction(space, {
-        u: v if u in m or u.dim % 2 == 0 else -v for u, v in zip(star, x)
-    })
+def star_traces(closed) -> dict:
+    """Each trace w, the vertices in M = closed of a parent simplex outside
+    M with a vertex in M, in canonical order, and the simplices outside M
+    with that trace, in canonical order."""
+    m_vertices = {v for s in closed.simplices for v in s.vertices}
+    runs = {}
+    for u in sorted(closed.parent.simplices):
+        w = tuple(v for v in u.vertices if v in m_vertices)
+        if w and u not in closed.simplices:
+            runs.setdefault(Simplex(w), []).append(u)
+    return dict(sorted(runs.items()))
+
+
+def split_input(closed, phi) -> tuple[list, list]:
+    """What the star split reads of phi, from the definitions: phi on M in
+    M's canonical order, and per trace w in canonical order the pair of w
+    and the sum of (-1)^dim u phi(u) over the simplices u outside M with
+    that trace."""
+    value = dict(phi.items)
+    return [value.get(s, 0) for s in sorted(closed.simplices)], [
+        (w, sum(_sign(u.dim) * value.get(u, 0) for u in us))
+        for w, us in star_traces(closed).items()
+    ]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_split_star_is_the_definitional_triangle_on_star_vectors(data):
-    """The kernel on values x over the open star of M, against the
-    definition and against triangle_decompose on the function x stands
-    for, x on M and (-1)^dim u x(u) at u outside M, with M empty, a
-    vertex, generated by a few simplices or everything, and x sparse or
+def test_split_star_is_the_definitional_triangle_on_its_input(data):
+    """The kernel on values on M and one sum per trace, against the
+    definition and against triangle_decompose on the function they stand
+    for: the values on M, and (-1)^dim u v(w) at the first simplex u with
+    trace w, so that its signed sum is v(w); with M empty, a vertex,
+    generated by a few simplices or everything, and the values sparse or
     dense."""
     space, _ = data.draw(complex_with_cf())
     if data.draw(st.booleans()):
         closed = subcomplex(space, [[data.draw(st.sampled_from(sorted(space.vertices)))]])
     else:
         closed = data.draw(closed_in(space))
-    position = cfcalc.calculus._open_star(closed)[0]
-    star = sorted(position, key=position.get)
+    order, traces = sorted(closed.simplices), star_traces(closed)
+    size = len(order) + len(traces)
     value = st.one_of(st.integers(min_value=-5, max_value=5), st.sampled_from([BIG, -BIG]))
-    if data.draw(st.booleans()):  # dense: a value at every star simplex
-        x = data.draw(st.lists(value, min_size=len(star), max_size=len(star)))
+    if data.draw(st.booleans()):  # dense: a value at every place
+        x = data.draw(st.lists(value, min_size=size, max_size=size))
     else:  # sparse: a few values, zero elsewhere
-        x = [0] * len(star)
-        if star:
-            for i in data.draw(st.lists(st.integers(0, len(star) - 1), max_size=3)):
+        x = [0] * size
+        if size:
+            for i in data.draw(st.lists(st.integers(0, size - 1), max_size=3)):
                 x[i] = data.draw(value)
-    phi = star_function(space, closed.simplices, star, x)
-    split = cfcalc.calculus._split_star(closed, x)
+    on_m, sums = x[:len(order)], list(zip(traces, x[len(order):]))
+    firsts = [us[0] for us in traces.values()]
+    phi = ConstructibleFunction(space, {
+        **dict(zip(order, on_m)),
+        **{u: _sign(u.dim) * v for u, (_, v) in zip(firsts, sums)},
+    })
+    assert split_input(closed, phi) == (on_m, sums)
+    split = cfcalc.calculus._split_star(closed, on_m, sums)
     assert split == reference_triangle(closed, phi)
     assert split == triangle_decompose(closed, phi)
 
@@ -249,15 +273,9 @@ def test_split_star_is_the_definitional_triangle_on_star_vectors(data):
 def open_star(pair) -> list:
     """Every ambient simplex with a vertex in the real form M: the simplices
     of M in canonical order, then the others by their trace (their vertices
-    in M) and canonical order.  A simplex of M is its own trace, so one key
-    orders both parts."""
-    m_vertices = {v for s in pair.real_form.simplices for v in s.vertices}
-    star = [s for s in pair.ambient.simplices if not m_vertices.isdisjoint(s.vertices)]
-    return sorted(star, key=lambda s: (
-        s not in pair.real_form.simplices,
-        tuple(v for v in s.vertices if v in m_vertices),
-        s,
-    ))
+    in M) and canonical order."""
+    closed = pair.real_form
+    return sorted(closed.simplices) + [u for us in star_traces(closed).values() for u in us]
 
 
 def signed(byte: int) -> int:
@@ -291,37 +309,50 @@ def test_draw_table_gives_0_with_probability_5_8_and_each_other_value_1_16():
 
 
 def test_offset_table_is_the_draw_table_plus_3():
-    """verify splits a draw as bytes holding each value plus 3, 0..6."""
+    """verify sums a trace's run as bytes holding each value plus 3, 0..6."""
     assert _DRAW_OFFSET == 3
     assert list(_OFFSET_TABLE) == [signed(v) + 3 for v in _DRAW_TABLE]
 
 
+def verify_split_inputs(scene, seed: int) -> list:
+    """The (on_m, sums) that scene.verify(seed=seed) hands the star split,
+    one pair per drawn function."""
+    seen, split = [], cfcalc.indices._split_star
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            cfcalc.indices, "_split_star",
+            lambda closed, on_m, sums: seen.append((on_m, sums)) or split(closed, on_m, sums),
+        )
+        assert scene.verify(seed=seed).passed
+    return seen
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
 @pytest.mark.parametrize("name", [info.name for info in list_models()])
-def test_split_of_an_offset_draw_is_the_split_of_its_values(name, seed):
-    """The three draws of verify's seed, each split as bytes holding value
-    plus 3, give the terms of the same draw split as a list of its signed
-    values, and the definition's terms of the function that list stands
-    for."""
+def test_verify_run_sums_are_the_signed_sums_of_its_draw(name, seed):
+    """verify reads each trace's run of a draw as bytes holding value plus
+    3 and takes 3 off per byte, so the sums it hands the split are the sums
+    of the signed values the draw table gives those bytes, and its values
+    on M are the prefix's."""
     scene = build_model(name, k=3)
     closed = scene.pair.real_form
-    position = cfcalc.calculus._open_star(closed)[0]
-    star, rng = sorted(position, key=position.get), random.Random(seed)
+    runs, n = cfcalc.indices._star_runs(closed), len(closed.simplices)
+    size, rng, expected = n + sum(run.stop - run.start for run, _ in runs), random.Random(seed), []
     for _ in range(3):
-        raw = rng.randbytes(len(star))
-        x = [signed(_DRAW_TABLE[b]) for b in raw]
-        split = cfcalc.calculus._split_star(closed, raw.translate(_OFFSET_TABLE), _DRAW_OFFSET)
-        assert split == cfcalc.calculus._split_star(closed, x)
-        phi = star_function(scene.ambient, closed.simplices, star, x)
-        assert split == reference_triangle(closed, phi)
+        x = [signed(_DRAW_TABLE[b]) for b in rng.randbytes(size)]
+        expected.append((x[:n], [(w, sum(x[run])) for run, w in runs]))
+    assert verify_split_inputs(scene, seed) == expected
 
 
 @pytest.mark.parametrize("name", [info.name for info in list_models()])
-def test_star_table_order_is_the_open_star_in_canonical_order(name):
+def test_verify_runs_follow_the_open_star_trace_by_trace(name):
     # a freshly parsed scene, so no earlier test has built the ambient's order
     scene = parse_scene(build_model(name, k=3).canonical_text)
-    position = cfcalc.calculus._open_star(scene.pair.real_form)[0]
-    assert position == {u: i for i, u in enumerate(open_star(scene.pair))}
+    closed = scene.pair.real_form
+    runs, traces = cfcalc.indices._star_runs(closed), star_traces(closed)
+    # after M, one run per trace in open_star's order, as long as its part
+    stops = list(itertools.accumulate(map(len, traces.values()), initial=len(closed.simplices)))
+    assert runs == [(slice(a, b), w) for a, b, w in zip(stops, stops[1:], traces)]
     assert not order_built(scene.ambient)
 
 
@@ -338,60 +369,46 @@ def test_triangle_decompose_matches_the_definition_on_the_models(name):
         assert triangle_decompose(closed, phi) == reference_triangle(closed, phi)
 
 
-# prints a digest of the random functions verify draws on node_curve(k=3),
-# each a vector over the real form's star that verify splits, as bytes
-# holding each value plus the offset, signed by (-1)^dim outside the real form
+# prints a digest of what verify hands the star split on node_curve(k=3):
+# per drawn function, its values on the real form and one sum per trace
 VERIFY_DRAWS = """
 import hashlib, sys
 import cfcalc.indices
-from cfcalc import ConstructibleFunction, build_model
+from cfcalc import build_model
 
 seen, split = [], cfcalc.indices._split_star
-cfcalc.indices._split_star = lambda closed, x, offset=0: (
-    seen.append([v - offset for v in x]) or split(closed, x, offset)
+cfcalc.indices._split_star = lambda closed, on_m, sums: (
+    seen.append((on_m, sums)) or split(closed, on_m, sums)
 )
-scene = build_model("node_curve", k=3)
-scene.verify(seed=int(sys.argv[1]))
-position = cfcalc.calculus._open_star(scene.pair.real_form)[0]
-star, m = sorted(position, key=position.get), scene.pair.real_form.simplices
-drawn = [
-    ConstructibleFunction(scene.ambient, {
-        u: v if u in m or u.dim % 2 == 0 else -v for u, v in zip(star, x)
-    })
-    for x in seen
-]
-print(hashlib.sha256(repr([phi.items for phi in drawn]).encode()).hexdigest())
+build_model("node_curve", k=3).verify(seed=int(sys.argv[1]))
+print(hashlib.sha256(repr(seen).encode()).hexdigest())
 """
+
+
+def assert_verify_splits_the_draws(name: str, seed: int) -> None:
+    """verify hands the star split, per drawn function, the draws oracle's
+    function as the split reads it: its values on M and one sum per trace."""
+    scene = build_model(name, k=3)
+    expected = [split_input(scene.pair.real_form, phi) for phi in draws(scene.pair, seed)]
+    assert verify_split_inputs(scene, seed) == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
 def test_verify_draws_its_random_functions_as_defined(seed, monkeypatch):
-    scene = build_model("node_curve", k=3)
-    seen, split = [], cfcalc.indices._split_star
-    monkeypatch.setattr(
-        cfcalc.indices, "_split_star",
-        lambda closed, x, offset=0: seen.append((x, offset)) or split(closed, x, offset),
-    )
     decomposed, decompose = [], cfcalc.indices.triangle_decompose
     monkeypatch.setattr(
         cfcalc.indices, "triangle_decompose",
         lambda closed, phi: decomposed.append(phi) or decompose(closed, phi),
     )
-    assert scene.verify(seed=seed).passed
+    assert_verify_splits_the_draws("node_curve", seed)
+    scene = build_model("node_curve", k=3)
     assert decomposed == [solution_index(scene.cycle, scene.ambient)]
-    position = cfcalc.calculus._open_star(scene.pair.real_form)[0]
-    star = sorted(position, key=position.get)
-    # each draw reaches the split as bytes holding its values plus the offset
-    assert all(type(x) is bytes and offset == _DRAW_OFFSET for x, offset in seen)
-    assert all(len(x) == len(star) for x, _ in seen)
-    seen = [[v - offset for v in x] for x, offset in seen]
-    drawn = [star_function(scene.ambient, scene.pair.real_form.simplices, star, x) for x in seen]
-    assert drawn == draws(scene.pair, seed)
 
 
 def test_verify_draws_the_same_functions_under_any_hash_seed():
-    drawn = draws(build_model("node_curve", k=3).pair, 7)
-    expected = hashlib.sha256(repr([phi.items for phi in drawn]).encode()).hexdigest()
+    pair = build_model("node_curve", k=3).pair
+    inputs = [split_input(pair.real_form, phi) for phi in draws(pair, 7)]
+    expected = hashlib.sha256(repr(inputs).encode()).hexdigest()
     for hash_seed in ("0", "1"):
         proc = subprocess.run(
             [sys.executable, "-c", VERIFY_DRAWS, "7"],
@@ -441,7 +458,7 @@ def bent_line_scene():
 def test_a_real_form_that_is_not_full_splits_through_dual(monkeypatch):
     scene = bent_line_scene()
     closed = scene.pair.real_form
-    assert cfcalc.calculus._open_star(closed)[2].simplices == closed.simplices | {("b0", "b3")}
+    assert cfcalc.calculus._span(closed).simplices == closed.simplices | {("b0", "b3")}
     calls = counted_duals(monkeypatch)
     report = scene.verify(seed=7)
     assert report.passed and calls
