@@ -23,16 +23,16 @@ as building a fresh scene or writing a file, is followed by a fresh one.
   - cold_hyperdim_ms: `python -m cfcalc hyperdim "MODEL(k=K)" --at c.c`
     as a child process, timed the same way;
   - cold_check_ms: `python -m cfcalc check "MODEL(k=K)"`, timed the same way;
-  - star_ms: the two tables kept on the real form M that walk the open
-    star, built together on another fresh scene: verify's run table
+  - star_ms: the one table kept on the real form M that walks the open
+    star, built on another fresh scene: verify's run table
     (indices._star_runs, one run per trace, which only the seeded rows
-    read) and the span F of M's vertices (calculus._span, which
-    triangle_decompose reads; it builds no run table and lists no star);
-  - dual_ms: the first dual on a fresh scene, which builds the ambient's
-    order and drop table, of the solution index (solution_index, a sparse
-    support) and of the ambient's indicator (indicator, every simplex),
-    each on a scene of its own; triangle_decompose takes no dual of the
-    ambient, so first_verify_ms holds none of this;
+    read; triangle_decompose builds no table and lists no star);
+  - dual_ms: the first dual on a fresh scene, which sums over the faces of
+    its function's support and keeps nothing on the ambient, of the
+    solution index (solution_index, a sparse support) and of the
+    ambient's indicator (indicator, every simplex, so it also sorts the
+    whole ambient), each on a scene of its own; triangle_decompose takes
+    no dual of the ambient, so first_verify_ms holds none of this;
   - parse_ms: parse_scene of a fresh scene's canonical text;
   - emit_ms: the canonical text of another fresh scene, which each scene
     writes on first use;
@@ -54,9 +54,9 @@ the one star simplex that adds the last vertex to it, so the split sums
 one value per trace, and a facet is a full subcomplex, so it takes no
 dual.  cold_dual_facet_ms is `python -m cfcalc dual --function
 indicator:M` on the same files, which sums over cofaces one vertex at a
-time.  These times follow the n 2^(n-1) vertex incidences of the 2^n - 1
-simplices.  star_facet_ms is the in-process run table and span, as
-star_ms builds them, of that facet, for n in VERIFY_SIMPLEX, each on a
+time inside the facet's 2^(n-1) - 1 faces.  These times follow the
+vertex incidences of those simplices.  star_facet_ms is
+the in-process run table, as star_ms builds it, of that facet, for n in VERIFY_SIMPLEX, each on a
 freshly built complex: every trace holds one star simplex, so the run
 table holds one run per star simplex, its worst case.
 cold_verify_disjoint_ms is `python -m cfcalc verify` on a scene file of
@@ -68,10 +68,11 @@ disjoint 4-simplices (24,800 simplices) that the conjugation swaps in
 pairs, with an empty real form and no strata: the conjugation rows check
 the involution, pull back along it and push forward to its quotient, so
 this time follows the images of every simplex under those maps.
-Beside each cold_* field, <field>_spread is the distance between the
-quartiles of its repeats as a share of their median, as perfbench's
-run.py spread takes it (Infinity from one repeat), so a before/after
-pair shows whether a cold difference lies inside the noise.
+Beside each field, <field>_spread is the distance between the quartiles
+of its repeats as a share of their median, as perfbench's run.py spread
+takes it (Infinity from one repeat), so a before/after pair shows
+whether a difference lies inside the noise; dual_ms_spread holds one
+per function.
 The in-process measurements run with the cycle collector on, as a library
 caller has it (recorded as gc_in_process); the cold children run the CLI,
 which turns it off while it runs.
@@ -105,7 +106,6 @@ from cfcalc import (  # noqa: E402
     build_complex, build_model, dual, emit_scene, indicator, parse_scene, solution_index,
     subcomplex,
 )
-from cfcalc.calculus import _span  # noqa: E402
 from cfcalc.indices import _star_runs  # noqa: E402
 from gauge import NOMINAL_S, reading  # noqa: E402
 from run import spread  # noqa: E402
@@ -177,11 +177,6 @@ def speed(gauge_reading: float) -> float:
     return round(NOMINAL_S / gauge_reading, 3)
 
 
-def star_tables(closed) -> tuple:
-    """verify's run table and the span of the subcomplex, as first built."""
-    return _star_runs(closed), _span(closed)
-
-
 def rung(gauge: Readings, model: str, k: int, repeats: int) -> dict:
     spec = f"{model}(k={k})"
     before = gauge.last
@@ -201,7 +196,7 @@ def rung(gauge: Readings, model: str, k: int, repeats: int) -> dict:
             cold_ms(gauge, "verify", spec),
             cold_ms(gauge, "hyperdim", spec, "--at", "c.c"),
             cold_ms(gauge, "check", spec),
-            gauge.timed(lambda: star_tables(fresh.pair.real_form))[0],
+            gauge.timed(lambda: _star_runs(fresh.pair.real_form))[0],
             gauge.timed(lambda: parse_scene(text))[0],
             gauge.timed(lambda: emit_scene(unwritten))[0],
             gauge.timed(lambda: dual(index))[0],
@@ -213,7 +208,8 @@ def rung(gauge: Readings, model: str, k: int, repeats: int) -> dict:
         "simplices": len(scene.ambient),
         **{key: median(columns[key]) for key in FIELDS},
         "dual_ms": {key: median(columns[key]) for key in DUALS},
-        **{f"{key}_spread": spread_of(ms) for key, ms in columns.items() if key.startswith("cold_")},
+        **{f"{key}_spread": spread_of(columns[key]) for key in FIELDS},
+        "dual_ms_spread": {key: spread_of(columns[key]) for key in DUALS},
         "speed_before": speed(before),
         "speed_after": speed(gauge.last),
     }
@@ -256,7 +252,7 @@ def one_simplex_children(gauge: Readings, repeats: int) -> tuple[dict, dict, dic
 
 
 def star_facets(gauge: Readings, repeats: int) -> dict:
-    """In-process star_tables of the n-vertex simplex's facet on its first
+    """In-process run tables of the n-vertex simplex's facet on its first
     n - 1 vertices, each on a fresh complex, a list of repeats keyed by n."""
     facets = {}
     for n in VERIFY_SIMPLEX:
@@ -265,7 +261,7 @@ def star_facets(gauge: Readings, repeats: int) -> dict:
             subcomplex(build_complex([vertices]), [vertices[:-1]]) for _ in range(repeats)
         ]
     gauge.fresh()
-    return {n: [gauge.timed(lambda: star_tables(m))[0] for m in ms] for n, ms in facets.items()}
+    return {n: [gauge.timed(lambda: _star_runs(m))[0] for m in ms] for n, ms in facets.items()}
 
 
 def disjoint_simplices(count: int) -> list[list[str]]:
@@ -338,7 +334,9 @@ def main(argv=None) -> int:
     ):
         record[field] = {n: median(ms) for n, ms in runs.items()}
         record[f"{field}_spread"] = {n: spread_of(ms) for n, ms in runs.items()}
-    record["star_facet_ms"] = {n: median(ms) for n, ms in star_facets(gauge, args.repeats).items()}
+    facets = star_facets(gauge, args.repeats)
+    record["star_facet_ms"] = {n: median(ms) for n, ms in facets.items()}
+    record["star_facet_ms_spread"] = {n: spread_of(ms) for n, ms in facets.items()}
     for field, doc in (("cold_verify_disjoint_ms", disjoint_doc()),
                        ("cold_verify_conj_ms", conj_doc())):
         ms = verify_children(gauge, args.repeats, doc)

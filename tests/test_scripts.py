@@ -47,7 +47,7 @@ def test_script_refuses_a_bad_argument_with_a_usage_error(argv, message):
 
 
 def test_ladder_writes_its_record_at_k_3(tmp_path):
-    # two repeats, the fewest that give each cold field a finite spread
+    # two repeats, the fewest that give each field a finite spread
     proc = subprocess.run(
         [sys.executable, "scripts/ladder.py", "--label", "smoke", "--ks", "3",
          "--repeats", "2", "--out-dir", str(tmp_path)],
@@ -69,8 +69,14 @@ def test_ladder_writes_its_record_at_k_3(tmp_path):
             assert rung[key] > 0, (model, key)
         assert sorted(rung["dual_ms"]) == ["indicator", "solution_index"], model
         assert all(ms > 0 for ms in rung["dual_ms"].values()), model
-        for key in ("cold_verify_ms", "cold_hyperdim_ms", "cold_check_ms"):
+        for key in (
+            "build_ms", "first_verify_ms", "warm_verify_ms",
+            "cold_verify_ms", "cold_hyperdim_ms", "cold_check_ms", "star_ms",
+            "parse_ms", "emit_ms",
+        ):
             assert 0 <= rung[f"{key}_spread"] < math.inf, (model, key)
+        assert sorted(rung["dual_ms_spread"]) == ["indicator", "solution_index"], model
+        assert all(0 <= s < math.inf for s in rung["dual_ms_spread"].values()), model
     for field, ns in (("cold_check_simplex_ms", ["10", "12", "14"]),
                       ("cold_verify_simplex_ms", ["10", "12"]),
                       ("cold_verify_facet_ms", ["10", "12"]),
@@ -81,6 +87,8 @@ def test_ladder_writes_its_record_at_k_3(tmp_path):
         assert all(0 <= s < math.inf for s in record[f"{field}_spread"].values()), field
     assert sorted(record["star_facet_ms"], key=int) == ["10", "12"]
     assert all(ms > 0 for ms in record["star_facet_ms"].values())
+    assert sorted(record["star_facet_ms_spread"], key=int) == ["10", "12"]
+    assert all(0 <= s < math.inf for s in record["star_facet_ms_spread"].values())
     for field in ("cold_verify_disjoint_ms", "cold_verify_conj_ms"):
         assert record[field] > 0, field
         assert 0 <= record[f"{field}_spread"] < math.inf, field
