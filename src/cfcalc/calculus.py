@@ -206,20 +206,32 @@ def dual(phi: ConstructibleFunction) -> ConstructibleFunction:
 
     The dual at a simplex sums (-1)^dim(t) * phi(t) over all cofaces t.
     Applying it twice is the identity, and it sends the indicator of a
-    closed d-manifold subcomplex to (-1)^d times itself.  Implemented as a
-    superset sum taken one vertex at a time (Yates), as the complex is face
-    closed: from the signed values, the pass for each vertex v of the
-    ambient's drop_table adds the value at each simplex holding v into its
-    face without v, so the work is the ambient's vertex incidences.
+    closed d-manifold subcomplex to (-1)^d times itself.  It vanishes off
+    the faces of phi's support, so it is summed over their down-closure
+    alone, whatever the complex around it: a superset sum one vertex at a
+    time (Yates), where the pass for v adds the value at each simplex
+    holding v into its face without v, and a face joins the sum the first
+    time a pass reaches it.  The work is the closure's vertex incidences.
     """
-    order, position = phi.ambient.ordered(), phi.ambient.position()
-    acc = [0] * len(order)
-    for t, v in phi.items:
-        acc[position[t]] = v if len(t) % 2 else -v
-    for tops, faces in phi.ambient.drop_table():
-        for i, j in zip(tops, faces):
-            acc[j] += acc[i]
-    return ConstructibleFunction._of(phi.ambient, _nonzero_items(order, acc))
+    acc = {t: v if len(t) % 2 else -v for t, v in phi.items}
+    holding = defaultdict(list)  # per vertex not yet passed, the simplices in acc holding it
+    for t in acc:
+        for v in t:
+            holding[v].append(t)
+    for v in list(holding):
+        for t in holding.pop(v):
+            k = t.index(v)
+            face = t[:k] + t[k + 1:]
+            x = acc.get(face)
+            if x is None:  # first reached: each vertex of it still to pass holds it
+                face = Simplex._raw(face)
+                for u in filter(holding.__contains__, face):
+                    holding[u].append(face)
+                x = 0
+            acc[face] = x + acc[t]
+    # the passes also reach the empty face (), which is no simplex
+    items = [(s, acc[s]) for s in sorted(filter(acc.get, acc)) if s]
+    return ConstructibleFunction._of(phi.ambient, tuple(items))
 
 
 def restrict(phi: ConstructibleFunction, closed: Subcomplex) -> ConstructibleFunction:
@@ -314,17 +326,6 @@ def triangle_decompose(
     return _split_star(closed, on_m, [(Simplex._raw(w), v) for w, v in sorted(sums.items())])
 
 
-@cached
-def _span(closed: Subcomplex) -> SimplicialComplex:
-    """F, the parent's simplices with all vertices in the subcomplex M, as a
-    complex: M and the traces outside it, M's own complex exactly when M is
-    full.  Found in one pass over the parent's simplex set on first use and
-    kept on M."""
-    space = closed.as_complex()
-    span = frozenset(filter(space.vertices.issuperset, closed.parent.simplices))
-    return space if len(span) == len(space) else SimplicialComplex._closed(span)
-
-
 def _split_star(
     closed: Subcomplex, on_m: Sequence[int], sums: Sequence[tuple[Simplex, int]]
 ) -> tuple[ConstructibleFunction, ConstructibleFunction]:
@@ -333,23 +334,27 @@ def _split_star(
     the sum of (-1)^dim u phi(u) over the simplices u outside M whose
     vertices in M are w.
 
-    Each trace w gets h0(w) = (-1)^dim w v(w), so for s in M D_F(h0)(s) sums
-    v over the traces containing s, F = _span(M).  With h = D_M(D_F(h0) on
-    M), h0 itself when F is M (D_M is an involution), the boundary is -h, as
-    the signs (-1)^dim u over s <= u <= w cancel for s in M and w outside M,
-    and the costalk, D_M of D(phi) on M, is phi on M + h.  Otherwise D_M of
-    a function on M is D_F of it restricted to M, so both duals take F's
-    drop table.
+    Each trace w gets h0(w) = (-1)^dim w v(w), so for s in M D(h0)(s) sums
+    v over the traces containing s.  With h = D_M(D(h0) on M), the boundary
+    is -h, as the signs (-1)^dim u over s <= u <= w cancel for s in M and w
+    outside M, and the costalk, D_M of D(phi) on M, is phi on M + h.  A
+    dual depends only on its function's support, so when every trace with a
+    nonzero sum is a simplex of M, D(h0) on M is D_M(h0) and h is h0 (D_M
+    is an involution), found by the same lookups in M's position() that add
+    it to the costalk; otherwise h0 is dualized on the parent.
     """
-    space, full = closed.as_complex(), _span(closed)
-    h = ConstructibleFunction._of(full, tuple([(w, v if len(w) % 2 else -v) for w, v in sums if v]))
-    if full is not space:
-        m = Subcomplex._of(full, space)
-        h = restrict(dual(ConstructibleFunction._of(full, restrict(dual(h), m).items)), m)
+    space = closed.as_complex()
     spot, costalk = space.position(), list(on_m)
-    for s, v in h.items:
-        costalk[spot[s]] += v
-    return ConstructibleFunction._of(space, _nonzero_items(space.ordered(), costalk)), -h
+    h = tuple([(w, v if len(w) % 2 else -v) for w, v in sums if v])
+    try:
+        places = [spot[w] for w, _ in h]
+    except KeyError:  # a trace outside M
+        h = dual(restrict(dual(ConstructibleFunction._of(closed.parent, h)), closed)).items
+        places = [spot[s] for s, _ in h]
+    for i, (_, v) in zip(places, h):
+        costalk[i] += v
+    costalk = ConstructibleFunction._of(space, _nonzero_items(space.ordered(), costalk))
+    return costalk, -ConstructibleFunction._of(space, h)
 
 
 def mod2_reduce(phi: ConstructibleFunction) -> ConstructibleFunction:

@@ -184,18 +184,6 @@ class SimplicialComplex(Frozen):
         return {s: i for i, s in enumerate(self.ordered())}
 
     @cached
-    def drop_table(self) -> list[tuple[list[int], list[int]]]:
-        """Per vertex v, the places in ordered() of the simplices s that hold
-        v and another vertex, and in step the places of their faces s - v."""
-        position, tops, faces = self.position(), defaultdict(list), defaultdict(list)
-        for i, s in enumerate(self.ordered()):
-            if s.dim:
-                for k, v in enumerate(s):
-                    tops[v].append(i)
-                    faces[v].append(position[s[:k] + s[k + 1:]])
-        return [(tops[v], faces[v]) for v in tops]
-
-    @cached
     def maximal_simplices(self) -> tuple[Simplex, ...]:
         """The simplices that are no member's proper face, in canonical
         order: the generators, when the package closed distinct simplices

@@ -58,6 +58,13 @@ def antipodal(space, k: int):
     return involution(space, {f"b{i}": f"b{(i + k) % (2 * k)}" for i in range(2 * k)})
 
 
+def span(closed) -> frozenset:
+    """The parent's simplices whose vertices all lie in the subcomplex M,
+    listed from the definition; M is full exactly when this is M."""
+    vertices = {v for s in closed.simplices for v in s}
+    return frozenset(u for u in closed.parent.simplices if vertices.issuperset(u))
+
+
 def order_built(space) -> bool:
     """Whether the complex's canonical order or its position map has been
     built: the keys `_frozen.cached` keeps them under, which the CACHED

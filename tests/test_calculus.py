@@ -467,7 +467,7 @@ def non_simplex_keys(space, phi, closed, f, psi) -> list:
     found = [s for g in functions for s, _ in g.items]
     for c in (space, closed, closed.as_complex(), f.target):
         found += c.simplices
-    for c in (space, closed.as_complex(), calc._span(closed), f.target):
+    for c in (space, closed.as_complex(), f.target):
         found += c.ordered()
         found += c.position()
     found += [w for w, _ in sums] + [w for _, w in cfcalc.indices._star_runs(closed)]

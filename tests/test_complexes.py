@@ -5,7 +5,6 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import cfcalc.calculus
 import cfcalc.complexes
 import cfcalc.indices
 from cfcalc import (
@@ -35,7 +34,7 @@ from cfcalc import (
     simplicial_map,
     subcomplex,
 )
-from conftest import antipodal, complexes, diameter, disk, polygon, reflection
+from conftest import antipodal, complexes, diameter, disk, polygon, reflection, span
 from test_oracles import star_traces
 
 
@@ -146,31 +145,31 @@ class TestComplexIndex:
 
 
 class TestStarAndSubcomplex:
-    # verify's run table and the span F of M's vertices, kept on the subcomplex
+    # verify's run table, kept on the subcomplex, and the span of M's
+    # vertices, which tells whether the split duals its traces
     def test_star_of_disk_center(self):
         d = disk(3)
         closed = subcomplex(d, [["c"]])
         # M is the one vertex c, at place 0 of the draw: the 6 spokes and 6
         # triangles are outside it, all with the trace c, in one run of 12;
-        # a vertex is a full subcomplex, so F is M
+        # a vertex is a full subcomplex
         ((run, trace),) = cfcalc.indices._star_runs(closed)
         assert run == slice(1, 13)
         assert trace == ("c",) and type(trace) is Simplex
-        assert cfcalc.calculus._span(closed) is closed.as_complex()
+        assert span(closed) == closed.simplices
 
     def test_star_of_the_whole_parent_holds_no_run(self):
         d = disk(3)
         closed = subcomplex(d, d.maximal_simplices())
         assert cfcalc.indices._star_runs(closed) == []
-        assert cfcalc.calculus._span(closed) is closed.as_complex()
+        assert span(closed) == closed.simplices
 
     def test_star_of_a_rim_path_spans_the_triangle_it_bends_round(self):
         # the rim path b0 b1 c is not full: its vertices span the triangle
-        # b0 b1 c and the edge b0 c, so F adds those two to M
+        # b0 b1 c and the edge b0 c, which are traces outside M
         d = disk(3)
         closed = subcomplex(d, [["b0", "b1"], ["b1", "c"]])
-        span = cfcalc.calculus._span(closed)
-        assert span.simplices == closed.simplices | {("b0", "c"), ("b0", "b1", "c")}
+        assert span(closed) == closed.simplices | {("b0", "c"), ("b0", "b1", "c")}
         traces = {trace for _, trace in cfcalc.indices._star_runs(closed)}
         assert traces >= {("b0", "c"), ("b0", "b1", "c")}
 
@@ -288,13 +287,9 @@ class TestProduct:
 CACHED = {
     "SimplicialComplex.ordered": (lambda: disk(3), "_ordered", lambda x: x.ordered()),
     "SimplicialComplex.position": (lambda: disk(3), "_position", lambda x: x.position()),
-    "SimplicialComplex.drop_table": (lambda: disk(3), "_drop_table", lambda x: x.drop_table()),
     "SimplicialComplex.vertices": (lambda: disk(3), "_vertices", lambda x: x.vertices),
     "SimplicialComplex.maximal_simplices": (
         lambda: disk(3), "_maximal_simplices", lambda x: x.maximal_simplices()
-    ),
-    "calculus._span": (
-        lambda: diameter(disk(3)), "__span", lambda x: cfcalc.calculus._span(x)
     ),
     "indices._star_runs": (
         lambda: diameter(disk(3)), "__star_runs", lambda x: cfcalc.indices._star_runs(x)
@@ -326,25 +321,20 @@ def test_derived_values_are_built_on_first_use_and_kept(accessor):
     assert get(owner) is first
 
 
-def assert_runs_and_span(closed):
-    """verify's run table and F on M = closed, against the definitions:
-    after M's simplices, one run per trace w (the vertices in M of a parent
-    simplex outside M with a vertex in M), contiguous to the end, in
-    canonical trace order, each as long as the number of simplices outside
-    M with that trace and carrying w as a Simplex; F is every parent simplex
-    whose vertices all lie in M, as a complex, M's own when that is M."""
-    runs, span = cfcalc.indices._star_runs(closed), cfcalc.calculus._span(closed)
-    traces = star_traces(closed)
+def assert_runs(closed):
+    """verify's run table on M = closed, against the definition: after M's
+    simplices, one run per trace w (the vertices in M of a parent simplex
+    outside M with a vertex in M), contiguous to the end, in canonical
+    trace order, each as long as the number of simplices outside M with
+    that trace and carrying w as a Simplex."""
+    runs, traces = cfcalc.indices._star_runs(closed), star_traces(closed)
     stops = list(itertools.accumulate(map(len, traces.values()), initial=len(closed.simplices)))
     assert runs == [(slice(a, b), w) for a, b, w in zip(stops, stops[1:], traces)]
     assert all(type(w) is Simplex for _, w in runs)
-    m_vertices = {v for s in closed.simplices for v in s}
-    assert span.simplices == {u for u in closed.parent.simplices if m_vertices.issuperset(u)}
-    assert (span is closed.as_complex()) == (span.simplices == closed.simplices)
 
 
-def test_runs_and_span_of_a_diameter():
-    assert_runs_and_span(diameter(disk(3)))
+def test_runs_of_a_diameter():
+    assert_runs(diameter(disk(3)))
 
 
 class TestMaps:

@@ -20,10 +20,10 @@ an image is not a path simplex, whether the complex was closed from
 generators or not.  Every vertex involution of every labelled complex is
 checked against the definitions of regularity, strong freeness and the
 quotient.
-On each pair verify's run table and the span F of M's vertices are as
-tests/test_complexes.py states, and the split of each unit input, a 1 at
-one simplex of M or one trace's sum, is the triangle of the function it
-stands for, at every simplex of the open star outside M with that trace,
+On each pair verify's run table is as tests/test_complexes.py states,
+and the split of each unit input, a 1 at one simplex of M or one trace's
+sum, is the triangle of the function it stands for, at every simplex of
+the open star outside M with that trace,
 so that the split reads only phi on M and one sum per trace holds for
 every integer function.  The references are those of tests/test_oracles.py,
 written straight from the definitions, and the operators are called
@@ -51,7 +51,8 @@ from cfcalc import (
     quotient_by_involution,
     simplicial_map,
 )
-from test_complexes import assert_runs_and_span
+from conftest import span
+from test_complexes import assert_runs
 from test_oracles import (
     reference_dual, reference_pushforward, reference_triangle, star_traces, values,
 )
@@ -130,11 +131,12 @@ def test_triangle_decompose_on_every_pair():
     for space, m in PAIRS:
         complex_ = SimplicialComplex(space)
         closed = Subcomplex(complex_, m)
-        full += cfcalc.calculus._span(closed) is closed.as_complex()
+        full += span(closed) == closed.simplices
         for phi in indicators(complex_):
             split = cfcalc.calculus.triangle_decompose(closed, phi)
             assert split == reference_triangle(closed, phi)
-    # both ways of the split, one value per trace and dual on the span
+    # both ways of the split: h the signed trace sums on M, and h from the
+    # duals of the traces outside M
     assert 0 < full < len(PAIRS)
 
 
@@ -143,7 +145,7 @@ def test_star_table_and_split_star_on_every_pair():
     for space, m in PAIRS:
         complex_ = SimplicialComplex(space)
         closed = Subcomplex(complex_, m)
-        assert_runs_and_span(closed)
+        assert_runs(closed)
         order, traces = sorted(closed.simplices), star_traces(closed)
         zero, no_sums = [0] * len(order), [(w, 0) for w in traces]
         for i, s in enumerate(order):

@@ -258,8 +258,10 @@ def golden(name):
 # vertex tuple equals its Simplex, so keys of the wrong type pass every
 # check that compares values, the costalk is built as the restriction
 # minus the boundary, so triangle_identity sees no fault of dual or the
-# split, verify reaches dual only on a real form that is not a full
-# subcomplex, which no built-in model has, and an image that keeps
+# split, verify reaches dual only where a trace with a nonzero sum is no
+# simplex of the real form, which no built-in model has, a dual kept on
+# its input's support shows only where that support is not face-closed,
+# as on the indicator of one simplex, and an image that keeps
 # repeated vertices makes a map that collapses a simplex refuse itself, as
 # the fold of the triangle in the exhaustive map test does; verify's
 # random rows see no fault of a trace's sum, as costalk + boundary is phi
@@ -273,6 +275,13 @@ FAULTS = {
     "dual_drops_sign": (
         function_fault("dual", lambda dual: lambda phi: dual(twist(phi))),
         golden("pair_C_R_k3.dual_all"),
+    ),
+    "dual_sums_over_support_only": (
+        # the faces that the passes add to the support get no value
+        function_fault(
+            "dual", lambda dual: lambda phi: keep(dual(phi), phi._lookup().__contains__)
+        ),
+        failing(test_exhaustive.test_dual_on_every_complex),
     ),
     "pushforward_drops_sign": (
         function_fault(

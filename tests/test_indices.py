@@ -336,14 +336,14 @@ class TestVerifyScene:
 
     def test_the_real_form_keeps_one_run_per_trace_and_no_star(self, monkeypatch):
         # node_curve(k=6): M has 33 simplices and its open star 4,401; after
-        # a verify M keeps F and, for the draws, one run per trace, and
-        # nothing with a place per star simplex
+        # a verify M keeps its own complex and, for the draws, one run per
+        # trace, and nothing with a place per star simplex
         scene = build_model("node_curve", k=6)
         assert scene.verify().passed
         m = scene.pair.real_form
         kept = {key: v for key, v in vars(m).items() if key not in ("parent", "simplices")}
-        assert set(kept) == {"_space", "__span", "__star_runs"}
-        assert kept["__span"] is kept["_space"] and len(kept["_space"]) == 33
+        assert set(kept) == {"_space", "__star_runs"}
+        assert len(kept["_space"]) == 33
         runs = kept["__star_runs"]
         assert len(runs) == 33 and runs[-1][0].stop == 4401
         # the calculus on a fresh scene never builds the run table

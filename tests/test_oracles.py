@@ -59,7 +59,7 @@ from cfcalc import (
 from cfcalc.cli import main
 from cfcalc.indices import _DRAW_OFFSET, _DRAW_TABLE, _OFFSET_TABLE
 from cfcalc.scenes import _quote, _quote_ascii, _write
-from conftest import complexes, order_built
+from conftest import complexes, order_built, span
 
 BIG = 2**70
 
@@ -93,16 +93,11 @@ def _sign(dim: int) -> int:
 
 
 def reference_dual(phi: ConstructibleFunction) -> dict:
-    """D(phi)(s) = sum over the t having s as a face of (-1)^dim(t) phi(t)."""
-    space = phi.ambient
-    return {
-        s: sum(
-            _sign(t.dim) * phi.value(t)
-            for t in space.simplices
-            if set(s.vertices) <= set(t.vertices)
-        )
-        for s in space.simplices
-    }
+    """D(phi)(s) = sum over the t having s as a face of (-1)^dim(t) phi(t),
+    at every simplex s of the ambient; a t off phi's support adds 0, so
+    only the support's terms are summed."""
+    terms = [(set(t), _sign(t.dim) * v) for t, v in phi.items]
+    return {s: sum(v for t, v in terms if t.issuperset(s)) for s in phi.ambient.simplices}
 
 
 def reference_pushforward(f, phi: ConstructibleFunction) -> dict:
@@ -121,8 +116,19 @@ def values(phi: ConstructibleFunction) -> dict:
     return {s: phi.value(s) for s in phi.ambient.simplices}
 
 
+def sparse_on_node_curve():
+    """node_curve(k=3), a complex of dimension 4, with values at eight
+    simplices of dimension 2 to 4 and none at their faces, so the dual
+    reaches faces outside the support."""
+    space = build_model("node_curve", k=3).ambient
+    rng = random.Random(3)
+    support = rng.sample([s for s in space.ordered() if s.dim >= 2], 8)
+    return space, ConstructibleFunction(space, {s: rng.choice([-2, 1, 3, BIG]) for s in support})
+
+
 @settings(max_examples=150, deadline=None)
 @given(complex_with_cf())
+@example(sparse_on_node_curve())
 def test_dual_is_the_signed_star_sum(pair):
     _, phi = pair
     d = dual(phi)
@@ -439,6 +445,19 @@ def test_verify_and_hyperfunction_index_take_no_ambient_dual(name, monkeypatch, 
     assert calls == []
 
 
+def test_dual_of_the_solution_index_builds_nothing_on_the_ambient():
+    # node_curve(k=6): the solution index's dual sums over the faces of its
+    # support, so the ambient's 7,585 simplices get no order, no position
+    # map and no per-vertex table
+    scene = build_model("node_curve", k=6)
+    phi = solution_index(scene.cycle, scene.ambient)
+    kept = dict(vars(scene.ambient))
+    d = dual(phi)
+    assert vars(scene.ambient) == kept and not order_built(scene.ambient)
+    assert values(d) == reference_dual(phi)
+    assert all(type(s) is Simplex for s, _ in d.items)
+
+
 def bent_line_scene():
     """pair_C_R(k=3) without its conjugation, with the chord b0 b3 added to
     the ambient, so the real line b0 - c - b3 is no longer full, and the
@@ -458,7 +477,7 @@ def bent_line_scene():
 def test_a_real_form_that_is_not_full_splits_through_dual(monkeypatch):
     scene = bent_line_scene()
     closed = scene.pair.real_form
-    assert cfcalc.calculus._span(closed).simplices == closed.simplices | {("b0", "b3")}
+    assert span(closed) == closed.simplices | {("b0", "b3")}
     calls = counted_duals(monkeypatch)
     report = scene.verify(seed=7)
     assert report.passed and calls
