@@ -55,10 +55,10 @@ one value per trace, and a facet is a full subcomplex, so it takes no
 dual.  cold_dual_facet_ms is `python -m cfcalc dual --function
 indicator:M` on the same files, which sums over cofaces one vertex at a
 time inside the facet's 2^(n-1) - 1 faces.  These times follow the
-vertex incidences of those simplices.  star_facet_ms is
-the in-process run table, as star_ms builds it, of that facet, for n in VERIFY_SIMPLEX, each on a
-freshly built complex: every trace holds one star simplex, so the run
-table holds one run per star simplex, its worst case.
+vertex incidences of those simplices.  star_facet_ms is the in-process
+run table, as star_ms builds it, of that facet, for n in VERIFY_SIMPLEX,
+each on a freshly built complex: every trace holds one star simplex, so
+the run table holds one run per star simplex, its worst case.
 cold_verify_disjoint_ms is `python -m cfcalc verify` on a scene file of
 DISJOINT disjoint 4-simplices (124,000 simplices) whose real form is the
 whole complex, with one codim-0 stratum on one of them: every
