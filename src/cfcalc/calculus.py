@@ -16,33 +16,32 @@ from ._frozen import Frozen, cached
 from .complexes import (
     Involution,
     OpenSubset,
-    Simplex,
     SimplicialComplex,
     SimplicialMap,
     Subcomplex,
+    _find,
     _images,
+    _text,
     quotient_by_involution,
 )
 from .errors import MissingSimplexError, ModelError
 
 
-def _clean_items(
-    ambient: SimplicialComplex, values: Mapping
-) -> tuple[tuple[Simplex, int], ...]:
-    cleaned: dict[Simplex, int] = {}
+def _clean_items(ambient: SimplicialComplex, values: Mapping) -> tuple[tuple[tuple, int], ...]:
+    simplices, cleaned = ambient.simplices, {}
     for key, raw in values.items():
-        s = Simplex(key)
-        if s not in ambient.simplices:
-            raise MissingSimplexError(f"{s} is not a simplex of the ambient complex")
+        s = _find(simplices, key)
+        if s not in simplices:
+            raise MissingSimplexError(f"{_text(s)} is not a simplex of the ambient complex")
         if not isinstance(raw, int) or isinstance(raw, bool):
-            raise ModelError(f"value at {s} must be an integer, got {raw!r}")
+            raise ModelError(f"value at {_text(s)} must be an integer, got {raw!r}")
         v = int(raw)
         if v:
             cleaned[s] = v
     return tuple(sorted(cleaned.items()))
 
 
-def _nonzero_items(order, acc: Sequence[int]) -> tuple[tuple[Simplex, int], ...]:
+def _nonzero_items(order, acc: Sequence[int]) -> tuple[tuple[tuple, int], ...]:
     """The (simplex, value) pairs of a dense vector over a canonical order.
 
     Item tuples are always built from lists in this module.  A tuple built
@@ -89,17 +88,17 @@ class ConstructibleFunction(Frozen):
         return phi
 
     @cached
-    def _lookup(self) -> dict[Simplex, int]:
+    def _lookup(self) -> dict[tuple, int]:
         return dict(self.items)
 
     def value(self, simplex_like) -> int:
-        s = Simplex(simplex_like)
+        s = _find(self.ambient.simplices, simplex_like)
         if s not in self.ambient.simplices:
-            raise MissingSimplexError(f"{s} is not a simplex of the ambient complex")
+            raise MissingSimplexError(f"{_text(s)} is not a simplex of the ambient complex")
         return self._lookup().get(s, 0)
 
     @property
-    def support(self) -> frozenset[Simplex]:
+    def support(self) -> frozenset[tuple]:
         return frozenset(s for s, _ in self.items)
 
     def _same_ambient(self, other: "ConstructibleFunction") -> None:
@@ -142,7 +141,7 @@ class ConstructibleFunction(Frozen):
 def _weighted_sum(space: SimplicialComplex, terms) -> ConstructibleFunction:
     """The sum of weight times values over (weight, items) terms, added up
     on the terms' own supports, so nothing is built over the rest of space."""
-    acc: dict[Simplex, int] = {}
+    acc: dict[tuple, int] = {}
     for weight, items in terms:
         for s, v in items:
             acc[s] = acc.get(s, 0) + weight * v
@@ -174,7 +173,7 @@ def euler_integral(phi: ConstructibleFunction) -> int:
     This is the compactly supported Euler characteristic weighted by the
     function; on indicators of subcomplexes it is the Euler characteristic.
     """
-    return sum(-v if s.dim % 2 else v for s, v in phi.items)
+    return sum(v if len(s) % 2 else -v for s, v in phi.items)
 
 
 def pullback(f: SimplicialMap, psi: ConstructibleFunction) -> ConstructibleFunction:
@@ -224,7 +223,6 @@ def dual(phi: ConstructibleFunction) -> ConstructibleFunction:
             face = t[:k] + t[k + 1:]
             x = acc.get(face)
             if x is None:  # first reached: each vertex of it still to pass holds it
-                face = Simplex._raw(face)
                 for u in filter(holding.__contains__, face):
                     holding[u].append(face)
                 x = 0
@@ -276,7 +274,7 @@ def _require_supported_in(phi: ConstructibleFunction, opensub: OpenSubset) -> No
     keep = opensub.simplices
     for s, _ in phi.items:
         if s not in keep:
-            raise ModelError(f"function is not supported in the open subset: {s}")
+            raise ModelError(f"function is not supported in the open subset: {_text(s)}")
 
 
 def open_extend(opensub: OpenSubset, psi: ConstructibleFunction) -> ConstructibleFunction:
@@ -321,13 +319,13 @@ def triangle_decompose(
     for u, v in phi.items:
         if u in spot:
             on_m[spot[u]] = v
-        elif not apart(u):  # a plain tuple per simplex, a Simplex per trace
+        elif not apart(u):
             sums[tuple(filter(of_m, u))] += v if len(u) % 2 else -v
-    return _split_star(closed, on_m, [(Simplex._raw(w), v) for w, v in sorted(sums.items())])
+    return _split_star(closed, on_m, sorted(sums.items()))
 
 
 def _split_star(
-    closed: Subcomplex, on_m: Sequence[int], sums: Sequence[tuple[Simplex, int]]
+    closed: Subcomplex, on_m: Sequence[int], sums: Sequence[tuple[tuple, int]]
 ) -> tuple[ConstructibleFunction, ConstructibleFunction]:
     """triangle_decompose from phi's values on the subcomplex M, on_m in M's
     canonical order, and the pairs (w, v(w)) in canonical trace order, v(w)

@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from itertools import repeat
 
 from .calculus import ConstructibleFunction, dual, euler_integral, indicator
-from .complexes import Simplex
+from .complexes import Simplex, _text
 from .errors import ModelError, SceneSyntaxError
 from .indices import hyperfunction_dimension, hyperfunction_index, parity_index, solution_index
 from .scenes import (
@@ -97,7 +97,7 @@ def _parse_at(raw: str, scene: Scene | None = None) -> Simplex:
         raise ModelError("--at needs at least one vertex name")
     at = Simplex(vertices)
     if scene is not None and not scene.pair.real_form.has(at):
-        raise ModelError(f"{at} is not a simplex of the real form {scene.real_form_name!r}")
+        raise ModelError(f"{_text(at)} is not a simplex of the real form {scene.real_form_name!r}")
     return at
 
 
@@ -112,7 +112,7 @@ def _value_out(args, value: int, doc: dict) -> int:
     return 0
 
 
-def _value_rows(phi, include_zeros: bool) -> Iterable[tuple[Simplex, int]]:
+def _value_rows(phi, include_zeros: bool) -> Iterable[tuple[tuple, int]]:
     """phi's (simplex, value) pairs in canonical order, zeros too with include_zeros"""
     if include_zeros:
         order = phi.ambient.ordered()
@@ -121,7 +121,7 @@ def _value_rows(phi, include_zeros: bool) -> Iterable[tuple[Simplex, int]]:
 
 
 def _print_table(phi, include_zeros: bool) -> None:
-    sys.stdout.writelines(f"{s}\t{v}\n" for s, v in _value_rows(phi, include_zeros))
+    sys.stdout.writelines(f"{_text(s)}\t{v}\n" for s, v in _value_rows(phi, include_zeros))
 
 
 def _scene_function(scene: Scene, spec: str, allow_hyper: bool) -> tuple[str, ConstructibleFunction]:

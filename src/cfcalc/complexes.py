@@ -6,16 +6,19 @@ built on top of these complexes are constant on open simplices, which is
 what keeps the whole calculus exact and finite.
 
 Vertex identifiers are opaque strings; any other value, such as an
-integer, is named by its str().  A simplex is its sorted vertex tuple, and the canonical
-order on simplices is the lexicographic order of those tuples.
+integer, is named by its str().  A simplex is the plain tuple of its
+sorted vertex names, and the canonical order on simplices is the
+lexicographic order of those tuples.  Every simplex the package computes
+is such a tuple; the tuple subclass Simplex is kept only for the points a
+user names (simplex(...), probes, expected values and the CLI's --at),
+and one helper, _text, writes a simplex's text at every output edge.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter, defaultdict
-from functools import partial
+from itertools import chain, combinations, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._frozen import Frozen, cached
@@ -29,7 +32,9 @@ MAX_SIMPLICES = 10**6
 
 
 def _canonical_vertices(vertices: Iterable) -> tuple[str, ...]:
-    names = list(map(str, vertices))
+    """The simplex named by vertices, as its sorted tuple of names: a bare
+    string is one vertex name."""
+    names = [vertices] if isinstance(vertices, str) else list(map(str, vertices))
     if not names:
         raise ModelError("a simplex needs at least one vertex")
     if len(set(names)) != len(names):
@@ -37,42 +42,27 @@ def _canonical_vertices(vertices: Iterable) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-class Simplex(tuple):
-    """A nonempty set of vertex ids: the tuple of their names, sorted.
+# a simplex's text, at every output edge: its vertex names, space-joined
+_text = " ".join
 
-    A simplex is its sorted vertex tuple, so it compares, orders and
-    hashes as that tuple, and a dict keyed by simplices is found by vertex
-    tuples.  dim is one less than its length.
-    """
+
+class Simplex(tuple):
+    """A point a user names, read by _canonical_vertices: the simplex
+    itself, a plain tuple, with the simplex's text as its str.  Every
+    simplex the package computes is the plain tuple."""
 
     __slots__ = ()
 
     def __new__(cls, vertices: Iterable) -> "Simplex":
         if isinstance(vertices, Simplex):
             return vertices
-        if isinstance(vertices, str):
-            vertices = [vertices]  # a bare string is one vertex name
         return tuple.__new__(cls, _canonical_vertices(vertices))
-
-    @property
-    def vertices(self) -> "Simplex":
-        """The sorted vertex names, which is the simplex itself."""
-        return self
-
-    @property
-    def dim(self) -> int:
-        return len(self) - 1
 
     def __repr__(self) -> str:
         return f"Simplex(vertices={tuple(self)!r})"
 
     def __str__(self) -> str:
-        return " ".join(self)
-
-
-# Simplex._raw(t) is tuple.__new__(Simplex, t), run without a Python frame: the
-# fast path for internal callers that already hold a canonical tuple
-Simplex._raw = partial(tuple.__new__, Simplex)
+        return _text(self)
 
 
 def simplex(*vertices) -> Simplex:
@@ -80,30 +70,39 @@ def simplex(*vertices) -> Simplex:
     return Simplex(vertices)
 
 
+def _find(simplices: frozenset, simplex_like) -> tuple[str, ...]:
+    """simplex_like as a simplex: a tuple in simplices as it is, anything
+    else read by _canonical_vertices, which may not be in simplices."""
+    try:
+        if simplex_like in simplices:
+            return tuple(simplex_like)
+    except TypeError:  # unhashable, such as a list
+        pass
+    return _canonical_vertices(simplex_like)
+
+
 def _simplex_set(simplices: Iterable, parent: SimplicialComplex | None = None) -> frozenset:
-    """The given simplices as a set, each read by Simplex; given a parent,
-    one outside it is refused."""
-    sset = frozenset(map(Simplex, simplices))
+    """The given simplices as a set, each read by _canonical_vertices; given
+    a parent, one outside it is refused."""
+    sset = frozenset(map(_canonical_vertices, simplices))
     if parent is not None:
         stray = sset - parent.simplices
         if stray:
-            raise MissingSimplexError(f"{min(stray)} is not a simplex of the parent complex")
+            raise MissingSimplexError(f"{_text(min(stray))} is not a simplex of the parent complex")
     return sset
 
 
-def _require_face_closed(sset: frozenset[Simplex], what: str) -> None:
+def _require_face_closed(sset: frozenset, what: str) -> None:
     """Raise ModelError(what), filled with {face} and {simplex}, at the least
     facet missing from the set of its least member missing one; every facet
     of each member gives every face, by induction on dimension."""
-    missing = [
-        (s, f) for s in sset for f in itertools.combinations(s, s.dim) if f and f not in sset
-    ]
+    missing = [(s, f) for s in sset for f in combinations(s, len(s) - 1) if f and f not in sset]
     if missing:
         s, facet = min(missing)
-        raise ModelError(what.format(face=Simplex._raw(facet), simplex=s))
+        raise ModelError(what.format(face=_text(facet), simplex=_text(s)))
 
 
-def _closure_bound(gens: set[Simplex]) -> int:
+def _closure_bound(gens: set) -> int:
     """The most simplices the face closure of distinct generators can hold."""
     return sum((1 << len(s)) - 1 for s in gens)
 
@@ -116,14 +115,16 @@ def _within_budget(bound: int, what: str) -> None:
         )
 
 
-def _face_closure(gens: set[Simplex]) -> frozenset[Simplex]:
-    """Every face of the distinct generators once, whose closure the caller
-    has bounded by _closure_bound and _within_budget."""
-    faces = {f for s in gens for n in range(1, len(s) + 1) for f in itertools.combinations(s, n)}
-    return frozenset(map(Simplex._raw, faces))
+def _face_closure(gens: set) -> frozenset:
+    """Every face of the distinct generators once, listed one size at a time
+    in C and kept as listed, whose closure the caller has bounded by
+    _closure_bound and _within_budget."""
+    sizes = range(1, max(map(len, gens), default=0) + 1)
+    per_size = (map(combinations, gens, repeat(n)) for n in sizes)
+    return frozenset(chain.from_iterable(chain.from_iterable(per_size)))
 
 
-def _close(gens: set[Simplex]) -> "SimplicialComplex":
+def _close(gens: set) -> "SimplicialComplex":
     """The complex closed from distinct generators whose closure the caller
     has bounded."""
     return SimplicialComplex._closed(_face_closure(gens), gens)
@@ -140,7 +141,7 @@ class SimplicialComplex(Frozen):
         super().__init__(sset)
 
     @classmethod
-    def _closed(cls, simplices: Iterable[Simplex], generators=None) -> "SimplicialComplex":
+    def _closed(cls, simplices: Iterable, generators=None) -> "SimplicialComplex":
         # for sets the package closed under faces itself: nothing is checked;
         # generators, if given, are the distinct simplices they close
         space = object.__new__(cls)
@@ -161,30 +162,30 @@ class SimplicialComplex(Frozen):
 
     @property
     def dim(self) -> int:
-        return max((s.dim for s in self.simplices), default=-1)
+        return max(map(len, self.simplices), default=0) - 1
 
     @property
     @cached
     def vertices(self) -> frozenset[str]:
         """The vertex names."""
-        return frozenset(itertools.chain.from_iterable(self.simplices))
+        return frozenset(chain.from_iterable(self.simplices))
 
     def has(self, simplex_like) -> bool:
-        return Simplex(simplex_like) in self.simplices
+        return _find(self.simplices, simplex_like) in self.simplices
 
     @cached
-    def ordered(self) -> tuple[Simplex, ...]:
+    def ordered(self) -> tuple[tuple, ...]:
         """The simplices in canonical order."""
         return tuple(sorted(self.simplices))
 
     @cached
-    def position(self) -> dict[Simplex, int]:
+    def position(self) -> dict[tuple, int]:
         """Each simplex's place in ordered(); since a simplex is its vertex
         tuple, it is found by vertex tuples too."""
         return {s: i for i, s in enumerate(self.ordered())}
 
     @cached
-    def maximal_simplices(self) -> tuple[Simplex, ...]:
+    def maximal_simplices(self) -> tuple[tuple, ...]:
         """The simplices that are no member's proper face, in canonical
         order: the generators, when the package closed distinct simplices
         of one size itself, else by one facet scan."""
@@ -192,7 +193,7 @@ class SimplicialComplex(Frozen):
         if gens and len(set(map(len, gens))) == 1:
             return tuple(sorted(gens))
         # in a face-closed set, a proper face of a member is a facet of one
-        facets = {f for s in self.simplices for f in itertools.combinations(s, s.dim)}
+        facets = {f for s in self.simplices for f in combinations(s, len(s) - 1)}
         return tuple(sorted(s for s in self.simplices if s not in facets))
 
     def __len__(self) -> int:
@@ -201,7 +202,7 @@ class SimplicialComplex(Frozen):
 
 def build_complex(maximal_simplices: Iterable) -> SimplicialComplex:
     """Face closure of the given simplices.  An empty list gives the empty complex."""
-    gens = set(map(Simplex, maximal_simplices))
+    gens = set(map(_canonical_vertices, maximal_simplices))
     _within_budget(_closure_bound(gens), "face closure")
     return _close(gens)
 
@@ -245,7 +246,7 @@ class Subcomplex(Frozen):
         return self._space.vertices
 
     def has(self, simplex_like) -> bool:
-        return Simplex(simplex_like) in self.simplices
+        return _find(self.simplices, simplex_like) in self.simplices
 
     def as_complex(self) -> SimplicialComplex:
         """The subcomplex as a complex of its own, made with it."""
@@ -257,17 +258,17 @@ class Subcomplex(Frozen):
         space = SimplicialComplex._closed(self.simplices & other.simplices)
         return Subcomplex._of(self.parent, space)
 
-    def maximal_simplices(self) -> tuple[Simplex, ...]:
+    def maximal_simplices(self) -> tuple[tuple, ...]:
         return self._space.maximal_simplices()
 
 
 def subcomplex(space: SimplicialComplex, generators: Iterable) -> Subcomplex:
     """Face closure, inside the parent, of the given generating simplices."""
-    gens = [Simplex(g) for g in generators]
+    gens = [_find(space.simplices, g) for g in generators]
     for s in gens:
         if s not in space.simplices:
             raise MissingSimplexError(
-                f"generator {s} is not a simplex of the parent complex"
+                f"generator {_text(s)} is not a simplex of the parent complex"
             )
     tops = set(gens)
     _within_budget(_closure_bound(tops), "face closure")
@@ -296,7 +297,7 @@ class OpenSubset(Frozen):
         return not self.simplices
 
     def has(self, simplex_like) -> bool:
-        return Simplex(simplex_like) in self.simplices
+        return _find(self.simplices, simplex_like) in self.simplices
 
 
 def complement_open(space: SimplicialComplex, closed: Subcomplex) -> OpenSubset:
@@ -334,12 +335,12 @@ def _staircase(left_tops, right_tops, left_order, right_order) -> list[list[str]
     for lv in lefts:
         for rv in rights:
             steps = len(lv) + len(rv) - 2
-            for rows in itertools.combinations(range(steps), len(lv) - 1):
-                i, chain = 0, []  # i counts the row steps among the first t
+            for rows in combinations(range(steps), len(lv) - 1):
+                i, top = 0, []  # i counts the row steps among the first t
                 for t in range(steps + 1):
-                    chain.append(f"{lv[i]}{PRODUCT_SEPARATOR}{rv[t - i]}")
+                    top.append(f"{lv[i]}{PRODUCT_SEPARATOR}{rv[t - i]}")
                     i += t in rows
-                chains.append(chain)
+                chains.append(top)
     return chains
 
 
@@ -369,7 +370,7 @@ def product(
     """
     lorder = _validate_order(left, left_order, "left_order")
     rorder = _validate_order(right, right_order, "right_order")
-    for v in itertools.chain(lorder, rorder):
+    for v in chain(lorder, rorder):
         if PRODUCT_SEPARATOR in v:
             raise ModelError(
                 f"vertex {v!r} contains {PRODUCT_SEPARATOR!r}, which is reserved for product names"
@@ -426,7 +427,7 @@ class SimplicialMap(Frozen):
             # the least stray simplex is named, whatever the set's hash order
             stray = zip(source.simplices, _images(vm, source.simplices))
             s, t = min((s, t) for s, t in stray if t not in target.simplices)
-            raise ModelError(f"image {Simplex._raw(t)} of {s} is not a simplex of the target")
+            raise ModelError(f"image {_text(t)} of {_text(s)} is not a simplex of the target")
 
     @property
     def vertex_map(self) -> dict[str, str]:
@@ -442,9 +443,9 @@ class SimplicialMap(Frozen):
         except KeyError:
             raise MissingSimplexError(f"{v!r} is not a vertex of the source") from None
 
-    def image(self, s: Simplex) -> Simplex:
+    def image(self, s: tuple) -> tuple:
         try:
-            return Simplex._raw(next(_images(self._vertex_table(), (s,))))
+            return next(_images(self._vertex_table(), (s,)))
         except KeyError as err:
             raise MissingSimplexError(f"{err.args[0]!r} is not a vertex of the source") from None
 
@@ -491,7 +492,7 @@ class Involution(Frozen):
         s = min((s for s in invariant if any(vm[v] != v for v in s)), default=None)
         if s is not None:
             raise ModelError(
-                f"involution is not regular: {s} maps onto itself without fixing its vertices"
+                f"involution is not regular: {_text(s)} maps onto itself without fixing its vertices"
             )
         super().__init__(underlying)
 
@@ -502,7 +503,7 @@ class Involution(Frozen):
     def vertex(self, v: str) -> str:
         return self.underlying.vertex(v)
 
-    def image(self, s: Simplex) -> Simplex:
+    def image(self, s: tuple) -> tuple:
         return self.underlying.image(s)
 
 
@@ -550,17 +551,17 @@ def quotient_by_involution(
             "involution is not strongly free: some simplex meets its image"
         )
     orbit = {v: min(v, w) for v, w in tau.underlying.vertex_pairs}
-    groups: dict[Simplex, set[Simplex]] = defaultdict(set)
+    groups: dict[tuple, set] = defaultdict(set)
     simplices = tau.space.simplices
     for s, t in zip(simplices, _images(orbit, simplices)):
-        groups[Simplex._raw(t)].add(s)
+        groups[t].add(s)
     # the group of s holds tau(s), which is not s, so it is the orbit of s
     # exactly when it holds two simplices
     crowded = [img for img, grp in groups.items() if len(grp) != 2]
     if crowded:
         img = min(crowded)
         raise ModelError(
-            f"orbit map does not give a simplicial quotient at {img}: "
+            f"orbit map does not give a simplicial quotient at {_text(img)}: "
             f"{len(groups[img])} simplices share one image; refine the model (e.g. subdivide)"
         )
     quotient = SimplicialComplex._closed(groups.keys())
@@ -568,9 +569,9 @@ def quotient_by_involution(
     return quotient, projection
 
 
-def is_connected(simplices: Iterable[Simplex]) -> bool:
+def is_connected(simplices: Iterable) -> bool:
     """Vertex connectivity of a family of simplices.  Empty families are not connected."""
-    sims = [Simplex(s) for s in simplices]
+    sims = list(map(_canonical_vertices, simplices))
     if not sims:
         return False
     adjacency: dict[str, set[str]] = defaultdict(set)

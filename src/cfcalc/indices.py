@@ -36,6 +36,7 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     Subcomplex,
+    _text,
     fixed_point_set,
     inclusion_map,
     is_connected,
@@ -92,7 +93,7 @@ class Stratum(Frozen):
         if stray:
             raise ModelError(
                 f"stratum {self.name!r}: eu is not supported on the support "
-                f"(value at {stray[0]})"
+                f"(value at {_text(stray[0])})"
             )
         # with no stray value, eu is 1 on the support when it holds one 1 per simplex
         if self.smooth and [v for _, v in self.eu.items] != [1] * len(simplices):
@@ -165,9 +166,9 @@ class RealComplexPair(Frozen):
         probes = tuple(sorted(Simplex(p) for p in self.probes))
         for prev, p in zip((None,) + probes, probes):  # sorted: a repeat follows itself
             if p not in self.real_form.simplices:
-                raise ModelError(f"probe {p} is not a simplex of the real form")
+                raise ModelError(f"probe {_text(p)} is not a simplex of the real form")
             if p == prev:
-                raise ModelError(f"duplicate probe {p}")
+                raise ModelError(f"duplicate probe {_text(p)}")
         object.__setattr__(self, "probes", probes)
 
     def real_complex(self) -> SimplicialComplex:
@@ -322,9 +323,9 @@ class _Rows:
         for p in self.probes:
             got = row(p)
             if isinstance(got, str):
-                self.skip(check, str(p), got)
+                self.skip(check, _text(p), got)
             else:
-                self.compare(check, str(p), *got)
+                self.compare(check, _text(p), *got)
 
 
 def _first_mismatch(left: ConstructibleFunction, right: ConstructibleFunction) -> str:
@@ -339,7 +340,7 @@ def _first_mismatch(left: ConstructibleFunction, right: ConstructibleFunction) -
         return f"on different complexes ({len(left.ambient)} vs {len(right.ambient)} simplices)"
     lv, rv = left._lookup(), right._lookup()
     s = min(s for s in lv.keys() | rv.keys() if lv.get(s, 0) != rv.get(s, 0))
-    return f"mismatch at {s} ({lv.get(s, 0)} vs {rv.get(s, 0)})"
+    return f"mismatch at {_text(s)} ({lv.get(s, 0)} vs {rv.get(s, 0)})"
 
 
 # the values of verify's random functions, one random byte per simplex mapped
@@ -353,7 +354,7 @@ _OFFSET_TABLE = bytes(v + _DRAW_OFFSET for v in memoryview(_DRAW_TABLE).cast("b"
 
 
 @cached
-def _star_runs(closed: Subcomplex) -> list[tuple[slice, Simplex]]:
+def _star_runs(closed: Subcomplex) -> list[tuple[slice, tuple]]:
     """The layout of verify's draws over the open star of the subcomplex M
     (every parent simplex with a vertex in M): M's n simplices first, in
     M's canonical order, then one run per trace w, the vertices in M of a
@@ -367,7 +368,7 @@ def _star_runs(closed: Subcomplex) -> list[tuple[slice, Simplex]]:
     traces = Counter(tuple(filter(of_m, u)) for u in filterfalse(space.simplices.__contains__, star))
     runs, start = [], len(space)
     for w in sorted(traces):
-        runs.append((slice(start, start + traces[w]), Simplex._raw(w)))
+        runs.append((slice(start, start + traces[w]), w))
         start += traces[w]
     return runs
 
@@ -402,7 +403,7 @@ def _scene_rows(pair: RealComplexPair, cycle: CharacteristicCycle, expectations)
         for p, _ in values:
             if p not in pair.real_form.simplices:
                 raise ModelError(
-                    f"{key} is declared at {p}, which is not a simplex of the real form"
+                    f"{key} is declared at {_text(p)}, which is not a simplex of the real form"
                 )
     rows = _Rows(pair.probes)
     strata = sorted(cycle, key=lambda st: st.name)
@@ -435,9 +436,9 @@ def _scene_rows(pair: RealComplexPair, cycle: CharacteristicCycle, expectations)
     for key, values, function in zip(_EXPECT_VALUE_KEYS, declared, (hyper, dimension, parity)):
         for p, v in values:
             if function is None:
-                rows.skip(f"value[{key}]", str(p), "dimension formula not applicable")
+                rows.skip(f"value[{key}]", _text(p), "dimension formula not applicable")
             else:
-                rows.compare(f"value[{key}]", str(p), v, function.value(p))
+                rows.compare(f"value[{key}]", _text(p), v, function.value(p))
 
     # hyperfunction index mod 2 equals the parity function
     rows.at_probes("parity_formula", lambda p: (parity.value(p), hyper.value(p) % 2))
@@ -503,7 +504,7 @@ def _scene_rows(pair: RealComplexPair, cycle: CharacteristicCycle, expectations)
                 odd = sorted(s for s, v in folded.items if v % 2)
                 rows.compare(
                     "covering_parity", "orbit_pushforward", "all values even",
-                    "all values even" if not odd else f"odd value at {odd[0]}",
+                    "all values even" if not odd else f"odd value at {_text(odd[0])}",
                 )
 
     # every check the scene declares must actually have been applicable

@@ -23,9 +23,11 @@ from .complexes import (
     MAX_SIMPLICES,
     Simplex,
     Subcomplex,
+    _canonical_vertices,
     _close,
     _closure_bound,
     _staircase,
+    _text,
     _within_budget,
     involution,
     subcomplex,
@@ -176,14 +178,14 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
-def _as_simplex(value, path: str) -> Simplex:
+def _as_simplex(value, path: str) -> tuple[str, ...]:
     verts = [
         _as_vertex(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))
     ]
-    return _under(path, Simplex, verts)
+    return _under(path, _canonical_vertices, verts)
 
 
-def _simplices(value: list) -> list[Simplex] | None:
+def _simplices(value: list) -> list[tuple] | None:
     """The items of value as simplices when each is a nonempty list of
     names in strictly increasing order, as emitted, each a nonempty exact
     str that no vertex check refuses: a few passes over all the names at
@@ -201,28 +203,28 @@ def _simplices(value: list) -> list[Simplex] | None:
     joined = "".join(names)
     if _SEPARATOR.search(joined) or not joined.isascii() and _LONE_SURROGATE.search(joined):
         return None
-    return [*map(Simplex._raw, map(tuple, value))]
+    return [*map(tuple, value)]
 
 
-def _as_simplices(value, path: str) -> list[Simplex]:
+def _as_simplices(value, path: str) -> list[tuple]:
     value = _as_list(value, path)
     return _simplices(value) or [_as_simplex(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def _as_entries(value, path: str, within, what: str) -> dict[Simplex, int]:
+def _as_entries(value, path: str, within, what: str) -> dict[tuple, int]:
     """An {at, value} list as a dict in list order: each at a simplex of
     within, what names that set, and no at twice."""
     entries = _as_list(value, path)
     ats = _simplices([e.get("at") if e.__class__ is dict else None for e in entries])
-    out: dict[Simplex, int] = {}
+    out: dict[tuple, int] = {}
     for i, entry in enumerate(entries):
         e_path = f"{path}[{i}]"
         _as_object(entry, e_path, ("at", "value"), ())
         at = ats[i] if ats else _as_simplex(entry["at"], f"{e_path}.at")
         if at not in within:
-            _fail(f"{e_path}.at", f"{at} is not {what}")
+            _fail(f"{e_path}.at", f"{_text(at)} is not {what}")
         if at in out:
-            _fail(f"{e_path}.at", f"duplicate entry for {at}")
+            _fail(f"{e_path}.at", f"duplicate entry for {_text(at)}")
         out[at] = _as_int(entry["value"], f"{e_path}.value")
     return out
 
@@ -274,7 +276,7 @@ def _scene_from_doc(doc: dict) -> Scene:
 
     # every simplex list is parsed, and all their closures bounded together,
     # before any is closed
-    sub_gens: dict[str, list[Simplex] | None] = {}
+    sub_gens: dict[str, list[tuple] | None] = {}
     for sub_name, gens_doc in _as_object(doc["subcomplexes"], "subcomplexes").items():
         _as_text(sub_name, f"subcomplexes key {sub_name!r}")
         if gens_doc == maximal:  # already parsed: it closes to the whole complex
@@ -338,7 +340,7 @@ def _scene_from_doc(doc: dict) -> Scene:
         smooth = _as_bool(st_doc.get("smooth", True), f"{path}.smooth")
         allow_empty = _as_bool(st_doc.get("allow_empty_trace", False), f"{path}.allow_empty_trace")
 
-        overrides: dict[Simplex, int] = {}
+        overrides: dict[tuple, int] = {}
         if "eu" in st_doc:
             eu_doc = _as_object(st_doc["eu"], f"{path}.eu", ("default",), ("overrides",))
             if _as_int(eu_doc["default"], f"{path}.eu.default") != 1:
@@ -371,9 +373,9 @@ def _scene_from_doc(doc: dict) -> Scene:
             for s in sorted(support.simplices):
                 img = conj.image(s)
                 if not support.has(img):
-                    _fail(f"{path}.support", f"conjugation moves {s} outside the support")
+                    _fail(f"{path}.support", f"conjugation moves {_text(s)} outside the support")
                 if eu.value(img) != eu.value(s):
-                    _fail(f"{path}.eu", f"eu is not conjugation invariant at {s}")
+                    _fail(f"{path}.eu", f"eu is not conjugation invariant at {_text(s)}")
 
         strata.append(_under(
             path, Stratum, st_name, support, codim, mult, eu,
@@ -383,12 +385,12 @@ def _scene_from_doc(doc: dict) -> Scene:
 
     cycle = _under("strata", CharacteristicCycle, strata)
 
-    probes: set[Simplex] = set()
+    probes: set[tuple] = set()
     for i, p in enumerate(_as_simplices(doc["probes"], "probes")):
         if p not in real_form.simplices:
-            _fail(f"probes[{i}]", f"{p} is not a simplex of the real form")
+            _fail(f"probes[{i}]", f"{_text(p)} is not a simplex of the real form")
         if p in probes:
-            _fail(f"probes[{i}]", f"duplicate probe {p}")
+            _fail(f"probes[{i}]", f"duplicate probe {_text(p)}")
         probes.add(p)
 
     pair = _under("real_form", RealComplexPair, ambient, real_form, n, conj, tuple(probes))
@@ -409,9 +411,9 @@ def _scene_from_doc(doc: dict) -> Scene:
     expect = Expectations(
         checks=tuple(sorted(checks)),
         **{
-            key: tuple(sorted(_as_entries(
+            key: tuple([(Simplex(p), v) for p, v in sorted(_as_entries(
                 exp_doc.get(key, []), f"expect.{key}", probes, "a declared probe"
-            ).items()))
+            ).items())])
             for key in _EXPECT_VALUE_KEYS
         },
     )
@@ -433,7 +435,7 @@ def _write(value, quote=_quote, newline: str = "\n") -> str:
     """value as json.dumps(value, indent=2, sort_keys=True) writes it, with
     ensure_ascii=False under quote _quote and True under _quote_ascii;
     newline is the line break plus the indent of value's level.  Only dict,
-    list, tuple (a Simplex too, as a list), str, int, bool and None are
+    list, tuple (a simplex too, as a list), str, int, bool and None are
     written: a float raises TypeError."""
     if isinstance(value, str):
         return quote(value)

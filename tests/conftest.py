@@ -15,7 +15,6 @@ os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 from cfcalc import (  # noqa: E402
     ConstructibleFunction,
-    Simplex,
     build_complex,
     build_model,
     emit_scene,
@@ -125,7 +124,7 @@ def random_free_involution(rng: random.Random):
         tau = antipodal(space, k)
     else:
         base = random_complex(rng, max_vertices=5, max_dim=2)
-        sims = [s.vertices for s in base.simplices]
+        sims = list(base.simplices)
         doubled = build_complex(
             [[f"u{v[1:]}" for v in s] for s in sims]
             + [[f"w{v[1:]}" for v in s] for s in sims]

@@ -200,7 +200,7 @@ def test_8_calculus_sanity():
         edge = build_complex([["u", "w"]])
         for _ in range(110):
             base = random_complex(rng)
-            coned = build_complex([s.vertices + ("apex",) for s in base.maximal_simplices()])
+            coned = build_complex([s + ("apex",) for s in base.maximal_simplices()])
             f = simplicial_map(base, coned, {v: v for v in base.vertices})
             g = simplicial_map(coned, edge, {v: ("w" if v == "apex" else "u") for v in coned.vertices})
             phi = random_cf(rng, base)

@@ -99,6 +99,76 @@ class TestFunctionBasics:
         assert euler_integral(indicator(tetra)) == 2
 
 
+def outcome(fn, arg):
+    """fn(arg), a function as its items, or the type and message it raised."""
+    try:
+        got = fn(arg)
+    except (ModelError, TypeError) as err:
+        return type(err).__name__, str(err)
+    return got.items if isinstance(got, ConstructibleFunction) else got
+
+
+class TestLookup:
+    """has, value and the checked constructor find a tuple of the complex as
+    it is and read anything else as a named simplex: unsorted, a list, a
+    bare string as one name, integers by their str(), each refusal worded
+    as before simplices became plain tuples."""
+
+    SPACE = build_complex([["a", "b", "c"], ["1", "2"]])
+    EDGE = subcomplex(SPACE, [["a", "b"]])
+    PHI = ConstructibleFunction(SPACE, {("a", "b"): 5, ("1",): 7})
+    DUPLICATE = ("ModelError", "duplicate vertices in simplex ['a', 'a']")
+    EMPTY = ("ModelError", "a simplex needs at least one vertex")
+    NOT_ITERABLE = ("TypeError", "'int' object is not iterable")
+
+    # argument: (SPACE.has, EDGE.has, PHI.value)
+    CASES = [
+        (("b", "a"), (True, True, 5)),
+        (["b", "a"], (True, True, 5)),
+        (simplex("b", "a"), (True, True, 5)),
+        ("a", (True, True, 0)),
+        ("ab", (
+            False, False, ("MissingSimplexError", "ab is not a simplex of the ambient complex")
+        )),
+        (("a", "a"), (DUPLICATE,) * 3),
+        ((), (EMPTY,) * 3),
+        ([], (EMPTY,) * 3),
+        ((1, 2), (True, False, 0)),
+        ([2, 1], (True, False, 0)),
+        (1, (NOT_ITERABLE,) * 3),
+        (("z",), (
+            False, False, ("MissingSimplexError", "z is not a simplex of the ambient complex")
+        )),
+        (("a", "b", "c"), (True, False, 0)),
+        ({"c"}, (True, False, 0)),
+        (frozenset({"a", "b"}), (True, True, 5)),
+    ]
+
+    @pytest.mark.parametrize("arg,expected", CASES, ids=repr)
+    def test_has_and_value(self, arg, expected):
+        got = tuple(outcome(fn, arg) for fn in (self.SPACE.has, self.EDGE.has, self.PHI.value))
+        assert got == expected
+
+    @pytest.mark.parametrize("values,expected", [
+        ({("b", "a"): 2, "c": 1, (2, 1): 3}, ((("1", "2"), 3), (("a", "b"), 2), (("c",), 1))),
+        ({("b", "a"): 1, ("a", "b"): 2}, ((("a", "b"), 2),)),
+        ({simplex("a"): 1, ("a",): 0}, ()),
+        ({("a", "a"): 1}, DUPLICATE),
+        ({(): 1}, EMPTY),
+        ({1: 1}, NOT_ITERABLE),
+        ({("z",): 1}, ("MissingSimplexError", "z is not a simplex of the ambient complex")),
+        ({"ab": 1}, ("MissingSimplexError", "ab is not a simplex of the ambient complex")),
+        ({("a",): 1.5}, ("ModelError", "value at a must be an integer, got 1.5")),
+        ({("a",): True}, ("ModelError", "value at a must be an integer, got True")),
+    ], ids=repr)
+    def test_constructor(self, values, expected):
+        assert outcome(lambda v: ConstructibleFunction(self.SPACE, v), values) == expected
+
+    def test_every_key_is_kept_as_a_plain_tuple(self):
+        phi = ConstructibleFunction(self.SPACE, {simplex("b", "a"): 1, (2, 1): 2, "c": 3})
+        assert [type(s) for s, _ in phi.items] == [tuple] * 3
+
+
 class TestAddition:
     @settings(max_examples=150, deadline=None)
     @given(complex_with_cf(max_vertices=6), st.data())
@@ -342,8 +412,8 @@ class TestBaseChange:
             psi = random_cf(rng, y.as_complex())
             left = shriek_restrict(m, pushforward(inclusion_map(y), psi))
             trace = y.intersection(m)
-            trace_in_y = subcomplex(y.as_complex(), [s.vertices for s in trace.simplices])
-            trace_in_m = subcomplex(m.as_complex(), [s.vertices for s in trace.simplices])
+            trace_in_y = subcomplex(y.as_complex(), list(trace.simplices))
+            trace_in_m = subcomplex(m.as_complex(), list(trace.simplices))
             right = pushforward(inclusion_map(trace_in_m), shriek_restrict(trace_in_y, psi))
             assert left == right
             done += 1
@@ -440,50 +510,3 @@ class TestFreeInvolutions:
         tau = antipodal(polygon(6), 3)
         with pytest.raises(ModelError):
             orbit_pushforward(tau, zero_function(polygon(3)))
-
-
-def non_simplex_keys(space, phi, closed, f, psi) -> list:
-    """Whatever the calculus hands out as a simplex that is not a Simplex.
-
-    A plain vertex tuple equals the Simplex of the same vertices but prints
-    as a tuple.  This looks at the item keys of every operator and of the
-    arithmetic, and at the members of simplices, ordered(), position()
-    and the order of the star table.  The operators are read from cfcalc.calculus at
-    call time, so a fault planted there is seen.
-    """
-    calc = cfcalc.calculus
-    dphi, sums, split = calc.dual(phi), [], calc._split_star
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            calc, "_split_star", lambda c, on_m, s: sums.extend(s) or split(c, on_m, s)
-        )
-        terms = calc.triangle_decompose(closed, phi)
-    functions = [
-        dphi, calc.pushforward(f, phi), calc.pullback(f, psi), calc.restrict(phi, closed),
-        *terms, phi + dphi, phi - dphi, phi * dphi, 3 * phi, -phi,
-        calc.indicator(space), calc.indicator(closed),
-        calc.indicator(complement_open(space, closed)), calc.mod2_reduce(phi),
-    ]
-    found = [s for g in functions for s, _ in g.items]
-    for c in (space, closed, closed.as_complex(), f.target):
-        found += c.simplices
-    for c in (space, closed.as_complex(), f.target):
-        found += c.ordered()
-        found += c.position()
-    found += [w for w, _ in sums] + [w for _, w in cfcalc.indices._star_runs(closed)]
-    return [s for s in found if type(s) is not Simplex]
-
-
-class TestSimplexKeys:
-    @settings(max_examples=60, deadline=None)
-    @given(complex_with_cf(max_vertices=6), st.data())
-    def test_operators_key_by_simplex_only(self, pair, data):
-        space, phi = pair
-        closed = subcomplex(space, [s for s in space.ordered() if data.draw(st.booleans())])
-        target = build_complex([[f"t{i}" for i in range(data.draw(st.integers(1, 4)))]])
-        f = simplicial_map(
-            space, target,
-            {v: data.draw(st.sampled_from(sorted(target.vertices))) for v in sorted(space.vertices)},
-        )
-        psi = random_cf(random.Random(0), target)
-        assert non_simplex_keys(space, phi, closed, f, psi) == []

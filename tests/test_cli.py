@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -432,7 +433,7 @@ class TestExitCodes:
         make = ConstructibleFunction._of
 
         def drops_vertices(ambient, items):
-            return make(ambient, tuple([(s, v) for s, v in items if s.dim > 0]))
+            return make(ambient, tuple([(s, v) for s, v in items if len(s) > 1]))
 
         monkeypatch.setattr(ConstructibleFunction, "_of", drops_vertices)
         code, out, err = run(capsys, "verify", "pair_C_R(m=2)")
@@ -646,6 +647,50 @@ def test_invalid_scene_names_its_path(capsys, tmp_path, case):
     path = tmp_path / "invalid.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run(capsys, "check", str(path)) == (2, "", f"error: {message}\n")
+
+
+# every output form of each scene command: (command, its flag sets)
+OUTPUT_FORMS = [
+    ("check", [[], ["--json"]]),
+    *[(c, [[], ["--all"], ["--json"], ["--all", "--json"]])
+      for c in ("index", "hyperdim", "parity", "dual")],
+    ("integrate", [[], ["--json"]]),
+    ("verify", [[], ["--json"]]),
+]
+
+
+def printed_tuples() -> list[str]:
+    """The commands whose stdout or stderr holds a tuple's repr, "('": each
+    command in each output form on the five models at k = 3, models emit,
+    check on every scene of INVALID_SCENES and verify on the crafted
+    golden scenes, which hold failed rows.  A simplex reaches the output as
+    the text helper writes it, never as str() of a plain tuple."""
+    argvs = [["models", "emit", info.name, "k=3"] for info in list_models()]
+    argvs += [
+        [command, f"{info.name}(k=3)", *flags]
+        for info in list_models() for command, forms in OUTPUT_FORMS for flags in forms
+    ]
+    golden = Path(__file__).resolve().parent / "golden"
+    argvs += [["verify", str(path)] for path in sorted(golden.glob("scene_*.json"))]
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, (model, edit, _) in sorted(INVALID_SCENES.items()):
+            doc = json.loads(emit_scene(build_model(model)))
+            edit(doc)
+            path = Path(tmp) / f"{case}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            argvs.append(["check", str(path)])
+        found = []
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                main(argv)
+            if "('" in out.getvalue() + err.getvalue():
+                found.append(" ".join(argv))
+    return found
+
+
+def test_no_simplex_is_printed_as_a_tuple():
+    assert printed_tuples() == []
 
 
 class TestValues:
@@ -1144,3 +1189,10 @@ class TestCollector:
             if was:
                 gc.enable()
         assert found == []
+
+    def test_built_faces_are_untracked_by_the_collector(self):
+        # every face is a plain tuple of strings, which a full collection
+        # untracks, so later passes walk none of them
+        scene = build_model("node_curve", k=6)
+        gc.collect()
+        assert not any(map(gc.is_tracked, scene.ambient.simplices))

@@ -158,7 +158,7 @@ def test_star_table_and_split_star_on_every_pair():
             split = cfcalc.calculus._split_star(closed, zero, [(t, int(t == w)) for t in traces])
             # a unit sum at w stands for (-1)^dim u 1_u at each u with trace w
             for u in us:
-                unit = ConstructibleFunction(complex_, {u: 1 if u.dim % 2 == 0 else -1})
+                unit = ConstructibleFunction(complex_, {u: 1 if len(u) % 2 else -1})
                 assert split == reference_triangle(closed, unit)
                 units += 1
     assert units == 4867  # the open stars of the 561 pairs
@@ -174,7 +174,7 @@ def test_restrict_on_every_pair():
             got = cfcalc.calculus.restrict(phi, closed)
             assert got.ambient is closed.as_complex()
             assert got.items == (((s, 1),) if s in closed.simplices else ())
-            assert all(type(t) is Simplex for t, _ in got.items)
+            assert all(type(t) is tuple for t, _ in got.items)
             checks += 1
     assert checks == 5463
 
@@ -201,7 +201,7 @@ def test_pushforward_and_pullback_along_every_map_to_the_triangle():
             maps += 1
             for s in complex_.ordered():
                 image = f.image(s)
-                assert type(image) is Simplex and image == Simplex({vmap[v] for v in s})
+                assert type(image) is tuple and image == tuple(sorted({vmap[v] for v in s}))
                 checks += 1
             gf = compose(g, f)
             assert gf == SimplicialMap(complex_, g.target, {v: g.vertex(vmap[v]) for v in vmap})

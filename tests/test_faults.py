@@ -3,8 +3,8 @@
 Every entry of FAULTS swaps one kernel piece for a wrong version and names
 the check that must notice it: a failing verify row on a built-in model,
 an oracle of tests/test_oracles.py or tests/test_calculus.py, a test of
-tests/test_exhaustive.py or tests/test_scenes.py, or a golden output of
-tests/test_golden.py.  A fault on a function is planted in every cfcalc
+tests/test_exhaustive.py, tests/test_scenes.py, tests/test_cli.py or
+tests/test_indices.py, or a golden output of tests/test_golden.py.  A fault on a function is planted in every cfcalc
 module that imported the name, so callers inside the package see it too.
 Each catcher is also run on the healthy kernel, where it must stay quiet,
 so a catcher that fires on everything proves nothing.
@@ -22,7 +22,6 @@ import cfcalc.indices
 from cfcalc import (
     ConstructibleFunction,
     ModelError,
-    Simplex,
     build_complex,
     build_model,
     complement_open,
@@ -31,10 +30,11 @@ from cfcalc import (
     simplicial_map,
     subcomplex,
 )
+import test_cli
 import test_exhaustive
+import test_indices
 import test_oracles
 import test_scenes
-from test_calculus import non_simplex_keys
 from test_golden import CASES, GOLDEN, _run
 from test_oracles import reference_pushforward, values
 
@@ -45,7 +45,7 @@ MODULES = (
 
 def twist(phi):
     """phi times (-1)^dim, simplex by simplex."""
-    return ConstructibleFunction(phi.ambient, {s: -v if s.dim % 2 else v for s, v in phi.items})
+    return ConstructibleFunction(phi.ambient, {s: v if len(s) % 2 else -v for s, v in phi.items})
 
 
 def keep(phi, wanted):
@@ -69,7 +69,7 @@ def function_fault(name, make, home=cfcalc):
 def restrict_drops_top(restrict):
     def faulty(phi, closed):
         plain = restrict(phi, closed)
-        return keep(plain, lambda s: s.dim < plain.ambient.dim)
+        return keep(plain, lambda s: len(s) - 1 < plain.ambient.dim)
     return faulty
 
 
@@ -77,16 +77,6 @@ def restrict_keeps_parent(restrict):
     """A restrict that keeps the right values but leaves them on the parent."""
     def faulty(phi, closed):
         return ConstructibleFunction(phi.ambient, dict(restrict(phi, closed).items))
-    return faulty
-
-
-def restrict_leaks_tuples(restrict):
-    """A restrict with the right values, keyed by plain vertex tuples: they
-    equal the simplices, so every equality-based check passes."""
-    def faulty(phi, closed):
-        plain = restrict(phi, closed)
-        items = tuple([(tuple(s), v) for s, v in plain.items])
-        return ConstructibleFunction._of(plain.ambient, items)
     return faulty
 
 
@@ -204,18 +194,10 @@ def open_pushforward_oracle(plant):
     return cfcalc.calculus.open_pushforward(u, psi) != indicator(interval)
 
 
-def simplex_keys(plant):
-    """test_operators_key_by_simplex_only, on a triangle with a tail, an
-    edge and a vertex of it, and a map onto an edge."""
-    space = build_complex([["a", "b", "c"], ["c", "d"]])
-    closed = subcomplex(space, [["a", "b"], ["d"]])
-    f = simplicial_map(
-        space, build_complex([["p", "q"]]), {"a": "p", "b": "p", "c": "q", "d": "q"}
-    )
-    phi = ConstructibleFunction(space, {s: 1 for s in space.simplices})
-    psi = indicator(f.target)
-    plant()
-    return non_simplex_keys(space, phi, closed, f, psi) != []
+def text_as_str(module):
+    """The module's simplex text helper replaced by str(), which writes a
+    computed simplex, a plain tuple, as its repr."""
+    return lambda monkeypatch: monkeypatch.setattr(module, "_text", str)
 
 
 def writer_oracle(plant):
@@ -242,6 +224,14 @@ def failing(test):
     return catch
 
 
+def first_mismatch_named(plant):
+    """TestFirstMismatch's test that the first difference is named as the
+    text "b0 c"."""
+    case = test_indices.TestFirstMismatch()
+    case.setup_method()
+    return failing(case.test_the_first_difference_in_canonical_order_is_reported)(plant)
+
+
 def golden(name):
     argv = dict(CASES)[name]
 
@@ -254,9 +244,9 @@ def golden(name):
 # fault -> (plant, catcher); the pushforward sign is invisible to verify,
 # which pushes only along maps that drop no dimension, a fibre sum that
 # overwrites shows only where two simplices share an image (the quotient
-# map of antipodal_cover), verify never calls restrict_open, a plain
-# vertex tuple equals its Simplex, so keys of the wrong type pass every
-# check that compares values, the costalk is built as the restriction
+# map of antipodal_cover), verify never calls restrict_open, a simplex
+# written by str() prints only where a computed simplex is printed, in
+# the CLI's tables and refusals or in a failed row's message, the costalk is built as the restriction
 # minus the boundary, so triangle_identity sees no fault of dual or the
 # split, verify reaches dual only where a trace with a nonzero sum is no
 # simplex of the real form, which no built-in model has, a dual kept on
@@ -307,7 +297,7 @@ FAULTS = {
     ),
     "pullback_drops_edges": (
         function_fault(
-            "pullback", lambda pull: lambda f, psi: keep(pull(f, psi), lambda s: s.dim != 1)
+            "pullback", lambda pull: lambda f, psi: keep(pull(f, psi), lambda s: len(s) != 2)
         ),
         verify_row("pair_C_R", "conjugation_invariance"),
     ),
@@ -318,10 +308,6 @@ FAULTS = {
     "restrict_keeps_parent": (
         function_fault("restrict", restrict_keeps_parent),
         verify_row("pair_C_R", "triangle_identity"),
-    ),
-    "restrict_leaks_tuples": (
-        function_fault("restrict", restrict_leaks_tuples),
-        simplex_keys,
     ),
     "restrict_open_keeps_everything": (
         function_fault("restrict_open", lambda _: lambda phi, opensub: phi),
@@ -345,14 +331,14 @@ FAULTS = {
     "indicator_drops_vertices": (
         function_fault(
             "indicator", lambda indicator: lambda region: keep(
-                indicator(region), lambda s: s.dim > 0
+                indicator(region), lambda s: len(s) > 1
             )
         ),
         verify_row("smooth_line_in_C2", "shriek_indicator"),
     ),
     "star_table_without_self": (
         # each trace's sum lands on the trace's first vertex, not on itself
-        runs_fault(lambda run, w: (run, Simplex(w[:1]))),
+        runs_fault(lambda run, w: (run, w[:1])),
         failing(partial(test_oracles.assert_verify_splits_the_draws, "node_curve", 0)),
     ),
     "bulk_reader_skips_order": (
@@ -362,6 +348,14 @@ FAULTS = {
     "writer_without_fallback": (
         function_fault("_write", write_without_fallback, cfcalc.scenes),
         writer_oracle,
+    ),
+    "table_text_as_str": (
+        text_as_str(cfcalc.cli),
+        failing(test_cli.test_no_simplex_is_printed_as_a_tuple),
+    ),
+    "mismatch_text_as_str": (
+        text_as_str(cfcalc.indices),
+        first_mismatch_named,
     ),
     "mod2_reduce_unreduced": (
         function_fault("mod2_reduce", lambda _: lambda phi: phi),

@@ -47,10 +47,9 @@ def count_components(sims) -> int:
     adjacency = defaultdict(set)
     vertices = set()
     for s in sims:
-        vs = s.vertices
-        vertices.update(vs)
-        for a in vs:
-            adjacency[a].update(v for v in vs if v != a)
+        vertices.update(s)
+        for a in s:
+            adjacency[a].update(v for v in s if v != a)
     seen: set = set()
     components = 0
     for v in sorted(vertices):
@@ -70,9 +69,9 @@ def link_within(support, center):
     """Simplices of the support avoiding center but spanning a coface with it."""
     out = []
     for s in support.simplices:
-        if set(center.vertices) & set(s.vertices):
+        if set(center) & set(s):
             continue
-        joined = tuple(sorted(set(s.vertices) | set(center.vertices)))
+        joined = tuple(sorted(set(s) | set(center)))
         if support.has(joined):
             out.append(s)
     return out
@@ -469,7 +468,6 @@ def value_objects():
     return [
         (scene, "name"),
         (scene.ambient, "simplices"),
-        (scene.ambient.ordered()[0], "vertices"),
         (pair.real_form, "parent"),
         (complement_open(scene.ambient, pair.real_form), "simplices"),
         (pair.conjugation, "underlying"),
@@ -489,7 +487,7 @@ def value_objects():
 class TestValueClasses:
     def test_every_value_class_is_frozen(self):
         objects = value_objects()
-        assert len({type(obj) for obj, _ in objects}) == 16
+        assert len({type(obj) for obj, _ in objects}) == 15
         for obj, field in objects:
             before = getattr(obj, field)
             with pytest.raises(AttributeError):

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cfcalc.calculus
+import cfcalc.complexes
 import cfcalc.indices
 from cfcalc import (
     CharacteristicCycle,
@@ -82,7 +83,7 @@ def simplicial_maps(draw, source):
     plus a few extra simplices on the same vertices."""
     names = [f"t{i}" for i in range(draw(st.integers(min_value=1, max_value=4)))]
     vmap = {v: draw(st.sampled_from(names)) for v in sorted(source.vertices)}
-    images = [{vmap[v] for v in s.vertices} for s in source.simplices]
+    images = [{vmap[v] for v in s} for s in source.simplices]
     hit = sorted(set(vmap.values()))
     extra = draw(st.lists(st.sets(st.sampled_from(hit), min_size=1), max_size=3))
     return simplicial_map(source, build_complex(images + extra), vmap)
@@ -96,7 +97,7 @@ def reference_dual(phi: ConstructibleFunction) -> dict:
     """D(phi)(s) = sum over the t having s as a face of (-1)^dim(t) phi(t),
     at every simplex s of the ambient; a t off phi's support adds 0, so
     only the support's terms are summed."""
-    terms = [(set(t), _sign(t.dim) * v) for t, v in phi.items]
+    terms = [(set(t), _sign(len(t) - 1) * v) for t, v in phi.items]
     return {s: sum(v for t, v in terms if t.issuperset(s)) for s in phi.ambient.simplices}
 
 
@@ -104,7 +105,7 @@ def reference_pushforward(f, phi: ConstructibleFunction) -> dict:
     """f_*(phi)(t) = sum over s with f(s) = t of (-1)^(dim s - dim t) phi(s)."""
     return {
         t: sum(
-            _sign(s.dim - t.dim) * phi.value(s)
+            _sign(len(s) - len(t)) * phi.value(s)
             for s in f.source.simplices
             if f.image(s) == t
         )
@@ -122,7 +123,7 @@ def sparse_on_node_curve():
     reaches faces outside the support."""
     space = build_model("node_curve", k=3).ambient
     rng = random.Random(3)
-    support = rng.sample([s for s in space.ordered() if s.dim >= 2], 8)
+    support = rng.sample([s for s in space.ordered() if len(s) >= 3], 8)
     return space, ConstructibleFunction(space, {s: rng.choice([-2, 1, 3, BIG]) for s in support})
 
 
@@ -172,10 +173,10 @@ def reference_triangle(closed: Subcomplex, phi: ConstructibleFunction):
     outside M: the open pushforward from U = K - M, since every coface of
     a simplex outside M is outside M.  Together they are DD(phi)(s) = phi(s)."""
     up, value = cofaces(phi.ambient), dict(phi.items)
-    d = {t: sum(_sign(u.dim) * value.get(u, 0) for u in us) for t, us in up.items()}
+    d = {t: sum(_sign(len(u) - 1) * value.get(u, 0) for u in us) for t, us in up.items()}
     costalk, boundary = {}, {}
     for s in closed.simplices:
-        terms = [(t in closed.simplices, _sign(t.dim) * d[t]) for t in up[s]]
+        terms = [(t in closed.simplices, _sign(len(t) - 1) * d[t]) for t in up[s]]
         costalk[s] = sum(v for inside, v in terms if inside)
         boundary[s] = sum(v for inside, v in terms if not inside)
         assert costalk[s] + boundary[s] == value.get(s, 0)
@@ -219,12 +220,12 @@ def star_traces(closed) -> dict:
     """Each trace w, the vertices in M = closed of a parent simplex outside
     M with a vertex in M, in canonical order, and the simplices outside M
     with that trace, in canonical order."""
-    m_vertices = {v for s in closed.simplices for v in s.vertices}
+    m_vertices = {v for s in closed.simplices for v in s}
     runs = {}
     for u in sorted(closed.parent.simplices):
-        w = tuple(v for v in u.vertices if v in m_vertices)
+        w = tuple(v for v in u if v in m_vertices)
         if w and u not in closed.simplices:
-            runs.setdefault(Simplex(w), []).append(u)
+            runs.setdefault(w, []).append(u)
     return dict(sorted(runs.items()))
 
 
@@ -235,7 +236,7 @@ def split_input(closed, phi) -> tuple[list, list]:
     that trace."""
     value = dict(phi.items)
     return [value.get(s, 0) for s in sorted(closed.simplices)], [
-        (w, sum(_sign(u.dim) * value.get(u, 0) for u in us))
+        (w, sum(_sign(len(u) - 1) * value.get(u, 0) for u in us))
         for w, us in star_traces(closed).items()
     ]
 
@@ -268,7 +269,7 @@ def test_split_star_is_the_definitional_triangle_on_its_input(data):
     firsts = [us[0] for us in traces.values()]
     phi = ConstructibleFunction(space, {
         **dict(zip(order, on_m)),
-        **{u: _sign(u.dim) * v for u, (_, v) in zip(firsts, sums)},
+        **{u: _sign(len(u) - 1) * v for u, (_, v) in zip(firsts, sums)},
     })
     assert split_input(closed, phi) == (on_m, sums)
     split = cfcalc.calculus._split_star(closed, on_m, sums)
@@ -298,7 +299,7 @@ def draws(pair, seed: int) -> list[ConstructibleFunction]:
     star = open_star(pair)
     return [
         ConstructibleFunction(pair.ambient, {
-            u: signed(_DRAW_TABLE[b]) * (1 if u in m or u.dim % 2 == 0 else -1)
+            u: signed(_DRAW_TABLE[b]) * (1 if u in m or len(u) % 2 else -1)
             for u, b in zip(star, rng.randbytes(len(star)))
         })
         for _ in range(3)
@@ -455,7 +456,7 @@ def test_dual_of_the_solution_index_builds_nothing_on_the_ambient():
     d = dual(phi)
     assert vars(scene.ambient) == kept and not order_built(scene.ambient)
     assert values(d) == reference_dual(phi)
-    assert all(type(s) is Simplex for s, _ in d.items)
+    assert all(type(s) is tuple for s, _ in d.items)
 
 
 def bent_line_scene():
@@ -626,7 +627,43 @@ def accepts(construct, *args) -> bool:
 
 
 def vertex_sets(simplices) -> set[frozenset]:
-    return {frozenset(s.vertices) for s in simplices}
+    return {frozenset(s) for s in simplices}
+
+
+@st.composite
+def generator_lists(draw, max_vertices=7):
+    """Generators of mixed sizes as name lists in any order, with some
+    drawn again and some faces of drawn ones added."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, max_vertices)))]
+    names = st.lists(st.sampled_from(vertices), min_size=1, unique=True)
+    gens = draw(st.lists(names, min_size=1, max_size=6))
+    repeats = draw(st.lists(st.sampled_from(gens), max_size=3))
+    faces = [
+        draw(st.lists(st.sampled_from(g), min_size=1, unique=True))
+        for g in draw(st.lists(st.sampled_from(gens), max_size=3))
+    ]
+    return draw(st.permutations(gens + repeats + faces))
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_lists())
+def test_face_closure_is_every_nonempty_subset_of_every_generator(gens):
+    closure = cfcalc.complexes._face_closure({tuple(sorted(g)) for g in gens})
+    assert vertex_sets(closure) == {f for g in gens for f in all_faces(g)}
+    assert all(type(s) is tuple and list(s) == sorted(s) for s in closure)
+    assert build_complex(gens).simplices == closure
+
+
+def test_closure_budget_counts_each_distinct_generator_once():
+    top = [f"v{i}" for i in range(20)]
+    # the 20-vertex simplex given twice and in reverse counts once, its
+    # face on three vertices 7 more: 2^20 - 1 + 7 faces
+    with pytest.raises(ModelError) as err:
+        build_complex([top, top[::-1], top[:3]])
+    assert str(err.value) == (
+        "face closure may hold up to 1048582 simplices, more than the limit of 1000000"
+    )
+    assert len(build_complex([top[:10], top[9::-1], top[:3]])) == 1023
 
 
 @settings(max_examples=150, deadline=None)
@@ -722,7 +759,7 @@ def test_one_sixteen_vertex_simplex():
     vertices = [f"v{i:02d}" for i in range(16)]
     space = build_complex([vertices])
     assert len(space) == 2**16 - 1
-    assert [s.vertices for s in space.maximal_simplices()] == [tuple(vertices)]
+    assert list(space.maximal_simplices()) == [tuple(vertices)]
 
 
 def reference_product(left_sets, right_sets, lorder, rorder) -> set[frozenset]:
