@@ -47,9 +47,9 @@ _text = " ".join
 
 
 class Simplex(tuple):
-    """A point a user names, read by _canonical_vertices: the simplex
-    itself, a plain tuple, with the simplex's text as its str.  Every
-    simplex the package computes is the plain tuple."""
+    """A point a user names, read by _canonical_vertices: equal to the
+    plain tuple, which it reprs as, with the simplex's text as its str.
+    Every simplex the package computes is the plain tuple."""
 
     __slots__ = ()
 
@@ -57,9 +57,6 @@ class Simplex(tuple):
         if isinstance(vertices, Simplex):
             return vertices
         return tuple.__new__(cls, _canonical_vertices(vertices))
-
-    def __repr__(self) -> str:
-        return f"Simplex(vertices={tuple(self)!r})"
 
     def __str__(self) -> str:
         return _text(self)

@@ -85,7 +85,7 @@ class TestSimplex:
         assert not hasattr(s, "__dict__")
         with pytest.raises(AttributeError):
             s.label = "x"
-        assert repr(s) == "Simplex(vertices=('a', 'b'))"
+        assert repr(s) == "('a', 'b')" and str(s) == "a b"
 
     def test_pickle_and_copy_round_trip(self):
         s = simplex("a", "b")
