@@ -242,8 +242,7 @@ class Subcomplex(Frozen):
     def vertices(self) -> frozenset[str]:
         return self._space.vertices
 
-    def has(self, simplex_like) -> bool:
-        return _find(self.simplices, simplex_like) in self.simplices
+    has = SimplicialComplex.has
 
     def as_complex(self) -> SimplicialComplex:
         """The subcomplex as a complex of its own, made with it."""
@@ -293,8 +292,7 @@ class OpenSubset(Frozen):
     def is_empty(self) -> bool:
         return not self.simplices
 
-    def has(self, simplex_like) -> bool:
-        return _find(self.simplices, simplex_like) in self.simplices
+    has = SimplicialComplex.has
 
 
 def complement_open(space: SimplicialComplex, closed: Subcomplex) -> OpenSubset:

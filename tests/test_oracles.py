@@ -850,7 +850,7 @@ def planted(lists, stray):
 # Name lists and simplex lists, as the writer joins them, some with one item
 # that is not a string, in a name list or among them, at a random place, so
 # every way out of the writer's per-list join is taken; a name list, or a
-# list of them, may be a tuple, as a Simplex is, which json.dumps writes as
+# list of them, may be a tuple, as a simplex is, which json.dumps writes as
 # a list.
 NAMES = st.lists(TEXT, min_size=1, max_size=5)
 NOT_A_NAME = (
