@@ -9,7 +9,6 @@ arithmetic; there are no tolerances anywhere.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import compress
 from typing import Mapping, Sequence
 
 from ._frozen import Frozen, cached
@@ -39,18 +38,6 @@ def _clean_items(ambient: SimplicialComplex, values: Mapping) -> tuple[tuple[tup
         if v:
             cleaned[s] = v
     return tuple(sorted(cleaned.items()))
-
-
-def _nonzero_items(order, acc: Sequence[int]) -> tuple[tuple[tuple, int], ...]:
-    """The (simplex, value) pairs of a dense vector over a canonical order.
-
-    Item tuples are always built from lists in this module.  A tuple built
-    from an iterator of unknown length is allocated at a guessed size and
-    resized, so it bypasses CPython's per-size tuple free lists when it is
-    made but lands on them when it is freed; over many small functions
-    those lists fill up and pin memory.
-    """
-    return tuple(list(zip(compress(order, acc), filter(None, acc))))
 
 
 class ConstructibleFunction(Frozen):
@@ -188,16 +175,15 @@ def pullback(f: SimplicialMap, psi: ConstructibleFunction) -> ConstructibleFunct
 def pushforward(f: SimplicialMap, phi: ConstructibleFunction) -> ConstructibleFunction:
     """Proper pushforward: fiberwise sum weighted by (-1) to the dimension drop.
 
-    Composing with the map to a point recovers euler_integral.
+    Composing with the map to a point recovers euler_integral.  The terms
+    are added up on the images of phi's support alone, so nothing is built
+    over the rest of the target.
     """
     if phi.ambient != f.source:
         raise ModelError("function does not live on the source of the map")
-    order, position = f.target.ordered(), f.target.position()
     images = _images(f._vertex_table(), [s for s, _ in phi.items])
-    acc = [0] * len(order)
-    for (s, v), t in zip(phi.items, images):
-        acc[position[t]] += -v if (len(s) - len(t)) % 2 else v
-    return ConstructibleFunction._of(f.target, _nonzero_items(order, acc))
+    terms = [(t, -v if (len(s) - len(t)) % 2 else v) for (s, v), t in zip(phi.items, images)]
+    return _weighted_sum(f.target, [(1, terms)])
 
 
 def dual(phi: ConstructibleFunction) -> ConstructibleFunction:
@@ -308,51 +294,47 @@ def triangle_decompose(
     pushforward of phi from the complement).  Their sum is the plain
     restriction, exactly, on every subcomplex and every function.  Both
     depend only on what _split_star reads, gathered in one pass over phi's
-    support: phi on the subcomplex M, and for each trace w (the vertices in
-    M of a simplex u outside M) the sum of (-1)^dim u phi(u) over its u.
+    support: phi on the subcomplex M, as items, and for each trace w (the
+    vertices in M of a simplex u outside M) the sum of (-1)^dim u phi(u)
+    over its u.  A vertex x is in M when the 0-simplex (x,) is, so nothing
+    is built over M or the parent.
     """
     if phi.ambient != closed.parent:
         raise ModelError("function does not live on the parent of the subcomplex")
-    space = closed.as_complex()
-    spot, of_m, apart = space.position(), space.vertices.__contains__, space.vertices.isdisjoint
-    on_m, sums = [0] * len(spot), defaultdict(int)
+    in_m = closed.simplices
+    on_m, sums = [], defaultdict(int)
     for u, v in phi.items:
-        if u in spot:
-            on_m[spot[u]] = v
-        elif not apart(u):
-            sums[tuple(filter(of_m, u))] += v if len(u) % 2 else -v
+        if u in in_m:
+            on_m.append((u, v))
+        else:
+            w = tuple([x for x in u if (x,) in in_m])
+            if w:
+                sums[w] += v if len(u) % 2 else -v
     return _split_star(closed, on_m, sorted(sums.items()))
 
 
 def _split_star(
-    closed: Subcomplex, on_m: Sequence[int], sums: Sequence[tuple[tuple, int]]
+    closed: Subcomplex, on_m: Sequence[tuple[tuple, int]], sums: Sequence[tuple[tuple, int]]
 ) -> tuple[ConstructibleFunction, ConstructibleFunction]:
-    """triangle_decompose from phi's values on the subcomplex M, on_m in M's
-    canonical order, and the pairs (w, v(w)) in canonical trace order, v(w)
-    the sum of (-1)^dim u phi(u) over the simplices u outside M whose
-    vertices in M are w.
+    """triangle_decompose from phi's nonzero values on the subcomplex M,
+    on_m as (simplex, value) items in canonical order, and the pairs
+    (w, v(w)) in canonical trace order, v(w) the sum of (-1)^dim u phi(u)
+    over the simplices u outside M whose vertices in M are w.
 
     Each trace w gets h0(w) = (-1)^dim w v(w), so for s in M D(h0)(s) sums
     v over the traces containing s.  With h = D_M(D(h0) on M), the boundary
     is -h, as the signs (-1)^dim u over s <= u <= w cancel for s in M and w
-    outside M, and the costalk, D_M of D(phi) on M, is phi on M + h.  A
-    dual depends only on its function's support, so when every trace with a
-    nonzero sum is a simplex of M, D(h0) on M is D_M(h0) and h is h0 (D_M
-    is an involution), found by the same lookups in M's position() that add
-    it to the costalk; otherwise h0 is dualized on the parent.
+    outside M, and the costalk, D_M of D(phi) on M, is phi on M + h, added
+    up on the two supports alone.  A dual depends only on its function's
+    support, so when every trace with a nonzero sum is a simplex of M,
+    D(h0) on M is D_M(h0) and h is h0 (D_M is an involution); otherwise h0
+    is dualized on the parent.
     """
     space = closed.as_complex()
-    spot, costalk = space.position(), list(on_m)
     h = tuple([(w, v if len(w) % 2 else -v) for w, v in sums if v])
-    try:
-        places = [spot[w] for w, _ in h]
-    except KeyError:  # a trace outside M
+    if not space.simplices.issuperset([w for w, _ in h]):  # a trace outside M
         h = dual(restrict(dual(ConstructibleFunction._of(closed.parent, h)), closed)).items
-        places = [spot[s] for s, _ in h]
-    for i, (_, v) in zip(places, h):
-        costalk[i] += v
-    costalk = ConstructibleFunction._of(space, _nonzero_items(space.ordered(), costalk))
-    return costalk, -ConstructibleFunction._of(space, h)
+    return _weighted_sum(space, [(1, h), (1, on_m)]), -ConstructibleFunction._of(space, h)
 
 
 def mod2_reduce(phi: ConstructibleFunction) -> ConstructibleFunction:

@@ -176,12 +176,6 @@ class SimplicialComplex(Frozen):
         return tuple(sorted(self.simplices))
 
     @cached
-    def position(self) -> dict[tuple, int]:
-        """Each simplex's place in ordered(); since a simplex is its vertex
-        tuple, it is found by vertex tuples too."""
-        return {s: i for i, s in enumerate(self.ordered())}
-
-    @cached
     def maximal_simplices(self) -> tuple[tuple, ...]:
         """The simplices that are no member's proper face, in canonical
         order: the generators, when the package closed distinct simplices

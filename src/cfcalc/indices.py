@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import filterfalse
+from itertools import compress, filterfalse
 from typing import Iterable, Iterator
 
 from ._frozen import Frozen, cached
 from .calculus import (
     ConstructibleFunction,
-    _nonzero_items,
     _split_star,
     _weighted_sum,
     euler_integral,
@@ -353,6 +352,18 @@ _DRAW_OFFSET = 3
 _OFFSET_TABLE = bytes(v + _DRAW_OFFSET for v in memoryview(_DRAW_TABLE).cast("b"))
 
 
+def _nonzero_items(order, acc: list[int]) -> tuple[tuple[tuple, int], ...]:
+    """The (simplex, value) pairs of a dense vector over a canonical order.
+
+    Item tuples are always built from lists in this package.  A tuple built
+    from an iterator of unknown length is allocated at a guessed size and
+    resized, so it bypasses CPython's per-size tuple free lists when it is
+    made but lands on them when it is freed; over many small functions
+    those lists fill up and pin memory.
+    """
+    return tuple(list(zip(compress(order, acc), filter(None, acc))))
+
+
 @cached
 def _star_runs(closed: Subcomplex) -> list[tuple[slice, tuple]]:
     """The layout of verify's draws over the open star of the subcomplex M
@@ -534,7 +545,7 @@ def _with_seeded_rows(name, pair: RealComplexPair, rows: tuple, seed: int) -> Ve
         star = raw.translate(_OFFSET_TABLE)
         sums = [(w, sum(star[run]) - _DRAW_OFFSET * (run.stop - run.start)) for run, w in runs]
         phi = ConstructibleFunction._of(pair.ambient, _nonzero_items(mc.ordered(), on_m))
-        costalk, boundary = _split_star(pair.real_form, on_m, sums)
+        costalk, boundary = _split_star(pair.real_form, phi.items, sums)
         mismatch = _first_mismatch(restrict(phi, pair.real_form), costalk + boundary)
         drawn.compare("triangle_identity", f"random[{i}]", "exact", mismatch, f"seed={seed}")
     entries = sorted(rows + tuple(drawn.rows), key=lambda e: (e.check, e.subject))
