@@ -65,10 +65,10 @@ def span(closed) -> frozenset:
 
 
 def order_built(space) -> bool:
-    """Whether the complex's canonical order or its position map has been
-    built: the keys `_frozen.cached` keeps them under, which the CACHED
-    table of tests/test_complexes.py pins."""
-    return not {"_ordered", "_position"}.isdisjoint(vars(space))
+    """Whether the complex's canonical order has been built: the key
+    `_frozen.cached` keeps it under, which the CACHED table of
+    tests/test_complexes.py pins."""
+    return "_ordered" in vars(space)
 
 
 @st.composite

@@ -128,15 +128,12 @@ class TestComplexConstruction:
 class TestComplexIndex:
     @settings(max_examples=60, deadline=None)
     @given(complexes())
-    def test_order_and_position(self, space):
-        order = space.ordered()
-        assert order == tuple(sorted(space.simplices))
-        assert space.position() == {s: i for i, s in enumerate(order)}
+    def test_order(self, space):
+        assert space.ordered() == tuple(sorted(space.simplices))
 
     def test_built_once(self):
         d = disk(3)
         assert d.ordered() is d.ordered()
-        assert d.position() is d.position()
 
 
 class TestStarAndSubcomplex:
@@ -281,7 +278,6 @@ class TestProduct:
 # has not built its vertex table yet.
 CACHED = {
     "SimplicialComplex.ordered": (lambda: disk(3), "_ordered", lambda x: x.ordered()),
-    "SimplicialComplex.position": (lambda: disk(3), "_position", lambda x: x.position()),
     "SimplicialComplex.vertices": (lambda: disk(3), "_vertices", lambda x: x.vertices),
     "SimplicialComplex.maximal_simplices": (
         lambda: disk(3), "_maximal_simplices", lambda x: x.maximal_simplices()

@@ -3,8 +3,9 @@
 Every entry of FAULTS swaps one kernel piece for a wrong version and names
 the check that must notice it: a failing verify row on a built-in model,
 an oracle of tests/test_oracles.py or tests/test_calculus.py, a test of
-tests/test_exhaustive.py, tests/test_scenes.py, tests/test_cli.py or
-tests/test_indices.py, or a golden output of tests/test_golden.py.  A fault on a function is planted in every cfcalc
+tests/test_exhaustive.py, tests/test_scenes.py, tests/test_cli.py,
+tests/test_indices.py or tests/test_locality.py, or a golden output of
+tests/test_golden.py.  A fault on a function is planted in every cfcalc
 module that imported the name, so callers inside the package see it too.
 Each catcher is also run on the healthy kernel, where it must stay quiet,
 so a catcher that fires on everything proves nothing.
@@ -33,6 +34,7 @@ from cfcalc import (
 import test_cli
 import test_exhaustive
 import test_indices
+import test_locality
 import test_oracles
 import test_scenes
 from test_golden import CASES, GOLDEN, _run
@@ -83,11 +85,30 @@ def restrict_keeps_parent(restrict):
 def pushforward_overwrites(_):
     """A pushforward that stores each fibre term instead of adding it."""
     def faulty(f, phi):
-        order, position = f.target.ordered(), f.target.position()
+        images = cfcalc.complexes._images(f._vertex_table(), [s for s, _ in phi.items])
+        acc = {}
+        for (s, v), t in zip(phi.items, images):
+            acc[t] = -v if (len(s) - len(t)) % 2 else v
+        return ConstructibleFunction(f.target, acc)
+    return faulty
+
+
+def dual_over_ambient_set(dual):
+    """A dual that first builds one set over its ambient's simplices, as the
+    deleted drop table did."""
+    return lambda phi: set(phi.ambient.simplices) and dual(phi)
+
+
+def pushforward_dense(_):
+    """The dense pushforward: an accumulator over the target's canonical
+    order, found through a map from each simplex to its place."""
+    def faulty(f, phi):
+        order = f.target.ordered()
+        position = {s: i for i, s in enumerate(order)}
         images = cfcalc.complexes._images(f._vertex_table(), [s for s, _ in phi.items])
         acc = [0] * len(order)
         for (s, v), t in zip(phi.items, images):
-            acc[position[t]] = -v if (len(s) - len(t)) % 2 else v
+            acc[position[t]] += -v if (len(s) - len(t)) % 2 else v
         return ConstructibleFunction(f.target, dict(zip(order, acc)))
     return faulty
 
@@ -256,7 +277,9 @@ def golden(name):
 # the fold of the triangle in the exhaustive map test does; verify's
 # random rows see no fault of a trace's sum, as costalk + boundary is phi
 # on M + h - h whatever h is, and only they read the run table and the
-# offset, so the draw oracles catch those plants
+# offset, so the draw oracles catch those plants; a table sized by the
+# ambient or the target gives every value right, so only the peak
+# allocation of tests/test_locality.py sees it
 FAULTS = {
     "dual_drops_own_term": (
         function_fault("dual", lambda dual: lambda phi: dual(phi) - twist(phi)),
@@ -272,6 +295,16 @@ FAULTS = {
             "dual", lambda dual: lambda phi: keep(dual(phi), phi._lookup().__contains__)
         ),
         failing(test_exhaustive.test_dual_on_every_complex),
+    ),
+    "dual_builds_ambient_set": (
+        function_fault("dual", dual_over_ambient_set),
+        failing(partial(test_locality.test_peak_allocation_does_not_grow_with_the_far_part, "dual")),
+    ),
+    "pushforward_dense_over_target": (
+        function_fault("pushforward", pushforward_dense),
+        failing(partial(
+            test_locality.test_peak_allocation_does_not_grow_with_the_far_part, "pushforward"
+        )),
     ),
     "pushforward_drops_sign": (
         function_fault(

@@ -230,12 +230,12 @@ def star_traces(closed) -> dict:
 
 
 def split_input(closed, phi) -> tuple[list, list]:
-    """What the star split reads of phi, from the definitions: phi on M in
-    M's canonical order, and per trace w in canonical order the pair of w
-    and the sum of (-1)^dim u phi(u) over the simplices u outside M with
-    that trace."""
+    """What the star split reads of phi, from the definitions: phi's
+    nonzero values on M as (simplex, value) items in M's canonical order,
+    and per trace w in canonical order the pair of w and the sum of
+    (-1)^dim u phi(u) over the simplices u outside M with that trace."""
     value = dict(phi.items)
-    return [value.get(s, 0) for s in sorted(closed.simplices)], [
+    return [(s, value[s]) for s in sorted(closed.simplices) if value.get(s, 0)], [
         (w, sum(_sign(len(u) - 1) * value.get(u, 0) for u in us))
         for w, us in star_traces(closed).items()
     ]
@@ -265,10 +265,11 @@ def test_split_star_is_the_definitional_triangle_on_its_input(data):
         if size:
             for i in data.draw(st.lists(st.integers(0, size - 1), max_size=3)):
                 x[i] = data.draw(value)
-    on_m, sums = x[:len(order)], list(zip(traces, x[len(order):]))
+    on_m = [(s, v) for s, v in zip(order, x) if v]
+    sums = list(zip(traces, x[len(order):]))
     firsts = [us[0] for us in traces.values()]
     phi = ConstructibleFunction(space, {
-        **dict(zip(order, on_m)),
+        **dict(on_m),
         **{u: _sign(len(u) - 1) * v for u, (_, v) in zip(firsts, sums)},
     })
     assert split_input(closed, phi) == (on_m, sums)
@@ -328,7 +329,7 @@ def verify_split_inputs(scene, seed: int) -> list:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
             cfcalc.indices, "_split_star",
-            lambda closed, on_m, sums: seen.append((on_m, sums)) or split(closed, on_m, sums),
+            lambda closed, on_m, sums: seen.append((list(on_m), sums)) or split(closed, on_m, sums),
         )
         assert scene.verify(seed=seed).passed
     return seen
@@ -340,14 +341,15 @@ def test_verify_run_sums_are_the_signed_sums_of_its_draw(name, seed):
     """verify reads each trace's run of a draw as bytes holding value plus
     3 and takes 3 off per byte, so the sums it hands the split are the sums
     of the signed values the draw table gives those bytes, and its values
-    on M are the prefix's."""
+    on M are the prefix's nonzero values, as items."""
     scene = build_model(name, k=3)
     closed = scene.pair.real_form
     runs, n = cfcalc.indices._star_runs(closed), len(closed.simplices)
     size, rng, expected = n + sum(run.stop - run.start for run, _ in runs), random.Random(seed), []
     for _ in range(3):
         x = [signed(_DRAW_TABLE[b]) for b in rng.randbytes(size)]
-        expected.append((x[:n], [(w, sum(x[run])) for run, w in runs]))
+        on_m = [(s, v) for s, v in zip(sorted(closed.simplices), x) if v]
+        expected.append((on_m, [(w, sum(x[run])) for run, w in runs]))
     assert verify_split_inputs(scene, seed) == expected
 
 
@@ -377,7 +379,8 @@ def test_triangle_decompose_matches_the_definition_on_the_models(name):
 
 
 # prints a digest of what verify hands the star split on node_curve(k=3):
-# per drawn function, its values on the real form and one sum per trace
+# per drawn function, its nonzero values on the real form, as items, and
+# one sum per trace
 VERIFY_DRAWS = """
 import hashlib, sys
 import cfcalc.indices
@@ -385,7 +388,7 @@ from cfcalc import build_model
 
 seen, split = [], cfcalc.indices._split_star
 cfcalc.indices._split_star = lambda closed, on_m, sums: (
-    seen.append((on_m, sums)) or split(closed, on_m, sums)
+    seen.append((list(on_m), sums)) or split(closed, on_m, sums)
 )
 build_model("node_curve", k=3).verify(seed=int(sys.argv[1]))
 print(hashlib.sha256(repr(seen).encode()).hexdigest())
