@@ -531,8 +531,9 @@ def _scene_rows(pair: RealComplexPair, cycle: CharacteristicCycle, expectations)
 def _with_seeded_rows(name, pair: RealComplexPair, rows: tuple, seed: int) -> VerificationReport:
     """The report of the rows and the triangle rows of three random functions
     drawn from the seed, each in one call as bytes laid out by _star_runs.
-    The prefix on M, read through _DRAW_TABLE, is phi on M, the only list of
-    ints made; each run, read through _OFFSET_TABLE, gives its trace's sum
+    The prefix on M, read through _DRAW_TABLE, is the only list of ints
+    made, and its nonzero values, as items, are phi on M, which the split
+    reads; each run, read through _OFFSET_TABLE, gives its trace's sum
     as one sum() less _DRAW_OFFSET per byte.  So phi is the drawn value times
     (-1)^dim u at a star simplex u outside M, as _split_star reads it there;
     the draw table is symmetric, so phi's law is the same."""
@@ -541,10 +542,10 @@ def _with_seeded_rows(name, pair: RealComplexPair, rows: tuple, seed: int) -> Ve
     size = runs[-1][0].stop if runs else n
     for i in range(3):
         raw = rng.randbytes(size)
-        on_m = memoryview(raw[:n].translate(_DRAW_TABLE)).cast("b").tolist()
+        prefix = memoryview(raw[:n].translate(_DRAW_TABLE)).cast("b").tolist()
         star = raw.translate(_OFFSET_TABLE)
         sums = [(w, sum(star[run]) - _DRAW_OFFSET * (run.stop - run.start)) for run, w in runs]
-        phi = ConstructibleFunction._of(pair.ambient, _nonzero_items(mc.ordered(), on_m))
+        phi = ConstructibleFunction._of(pair.ambient, _nonzero_items(mc.ordered(), prefix))
         costalk, boundary = _split_star(pair.real_form, phi.items, sums)
         mismatch = _first_mismatch(restrict(phi, pair.real_form), costalk + boundary)
         drawn.compare("triangle_identity", f"random[{i}]", "exact", mismatch, f"seed={seed}")
