@@ -96,7 +96,10 @@ def pushforward_overwrites(_):
 def dual_over_ambient_set(dual):
     """A dual that first builds one set over its ambient's simplices, as the
     deleted drop table did."""
-    return lambda phi: set(phi.ambient.simplices) and dual(phi)
+    def faulty(phi):
+        set(phi.ambient.simplices)
+        return dual(phi)
+    return faulty
 
 
 def pushforward_dense(_):
