@@ -141,7 +141,10 @@ class TestLookup:
         )),
         (("a", "b", "c"), (True, False, 0)),
         ({"c"}, (True, False, 0)),
-        (frozenset({"a", "b"}), (True, True, 5)),
+        # A set's repr follows the hash seed, so this case keeps one fixed id.
+        pytest.param(
+            frozenset({"a", "b"}), (True, True, 5), id="frozenset({'b', 'a'})-(True, True, 5)"
+        ),
     ]
 
     @pytest.mark.parametrize("arg,expected", CASES, ids=repr)
