@@ -65,9 +65,10 @@ whole complex, with one codim-0 stratum on one of them: every
 star simplex lies in M, so this time follows the size of M.
 cold_verify_conj_ms is `python -m cfcalc verify` on a scene file of CONJ
 disjoint 4-simplices (24,800 simplices) that the conjugation swaps in
-pairs, with an empty real form and no strata: the conjugation rows check
-the involution, pull back along it and push forward to its quotient, so
-this time follows the images of every simplex under those maps.
+pairs, with an empty real form and no strata: the involution's
+regularity pass and its quotient image every simplex once each, and the
+conjugation rows read only the solution index's support, so this time
+follows those two passes.
 Beside each field, <field>_spread is the distance between the quartiles
 of its repeats as a share of their median, as perfbench's run.py spread
 takes it (Infinity from one repeat), so a before/after pair shows

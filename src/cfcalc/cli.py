@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from itertools import repeat
 
 from .calculus import ConstructibleFunction, dual, euler_integral, indicator
-from .complexes import Simplex, _text
+from .complexes import _canonical_vertices, _text
 from .errors import ModelError, SceneSyntaxError
 from .indices import hyperfunction_dimension, hyperfunction_index, parity_index, solution_index
 from .scenes import (
@@ -90,12 +90,12 @@ def load_scene(spec: str) -> Scene:
     return build_model(name, **_parse_params(raw or "", f"model spec {spec!r}"))
 
 
-def _parse_at(raw: str, scene: Scene | None = None) -> Simplex:
+def _parse_at(raw: str, scene: Scene | None = None) -> tuple[str, ...]:
     """The simplex --at names; given the scene, it must lie on its real form."""
     vertices = list(filter(None, _SEPARATOR.split(raw)))
     if not vertices:
         raise ModelError("--at needs at least one vertex name")
-    at = Simplex(vertices)
+    at = _canonical_vertices(vertices)
     if scene is not None and not scene.pair.real_form.has(at):
         raise ModelError(f"{_text(at)} is not a simplex of the real form {scene.real_form_name!r}")
     return at

@@ -10,15 +10,17 @@ integer, is named by its str().  A simplex is the plain tuple of its
 sorted vertex names, and the canonical order on simplices is the
 lexicographic order of those tuples.  Every simplex the package computes
 is such a tuple; the tuple subclass Simplex is kept only for the points a
-user names (simplex(...), probes, expected values and the CLI's --at),
-and one helper, _text, writes a simplex's text at every output edge.
+user names (simplex(...), a pair's probes and a scene's expected-value
+keys), and one helper, _text, writes a simplex's text at every output
+edge.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, compress, filterfalse, repeat
+from operator import eq
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._frozen import Frozen, cached
@@ -463,7 +465,9 @@ class Involution(Frozen):
 
     Regularity is required: a simplex mapped onto itself as a set must have
     all of its vertices fixed.  This keeps fixed point sets honest
-    subcomplexes.
+    subcomplexes: the simplices a regular involution maps onto themselves
+    are the ones it fixes, so the regularity pass finds them, and the
+    involution keeps them.
     """
 
     _fields = ("underlying",)
@@ -475,22 +479,21 @@ class Involution(Frozen):
         bad = sorted(v for v in vm if vm[vm[v]] != v)
         if bad:
             raise ModelError(f"map is not self-inverse at vertices {bad}")
-        # the least irregular simplex is named, whatever the set's hash order
         simplices = underlying.source.simplices
-        invariant = [s for s, t in zip(simplices, _images(vm, simplices)) if s == t]
-        s = min((s for s in invariant if any(vm[v] != v for v in s)), default=None)
+        invariant = frozenset(compress(simplices, map(eq, simplices, _images(vm, simplices))))
+        # the least irregular simplex is named, whatever the set's hash order
+        moved = {v for v, w in vm.items() if v != w}
+        s = min(filterfalse(moved.isdisjoint, invariant), default=None)
         if s is not None:
             raise ModelError(
                 f"involution is not regular: {_text(s)} maps onto itself without fixing its vertices"
             )
         super().__init__(underlying)
+        object.__setattr__(self, "_fixed", invariant)
 
     @property
     def space(self) -> SimplicialComplex:
         return self.underlying.source
-
-    def vertex(self, v: str) -> str:
-        return self.underlying.vertex(v)
 
     def image(self, s: tuple) -> tuple:
         return self.underlying.image(s)
@@ -507,12 +510,10 @@ def involution(space: SimplicialComplex, vertex_map: Mapping) -> Involution:
 
 
 def fixed_point_set(tau: Involution) -> Subcomplex:
-    """The subcomplex of simplices all of whose vertices are fixed."""
-    vm = tau.underlying._vertex_table()
-    fixed = frozenset(
-        s for s in tau.space.simplices if all(vm[v] == v for v in s)
-    )
-    return Subcomplex._of(tau.space, SimplicialComplex._closed(fixed))
+    """The subcomplex of simplices all of whose vertices are fixed: the
+    simplices the involution maps onto themselves, kept by its
+    regularity pass."""
+    return Subcomplex._of(tau.space, SimplicialComplex._closed(tau._fixed))
 
 
 def is_strongly_free(tau: Involution) -> bool:
@@ -540,20 +541,17 @@ def quotient_by_involution(
             "involution is not strongly free: some simplex meets its image"
         )
     orbit = {v: min(v, w) for v, w in tau.underlying.vertex_pairs}
-    groups: dict[tuple, set] = defaultdict(set)
-    simplices = tau.space.simplices
-    for s, t in zip(simplices, _images(orbit, simplices)):
-        groups[t].add(s)
-    # the group of s holds tau(s), which is not s, so it is the orbit of s
-    # exactly when it holds two simplices
-    crowded = [img for img, grp in groups.items() if len(grp) != 2]
+    counts = Counter(_images(orbit, tau.space.simplices))
+    # the simplices with the image of s include tau(s), which is not s, so
+    # they are the orbit of s exactly when there are two of them
+    crowded = [img for img, n in counts.items() if n != 2]
     if crowded:
         img = min(crowded)
         raise ModelError(
             f"orbit map does not give a simplicial quotient at {_text(img)}: "
-            f"{len(groups[img])} simplices share one image; refine the model (e.g. subdivide)"
+            f"{counts[img]} simplices share one image; refine the model (e.g. subdivide)"
         )
-    quotient = SimplicialComplex._closed(groups.keys())
+    quotient = SimplicialComplex._closed(counts.keys())
     projection = SimplicialMap(tau.space, quotient, orbit)
     return quotient, projection
 

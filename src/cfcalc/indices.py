@@ -24,7 +24,6 @@ from .calculus import (
     indicator,
     mod2_reduce,
     orbit_pushforward,
-    pullback,
     pushforward,
     restrict,
     shriek_restrict,
@@ -35,6 +34,8 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     Subcomplex,
+    _canonical_vertices,
+    _images,
     _text,
     fixed_point_set,
     inclusion_map,
@@ -406,9 +407,9 @@ def verify_scene(
 
 def _scene_rows(pair: RealComplexPair, cycle: CharacteristicCycle, expectations) -> tuple:
     exp = expectations or Expectations()
-    # each key read as a simplex once, as RealComplexPair reads probes
+    # each key read as a simplex once
     declared = [
-        [(Simplex(p), v) for p, v in getattr(exp, key)] for key in _EXPECT_VALUE_KEYS
+        [(_canonical_vertices(p), v) for p, v in getattr(exp, key)] for key in _EXPECT_VALUE_KEYS
     ]
     for key, values in zip(_EXPECT_VALUE_KEYS, declared):
         for p, _ in values:
@@ -489,9 +490,14 @@ def _scene_rows(pair: RealComplexPair, cycle: CharacteristicCycle, expectations)
         for check in ("conjugation_invariance", "boundary_parity", "covering_parity"):
             rows.skip(check, "", "no conjugation declared")
     else:
+        # sol takes its own value at the image of each simplex of its
+        # support exactly when it equals its pullback along tau: tau then
+        # maps the support onto itself, so it keeps the zeros too
+        lookup = sol._lookup()
+        at_images = map(lookup.get, _images(conj.underlying._vertex_table(), lookup))
         rows.compare(
             "conjugation_invariance", "solution_index", "invariant",
-            "invariant" if pullback(conj.underlying, sol) == sol else "not invariant",
+            "invariant" if list(at_images) == list(lookup.values()) else "not invariant",
         )
 
         def boundary_row(p):

@@ -26,6 +26,7 @@ from .complexes import (
     _canonical_vertices,
     _close,
     _closure_bound,
+    _images,
     _staircase,
     _text,
     _within_budget,
@@ -370,11 +371,11 @@ def _scene_from_doc(doc: dict) -> Scene:
                     f"of a complex {n}-fold should have dimension {expected_dim}",
                 )
         if conj is not None:
-            for s in sorted(support.simplices):
-                img = conj.image(s)
-                if not support.has(img):
+            order, at = sorted(support.simplices), eu._lookup().get
+            for s, img in zip(order, _images(conj.underlying._vertex_table(), order)):
+                if img not in support.simplices:
                     _fail(f"{path}.support", f"conjugation moves {_text(s)} outside the support")
-                if eu.value(img) != eu.value(s):
+                if at(img) != at(s):
                     _fail(f"{path}.eu", f"eu is not conjugation invariant at {_text(s)}")
 
         strata.append(_under(
@@ -486,9 +487,7 @@ def _canonical_doc(scene: Scene) -> dict:
     support_names = dict(scene.support_names)
     rf: dict = {"M": scene.real_form_name, "complex_dim": pair.complex_dim}
     if conj is not None:
-        rf["conjugation"] = {
-            v: conj.vertex(v) for v in sorted(ambient.vertices) if conj.vertex(v) != v
-        }
+        rf["conjugation"] = {v: w for v, w in conj.underlying.vertex_pairs if v != w}
 
     strata_doc = []
     for st in sorted(scene.cycle, key=lambda s: s.name):

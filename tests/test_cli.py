@@ -571,6 +571,11 @@ def _drop_probes(doc: dict) -> None:
     doc["real_form"]["M"], doc["probes"], doc["expect"] = "origin", [], {}
 
 
+def _stratum_on_one_triangle(doc: dict) -> None:
+    doc["subcomplexes"]["piece"] = [["b0", "b1", "c"]]
+    doc["strata"][0]["support"] = "piece"
+
+
 # A model's emitted scene, one edit, and the line `check` refuses it with.
 INVALID_SCENES = {
     "no_maximal_simplices": (
@@ -619,6 +624,10 @@ INVALID_SCENES = {
             smooth=False, eu={"default": 1, "overrides": [{"at": ["b1", "c"], "value": 2}]}
         ),
         "strata[0].eu: eu is not conjugation invariant at b1 c",
+    ),
+    "support_the_conjugation_moves": (
+        "pair_C_R", _stratum_on_one_triangle,
+        "strata[0].support: conjugation moves b0 b1 outside the support",
     ),
     "stratum_name_twice": (
         "kashiwara_point", lambda d: d["strata"][1].update(name="ambient"),

@@ -45,6 +45,7 @@ from cfcalc import (
     Subcomplex,
     build_complex,
     compose,
+    fixed_point_set,
     indicator,
     involution,
     is_strongly_free,
@@ -256,7 +257,8 @@ VERTEX_INVOLUTIONS = [p for p in RELABELLINGS if all(p[p[v]] == v for v in VERTI
 def test_involutions_of_every_complex():
     """Every vertex involution of every complex on at most four vertices
     under which each simplex's image is a simplex: involution accepts it
-    exactly when it is regular, is_strongly_free agrees with the
+    exactly when it is regular, its fixed_point_set is the simplices whose
+    vertices it fixes, is_strongly_free agrees with the
     per-simplex definition, and quotient_by_involution returns the orbit
     images exactly when each of them is the image of one orbit, and names
     the least one that is not otherwise."""
@@ -279,6 +281,9 @@ def test_involutions_of_every_complex():
                 kinds["irregular"] += 1
                 continue
             tau = involution(complex_, vmap)
+            assert fixed_point_set(tau).simplices == {
+                s for s in space if all(vmap[v] == v for v in s)
+            }
             free = all(set(image[s]).isdisjoint(s) for s in space)
             assert is_strongly_free(tau) == free
             if not free:

@@ -31,6 +31,7 @@ from cfcalc import (
     involution,
     parity_index,
     parse_scene,
+    pullback,
     simplex,
     smooth_stratum,
     solution_index,
@@ -425,6 +426,30 @@ class TestVerifyScene:
         assert {e["check"] for e in blob["entries"]} >= {
             "triangle_identity", "parity_formula",
         }
+
+
+# strata on disk(3) whose solution index the reflection does not keep
+NOT_INVARIANT = {
+    # one triangle, which the reflection moves onto another
+    "support": lambda d: smooth_stratum("piece", subcomplex(d, [["b0", "b1", "c"]]), 0, 1),
+    # the whole disk, an invariant support, with eu 2 at b1 but 1 at b5
+    "eu": lambda d: Stratum(
+        "disk", Subcomplex(d, d.simplices), 0, 1,
+        indicator(d) + ConstructibleFunction(d, {("b1",): 1}), smooth=False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_INVARIANT))
+def test_a_solution_index_the_conjugation_moves_is_not_invariant(case):
+    pair = one_variable_pair()
+    cycle = CharacteristicCycle([NOT_INVARIANT[case](pair.ambient)])
+    sol = solution_index(cycle, pair.ambient)
+    assert pullback(pair.conjugation.underlying, sol) != sol
+    (row,) = [e for e in verify_scene(pair, cycle).entries if e.check == "conjugation_invariance"]
+    assert (row.subject, row.expected, row.computed, row.status) == (
+        "solution_index", "invariant", "not invariant", "fail"
+    )
 
 
 class TestFirstMismatch:

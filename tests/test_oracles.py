@@ -698,7 +698,7 @@ def test_subcomplex_and_open_subset_match_the_definitions(data):
 
 
 @st.composite
-def generator_lists(draw, max_vertices=7, max_dim=3):
+def written_generator_lists(draw, max_vertices=7, max_dim=3):
     """Generator lists as a caller may write them: names in any order,
     repeated generators, and faces of codimension one or more of other
     generators."""
@@ -726,7 +726,7 @@ def test_maximal_simplices_match_the_definition(data):
     """Whichever way a complex is made, its maximal simplices are the
     members of its closure that are no member's proper face, in canonical
     order."""
-    gens = data.draw(generator_lists())
+    gens = data.draw(written_generator_lists())
     closure = {f for g in gens for f in all_faces(g)}
     space = build_complex(gens)
     assert vertex_sets(space.simplices) == closure
