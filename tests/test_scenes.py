@@ -201,6 +201,13 @@ class TestRoundTrip:
         scene.ambient.ordered()
         assert order_built(scene.ambient)
 
+    @pytest.mark.parametrize("model", ["antipodal_cover", "kashiwara_point", "pair_C_R"])
+    def test_verify_with_a_conjugation_sorts_no_ambient(self, model):
+        # the invariance row reads the solution index at its support's images
+        scene = parse_scene(emit_scene(build_model(model)))
+        assert scene.verify().passed
+        assert not order_built(scene.ambient)
+
     @pytest.mark.parametrize("k", [3, 6])
     @pytest.mark.parametrize("model", ["node_curve", "smooth_line_in_C2"])
     def test_verify_and_the_indices_build_nothing_over_the_ambient(self, model, k):
