@@ -65,10 +65,11 @@ whole complex, with one codim-0 stratum on one of them: every
 star simplex lies in M, so this time follows the size of M.
 cold_verify_conj_ms is `python -m cfcalc verify` on a scene file of CONJ
 disjoint 4-simplices (24,800 simplices) that the conjugation swaps in
-pairs, with an empty real form and no strata: the involution's
-regularity pass and its quotient image every simplex once each, and the
+pairs, with an empty real form and no strata: the involution decides
+regularity on its vertex pairs, the fixed-point set takes one subset
+test per simplex, the quotient images every simplex once, and the
 conjugation rows read only the solution index's support, so this time
-follows those two passes.
+follows the quotient's pass.
 Beside each field, <field>_spread is the distance between the quartiles
 of its repeats as a share of their median, as perfbench's run.py spread
 takes it (Infinity from one repeat), so a before/after pair shows

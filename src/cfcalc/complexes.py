@@ -461,13 +461,11 @@ def compose(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
 
 
 class Involution(Frozen):
-    """A self-inverse simplicial automorphism.
+    """A self-inverse simplicial automorphism, which keeps only its map.
 
     Regularity is required: a simplex mapped onto itself as a set must have
     all of its vertices fixed.  This keeps fixed point sets honest
-    subcomplexes: the simplices a regular involution maps onto themselves
-    are the ones it fixes, so the regularity pass finds them, and the
-    involution keeps them.
+    subcomplexes, and it is decided on the edges {y, tau(y)} alone.
     """
 
     _fields = ("underlying",)
@@ -480,16 +478,20 @@ class Involution(Frozen):
         if bad:
             raise ModelError(f"map is not self-inverse at vertices {bad}")
         simplices = underlying.source.simplices
-        invariant = frozenset(compress(simplices, map(eq, simplices, _images(vm, simplices))))
-        # the least irregular simplex is named, whatever the set's hash order
-        moved = {v for v, w in vm.items() if v != w}
-        s = min(filterfalse(moved.isdisjoint, invariant), default=None)
-        if s is not None:
+        # A simplex s that tau maps onto itself holding a moved vertex y holds
+        # tau(y) too, so its edge {y, tau(y)} is a simplex that tau maps onto
+        # itself without fixing its vertices: tau is regular exactly when no
+        # such edge is a simplex.
+        if any((v, w) in simplices for v, w in vm.items() if v < w):
+            # the least irregular simplex is named, whatever the set's hash
+            # order; it need not be an edge, as a b c sorts before a c
+            moved = {v for v, w in vm.items() if v != w}
+            invariant = compress(simplices, map(eq, simplices, _images(vm, simplices)))
+            s = min(filterfalse(moved.isdisjoint, invariant))
             raise ModelError(
                 f"involution is not regular: {_text(s)} maps onto itself without fixing its vertices"
             )
         super().__init__(underlying)
-        object.__setattr__(self, "_fixed", invariant)
 
     @property
     def space(self) -> SimplicialComplex:
@@ -510,10 +512,10 @@ def involution(space: SimplicialComplex, vertex_map: Mapping) -> Involution:
 
 
 def fixed_point_set(tau: Involution) -> Subcomplex:
-    """The subcomplex of simplices all of whose vertices are fixed: the
-    simplices the involution maps onto themselves, kept by its
-    regularity pass."""
-    return Subcomplex._of(tau.space, SimplicialComplex._closed(tau._fixed))
+    """The subcomplex of simplices all of whose vertices are fixed."""
+    fixed = {v for v, w in tau.underlying.vertex_pairs if v == w}
+    space = SimplicialComplex._closed(filter(fixed.issuperset, tau.space.simplices))
+    return Subcomplex._of(tau.space, space)
 
 
 def is_strongly_free(tau: Involution) -> bool:
@@ -541,17 +543,18 @@ def quotient_by_involution(
             "involution is not strongly free: some simplex meets its image"
         )
     orbit = {v: min(v, w) for v, w in tau.underlying.vertex_pairs}
-    counts = Counter(_images(orbit, tau.space.simplices))
-    # the simplices with the image of s include tau(s), which is not s, so
-    # they are the orbit of s exactly when there are two of them
-    crowded = [img for img, n in counts.items() if n != 2]
-    if crowded:
-        img = min(crowded)
+    quotient = SimplicialComplex._closed(_images(orbit, tau.space.simplices))
+    # s and tau(s), which is not s, share an image, so each image is shared
+    # by an even number of simplices; each number is 2, and the simplices
+    # with an image are one orbit, exactly when there are half as many
+    # images as simplices
+    if 2 * len(quotient) != len(tau.space):
+        counts = Counter(_images(orbit, tau.space.simplices))
+        img = min(img for img, n in counts.items() if n != 2)
         raise ModelError(
             f"orbit map does not give a simplicial quotient at {_text(img)}: "
             f"{counts[img]} simplices share one image; refine the model (e.g. subdivide)"
         )
-    quotient = SimplicialComplex._closed(counts.keys())
     projection = SimplicialMap(tau.space, quotient, orbit)
     return quotient, projection
 

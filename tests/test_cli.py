@@ -946,11 +946,21 @@ class TestDeterminism:
             },
             "strata": [], "probes": [], "expect": {},
         }
+        # the least irregular simplex is the triangle, not its edge a c
+        triangle = {
+            **swaps,
+            "name": "triangle_turned_over",
+            "complex": {"maximal_simplices": [["a", "b", "c"]]},
+            "subcomplexes": {"M": [["b"]]},
+            "real_form": {"M": "M", "complex_dim": 1, "conjugation": {"a": "c", "c": "a"}},
+        }
         for doc, line in (
             (pair, "error: real_form.conjugation: image b1 b4 of b1 b2 is not a simplex"
                    " of the target"),
             (swaps, "error: real_form.conjugation: involution is not regular: a0 a1 maps"
                     " onto itself without fixing its vertices"),
+            (triangle, "error: real_form.conjugation: involution is not regular: a b c maps"
+                       " onto itself without fixing its vertices"),
         ):
             path = tmp_path / f"{doc['name']}.json"
             path.write_text(json.dumps(doc), encoding="utf-8")

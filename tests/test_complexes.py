@@ -1,6 +1,8 @@
 import copy
 import itertools
 import pickle
+import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -401,6 +403,67 @@ class TestInvolutions:
     def test_quotient_needs_strong_freeness(self):
         with pytest.raises(ModelError):
             quotient_by_involution(reflection(disk(3)))
+
+    def test_accepting_and_fixing_image_only_the_generators(self, monkeypatch):
+        """involution and fixed_point_set decide on vertices: on 50 disjoint
+        4-simplices (1,550 simplices), swapped in pairs or fixed, only the
+        map's own check images simplices, the 50 it was closed from."""
+        space = build_complex([[f"{c}{i}_{j}" for j in range(5)] for i in range(25) for c in "uw"])
+        swap = {
+            f"{c}{i}_{j}": f"{d}{i}_{j}" for i in range(25) for j in range(5) for c, d in ("uw", "wu")
+        }
+        images, imaged = cfcalc.complexes._images, []
+
+        def counted(table, simplices):
+            simplices = list(simplices)
+            imaged.extend(simplices)
+            return images(table, simplices)
+
+        monkeypatch.setattr(cfcalc.complexes, "_images", counted)
+        for vertex_map, fixed in ((swap, 0), ({}, 1550)):
+            imaged.clear()
+            assert len(fixed_point_set(involution(space, vertex_map)).simplices) == fixed
+            assert len(imaged) <= 50
+
+    def test_random_quotients_are_the_preimage_groups(self):
+        """Strongly free involutions on 6 or 8 vertices, each swapping u<i>
+        and w<i> on the closure of random simplices and their images: the
+        quotient is accepted exactly when the simplices with each orbit
+        image are one orbit, its simplices are those images, and a refusal
+        names the least other image with the number of its preimages."""
+        rng, kinds = random.Random(49), defaultdict(int)
+        for _ in range(300):
+            n = rng.choice((3, 4))
+            swap = {f"{c}{i}": f"{d}{i}" for i in range(n) for c, d in ("uw", "wu")}
+            tops = [[v] for v in swap]
+            for _ in range(rng.randint(1, 2 * n)):
+                top = [rng.choice("uw") + str(i) for i in rng.sample(range(n), rng.randint(1, n))]
+                tops += [top, [swap[v] for v in top]]
+            space = build_complex(tops)
+            tau = involution(space, swap)
+            assert is_strongly_free(tau)
+            groups = defaultdict(set)
+            for s in space.simplices:
+                groups[tuple(sorted({min(v, swap[v]) for v in s}))].add(s)
+            shared = sorted(
+                t for t, group in groups.items()
+                if group != {min(group), tuple(sorted(swap[v] for v in min(group)))}
+            )
+            if shared:
+                t = shared[0]
+                with pytest.raises(ModelError) as refused:
+                    quotient_by_involution(tau)
+                assert str(refused.value) == (
+                    f"orbit map does not give a simplicial quotient at {Simplex(t)}: "
+                    f"{len(groups[t])} simplices share one image; refine the model (e.g. subdivide)"
+                )
+                kinds["refused"] += 1
+                continue
+            quotient, projection = quotient_by_involution(tau)
+            assert quotient.simplices == groups.keys()
+            assert all(projection.image(s) == t for t, group in groups.items() for s in group)
+            kinds["quotient"] += 1
+        assert kinds == {"refused": 179, "quotient": 121}
 
 
 class TestConnectivity:

@@ -257,7 +257,9 @@ VERTEX_INVOLUTIONS = [p for p in RELABELLINGS if all(p[p[v]] == v for v in VERTI
 def test_involutions_of_every_complex():
     """Every vertex involution of every complex on at most four vertices
     under which each simplex's image is a simplex: involution accepts it
-    exactly when it is regular, its fixed_point_set is the simplices whose
+    exactly when it is regular, which is exactly when no edge {y, tau(y)}
+    with y moved is a simplex, and names the least irregular simplex
+    otherwise, its fixed_point_set is the simplices whose
     vertices it fixes, is_strongly_free agrees with the
     per-simplex definition, and quotient_by_involution returns the orbit
     images exactly when each of them is the image of one orbit, and names
@@ -275,10 +277,19 @@ def test_involutions_of_every_complex():
             if not set(image.values()) <= set(space):
                 kinds["not simplicial"] += 1
                 continue
-            if any(image[s] == s and any(vmap[v] != v for v in s) for s in space):
-                with pytest.raises(ModelError, match="not regular"):
+            irregular = [s for s in space if image[s] == s and any(vmap[v] != v for v in s)]
+            moved_edges = [(v, w) for v, w in vmap.items() if v < w and (v, w) in space]
+            assert bool(irregular) == bool(moved_edges)
+            if irregular:
+                message = (
+                    f"involution is not regular: {Simplex(min(irregular))} maps onto itself"
+                    " without fixing its vertices"
+                )
+                with pytest.raises(ModelError) as refused:
                     involution(complex_, vmap)
+                assert str(refused.value) == message
                 kinds["irregular"] += 1
+                kinds["irregular at a non-edge"] += len(min(irregular)) != 2
                 continue
             tau = involution(complex_, vmap)
             assert fixed_point_set(tau).simplices == {
@@ -307,8 +318,9 @@ def test_involutions_of_every_complex():
             assert quotient.simplices == set(groups)
             assert all(projection.image(s) == orbit[s] for s in space)
             kinds["quotient"] += 1
-    # 262 regular involutions, 18 of them strongly free
+    # 262 regular involutions, 18 of them strongly free; 70 refusals name
+    # a simplex that is not an edge, such as a b c before a c
     assert kinds == {
-        "not simplicial": 1116, "irregular": 234, "fixed points": 244,
-        "no quotient": 3, "quotient": 15,
+        "not simplicial": 1116, "irregular": 234, "irregular at a non-edge": 70,
+        "fixed points": 244, "no quotient": 3, "quotient": 15,
     }

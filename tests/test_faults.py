@@ -27,6 +27,7 @@ from cfcalc import (
     build_model,
     complement_open,
     indicator,
+    involution,
     parse_scene,
     simplicial_map,
     subcomplex,
@@ -218,6 +219,20 @@ def open_pushforward_oracle(plant):
     return cfcalc.calculus.open_pushforward(u, psi) != indicator(interval)
 
 
+def regularity_oracle(plant):
+    """The turned triangle of test_refusals_are_the_same_under_any_hash_seed,
+    in process: the conjugation a <-> c of a b c is refused at a b c."""
+    triangle = build_complex([["a", "b", "c"]])
+    plant()
+    try:
+        involution(triangle, {"a": "c", "c": "a"})
+    except ModelError as refused:
+        return str(refused) != (
+            "involution is not regular: a b c maps onto itself without fixing its vertices"
+        )
+    return True
+
+
 def text_as_str(module):
     """The module's simplex text helper replaced by str(), which writes a
     computed simplex, a plain tuple, as its repr."""
@@ -283,7 +298,10 @@ def golden(name):
 # offset, so the draw oracles catch those plants; a table sized by the
 # ambient or the target gives every value right, so only the peak
 # allocation of tests/test_locality.py sees it; verify pulls nothing back,
-# so the exhaustive map test sees a pullback fault
+# so the exhaustive map test sees a pullback fault; the regularity edge
+# test is the one call of any() in complexes.py, which a module name
+# shadows, and no built-in model has an irregular conjugation, so an
+# oracle gives it one
 FAULTS = {
     "dual_drops_own_term": (
         function_fault("dual", lambda dual: lambda phi: dual(phi) - twist(phi)),
@@ -323,6 +341,12 @@ FAULTS = {
     "image_keeps_repeats": (
         function_fault("_images", images_keep_repeats, cfcalc.complexes),
         failing(test_exhaustive.test_pushforward_and_pullback_along_every_map_to_the_triangle),
+    ),
+    "regularity_edge_test_never_fires": (
+        lambda monkeypatch: monkeypatch.setattr(
+            cfcalc.complexes, "any", lambda pairs: False, raising=False
+        ),
+        regularity_oracle,
     ),
     "is_strongly_free_never": (
         function_fault("is_strongly_free", lambda _: lambda tau: False),
